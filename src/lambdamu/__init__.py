@@ -23,7 +23,7 @@ from .reduction import (
 )
 from .metatheory import (
     Corpus, PropertyReport, check_confluence, check_strong_normalization,
-    check_subject_reduction, curated_corpus, enumerate_typed_terms,
+    check_subject_reduction, curated_corpus, enumerate_typed_terms, run_suite,
 )
 from .behavior import (
     BehaviorReport, ExactLeaf, HeadApplied, AppliedTo, ProbeApplied,

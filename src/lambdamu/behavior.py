@@ -26,10 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .reduction import (
-    DEFAULT_NODE_CAP, ReductionStep, Trace, redexes, step_at,
-)
-from .syntax import canonical_form, parse_term, print_term
+from .reduction import DEFAULT_NODE_CAP, Trace, reduction_graph
+from .syntax import parse_term, print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula,
     FreshSupply, Mu, Named, PropVar, Term, Var, all_names, alpha_equal,
@@ -67,20 +65,8 @@ def is_mu_spine(s: Term, leaf: Term) -> Optional[SpineWitness]:
     The leaf is compared by alpha-equality; the shortest wrapper list
     wins when the leaf itself starts with a wrapper shape.
     """
-    wrappers: list[Wrapper] = []
-    current = s
-    while True:
-        if alpha_equal(current, leaf):
-            return SpineWitness(tuple(wrappers), current)
-        match current:
-            case Mu(a, ann, body):
-                wrappers.append(Wrapper("mu", a, ann))
-                current = body
-            case Named(a, body):
-                wrappers.append(Wrapper("name", a))
-                current = body
-            case _:
-                return None
+    hit = _match_spine(s, [("leaf", ExactLeaf(leaf))])
+    return None if hit is None else hit[1]
 
 
 # --------------------------------------------------------------------------
@@ -199,45 +185,20 @@ def _match_spine(t: Term, patterns: list[tuple[str, LeafPattern]]):
 def search_spine_reduct(t: Term, patterns: list[tuple[str, LeafPattern]],
                         node_cap: int = DEFAULT_NODE_CAP) -> SpineSearch:
     """Breadth-first search of the reducts of t for a matching spine."""
-    if node_cap < 1:
-        raise ValueError("node_cap must be >= 1")
-    root = canonical_form(t)
-    parents: dict[str, tuple[str, ReductionStep] | None] = {root: None}
-    terms: dict[str, Term] = {root: t}
-    queue = [root]
-    qi = 0
-    capped = False
+    hit = None
 
-    def trace_to(key: str) -> Trace:
-        steps = []
-        while parents[key] is not None:
-            parent, step = parents[key]
-            steps.append(step)
-            key = parent
-        steps.reverse()
-        return Trace(t, steps)
+    def matches(term: Term) -> bool:
+        nonlocal hit
+        hit = _match_spine(term, patterns)
+        return hit is not None
 
-    while qi < len(queue):
-        key = queue[qi]
-        qi += 1
-        current = terms[key]
-        hit = _match_spine(current, patterns)
-        if hit is not None:
-            label, witness, bound = hit
-            return SpineSearch("found", witness, bound, trace_to(key),
-                               label, explored=len(terms))
-        for p, _ in redexes(current):
-            step = step_at(current, p)
-            dst = canonical_form(step.after)
-            if dst not in terms:
-                if len(terms) >= node_cap:
-                    capped = True
-                    continue
-                terms[dst] = step.after
-                parents[dst] = (key, step)
-                queue.append(dst)
-    status = "cap-exceeded" if capped else "not-found"
-    return SpineSearch(status, explored=len(terms))
+    graph = reduction_graph(t, node_cap, stop=matches)
+    if graph.stopped is None:
+        status = "not-found" if graph.complete else "cap-exceeded"
+        return SpineSearch(status, explored=len(graph.nodes))
+    label, witness, bound = hit
+    return SpineSearch("found", witness, bound, graph.trace_to(graph.stopped),
+                       label, len(graph.nodes))
 
 
 def find_spine_reduct(t: Term, pattern: LeafPattern,

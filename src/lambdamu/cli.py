@@ -33,6 +33,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
+
+
+_POSITIVE = _int_at_least(1)
+_NATURAL = _int_at_least(0)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lambdamu", description=__doc__)
     parser.add_argument("--seed", type=int, default=0,
@@ -57,34 +73,33 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("reduce", help="normalize a term")
     add_input(p)
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_NATURAL, default=DEFAULT_FUEL)
     p.add_argument("--trace", action="store_true",
                    help="print the JSON-lines trace")
 
     p = sub.add_parser("graph", help="explore the reduction graph")
     add_input(p)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--node-cap", type=_POSITIVE, default=DEFAULT_NODE_CAP)
     p.add_argument("--dot", action="store_true", help="Graphviz output")
-    p.add_argument("--json", action="store_true", help="JSON output")
 
     p = sub.add_parser("probe", help="run a behavior probe")
     add_input(p)
     p.add_argument("--law", choices=["efq", "peirce", "lem"], required=True)
-    p.add_argument("--n-args", type=int, default=1)
-    p.add_argument("--seq-len", type=int, default=1)
-    p.add_argument("--max-m", type=int, default=8)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--n-args", type=_NATURAL, default=1)
+    p.add_argument("--seq-len", type=_NATURAL, default=1)
+    p.add_argument("--max-m", type=_NATURAL, default=8)
+    p.add_argument("--node-cap", type=_POSITIVE, default=DEFAULT_NODE_CAP)
 
     p = sub.add_parser("suite", help="run the metatheory oracles")
-    p.add_argument("--max-size", type=int, default=10)
-    p.add_argument("--max-formula-size", type=int,
+    p.add_argument("--max-size", type=_POSITIVE, default=10)
+    p.add_argument("--max-formula-size", type=_POSITIVE,
                    default=metatheory.DEFAULT_MAX_FORMULA_SIZE)
-    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--node-cap", type=_POSITIVE, default=DEFAULT_NODE_CAP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("corpus", help="dump the enumerated corpus")
-    p.add_argument("--max-size", type=int, default=10)
-    p.add_argument("--max-formula-size", type=int,
+    p.add_argument("--max-size", type=_POSITIVE, default=10)
+    p.add_argument("--max-formula-size", type=_POSITIVE,
                    default=metatheory.DEFAULT_MAX_FORMULA_SIZE)
     p.add_argument("--target", help="only inhabitants of this formula")
 
@@ -97,8 +112,11 @@ def _load_term(args) -> Term:
     if args.term is not None:
         text = args.term
     elif args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read input file: {exc}") from None
     else:
         raise UsageError("no input term (use --term or a file)")
     term = parse_term(text)
@@ -166,7 +184,7 @@ def _run(args) -> int:
         if args.dot:
             print(graph.to_dot())
         else:
-            print(json.dumps(graph.to_json(), indent=None if args.json else 2))
+            print(json.dumps(graph.to_json(), indent=2))
         return EXIT_OK if graph.complete else EXIT_INCONCLUSIVE
 
     if args.command == "probe":
@@ -197,13 +215,8 @@ def _run(args) -> int:
     if args.command == "suite":
         corpus = metatheory.enumerate_typed_terms(
             args.max_size, max_formula_size=args.max_formula_size)
-        reports = [
-            metatheory.check_subject_reduction(corpus, args.node_cap),
-            metatheory.check_confluence(corpus, args.node_cap),
-            metatheory.check_strong_normalization(corpus, args.node_cap),
-        ]
         failed = False
-        for report in reports:
+        for report in metatheory.run_suite(corpus, args.node_cap):
             if args.json:
                 print(json.dumps(report.to_json()))
             else:

@@ -378,71 +378,79 @@ def curated_corpus(entries: list[tuple[Term, Formula, Context, Context]]) -> Cor
 # Oracles
 # --------------------------------------------------------------------------
 
-def _graphs(corpus: Corpus, node_cap: int):
+def _subject_reduction(report: PropertyReport, entry: CorpusEntry,
+                       graph: ReductionGraph) -> None:
+    """Every reduct re-checks at the entry's type."""
+    gamma = dict(entry.gamma)
+    delta = dict(entry.delta)
+    for key, reduct in graph.nodes.items():
+        try:
+            check(gamma, delta, reduct, entry.formula)
+        except TypeCheckError as exc:
+            report.failures.append((entry, f"reduct {key}: {exc}"))
+
+
+def _confluence(report: PropertyReport, entry: CorpusEntry,
+                graph: ReductionGraph) -> None:
+    """Some reduct is a descendant of every reduct."""
+    why = graph.confluence_failure()
+    if why is not None:
+        report.failures.append((entry, why))
+
+
+def _strong_normalization(report: PropertyReport, entry: CorpusEntry,
+                          graph: ReductionGraph) -> None:
+    """The reduction graph is acyclic; records its longest path."""
+    if graph.is_acyclic():
+        key = canonical_form(entry.term)
+        report.longest_paths[key] = graph.longest_path_length()
+    else:
+        report.failures.append((entry, "reduction graph has a cycle"))
+
+
+_VERDICTS = {
+    "subject-reduction": _subject_reduction,
+    "confluence": _confluence,
+    "strong-normalization": _strong_normalization,
+}
+
+
+def _run_oracles(corpus: Corpus, node_cap: int,
+                 properties: tuple[str, ...]) -> list[PropertyReport]:
+    """Build each entry's reduction graph once and apply every verdict;
+    an entry whose graph hits the node cap is incomplete in every report."""
+    reports = [PropertyReport(name) for name in properties]
     for entry in corpus.entries:
-        yield entry, reduction_graph(entry.term, node_cap)
+        graph = reduction_graph(entry.term, node_cap)
+        for report in reports:
+            if graph.complete:
+                report.checked += 1
+                _VERDICTS[report.property](report, entry, graph)
+            else:
+                report.incomplete.append(entry)
+    return reports
+
+
+def run_suite(corpus: Corpus,
+              node_cap: int = DEFAULT_NODE_CAP) -> list[PropertyReport]:
+    """Subject reduction, confluence and strong normalization, in that
+    order, from one reduction graph per entry."""
+    return _run_oracles(corpus, node_cap, tuple(_VERDICTS))
 
 
 def check_subject_reduction(corpus: Corpus,
                             node_cap: int = DEFAULT_NODE_CAP) -> PropertyReport:
     """Every reduct of every entry re-checks at the entry's type."""
-    report = PropertyReport("subject-reduction")
-    for entry, graph in _graphs(corpus, node_cap):
-        if not graph.complete:
-            report.incomplete.append(entry)
-            continue
-        report.checked += 1
-        gamma = dict(entry.gamma)
-        delta = dict(entry.delta)
-        for key, reduct in graph.nodes.items():
-            try:
-                check(gamma, delta, reduct, entry.formula)
-            except TypeCheckError as exc:
-                report.failures.append((entry, f"reduct {key}: {exc}"))
-    return report
+    return _run_oracles(corpus, node_cap, ("subject-reduction",))[0]
 
 
 def check_confluence(corpus: Corpus,
                      node_cap: int = DEFAULT_NODE_CAP) -> PropertyReport:
-    """Unique normal form plus pairwise joinability on complete graphs."""
-    report = PropertyReport("confluence")
-    for entry, graph in _graphs(corpus, node_cap):
-        if not graph.complete:
-            report.incomplete.append(entry)
-            continue
-        report.checked += 1
-        nfs = graph.normal_forms()
-        if graph.is_acyclic() and len(nfs) > 1:
-            report.failures.append(
-                (entry, f"{len(nfs)} distinct normal forms: {nfs}"))
-            continue
-        desc = graph.descendants()
-        keys = list(graph.nodes)
-        joinable = True
-        for i, u in enumerate(keys):
-            for v in keys[i + 1:]:
-                if not (desc[u] & desc[v]):
-                    report.failures.append(
-                        (entry, f"unjoinable pair: {u} vs {v}"))
-                    joinable = False
-                    break
-            if not joinable:
-                break
-    return report
+    """Some reduct of every entry is a descendant of all its reducts."""
+    return _run_oracles(corpus, node_cap, ("confluence",))[0]
 
 
 def check_strong_normalization(corpus: Corpus,
                                node_cap: int = DEFAULT_NODE_CAP) -> PropertyReport:
     """Complete, acyclic reduction graph for every entry."""
-    report = PropertyReport("strong-normalization")
-    for entry, graph in _graphs(corpus, node_cap):
-        if not graph.complete:
-            report.incomplete.append(entry)
-            continue
-        report.checked += 1
-        if not graph.is_acyclic():
-            report.failures.append((entry, "reduction graph has a cycle"))
-            continue
-        report.longest_paths[canonical_form(entry.term)] = \
-            graph.longest_path_length()
-    return report
+    return _run_oracles(corpus, node_cap, ("strong-normalization",))[0]

@@ -18,7 +18,7 @@ for the second case branch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 from .syntax import canonical_form, print_term
 from .terms import (
@@ -277,14 +277,20 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
 class ReductionGraph:
     """Breadth-first closure of a term under one-step reduction.
 
-    Nodes are keyed by their alpha-canonical printed form; ``complete``
-    is False when the node cap interrupted exploration.
+    Nodes are keyed by their alpha-canonical printed form.  ``edges``
+    has one entry per redex of each expanded node; ``parents`` maps every
+    node but the root to the index of its first incoming edge, the one
+    that admitted it, so ``trace_to`` rebuilds a shortest reduction.
+    ``complete`` is False when the node cap dropped a reduct; ``stopped``
+    is the node at which ``reduction_graph``'s ``stop`` predicate held.
     """
 
     root: str
     nodes: dict[str, Term]
     edges: list[tuple[str, ReductionStep, str]]
     complete: bool
+    parents: dict[str, int] = field(default_factory=dict)
+    stopped: Optional[str] = None
 
     def successor_map(self) -> dict[str, set[str]]:
         succ: dict[str, set[str]] = {k: set() for k in self.nodes}
@@ -296,23 +302,14 @@ class ReductionGraph:
         succ = self.successor_map()
         return [k for k in self.nodes if not succ[k]]
 
-    def descendants(self) -> dict[str, set[str]]:
-        """Reflexive-transitive reachability per node."""
-        succ = self.successor_map()
-        out: dict[str, set[str]] = {}
-        for start in self.nodes:
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for k in frontier:
-                    for s in succ[k]:
-                        if s not in seen:
-                            seen.add(s)
-                            nxt.append(s)
-                frontier = nxt
-            out[start] = seen
-        return out
+    def trace_to(self, key: str) -> Trace:
+        """The reduction from the root to key along first incoming edges."""
+        steps = []
+        while key != self.root:
+            key, step, _ = self.edges[self.parents[key]]
+            steps.append(step)
+        steps.reverse()
+        return Trace(self.nodes[self.root], steps)
 
     def is_acyclic(self) -> bool:
         succ = self.successor_map()
@@ -330,6 +327,33 @@ class ReductionGraph:
             return True
 
         return all(state.get(k) == 2 or visit(k) for k in self.nodes)
+
+    def confluence_failure(self) -> Optional[str]:
+        """Evidence that the complete graph is not confluent, else None.
+
+        On a finite graph pairwise joinability means some node descends
+        from every node.  When acyclic, that is a unique normal form.
+        Otherwise the node with the fewest descendants lies in a terminal
+        cycle, and a node that cannot reach it shares no descendant with it.
+        """
+        if self.is_acyclic():
+            nfs = self.normal_forms()
+            return f"{len(nfs)} distinct normal forms: {nfs}" \
+                if len(nfs) > 1 else None
+        succ = self.successor_map()
+
+        def reach(start: str) -> set[str]:
+            seen, todo = set(), [start]
+            while todo:
+                if (k := todo.pop()) not in seen:
+                    seen.add(k)
+                    todo.extend(succ[k])
+            return seen
+
+        below = {k: reach(k) for k in self.nodes}
+        low = min(below, key=lambda k: len(below[k]))
+        stray = next((k for k in below if low not in below[k]), None)
+        return None if stray is None else f"unjoinable pair: {low} vs {stray}"
 
     def longest_path_length(self) -> int:
         """Length of the longest reduction sequence (graph must be acyclic)."""
@@ -367,36 +391,38 @@ class ReductionGraph:
         }
 
 
-def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP) -> ReductionGraph:
-    """Explore all reducts of t, deduplicating alpha-equal nodes.
+def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
+                    stop: Optional[Callable[[Term], bool]] = None
+                    ) -> ReductionGraph:
+    """Explore the reducts of t breadth-first, deduplicating alpha-equal nodes.
 
-    The cap applies to the deduplicated node count; hitting it returns
-    the partial graph flagged incomplete.
+    The package's one search over reducts.  The cap bounds the node
+    count: a reduct past it is dropped with its edge, and the nodes
+    already admitted are still expanded.  ``stop`` is tested on each
+    node as it is dequeued; the first it holds for ends the search
+    unexpanded and is recorded as ``stopped``.
     """
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     root = canonical_form(t)
     nodes: dict[str, Term] = {root: t}
     edges: list[tuple[str, ReductionStep, str]] = []
-    queue: list[str] = [root]
-    qi = 0
+    parents: dict[str, int] = {}
     complete = True
-    while qi < len(queue):
-        key = queue[qi]
-        qi += 1
+    queue = [root]
+    for key in queue:
         current = nodes[key]
-        overflow = False
+        if stop is not None and stop(current):
+            return ReductionGraph(root, nodes, edges, complete, parents, key)
         for p, _ in redexes(current):
             step = step_at(current, p)
             dst = canonical_form(step.after)
             if dst not in nodes:
                 if len(nodes) >= node_cap:
-                    overflow = True
+                    complete = False
                     continue
                 nodes[dst] = step.after
+                parents[dst] = len(edges)
                 queue.append(dst)
             edges.append((key, step, dst))
-        if overflow:
-            complete = False
-            break
-    return ReductionGraph(root, nodes, edges, complete)
+    return ReductionGraph(root, nodes, edges, complete, parents)

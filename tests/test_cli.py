@@ -244,6 +244,28 @@ def test_corpus_target(capsys):
     assert "\\x0:_|_. mu a0:P. x0 : _|_ -> P" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "--term", "x", "--open", "x", "--node-cap", "0"],
+    ["suite", "--node-cap", "-3"],
+    ["suite", "--max-size", "0"],
+    ["corpus", "--max-formula-size", "0"],
+    ["parse", "{missing}"],
+    ["parse", "{binary}"],
+    ["reduce", "--term", "x", "--open", "x", "--fuel", "-1"],
+    ["probe", "--term", "C1", "--law", "peirce", "--max-m", "-1"],
+    ["probe", "--term", "T", "--law", "efq", "--n-args", "-1"],
+    ["graph", "--term", "x", "--open", "x", "--json"],
+])
+def test_bad_input_is_usage(tmp_path, capsys, argv):
+    binary = tmp_path / "binary.lmu"
+    binary.write_bytes(b"\xff\xfe")
+    paths = {"missing": tmp_path / "missing.lmu", "binary": binary}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == USAGE
+    assert "usage error" in err
+    assert "Traceback" not in err
+
+
 def test_usage_no_command(capsys):
     code, _, err = run(capsys, )
     assert code == USAGE

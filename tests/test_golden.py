@@ -7,8 +7,10 @@ change the graphs, the searches or the verdicts without failing here.
 
 from collections import Counter
 
-
-from lambdamu import behavior, enumerate_typed_terms, parse_formula
+from lambdamu import (
+    behavior, check_confluence, check_strong_normalization,
+    check_subject_reduction, enumerate_typed_terms, parse_formula, run_suite,
+)
 from lambdamu.reduction import reduction_graph
 
 SIZE = 10
@@ -57,3 +59,15 @@ def test_probe_search_facts(monkeypatch):
     assert len(searches) == 1102
     assert sum(s.explored for s in searches) == 10783
     assert {s.status for s in searches} == {"found"}
+
+
+def test_run_suite_matches_the_three_checks():
+    corpus = enumerate_typed_terms(7)
+    checks = [check_subject_reduction(corpus), check_confluence(corpus),
+              check_strong_normalization(corpus)]
+    for suite, single in zip(run_suite(corpus), checks, strict=True):
+        assert suite.property == single.property
+        assert suite.checked == single.checked == len(corpus)
+        assert suite.failures == single.failures
+        assert suite.incomplete == single.incomplete
+        assert suite.longest_paths == single.longest_paths

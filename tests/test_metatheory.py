@@ -7,9 +7,11 @@ from lambdamu import (
     Named, PROJ1, PROJ2, Pair, PropVar, Var, canonical_form,
     check_confluence, check_strong_normalization, check_subject_reduction,
     curated_corpus, enumerate_typed_terms, infer, parse_formula, parse_term,
+    run_suite,
 )
 from lambdamu.metatheory import (
-    DEFAULT_MAX_FORMULA_SIZE, DEFAULT_MAX_LAMBDA_DEPTH, DEFAULT_MAX_MU_DEPTH,
+    CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, DEFAULT_MAX_LAMBDA_DEPTH,
+    DEFAULT_MAX_MU_DEPTH,
     default_cut_pool, formula_pool, subformulas,
 )
 from lambdamu.typecheck import TypeCheckError
@@ -315,3 +317,19 @@ def test_negative_control_cycle_flagged():
     report = check_strong_normalization(corpus, node_cap=50)
     assert not report.ok
     assert "cycle" in report.failures[0][1]
+
+
+def test_subject_reduction_flags_each_ill_typed_reduct():
+    # (\x:P -> P. x \y:P. y) has two nodes; listed at the wrong type P,
+    # every node fails to re-check while the other oracles still pass
+    t = parse_term("(\\x:P -> P. x \\y:P. y)")
+    right = curated_corpus([(t, Arrow(P, P), {}, {})]).entries[0]
+    wrong = Corpus([CorpusEntry(t, P, right.derivation)], "curated")
+    sr, cf, sn = run_suite(wrong)
+    reducts = [t, parse_term("\\y:P. y")]
+    assert len(sr.failures) == len(reducts)
+    for (entry, why), reduct in zip(sr.failures, reducts):
+        assert entry.term is t
+        assert why.startswith(f"reduct {canonical_form(reduct)}: ")
+    assert cf.ok and sn.ok
+    assert sr.checked == cf.checked == sn.checked == 1

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 
 from lambdamu import (
     Abs, App, Arg, Arrow, BOT, Case, FuelExhausted, Mu, Named, PROJ1, PropVar,
-    ReductionStep, Trace, Var, alpha_equal, canonical_form, canonical_terms,
-    contract, erase, infer, normalize, parse_formula, parse_term, print_term,
-    redexes, reduction_graph, successors,
+    ReductionGraph, ReductionStep, Trace, Var, alpha_equal, canonical_form,
+    canonical_terms, contract, erase, infer, normalize, parse_formula,
+    parse_term, print_term, redexes, reduction_graph, successors,
 )
 from lambdamu.reduction import (
     InvalidPosition, contract_root, is_normal, replace_at, rule_at, step_at,
@@ -227,6 +227,74 @@ def test_graph_node_cap():
                Named("a", App(Var("x"), Arg(Var("x")))))
     g = reduction_graph(App(half, Arg(half)), node_cap=10)
     assert not g.complete
+
+
+def test_graph_cap_still_expands_admitted_nodes():
+    half = Abs("x", Arrow(P, BOT),
+               Named("a", App(Var("x"), Arg(Var("x")))))
+    g = reduction_graph(App(half, Arg(half)), node_cap=10)
+    assert len(g.nodes) == 10
+    for key, term in g.nodes.items():
+        reducts = [canonical_form(r) for r in successors(term)]
+        assert [dst for src, _, dst in g.edges if src == key] == \
+            [dst for dst in reducts if dst in g.nodes]
+
+
+def test_graph_stop_and_trace_to():
+    t = parse_term("(\\x:P. <x, x> (<u, v> p1))")
+    g = reduction_graph(t, stop=is_normal)
+    assert g.stopped == canonical_form(parse_term("<u, u>"))
+    trace = g.trace_to(g.stopped)
+    assert trace.initial is t
+    assert canonical_form(trace.final) == g.stopped
+    for before, step in zip([t] + [s.after for s in trace.steps], trace.steps):
+        assert step.before is before
+    assert g.trace_to(g.root).steps == []
+
+
+def test_graph_stop_at_root_expands_nothing():
+    t = parse_term("(\\x:P. x y)")
+    g = reduction_graph(t, stop=lambda term: True)
+    assert g.stopped == g.root
+    assert list(g.nodes) == [g.root]
+    assert g.edges == []
+
+
+# --------------------------------------------------------------------------
+# Confluence decided on hand-built graphs
+# --------------------------------------------------------------------------
+
+def _graph(*edges: str) -> ReductionGraph:
+    """A complete graph rooted at r, from edges written "src>dst"."""
+    pairs = [tuple(e.split(">")) for e in edges]
+    keys = dict.fromkeys(["r"] + [k for pair in pairs for k in pair])
+    step = ReductionStep(Var("x"), (), "beta", Var("x"))
+    return ReductionGraph("r", {k: Var(k) for k in keys},
+                          [(src, step, dst) for src, dst in pairs], True)
+
+
+def test_confluence_two_normal_forms_flagged():
+    assert _graph("r>a", "r>b").confluence_failure() == \
+        "2 distinct normal forms: ['a', 'b']"
+
+
+def test_confluence_two_terminal_cycles_flagged():
+    g = _graph("r>a", "a>b", "b>a", "r>c", "c>d", "d>c")
+    assert g.confluence_failure() == "unjoinable pair: a vs c"
+
+
+def test_confluence_cycle_with_one_exit_passes():
+    g = _graph("r>a", "a>r", "a>n")
+    assert not g.is_acyclic()
+    assert g.confluence_failure() is None
+
+
+def test_confluence_self_loop_passes():
+    assert _graph("r>r").confluence_failure() is None
+
+
+def test_confluence_single_normal_form_passes():
+    assert _graph("r>a", "r>b", "a>n", "b>n").confluence_failure() is None
 
 
 def test_graph_serializations():
