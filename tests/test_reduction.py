@@ -273,28 +273,17 @@ def _graph(*edges: str) -> ReductionGraph:
                           [(src, step, dst) for src, dst in pairs], True)
 
 
-def test_confluence_two_normal_forms_flagged():
-    assert _graph("r>a", "r>b").confluence_failure() == \
-        "2 distinct normal forms: ['a', 'b']"
-
-
-def test_confluence_two_terminal_cycles_flagged():
-    g = _graph("r>a", "a>b", "b>a", "r>c", "c>d", "d>c")
-    assert g.confluence_failure() == "unjoinable pair: a vs c"
-
-
-def test_confluence_cycle_with_one_exit_passes():
-    g = _graph("r>a", "a>r", "a>n")
-    assert not g.is_acyclic()
-    assert g.confluence_failure() is None
-
-
-def test_confluence_self_loop_passes():
-    assert _graph("r>r").confluence_failure() is None
-
-
-def test_confluence_single_normal_form_passes():
-    assert _graph("r>a", "r>b", "a>n", "b>n").confluence_failure() is None
+@pytest.mark.parametrize("edges, evidence", [
+    (["r>a", "r>b"], "2 distinct normal forms: ['a', 'b']"),
+    # two terminal cycles reachable from the root
+    (["r>a", "a>b", "b>a", "r>c", "c>d", "d>c"], "unjoinable pair: a vs c"),
+    # a cycle with one exit to a single normal form
+    (["r>a", "a>r", "a>n"], None),
+    (["r>r"], None),
+    (["r>a", "r>b", "a>n", "b>n"], None),
+])
+def test_confluence_on_hand_built_graphs(edges, evidence):
+    assert _graph(*edges).confluence_failure() == evidence
 
 
 def test_graph_serializations():
