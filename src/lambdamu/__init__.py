@@ -26,7 +26,7 @@ from .metatheory import (
     check_subject_reduction, curated_corpus, enumerate_typed_terms, run_suite,
 )
 from .behavior import (
-    BehaviorReport, ExactLeaf, HeadApplied, AppliedTo, ProbeApplied,
-    SpineWitness, canonical_terms, find_spine_reduct, is_mu_spine,
-    probe_exfalso, probe_peirce, probe_tertium,
+    BehaviorReport, ExactLeaf, HeadApplied, AppliedTo, SpineWitness,
+    canonical_terms, is_mu_spine, probe_exfalso, probe_peirce, probe_tertium,
+    search_spine_reduct,
 )

@@ -29,11 +29,11 @@ from typing import Optional
 from .reduction import DEFAULT_NODE_CAP, Trace, reduction_graph
 from .syntax import parse_term, print_term
 from .terms import (
-    Abs, App, Arg, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula,
-    FreshSupply, Mu, Named, PropVar, Term, Var, all_names, alpha_equal,
-    alpha_equal_eterm, apply_sequence, is_closed,
+    App, Arg, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula, FreshSupply,
+    Mu, Named, PropVar, Term, Var, all_names, alpha_equal, alpha_equal_eterm,
+    apply_sequence, is_closed,
 )
-from .typecheck import Derivation, TypeCheckError, check, infer
+from .typecheck import TypeCheckError, infer
 
 
 # --------------------------------------------------------------------------
@@ -86,19 +86,6 @@ class ExactLeaf(LeafPattern):
 
     def match(self, t):
         return {} if alpha_equal(t, self.term) else None
-
-
-@dataclass(frozen=True)
-class ProbeApplied(LeafPattern):
-    """Matches (probe slot) for a fixed free head variable."""
-
-    probe: str
-
-    def match(self, t):
-        match t:
-            case App(Var(h), Arg(s)) if h == self.probe:
-                return {"slot": s}
-        return None
 
 
 def _peel_tail(t: Term, tail: tuple[ETerm, ...]) -> Optional[Term]:
@@ -201,11 +188,6 @@ def search_spine_reduct(t: Term, patterns: list[tuple[str, LeafPattern]],
                        label, len(graph.nodes))
 
 
-def find_spine_reduct(t: Term, pattern: LeafPattern,
-                      node_cap: int = DEFAULT_NODE_CAP) -> SpineSearch:
-    return search_spine_reduct(t, [("leaf", pattern)], node_cap)
-
-
 # --------------------------------------------------------------------------
 # Behavior reports and probes
 # --------------------------------------------------------------------------
@@ -220,7 +202,6 @@ class BehaviorReport:
     traces: list[Trace] = field(default_factory=list)
     detail: str = ""
     stages: list[dict] = field(default_factory=list)
-    fresh_names: dict = field(default_factory=dict)
 
     @property
     def confirmed(self) -> bool:
@@ -265,9 +246,9 @@ def probe_exfalso(subject: Term, n_args: int = 1,
     else:
         args = tuple(extra_args)
     probe = apply_sequence(App(subject, Arg(Var(t_star))), args)
-    result = find_spine_reduct(probe, ExactLeaf(Var(t_star)), node_cap)
-    report = BehaviorReport("exfalso", subject, "inconclusive",
-                            fresh_names={"t": t_star})
+    result = search_spine_reduct(probe, [("leaf", ExactLeaf(Var(t_star)))],
+                                 node_cap)
+    report = BehaviorReport("exfalso", subject, "inconclusive")
     if result.status == "found":
         report.verdict = "confirmed"
         report.traces.append(result.trace)
@@ -294,9 +275,7 @@ def probe_peirce(subject: Term, n_args: int = 1,
     supply = _supply_for(subject, seed)
     u_star = supply.fresh("u")
     tail = tuple(Arg(Var(supply.fresh("t"))) for _ in range(n_args))
-    report = BehaviorReport("peirce", subject, "inconclusive",
-                            fresh_names={"u": u_star,
-                                         "tail": [print_term(a.term) for a in tail]})
+    report = BehaviorReport("peirce", subject, "inconclusive")
     continuation = HeadApplied(u_star, tail)
 
     current = apply_sequence(App(subject, Arg(Var(u_star))), tail)
@@ -349,10 +328,9 @@ def probe_tertium(subject: Term, seq_len: int = 1,
     x1, x2 = supply.fresh("x"), supply.fresh("x")
     probe = App(subject, Case(x1, App(Var(c1), Arg(Var(x1))),
                               x2, App(Var(c2), Arg(Var(x2)))))
-    report = BehaviorReport("tertium", subject, "inconclusive",
-                            fresh_names={"c1": c1, "c2": c2})
-    branch_patterns = [("branch1", ProbeApplied(c1)),
-                       ("branch2", ProbeApplied(c2))]
+    report = BehaviorReport("tertium", subject, "inconclusive")
+    branch_patterns = [("branch1", HeadApplied(c1, ())),
+                       ("branch2", HeadApplied(c2, ()))]
     issued_vs: list[str] = []
     issued_tails: list[tuple[ETerm, ...]] = []
 

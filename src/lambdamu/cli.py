@@ -15,7 +15,7 @@ from .reduction import (
     DEFAULT_FUEL, DEFAULT_NODE_CAP, FuelExhausted, normalize, reduction_graph,
 )
 from .syntax import ParseError, parse_formula, parse_term, print_formula, print_term
-from .terms import Term, Var, free_variables, substitute
+from .terms import Term, free_variables, substitute
 from .typecheck import TypeCheckError, derivation_to_json, infer
 
 EXIT_OK = 0

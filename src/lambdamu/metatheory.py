@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .reduction import DEFAULT_NODE_CAP, ReductionGraph, reduction_graph
-from .syntax import canonical_form, print_formula, print_term
+from .syntax import canonical_form, print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
     Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var,
 )
-from .typecheck import Context, Derivation, TypeCheckError, check
+from .typecheck import Context, TypeCheckError, check
 
 DEFAULT_MAX_FORMULA_SIZE = 3
 DEFAULT_MAX_LAMBDA_DEPTH = 3
@@ -36,7 +36,6 @@ DEFAULT_MAX_MU_DEPTH = 2
 class CorpusEntry:
     term: Term
     formula: Formula
-    derivation: Derivation
     gamma: tuple[tuple[str, Formula], ...] = ()
     delta: tuple[tuple[str, Formula], ...] = ()
 
@@ -44,7 +43,6 @@ class CorpusEntry:
 @dataclass
 class Corpus:
     entries: list[CorpusEntry]
-    source: str  # "enumerated" | "curated"
 
     def __len__(self):
         return len(self.entries)
@@ -358,20 +356,20 @@ def enumerate_typed_terms(max_size: int,
     for ty in targets:
         for n in range(1, max_size + 1):
             for t in enum.terms_of(ty, n):
-                derivation = check({}, {}, t, ty)
-                entries.append(CorpusEntry(t, ty, derivation))
-    return Corpus(entries, "enumerated")
+                check({}, {}, t, ty)
+                entries.append(CorpusEntry(t, ty))
+    return Corpus(entries)
 
 
 def curated_corpus(entries: list[tuple[Term, Formula, Context, Context]]) -> Corpus:
-    """Build a corpus from hand-picked (term, type, gamma, delta) tuples."""
+    """Build a corpus from hand-picked (term, type, gamma, delta) tuples,
+    each checked by the type checker first."""
     out = []
     for t, ty, gamma, delta in entries:
-        derivation = check(gamma, delta, t, ty)
-        out.append(CorpusEntry(t, ty, derivation,
-                               tuple(sorted(gamma.items())),
+        check(gamma, delta, t, ty)
+        out.append(CorpusEntry(t, ty, tuple(sorted(gamma.items())),
                                tuple(sorted(delta.items()))))
-    return Corpus(out, "curated")
+    return Corpus(out)
 
 
 # --------------------------------------------------------------------------

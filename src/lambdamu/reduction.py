@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from .syntax import canonical_form, print_term
 from .terms import (
     Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, FreshSupply, Inj1,
-    Inj2, Mu, Named, Pair, Proj1, Proj2, Term, Var, all_names,
+    Inj2, Mu, Named, Pair, Proj1, Proj2, Term, Var, _rename_mu, all_names,
     all_names_eterm, free_variables_eterm, mu_substitute, substitute,
 )
 
@@ -225,7 +225,6 @@ def contract_root(t: Term) -> Term:
             if a in e_mu:
                 supply = FreshSupply(all_names(t) | all_names_eterm(e))
                 a2 = supply.fresh(a)
-                from .terms import _rename_mu
                 body, a = _rename_mu(body, a, a2), a2
             return Mu(a, _result_ann(ann, e), mu_substitute(body, a, (e,)))
     raise InvalidPosition(f"unmatched redex at {print_term(t)}")

@@ -19,7 +19,10 @@ right-associative (so are ``/\\`` and ``\\/``).  ``~A`` is sugar for
 ``A -> _|_``.
 
 Shadowing a bound variable, and using one identifier both as a
-lambda-variable and as a mu-variable, are parse errors.
+lambda-variable and as a mu-variable, are parse errors.  So is nesting
+deeper than MAX_NESTING levels: every term node opens a level, as does a
+formula and, inside it, every ``~``, bracketed subformula and right
+operand of a connective.
 """
 
 from __future__ import annotations
@@ -33,6 +36,15 @@ from .terms import (
 )
 
 KEYWORDS = {"mu", "in1", "in2", "p1", "p2"}
+
+# Deeper input is refused: at this depth the parser, the checker, the
+# printers and canonicalize all stay within Python's default recursion
+# limit of 1000 frames (they need at most about 610 there).
+MAX_NESTING = 200
+
+# infix connectives: precedence and constructor; all right-associative
+_INFIX = {"->": (0, Arrow), "\\/": (1, Disj), "/\\": (2, Conj)}
+_PREFIX = 3  # ~ binds tighter than every infix connective
 
 _PUNCT = ["_|_", "->", "/\\", "\\/", "\\", ".", ":", ",", "~",
           "<", ">", "(", ")", "[", "]", "{", "}"]
@@ -102,6 +114,13 @@ class _Parser:
         self.i = 0
         # global role map: identifier -> "lam" | "mu"
         self.roles: dict[str, str] = {}
+        self.depth = 0  # open term and formula levels
+
+    def descend(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
+                             self.peek().pos)
 
     # -- token plumbing ---------------------------------------------------
 
@@ -149,6 +168,12 @@ class _Parser:
     # -- terms ------------------------------------------------------------
 
     def term(self, lbound: frozenset[str], mbound: frozenset[str]) -> Term:
+        self.descend()
+        t = self._term(lbound, mbound)
+        self.depth -= 1
+        return t
+
+    def _term(self, lbound: frozenset[str], mbound: frozenset[str]) -> Term:
         tok = self.peek()
         if tok.kind == "\\":
             self.next()
@@ -230,45 +255,32 @@ class _Parser:
 
     # -- formulas (precedence climbing) ------------------------------------
 
-    def formula(self) -> Formula:
-        return self._arrow()
-
-    def _arrow(self) -> Formula:
-        left = self._disj()
-        if self.peek().kind == "->":
-            self.next()
-            return Arrow(left, self._arrow())
-        return left
-
-    def _disj(self) -> Formula:
-        left = self._conj()
-        if self.peek().kind == "\\/":
-            self.next()
-            return Disj(left, self._disj())
-        return left
-
-    def _conj(self) -> Formula:
+    def formula(self, level: int = 0) -> Formula:
+        """A formula whose infix connectives bind at least as tightly as
+        level; the right operand of a connective is parsed at its own
+        level, which makes every connective right-associative."""
+        self.descend()
         left = self._atom()
-        if self.peek().kind == "/\\":
+        while True:
+            infix = _INFIX.get(self.peek().kind)
+            if infix is None or infix[0] < level:
+                break
             self.next()
-            return Conj(left, self._conj())
+            left = infix[1](left, self.formula(infix[0]))
+        self.depth -= 1
         return left
 
     def _atom(self) -> Formula:
-        tok = self.peek()
+        tok = self.next()
         if tok.kind == "~":
-            self.next()
-            return Arrow(self._atom(), BOT)
+            return Arrow(self.formula(_PREFIX), BOT)
         if tok.kind == "_|_":
-            self.next()
             return BOT
         if tok.kind == "(":
-            self.next()
             f = self.formula()
             self.expect(")")
             return f
         if tok.kind == "ident":
-            self.next()
             return PropVar(tok.text)
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
                          tok.pos, expected="a formula")

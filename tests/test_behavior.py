@@ -3,12 +3,11 @@
 import pytest
 
 from lambdamu import (
-    Abs, App, AppliedTo, Arg, Arrow, BOT, ExactLeaf, HeadApplied, Mu, Named,
-    ProbeApplied, PropVar, SpineWitness, Var, alpha_equal, canonical_terms,
-    find_spine_reduct, is_mu_spine, parse_formula, parse_term, print_term,
-    probe_exfalso, probe_peirce, probe_tertium,
+    Abs, App, AppliedTo, Arg, Arrow, BOT, ExactLeaf, HeadApplied, Named,
+    PropVar, SpineWitness, Var, alpha_equal, canonical_terms, is_mu_spine,
+    parse_formula, parse_term, print_term, probe_exfalso, probe_peirce,
+    probe_tertium, search_spine_reduct,
 )
-from lambdamu.behavior import Wrapper, search_spine_reduct
 from lambdamu.typecheck import TypeCheckError
 
 P = PropVar("P")
@@ -44,7 +43,7 @@ def test_is_mu_spine_alpha():
 
 @pytest.mark.parametrize("pattern, src, slot", [
     (ExactLeaf(Var("t")), "t", "t"),
-    (ProbeApplied("c"), "(c s)", "s"),
+    (HeadApplied("c", ()), "(c s)", "s"),
     (HeadApplied("u", (Arg(Var("w")),)), "((u s) w)", "s"),
     (AppliedTo((Arg(Var("w")),)), "(s w)", "s"),
 ])
@@ -56,7 +55,7 @@ def test_leaf_patterns_match(pattern, src, slot):
 
 
 def test_leaf_patterns_reject():
-    assert ProbeApplied("c").match(parse_term("(d s)")) is None
+    assert HeadApplied("c", ()).match(parse_term("(d s)")) is None
     assert HeadApplied("u", (Arg(Var("w")),)).match(parse_term("(u s)")) is None
     assert AppliedTo((Arg(Var("w")),),
                      frozenset({"v"})).match(parse_term("(s w)")) is None
@@ -75,8 +74,9 @@ def test_search_spine_reduct_finds_via_reduction():
     assert res.explored >= 1
 
 
-def test_find_spine_reduct_not_found():
-    res = find_spine_reduct(parse_term("\\x:P. x"), ExactLeaf(Var("t")), 100)
+def test_search_spine_reduct_not_found():
+    res = search_spine_reduct(parse_term("\\x:P. x"),
+                              [("leaf", ExactLeaf(Var("t")))], 100)
     assert res.status == "not-found"
 
 
@@ -84,7 +84,7 @@ def test_search_cap_exceeded():
     half = Abs("x", Arrow(P, BOT),
                Named("a", App(Var("x"), Arg(Var("x")))))
     loop = App(half, Arg(half))
-    res = find_spine_reduct(loop, ExactLeaf(Var("t")), 5)
+    res = search_spine_reduct(loop, [("leaf", ExactLeaf(Var("t")))], 5)
     assert res.status == "cap-exceeded"
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, input handling."""
 
+import contextlib
 import importlib.metadata
+import io
 import json
 import os
 import shutil
@@ -9,9 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lambdamu
+from lambdamu import parse_term, print_term
 from lambdamu.cli import main
+from lambdamu.syntax import MAX_NESTING
 
 OK, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 64
 
@@ -39,10 +44,87 @@ def test_parse_case_annotation_round_trip(capsys):
     assert out.strip() == "(w [x.x, y.y]{P})"
 
 
+def _binders(n):
+    """\\x0:P. ... \\x{n-1}:P. x0, which nests n + 1 levels deep."""
+    return "".join(f"\\x{i}:P. " for i in range(n)) + "x0"
+
+
+def _arguments(n):
+    """\\y:P -> P. \\z:P. (y (y ... (y z))) with n applications, which
+    nests n + 3 levels deep."""
+    return "\\y:P -> P. \\z:P. " + "(y " * n + "z" + ")" * n
+
+
 def test_parse_error_is_usage(capsys):
-    code, _, err = run(capsys, "parse", "--term", "\\x:P")
-    assert code == USAGE
-    assert "parse error" in err
+    for argv in (["parse", "--term", "\\x:P"],
+                 ["check", "--term", _binders(1000)],
+                 ["parse", "--term", "(y " * 600 + "y" + ")" * 600],
+                 ["check", "--term", "T", "--type", "~" * 1200 + "P"]):
+        code, _, err = run(capsys, *argv)
+        assert code == USAGE, argv[:2]
+        assert "parse error" in err
+        assert "Traceback" not in err
+
+
+def test_nesting_bound(capsys):
+    # a term exactly at the bound parses and checks; one level deeper
+    # is a parse error that names the bound
+    for make, levels in ((_binders, 1), (_arguments, 3)):
+        at_bound = make(MAX_NESTING - levels)
+        code, out, _ = run(capsys, "check", "--term", at_bound)
+        assert code == OK
+        assert out.strip().endswith("-> P -> P")
+        code, out, _ = run(capsys, "parse", "--term", at_bound)
+        assert code == OK
+        assert out.strip() == print_term(parse_term(at_bound))
+        code, _, err = run(capsys, "check", "--term",
+                           make(MAX_NESTING - levels + 1))
+        assert code == USAGE
+        assert f"deeper than {MAX_NESTING}" in err
+
+
+_TOKENS = ["P", "Q", "_|_", "x", "y", "T", "\\x:P.", "\\y:~P.", "mu a:P.",
+           "[a]", "(", ")", "<", ",", ">", "->", "\\/", "/\\", "~", "p1",
+           "in1{P}", "[x.x, y.y]"]
+
+
+# shallow, or around the bound and far past it
+_depth = st.integers(0, 8) | st.integers(MAX_NESTING - 8, 6 * MAX_NESTING)
+
+
+def _nested(depth, wrap, leaf):
+    open_, close = wrap
+    return open_ * depth + leaf + close * depth
+
+
+_term_text = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=30).map(" ".join),
+    st.builds(_nested, _depth,
+              st.sampled_from([("(\\x:P. x ", ")"), ("[a] ", ""), ("(T ", ")"),
+                               ("<", ", T>"), ("in1{P} ", "")]),
+              st.sampled_from(["x", "T", "(T x)"])))
+_formula_text = st.one_of(
+    st.lists(st.sampled_from(["P", "_|_", "~", "->", "\\/", "/\\", "(", ")"]),
+             max_size=20).map(" ".join),
+    st.builds(_nested, _depth,
+              st.sampled_from([("~", ""), ("(", ")"), ("P -> ", "")]),
+              st.just("P")))
+
+
+@settings(max_examples=100, deadline=None)
+@example("parse", _nested(1000, ("(T ", ")"), "x"), None)
+@example("check", "T", _nested(1000, ("(", ")"), "P"))
+@given(st.sampled_from(["parse", "check"]), _term_text,
+       st.none() | _formula_text)
+def test_cli_is_total(command, term, formula):
+    argv = [command, "--term", term]
+    if command == "check" and formula is not None:
+        argv += ["--type", formula]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (OK, FAIL, INCONCLUSIVE, USAGE)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_free_variables_need_open(capsys):

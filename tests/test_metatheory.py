@@ -6,9 +6,10 @@ from lambdamu import (
     Abs, App, Arg, Arrow, BOT, Case, Conj, Corpus, Disj, Inj1, Inj2, Mu,
     Named, PROJ1, PROJ2, Pair, PropVar, Var, canonical_form,
     check_confluence, check_strong_normalization, check_subject_reduction,
-    curated_corpus, enumerate_typed_terms, infer, parse_formula, parse_term,
-    run_suite,
+    check, curated_corpus, enumerate_typed_terms, infer, parse_formula,
+    parse_term, run_suite,
 )
+from lambdamu import metatheory
 from lambdamu.metatheory import (
     CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, DEFAULT_MAX_LAMBDA_DEPTH,
     DEFAULT_MAX_MU_DEPTH,
@@ -75,12 +76,19 @@ def test_enumerate_rejects_bad_size():
         enumerate_typed_terms(0)
 
 
-def test_enumerate_entries_are_closed_and_checked():
+def test_enumerate_entries_are_closed_and_checked(monkeypatch):
+    checked = []
+
+    def counted(gamma, delta, t, a):
+        checked.append(t)
+        return check(gamma, delta, t, a)
+
+    monkeypatch.setattr(metatheory, "check", counted)
     corpus = enumerate_typed_terms(5)
-    assert corpus.source == "enumerated"
+    assert checked == [e.term for e in corpus.entries]
     for e in corpus.entries:
         assert e.gamma == () and e.delta == ()
-        assert e.derivation.conclusion.formula == e.formula
+        assert check({}, {}, e.term, e.formula).conclusion.formula == e.formula
 
 
 def test_enumerate_deterministic():
@@ -243,7 +251,6 @@ def test_cross_check_against_naive_enumeration():
 def test_curated_corpus_checks_entries():
     t = parse_term("\\x:P. x")
     corpus = curated_corpus([(t, Arrow(P, P), {}, {})])
-    assert corpus.source == "curated"
     assert len(corpus) == 1
     with pytest.raises(TypeCheckError):
         curated_corpus([(t, P, {}, {})])
@@ -305,15 +312,9 @@ def _looping_entry():
 
 
 def test_negative_control_cycle_flagged():
-    loop = _looping_entry()
-    corpus = Corpus(entries=curated_corpus([]).entries, source="curated")
-    # bypass typechecking: the loop is untypeable by design, so build the
-    # entry through a typeable stand-in and swap the term
-    from lambdamu.metatheory import CorpusEntry
-    stand_in = curated_corpus([(parse_term("\\x:P. x"),
-                                Arrow(P, P), {}, {})]).entries[0]
-    corpus.entries = [CorpusEntry(loop, stand_in.formula,
-                                  stand_in.derivation)]
+    # bypass typechecking: the loop is untypeable by design, so the
+    # entry is built directly rather than through curated_corpus
+    corpus = Corpus([CorpusEntry(_looping_entry(), Arrow(P, P))])
     report = check_strong_normalization(corpus, node_cap=50)
     assert not report.ok
     assert "cycle" in report.failures[0][1]
@@ -323,8 +324,7 @@ def test_subject_reduction_flags_each_ill_typed_reduct():
     # (\x:P -> P. x \y:P. y) has two nodes; listed at the wrong type P,
     # every node fails to re-check while the other oracles still pass
     t = parse_term("(\\x:P -> P. x \\y:P. y)")
-    right = curated_corpus([(t, Arrow(P, P), {}, {})]).entries[0]
-    wrong = Corpus([CorpusEntry(t, P, right.derivation)], "curated")
+    wrong = Corpus([CorpusEntry(t, P)])
     sr, cf, sn = run_suite(wrong)
     reducts = [t, parse_term("\\y:P. y")]
     assert len(sr.failures) == len(reducts)
