@@ -18,8 +18,8 @@ from .typecheck import (
     validate_derivation,
 )
 from .reduction import (
-    FuelExhausted, ReductionGraph, ReductionStep, Trace, contract, normalize,
-    redexes, reduction_graph, successors,
+    FuelExhausted, ReductTooDeep, ReductionGraph, ReductionStep, Trace,
+    contract, normalize, redexes, reduction_graph, successors,
 )
 from .metatheory import (
     Corpus, PropertyReport, check_confluence, check_strong_normalization,

@@ -223,28 +223,32 @@ def _supply_for(subject: Term, seed: int) -> FreshSupply:
     return FreshSupply(all_names(subject), start=seed)
 
 
+def _fresh_args(supply: FreshSupply, prefix: str, n: int) -> tuple[ETerm, ...]:
+    return tuple(Arg(Var(supply.fresh(prefix))) for _ in range(n))
+
+
+def _subject_type(subject: Term) -> Formula:
+    """The type of a probe subject, which must be closed and typed."""
+    if not is_closed(subject):
+        raise TypeCheckError("probe subject must be closed", term=subject)
+    return infer({}, {}, subject).conclusion.formula
+
+
 def probe_exfalso(subject: Term, n_args: int = 1,
                   node_cap: int = DEFAULT_NODE_CAP,
-                  seed: int = 0,
-                  extra_args: tuple[ETerm, ...] | None = None) -> BehaviorReport:
+                  seed: int = 0) -> BehaviorReport:
     """Check that ((subject t*) u*...) reduces to a mu-spine over t*.
 
-    The subject must be closed and of type _|_ -> A.  By default the
-    extra arguments are fresh term variables; arbitrary E-terms can be
-    supplied instead of the fresh ones via extra_args.
+    The subject must be closed and of type _|_ -> A; the extra
+    arguments u* are fresh term variables.
     """
-    _require_closed(subject)
-    d = infer({}, {}, subject)
-    ty = d.conclusion.formula
+    ty = _subject_type(subject)
     if not (isinstance(ty, Arrow) and ty.left == BOT):
         raise TypeCheckError("subject must have type _|_ -> A",
                              term=subject, found=ty)
     supply = _supply_for(subject, seed)
     t_star = supply.fresh("t")
-    if extra_args is None:
-        args = tuple(Arg(Var(supply.fresh("u"))) for _ in range(n_args))
-    else:
-        args = tuple(extra_args)
+    args = _fresh_args(supply, "u", n_args)
     probe = apply_sequence(App(subject, Arg(Var(t_star))), args)
     result = search_spine_reduct(probe, [("leaf", ExactLeaf(Var(t_star)))],
                                  node_cap)
@@ -265,50 +269,17 @@ def probe_peirce(subject: Term, n_args: int = 1,
                  node_cap: int = DEFAULT_NODE_CAP, max_m: int = 8,
                  seed: int = 0) -> BehaviorReport:
     """Stage through the continuation chain of a Peirce-typed subject."""
-    _require_closed(subject)
-    d = infer({}, {}, subject)
-    ty = d.conclusion.formula
-    p = _peirce_propvar(ty)
-    if p is None:
+    ty = _subject_type(subject)
+    if _peirce_propvar(ty) is None:
         raise TypeCheckError("subject must have type (~P -> P) -> P",
                              term=subject, found=ty)
     supply = _supply_for(subject, seed)
     u_star = supply.fresh("u")
-    tail = tuple(Arg(Var(supply.fresh("t"))) for _ in range(n_args))
-    report = BehaviorReport("peirce", subject, "inconclusive")
-    continuation = HeadApplied(u_star, tail)
-
-    current = apply_sequence(App(subject, Arg(Var(u_star))), tail)
-    issued_vs: list[str] = []
-    for stage in range(max_m + 1):
-        patterns: list[tuple[str, LeafPattern]] = [("continue", continuation)]
-        if issued_vs:
-            patterns.append(
-                ("terminal", AppliedTo(tail, frozenset(issued_vs))))
-        result = search_spine_reduct(current, patterns, node_cap)
-        if result.status == "cap-exceeded":
-            report.detail = f"node cap {node_cap} exhausted at stage {stage}"
-            return report
-        if result.status == "not-found":
-            report.verdict = "refuted"
-            report.detail = f"no continuation or terminal leaf at stage {stage}"
-            return report
-        report.traces.append(result.trace)
-        report.stages.append({"label": result.label, "witness": result.witness})
-        if result.label == "terminal":
-            report.verdict = "confirmed"
-            report.m = stage
-            report.detail = f"terminal ({print_term(result.bindings['slot'])} ...)"
-            return report
-        theta = result.bindings["slot"]
-        report.thetas.append(theta)
-        if stage == max_m:
-            break
-        v = supply.fresh("v")
-        issued_vs.append(v)
-        current = App(theta, Arg(Var(v)))
-    report.detail = f"no terminal leaf within max_m={max_m} stages"
-    return report
+    tail = _fresh_args(supply, "t", n_args)
+    return _run_stages(BehaviorReport("peirce", subject, "inconclusive"),
+                       apply_sequence(App(subject, Arg(Var(u_star))), tail),
+                       [("continue", HeadApplied(u_star, tail), "neg")],
+                       [tail], supply, n_args, node_cap, max_m)
 
 
 def probe_tertium(subject: Term, seq_len: int = 1,
@@ -316,9 +287,7 @@ def probe_tertium(subject: Term, seq_len: int = 1,
                   seed: int = 0) -> BehaviorReport:
     """Stage through the case-branch continuations of an excluded-middle
     subject (type ~P \\/ P or P \\/ ~P)."""
-    _require_closed(subject)
-    d = infer({}, {}, subject)
-    ty = d.conclusion.formula
+    ty = _subject_type(subject)
     kinds = _tertium_branch_kinds(ty)
     if kinds is None:
         raise TypeCheckError("subject must have type ~P \\/ P or P \\/ ~P",
@@ -328,19 +297,31 @@ def probe_tertium(subject: Term, seq_len: int = 1,
     x1, x2 = supply.fresh("x"), supply.fresh("x")
     probe = App(subject, Case(x1, App(Var(c1), Arg(Var(x1))),
                               x2, App(Var(c2), Arg(Var(x2)))))
-    report = BehaviorReport("tertium", subject, "inconclusive")
-    branch_patterns = [("branch1", HeadApplied(c1, ())),
-                       ("branch2", HeadApplied(c2, ()))]
-    issued_vs: list[str] = []
-    issued_tails: list[tuple[ETerm, ...]] = []
+    return _run_stages(BehaviorReport("tertium", subject, "inconclusive"),
+                       probe,
+                       [("branch1", HeadApplied(c1, ()), kinds[0]),
+                        ("branch2", HeadApplied(c2, ()), kinds[1])],
+                       [], supply, seq_len, node_cap, max_m)
 
-    current = probe
+
+def _run_stages(report: BehaviorReport, current: Term,
+                continuations: list[tuple[str, LeafPattern, str]],
+                tails: list[tuple[ETerm, ...]], supply: FreshSupply,
+                seq_len: int, node_cap: int, max_m: int) -> BehaviorReport:
+    """Search stage after stage for a continuation or a terminal leaf.
+
+    Each continuation pattern binds a theta and has a kind: a "neg"
+    theta (a ~P continuation) is fed a fresh v, a "pos" one (a P
+    continuation) a fresh tail of seq_len arguments.  A terminal leaf
+    is (v tail...) for a v and a tail issued so far.
+    """
+    kinds = {label: kind for label, _, kind in continuations}
+    issued_vs: list[str] = []
     for stage in range(max_m + 1):
-        patterns = list(branch_patterns)
-        for q, tail in enumerate(issued_tails):
-            if issued_vs:
-                patterns.append(
-                    (f"terminal{q}", AppliedTo(tail, frozenset(issued_vs))))
+        patterns = [(label, pattern) for label, pattern, _ in continuations]
+        if issued_vs:
+            patterns += [("terminal", AppliedTo(tail, frozenset(issued_vs)))
+                         for tail in tails]
         result = search_spine_reduct(current, patterns, node_cap)
         if result.status == "cap-exceeded":
             report.detail = f"node cap {node_cap} exhausted at stage {stage}"
@@ -350,38 +331,30 @@ def probe_tertium(subject: Term, seq_len: int = 1,
             report.detail = f"no continuation or terminal leaf at stage {stage}"
             return report
         report.traces.append(result.trace)
-        if result.label.startswith("terminal"):
+        if result.label == "terminal":
             report.verdict = "confirmed"
             report.m = stage
             report.stages.append({"label": result.label,
                                   "witness": result.witness})
             report.detail = f"terminal ({print_term(result.bindings['slot'])} ...)"
             return report
-        branch = 1 if result.label == "branch1" else 2
+        kind = kinds[result.label]
         theta = result.bindings["slot"]
         report.thetas.append(theta)
-        report.stages.append({"label": result.label, "branch": branch,
-                              "kind": kinds[branch - 1],
+        report.stages.append({"label": result.label, "kind": kind,
                               "witness": result.witness})
         if stage == max_m:
             break
-        if kinds[branch - 1] == "pos":
-            # the P-side continuation consumes an E-sequence
-            tail = tuple(Arg(Var(supply.fresh("t"))) for _ in range(seq_len))
-            issued_tails.append(tail)
+        if kind == "pos":
+            tail = _fresh_args(supply, "t", seq_len)
+            tails.append(tail)
             current = apply_sequence(theta, tail)
         else:
-            # the ~P-side continuation consumes a term
             v = supply.fresh("v")
             issued_vs.append(v)
             current = App(theta, Arg(Var(v)))
     report.detail = f"no terminal leaf within max_m={max_m} stages"
     return report
-
-
-def _require_closed(subject: Term) -> None:
-    if not is_closed(subject):
-        raise TypeCheckError("probe subject must be closed", term=subject)
 
 
 def _peirce_propvar(ty: Formula) -> Optional[str]:

@@ -1,7 +1,7 @@
 """Command-line entry point: parse / check / reduce / graph / probe / suite / corpus.
 
 Exit codes: 0 success or confirmed, 1 refutation or type error,
-2 inconclusive (fuel or node cap), 64 usage or malformed input.
+2 inconclusive (fuel, node cap or reduct depth), 64 usage or malformed input.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import sys
 
 from . import behavior, metatheory
 from .reduction import (
-    DEFAULT_FUEL, DEFAULT_NODE_CAP, FuelExhausted, normalize, reduction_graph,
+    DEFAULT_FUEL, DEFAULT_NODE_CAP, FuelExhausted, ReductTooDeep, normalize,
+    reduction_graph,
 )
 from .syntax import ParseError, parse_formula, parse_term, print_formula, print_term
 from .terms import Term, free_variables, substitute
@@ -171,6 +172,9 @@ def _run(args) -> int:
                     print(json.dumps(line))
             print(f"fuel exhausted after {len(exc.trace.steps)} steps",
                   file=sys.stderr)
+            return EXIT_INCONCLUSIVE
+        except ReductTooDeep as exc:
+            print(exc, file=sys.stderr)
             return EXIT_INCONCLUSIVE
         print(print_term(nf))
         if args.trace:

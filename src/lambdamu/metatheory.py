@@ -9,9 +9,10 @@ controls for the detectors).
 Term size counts term and E-term constructor nodes (projections and
 case brackets count one each; the argument wrapper is free).  Binder
 annotations are not counted but are drawn from a bounded formula pool
-over the alphabet {P, _|_}; elimination cut formulas come from the same
-pool, which keeps the enumeration finite and complete relative to its
-two bounds.
+over the alphabet {P, _|_}, plus the subformulas of a target, which may
+bring atoms of its own; elimination cut formulas come from a fixed
+subset of the pool.  With the binder depth constants this keeps the
+enumeration finite and complete relative to its two bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .reduction import DEFAULT_NODE_CAP, ReductionGraph, reduction_graph
-from .syntax import canonical_form, print_term
+from .syntax import print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
     Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var,
@@ -28,8 +29,10 @@ from .terms import (
 from .typecheck import Context, TypeCheckError, check
 
 DEFAULT_MAX_FORMULA_SIZE = 3
-DEFAULT_MAX_LAMBDA_DEPTH = 3
-DEFAULT_MAX_MU_DEPTH = 2
+MAX_LAMBDA_DEPTH = 3
+MAX_MU_DEPTH = 2
+
+P = PropVar("P")
 
 
 @dataclass(frozen=True)
@@ -76,13 +79,10 @@ class PropertyReport:
 # Formula pool
 # --------------------------------------------------------------------------
 
-def formula_pool(max_size: int = DEFAULT_MAX_FORMULA_SIZE,
-                 prop_vars: tuple[str, ...] = ("P",)) -> list[Formula]:
-    """All formulas over the given variables and _|_ up to max_size nodes,
-    smallest first, in a fixed deterministic order."""
-    by_size: dict[int, list[Formula]] = {
-        1: [PropVar(p) for p in prop_vars] + [BOT]
-    }
+def formula_pool(max_size: int = DEFAULT_MAX_FORMULA_SIZE) -> list[Formula]:
+    """All formulas over P and _|_ up to max_size nodes, smallest first,
+    in a fixed deterministic order."""
+    by_size: dict[int, list[Formula]] = {1: [P, BOT]}
     for n in range(2, max_size + 1):
         row: list[Formula] = []
         for ctor in (Arrow, Conj, Disj):
@@ -99,14 +99,10 @@ def formula_pool(max_size: int = DEFAULT_MAX_FORMULA_SIZE,
 # Typed-construction enumeration
 # --------------------------------------------------------------------------
 
-def default_cut_pool(prop_vars: tuple[str, ...] = ("P",)) -> list[Formula]:
-    """Cut formulas for eliminations: the atoms plus one representative
+def default_cut_pool() -> list[Formula]:
+    """Cut formulas for eliminations: P and _|_ plus one representative
     per connective, enough to exercise every elimination rule."""
-    atoms = [PropVar(p) for p in prop_vars]
-    out: list[Formula] = atoms + [BOT]
-    for p in atoms:
-        out.extend([Arrow(p, BOT), Conj(p, p), Disj(p, p)])
-    return out
+    return [P, BOT, Arrow(P, BOT), Conj(P, P), Disj(P, P)]
 
 
 def subformulas(ty: Formula) -> frozenset[Formula]:
@@ -131,33 +127,25 @@ class Enumerator:
     space finite; the enumeration is complete relative to those bounds.
     """
 
-    def __init__(self, cut_pool: Optional[list[Formula]] = None,
-                 prop_vars: tuple[str, ...] = ("P",),
-                 max_formula_size: int = DEFAULT_MAX_FORMULA_SIZE,
-                 max_lambda_depth: int = DEFAULT_MAX_LAMBDA_DEPTH,
-                 max_mu_depth: int = DEFAULT_MAX_MU_DEPTH):
-        self.max_lambda_depth = max_lambda_depth
-        self.max_mu_depth = max_mu_depth
+    def __init__(self, max_formula_size: int):
         self._ty_of_id: list[Formula] = []
         # hash-consing table keyed by (kind, left id, right id); formula
         # trees themselves are never hashed in the enumeration loop
         self._node: dict[tuple, int] = {}
         self._parts: list[tuple] = []
-        # truth table over the valuations of P as a 2-bit mask; a state
-        # (gamma |- A ; delta) can only be inhabited when gamma entails
-        # A or some delta formula classically, so unprovable states are
-        # pruned without enumeration
+        # truth table over the two valuations of P as a 2-bit mask; a
+        # state (gamma |- A ; delta) can only be inhabited when gamma
+        # entails A or some delta formula classically, so unprovable
+        # states are pruned without enumeration.  Any other atom (one a
+        # target brings) is false in both valuations: fewer valuations
+        # find fewer counter-models, so the pruning stays sound.
         self._mask: list[int] = []
-        self._prop_index = {name: i for i, name in enumerate(prop_vars)}
-        self._full = (1 << (1 << len(prop_vars))) - 1
+        self._full = 0b11
         self._bot = self._tid(BOT)
-        if cut_pool is None:
-            cut_pool = default_cut_pool(prop_vars)
-        self.cut_pool = [self._tid(f) for f in cut_pool]
+        self.cut_pool = [self._tid(f) for f in default_cut_pool()]
         self.disj_pool = [i for i in self.cut_pool
                           if self._parts[i][0] == "disj"]
-        self._allowed = {self._tid(f)
-                         for f in formula_pool(max_formula_size, prop_vars)}
+        self._allowed = {self._tid(f) for f in formula_pool(max_formula_size)}
         self._allowed.update(self.cut_pool)
         self._memo: dict = {}
 
@@ -169,9 +157,7 @@ class Enumerator:
             self._parts.append(key)
             match key:
                 case ("var", name):
-                    bit = self._prop_index[name]
-                    mask = sum(1 << v for v in range(self._full.bit_length())
-                               if (v >> bit) & 1)
+                    mask = 0b10 if name == "P" else 0
                 case ("bot",):
                     mask = 0
                 case ("arrow", l, r):
@@ -224,17 +210,10 @@ class Enumerator:
             self._allowed.update(self._tid(f) for f in fresh)
             self._memo.clear()
 
-    def terms_of(self, ty: Formula, size: int,
-                 gamma: tuple[tuple[str, Formula], ...] = (),
-                 delta: tuple[tuple[str, Formula], ...] = ()) -> tuple[Term, ...]:
+    def terms_of(self, ty: Formula, size: int) -> tuple[Term, ...]:
+        """The closed terms of type ty with exactly size nodes."""
         self._admit(ty)
-        for _, a in gamma:
-            self._admit(a)
-        for _, b in delta:
-            self._admit(b)
-        g = tuple((x, self._tid(a)) for x, a in gamma)
-        d = tuple((a, self._tid(b)) for a, b in delta)
-        return self._terms(self._tid(ty), size, g, d)
+        return self._terms(self._tid(ty), size, (), ())
 
     def _terms(self, tyid: int, size: int, gamma, delta) -> tuple[Term, ...]:
         key = (tyid, size, gamma, delta)
@@ -262,7 +241,7 @@ class Enumerator:
             n = size
             kind = parts[0]
             # introductions
-            if kind == "arrow" and len(gamma) < self.max_lambda_depth:
+            if kind == "arrow" and len(gamma) < MAX_LAMBDA_DEPTH:
                 x = f"x{len(gamma)}"
                 left_ty = self._ty_of_id[parts[1]]
                 for body in self._terms(parts[2], n - 1,
@@ -284,7 +263,7 @@ class Enumerator:
             # mu at _|_ is excluded: classical reasoning at _|_ is
             # already covered by the naming rule, and admitting it
             # floods the corpus with vacuous mu chains
-            if tyid != self._bot and len(delta) < self.max_mu_depth:
+            if tyid != self._bot and len(delta) < MAX_MU_DEPTH:
                 a = f"a{len(delta)}"
                 for body in self._terms(self._bot, n - 1, gamma,
                                         delta + ((a, tyid),)):
@@ -311,7 +290,7 @@ class Enumerator:
                     for fun in self._terms(self._conj_id(cut, tyid),
                                            n - 2, gamma, delta):
                         out.append(App(fun, PROJ2))
-            if n >= 5 and len(gamma) < self.max_lambda_depth:
+            if n >= 5 and len(gamma) < MAX_LAMBDA_DEPTH:
                 x = f"x{len(gamma)}"
                 for did in self.disj_pool:
                     g1 = gamma + ((x, self._parts[did][1]),)
@@ -334,11 +313,8 @@ class Enumerator:
 
 def enumerate_typed_terms(max_size: int,
                           target: Optional[Formula] = None,
-                          max_formula_size: int = DEFAULT_MAX_FORMULA_SIZE,
-                          cut_pool: Optional[list[Formula]] = None,
-                          prop_vars: tuple[str, ...] = ("P",),
-                          max_lambda_depth: int = DEFAULT_MAX_LAMBDA_DEPTH,
-                          max_mu_depth: int = DEFAULT_MAX_MU_DEPTH) -> Corpus:
+                          max_formula_size: int = DEFAULT_MAX_FORMULA_SIZE
+                          ) -> Corpus:
     """All closed well-typed terms up to max_size nodes, deterministically.
 
     With a target formula, only closed inhabitants of that formula;
@@ -348,10 +324,8 @@ def enumerate_typed_terms(max_size: int,
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    enum = Enumerator(cut_pool, prop_vars, max_formula_size,
-                      max_lambda_depth, max_mu_depth)
-    targets = ([target] if target is not None
-               else formula_pool(max_formula_size, prop_vars))
+    enum = Enumerator(max_formula_size)
+    targets = [target] if target is not None else formula_pool(max_formula_size)
     entries: list[CorpusEntry] = []
     for ty in targets:
         for n in range(1, max_size + 1):
@@ -400,8 +374,7 @@ def _strong_normalization(report: PropertyReport, entry: CorpusEntry,
                           graph: ReductionGraph) -> None:
     """The reduction graph is acyclic; records its longest path."""
     if graph.is_acyclic():
-        key = canonical_form(entry.term)
-        report.longest_paths[key] = graph.longest_path_length()
+        report.longest_paths[graph.root] = graph.longest_path_length()
     else:
         report.failures.append((entry, "reduction graph has a cycle"))
 

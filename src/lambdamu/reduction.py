@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .syntax import canonical_form, print_term
+from .syntax import MAX_NESTING, canonical_form, print_term
 from .terms import (
     Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, FreshSupply, Inj1,
     Inj2, Mu, Named, Pair, Proj1, Proj2, Term, Var, _rename_mu, all_names,
@@ -45,6 +45,16 @@ class FuelExhausted(Exception):
     def __init__(self, trace: "Trace"):
         self.trace = trace
         super().__init__(f"fuel exhausted after {len(trace.steps)} steps")
+
+
+class ReductTooDeep(Exception):
+    """Raised by normalize when a reduct nests deeper than MAX_NESTING, the
+    depth up to which redexes, contraction and the printers stay within
+    Python's default recursion limit."""
+
+    def __init__(self, steps: int):
+        super().__init__(f"reduct nested deeper than {MAX_NESTING} levels "
+                         f"after {steps} steps")
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,15 @@ def term_children(t: Term) -> list[tuple[int, Term]]:
                     out.append((2, u2))
             return out
     raise TypeError(f"not a term: {t!r}")
+
+
+def term_depth(t: Term) -> int:
+    """The number of term nodes on the longest path from t to a leaf."""
+    depth, level = 0, [t]
+    while level:
+        depth += 1
+        level = [child for s in level for _, child in term_children(s)]
+    return depth
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -253,19 +272,24 @@ def is_normal(t: Term) -> bool:
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
-    """Reduce the leftmost-outermost redex until normal or out of fuel."""
+    """Reduce the leftmost-outermost redex until normal or out of fuel.
+
+    Raises FuelExhausted after fuel steps, and ReductTooDeep when a term
+    nests too deeply to reduce further.
+    """
     trace = Trace(t)
     current = t
-    for _ in range(fuel):
+    while True:
+        if term_depth(current) > MAX_NESTING:
+            raise ReductTooDeep(len(trace.steps))
         rs = redexes(current)
         if not rs:
             return current, trace
+        if len(trace.steps) == fuel:
+            raise FuelExhausted(trace)
         step = step_at(current, rs[0][0])
         trace.steps.append(step)
         current = step.after
-    if not redexes(current):
-        return current, trace
-    raise FuelExhausted(trace)
 
 
 # --------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
-    Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
+    Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
+    Inj2, Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
     canonicalize, is_neg,
 )
 
@@ -225,7 +225,7 @@ class _Parser:
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
                          tok.pos, expected="a term")
 
-    def eterm(self, lbound: frozenset[str], mbound: frozenset[str]) -> "ETerm":
+    def eterm(self, lbound: frozenset[str], mbound: frozenset[str]) -> ETerm:
         tok = self.peek()
         if tok.kind == "keyword" and tok.text == "p1":
             self.next()

@@ -2,8 +2,9 @@
 
 Each test here is a release criterion with a pinned budget.  The corpus
 bounds (term size 10, formula pool size 3, cut pool of five formulas,
-lambda depth 3, mu depth 2, no mu binder at _|_) are the library defaults;
-the enumerated corpus under them holds 2604 closed well-typed terms.
+lambda depth 3, mu depth 2, no mu binder at _|_) are the library's
+defaults and constants; the enumerated corpus under them holds 2604
+closed well-typed terms.
 """
 
 import time
@@ -11,10 +12,9 @@ import time
 import pytest
 
 from lambdamu import (
-    Abs, App, Arg, Arrow, BOT, Mu, PropVar, Var, canonical_terms,
-    check_confluence, check_strong_normalization, check_subject_reduction,
-    enumerate_typed_terms, erase, normalize, parse_formula, parse_term,
-    print_term,
+    Abs, App, Arg, Arrow, BOT, PropVar, Var, canonical_terms,
+    check_strong_normalization, enumerate_typed_terms, erase, normalize,
+    parse_formula, parse_term, print_term, run_suite,
 )
 from lambdamu.cli import main
 from lambdamu.metatheory import CorpusEntry, Corpus
@@ -27,6 +27,14 @@ CORPUS_COUNT = 2604
 @pytest.fixture(scope="module")
 def corpus():
     return enumerate_typed_terms(CORPUS_MAX_SIZE)
+
+
+@pytest.fixture(scope="module")
+def suite(corpus):
+    """The three oracle reports by property, from one reduction graph per
+    entry, built within the 2-minute budget of criteria 3 to 5."""
+    reports = timed(120.0, run_suite, corpus)
+    return {report.property: report for report in reports}
 
 
 def timed(budget_s, fn, *args, **kwargs):
@@ -80,23 +88,24 @@ def test_acceptance_golden_traces():
 
 
 # --------------------------------------------------------------------------
-# 3. Subject reduction on the enumerated corpus, 0 failures, under 2 minutes
+# 3. Subject reduction on the enumerated corpus, 0 failures; criteria 3 to
+#    5 share one run_suite pass, under 2 minutes
 # --------------------------------------------------------------------------
 
-def test_acceptance_subject_reduction(corpus):
+def test_acceptance_subject_reduction(corpus, suite):
     assert len(corpus) == CORPUS_COUNT
-    report = timed(120.0, check_subject_reduction, corpus)
+    report = suite["subject-reduction"]
     assert report.failures == []
     assert report.incomplete == []
     assert report.checked == CORPUS_COUNT
 
 
 # --------------------------------------------------------------------------
-# 4. Confluence on the same corpus, under 2 minutes
+# 4. Confluence on the same corpus
 # --------------------------------------------------------------------------
 
-def test_acceptance_confluence(corpus):
-    report = timed(120.0, check_confluence, corpus)
+def test_acceptance_confluence(suite):
+    report = suite["confluence"]
     assert report.failures == []
     assert report.incomplete == []
     assert report.checked == CORPUS_COUNT
@@ -104,11 +113,11 @@ def test_acceptance_confluence(corpus):
 
 # --------------------------------------------------------------------------
 # 5. Strong normalization on the same corpus plus a looping negative
-#    control, under 2 minutes
+#    control
 # --------------------------------------------------------------------------
 
-def test_acceptance_strong_normalization(corpus):
-    report = timed(120.0, check_strong_normalization, corpus)
+def test_acceptance_strong_normalization(suite):
+    report = suite["strong-normalization"]
     assert report.failures == []
     assert report.incomplete == []
     assert report.checked == CORPUS_COUNT

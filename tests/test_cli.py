@@ -244,6 +244,22 @@ def test_reduce_fuel_exhausted(capsys):
     assert "fuel exhausted after 10 steps" in err
 
 
+def test_reduce_too_deep_is_inconclusive(capsys):
+    # 162 levels parse, but mu-struct appends w under each of the 61
+    # [a] names, so the first reduct is nested past the bound
+    term = "y"
+    for i in range(60):
+        term = f"mu b{i}:P. [a] {term}"
+    term = f"mu a:P. [a] {term}"
+    for _ in range(20):
+        term = f"({term} w)"
+    code, out, err = run(capsys, "reduce", "--term", term, "--open", "y,w")
+    assert code == INCONCLUSIVE
+    assert out == ""
+    assert err == (f"reduct nested deeper than {MAX_NESTING} levels "
+                   "after 1 steps\n")
+
+
 # --------------------------------------------------------------------------
 # graph
 # --------------------------------------------------------------------------
@@ -331,6 +347,13 @@ def test_corpus_target(capsys):
                        "--target", "_|_ -> P")
     assert code == OK
     assert "\\x0:_|_. mu a0:P. x0 : _|_ -> P" in out
+
+
+def test_corpus_target_with_other_atoms(capsys):
+    code, out, _ = run(capsys, "corpus", "--max-size", "4",
+                       "--target", "Q -> Q")
+    assert code == OK
+    assert out.splitlines()[0] == "\\x0:Q. x0 : Q -> Q"
 
 
 @pytest.mark.parametrize("argv", [

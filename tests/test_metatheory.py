@@ -11,8 +11,7 @@ from lambdamu import (
 )
 from lambdamu import metatheory
 from lambdamu.metatheory import (
-    CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, DEFAULT_MAX_LAMBDA_DEPTH,
-    DEFAULT_MAX_MU_DEPTH,
+    CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, MAX_LAMBDA_DEPTH, MAX_MU_DEPTH,
     default_cut_pool, formula_pool, subformulas,
 )
 from lambdamu.typecheck import TypeCheckError
@@ -33,12 +32,6 @@ def test_formula_pool_sizes():
 def test_formula_pool_deterministic_order():
     assert formula_pool(3) == formula_pool(3)
     assert formula_pool(3)[:2] == [P, BOT]
-
-
-def test_formula_pool_two_atoms():
-    pool = formula_pool(3, prop_vars=("P", "Q"))
-    assert PropVar("Q") in pool
-    assert Arrow(P, PropVar("Q")) in pool
 
 
 def test_default_cut_pool():
@@ -152,10 +145,10 @@ def naive_terms(size, lvars=(), mvars=()):
     x = f"v{len(lvars)}"
     m = f"m{len(mvars)}"
     for ann in POOL:
-        if len(lvars) < DEFAULT_MAX_LAMBDA_DEPTH:
+        if len(lvars) < MAX_LAMBDA_DEPTH:
             for body in naive_terms(size - 1, lvars + ((x, ann),), mvars):
                 yield Abs(x, ann, body)
-        if ann != BOT and len(mvars) < DEFAULT_MAX_MU_DEPTH:
+        if ann != BOT and len(mvars) < MAX_MU_DEPTH:
             for body in naive_terms(size - 1, lvars, mvars + ((m, ann),)):
                 yield Mu(m, ann, body)
         for body in naive_terms(size - 1, lvars, mvars):
@@ -172,7 +165,7 @@ def naive_terms(size, lvars=(), mvars=()):
     for fun in naive_terms(size - 2, lvars, mvars):
         yield App(fun, PROJ1)
         yield App(fun, PROJ2)
-    if size >= 5 and len(lvars) < DEFAULT_MAX_LAMBDA_DEPTH:
+    if size >= 5 and len(lvars) < MAX_LAMBDA_DEPTH:
         for i in range(1, size - 3):
             for scrut in naive_terms(i, lvars, mvars):
                 rest = size - 2 - i

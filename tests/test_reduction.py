@@ -1,13 +1,12 @@
 """One-step reduction, normalization, traces, and reduction graphs."""
 
 import pytest
-from hypothesis import given, settings
 
 from lambdamu import (
-    Abs, App, Arg, Arrow, BOT, Case, FuelExhausted, Mu, Named, PROJ1, PropVar,
-    ReductionGraph, ReductionStep, Trace, Var, alpha_equal, canonical_form,
-    canonical_terms, contract, erase, infer, normalize, parse_formula,
-    parse_term, print_term, redexes, reduction_graph, successors,
+    Abs, App, Arg, Arrow, BOT, FuelExhausted, Mu, Named, PropVar,
+    ReductionGraph, ReductionStep, Var, alpha_equal, canonical_form,
+    canonical_terms, contract, erase, infer, normalize, parse_term,
+    print_term, redexes, reduction_graph, successors,
 )
 from lambdamu.reduction import (
     InvalidPosition, contract_root, is_normal, replace_at, rule_at, step_at,

@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 from lambdamu import (
     Abs, App, Arg, Arrow, BOT, Case, Conj, Disj, Inj1, Inj2, Mu, Named,
     PROJ1, PROJ2, Pair, ParseError, PropVar, Var, alpha_equal, canonical_form,
-    canonicalize, free_variables, mu_substitute, neg, parse_formula,
+    canonicalize, free_variables, mu_substitute, parse_formula,
     parse_term, print_formula, print_term, substitute,
 )
 from lambdamu.terms import (
-    FreshSupply, alpha_equal_eterm, apply_sequence, free_variables_eterm,
-    is_closed,
+    FreshSupply, apply_sequence, free_variables_eterm, is_closed,
 )
 
 P = PropVar("P")

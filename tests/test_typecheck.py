@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given
 
 from lambdamu import (
-    Abs, App, Arg, Arrow, BOT, Case, Conj, Derivation, Disj, Mu,
-    MissingAnnotationError, Mismatch, Named, PROJ1, PROJ2, Pair, PropVar,
-    TypeCheckError, UnboundVariableError, Var, alpha_equal, canonical_terms,
+    Abs, Arrow, BOT, Conj, Derivation, Disj, Mu,
+    MissingAnnotationError, Mismatch, Named, PropVar, TypeCheckError, UnboundVariableError, Var, alpha_equal, canonical_terms,
     check, derivation_to_json, erase, infer, parse_formula, parse_term,
     validate_derivation,
 )
