@@ -184,7 +184,11 @@ def _run(args) -> int:
 
     if args.command == "graph":
         term = _load_term(args)
-        graph = reduction_graph(term, args.node_cap)
+        try:
+            graph = reduction_graph(term, args.node_cap)
+        except ReductTooDeep as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_INCONCLUSIVE
         if args.dot:
             print(graph.to_dot())
         else:
@@ -209,6 +213,9 @@ def _run(args) -> int:
         except TypeCheckError as exc:
             print(f"type error: {exc}", file=sys.stderr)
             return EXIT_FAIL
+        except ReductTooDeep as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_INCONCLUSIVE
         print(json.dumps(report.to_json(), indent=2))
         if report.verdict == "confirmed":
             return EXIT_OK

@@ -10,9 +10,10 @@ Term size counts term and E-term constructor nodes (projections and
 case brackets count one each; the argument wrapper is free).  Binder
 annotations are not counted but are drawn from a bounded formula pool
 over the alphabet {P, _|_}, plus the subformulas of a target, which may
-bring atoms of its own; elimination cut formulas come from a fixed
-subset of the pool.  With the binder depth constants this keeps the
-enumeration finite and complete relative to its two bounds.
+bring atoms of its own; elimination cut formulas come from five fixed
+shapes over P and over each atom of the target.  With the binder depth
+constants this keeps the enumeration finite and complete relative to
+its two bounds.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .reduction import DEFAULT_NODE_CAP, ReductionGraph, reduction_graph
+from .reduction import (
+    DEFAULT_NODE_CAP, ReductTooDeep, ReductionTable, reduction_graph,
+)
 from .syntax import print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
-    Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var,
+    Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var, canonicalize,
 )
 from .typecheck import Context, TypeCheckError, check
 
@@ -99,10 +102,26 @@ def formula_pool(max_size: int = DEFAULT_MAX_FORMULA_SIZE) -> list[Formula]:
 # Typed-construction enumeration
 # --------------------------------------------------------------------------
 
+def _cut_shapes(atom: Formula) -> list[Formula]:
+    return [atom, BOT, Arrow(atom, BOT), Conj(atom, atom), Disj(atom, atom)]
+
+
 def default_cut_pool() -> list[Formula]:
     """Cut formulas for eliminations: P and _|_ plus one representative
     per connective, enough to exercise every elimination rule."""
-    return [P, BOT, Arrow(P, BOT), Conj(P, P), Disj(P, P)]
+    return _cut_shapes(P)
+
+
+def cut_pool(target: Optional[Formula] = None) -> list[Formula]:
+    """The default cut pool, then the same shapes over each other atom of
+    target, by name, so that a target over other atoms has the
+    eliminations a target over P has."""
+    pool = default_cut_pool()
+    if target is not None:
+        for name in sorted({f.name for f in subformulas(target)
+                            if isinstance(f, PropVar)}):
+            pool += [f for f in _cut_shapes(PropVar(name)) if f not in pool]
+    return pool
 
 
 def subformulas(ty: Formula) -> frozenset[Formula]:
@@ -127,7 +146,7 @@ class Enumerator:
     space finite; the enumeration is complete relative to those bounds.
     """
 
-    def __init__(self, max_formula_size: int):
+    def __init__(self, max_formula_size: int, cuts: list[Formula]):
         self._ty_of_id: list[Formula] = []
         # hash-consing table keyed by (kind, left id, right id); formula
         # trees themselves are never hashed in the enumeration loop
@@ -142,7 +161,7 @@ class Enumerator:
         self._mask: list[int] = []
         self._full = 0b11
         self._bot = self._tid(BOT)
-        self.cut_pool = [self._tid(f) for f in default_cut_pool()]
+        self.cut_pool = [self._tid(f) for f in cuts]
         self.disj_pool = [i for i in self.cut_pool
                           if self._parts[i][0] == "disj"]
         self._allowed = {self._tid(f) for f in formula_pool(max_formula_size)}
@@ -319,12 +338,13 @@ def enumerate_typed_terms(max_size: int,
 
     With a target formula, only closed inhabitants of that formula;
     otherwise all closed terms whose type lies in the formula pool.
-    Cut formulas for eliminations range over the smaller cut pool.
+    Cut formulas for eliminations range over the smaller cut pool, which
+    covers the target's atoms.
     Every entry is re-checked by the type checker before inclusion.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    enum = Enumerator(max_formula_size)
+    enum = Enumerator(max_formula_size, cut_pool(target))
     targets = [target] if target is not None else formula_pool(max_formula_size)
     entries: list[CorpusEntry] = []
     for ty in targets:
@@ -350,78 +370,93 @@ def curated_corpus(entries: list[tuple[Term, Formula, Context, Context]]) -> Cor
 # Oracles
 # --------------------------------------------------------------------------
 
-def _subject_reduction(report: PropertyReport, entry: CorpusEntry,
-                       graph: ReductionGraph) -> None:
-    """Every reduct re-checks at the entry's type."""
-    gamma = dict(entry.gamma)
-    delta = dict(entry.delta)
-    for key, reduct in graph.nodes.items():
-        try:
-            check(gamma, delta, reduct, entry.formula)
-        except TypeCheckError as exc:
-            report.failures.append((entry, f"reduct {key}: {exc}"))
+def _type_error(entry: CorpusEntry, reduct: Term) -> Optional[str]:
+    """None when reduct checks at the entry's type, else the type error.
+
+    Typing does not depend on bound names, so any alpha-variant of the
+    reduct decides; the error is that of its canonical form, so that the
+    evidence does not depend on which variant was reached first.
+    """
+    gamma, delta = dict(entry.gamma), dict(entry.delta)
+    try:
+        check(gamma, delta, reduct, entry.formula)
+        return None
+    except TypeCheckError as exc:
+        error = exc
+    try:
+        check(gamma, delta, canonicalize(reduct), entry.formula)
+    except TypeCheckError as exc:
+        error = exc
+    return str(error)
 
 
-def _confluence(report: PropertyReport, entry: CorpusEntry,
-                graph: ReductionGraph) -> None:
-    """Some reduct is a descendant of every reduct."""
-    why = graph.confluence_failure()
-    if why is not None:
-        report.failures.append((entry, why))
-
-
-def _strong_normalization(report: PropertyReport, entry: CorpusEntry,
-                          graph: ReductionGraph) -> None:
-    """The reduction graph is acyclic; records its longest path."""
-    if graph.is_acyclic():
-        report.longest_paths[graph.root] = graph.longest_path_length()
-    else:
-        report.failures.append((entry, "reduction graph has a cycle"))
-
-
-_VERDICTS = {
-    "subject-reduction": _subject_reduction,
-    "confluence": _confluence,
-    "strong-normalization": _strong_normalization,
-}
-
-
-def _run_oracles(corpus: Corpus, node_cap: int,
-                 properties: tuple[str, ...]) -> list[PropertyReport]:
-    """Build each entry's reduction graph once and apply every verdict;
-    an entry whose graph hits the node cap is incomplete in every report."""
-    reports = [PropertyReport(name) for name in properties]
-    for entry in corpus.entries:
-        graph = reduction_graph(entry.term, node_cap)
-        for report in reports:
-            if graph.complete:
-                report.checked += 1
-                _VERDICTS[report.property](report, entry, graph)
-            else:
-                report.incomplete.append(entry)
-    return reports
+PROPERTIES = ("subject-reduction", "confluence", "strong-normalization")
 
 
 def run_suite(corpus: Corpus,
               node_cap: int = DEFAULT_NODE_CAP) -> list[PropertyReport]:
-    """Subject reduction, confluence and strong normalization, in that
-    order, from one reduction graph per entry."""
-    return _run_oracles(corpus, node_cap, tuple(_VERDICTS))
+    """Subject reduction, confluence and strong normalization, in that order.
+
+    All entries share one ReductionTable, so each distinct reduct is
+    expanded once, and each distinct (reduct, formula, contexts) is
+    type-checked once.  Confluence and strong normalization are lookups
+    at an entry's root in the table's per-key facts.  An entry whose
+    graph hits the node cap, or has a reduct nested too deeply, is
+    incomplete in every report.
+    """
+    table = ReductionTable()
+    reports = [PropertyReport(name) for name in PROPERTIES]
+    sr, cf, sn = reports
+    errors: dict[tuple, dict[str, Optional[str]]] = {}
+    for entry in corpus.entries:
+        try:
+            graph = reduction_graph(entry.term, node_cap, table=table)
+        except ReductTooDeep:
+            graph = None
+        if graph is None or not graph.complete:
+            for report in reports:
+                report.incomplete.append(entry)
+            continue
+        for report in reports:
+            report.checked += 1
+        # every reduct re-checks at the entry's type
+        known = errors.setdefault(
+            (entry.formula, entry.gamma, entry.delta), {})
+        rebuilt = None
+        for key, reduct in graph.nodes.items():
+            if key not in known:
+                if reduct is None:  # dropped by the table: explore afresh
+                    if rebuilt is None:
+                        rebuilt = reduction_graph(entry.term, node_cap)
+                    reduct = rebuilt.nodes[key]
+                known[key] = _type_error(entry, reduct)
+            if known[key] is not None:
+                sr.failures.append((entry, f"reduct {key}: {known[key]}"))
+        # some reduct is a descendant of every reduct
+        why = table.facts.confluence_failure(graph.root, graph.nodes)
+        if why is not None:
+            cf.failures.append((entry, why))
+        # the reduction graph is acyclic; record its longest path
+        if table.facts.acyclic(graph.root):
+            sn.longest_paths[graph.root] = table.facts.longest_path(graph.root)
+        else:
+            sn.failures.append((entry, "reduction graph has a cycle"))
+    return reports
 
 
 def check_subject_reduction(corpus: Corpus,
                             node_cap: int = DEFAULT_NODE_CAP) -> PropertyReport:
     """Every reduct of every entry re-checks at the entry's type."""
-    return _run_oracles(corpus, node_cap, ("subject-reduction",))[0]
+    return run_suite(corpus, node_cap)[0]
 
 
 def check_confluence(corpus: Corpus,
                      node_cap: int = DEFAULT_NODE_CAP) -> PropertyReport:
     """Some reduct of every entry is a descendant of all its reducts."""
-    return _run_oracles(corpus, node_cap, ("confluence",))[0]
+    return run_suite(corpus, node_cap)[1]
 
 
 def check_strong_normalization(corpus: Corpus,
                                node_cap: int = DEFAULT_NODE_CAP) -> PropertyReport:
     """Complete, acyclic reduction graph for every entry."""
-    return _run_oracles(corpus, node_cap, ("strong-normalization",))[0]
+    return run_suite(corpus, node_cap)[2]

@@ -18,7 +18,7 @@ for the second case branch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .syntax import MAX_NESTING, canonical_form, print_term
 from .terms import (
@@ -48,9 +48,10 @@ class FuelExhausted(Exception):
 
 
 class ReductTooDeep(Exception):
-    """Raised by normalize when a reduct nests deeper than MAX_NESTING, the
-    depth up to which redexes, contraction and the printers stay within
-    Python's default recursion limit."""
+    """Raised by normalize and reduction_graph when a reduct nests deeper
+    than MAX_NESTING, the depth up to which redexes, contraction and the
+    printers stay within Python's default recursion limit; steps is the
+    reduct's distance from the input."""
 
     def __init__(self, steps: int):
         super().__init__(f"reduct nested deeper than {MAX_NESTING} levels "
@@ -112,11 +113,29 @@ def term_children(t: Term) -> list[tuple[int, Term]]:
 
 
 def term_depth(t: Term) -> int:
-    """The number of term nodes on the longest path from t to a leaf."""
+    """The number of term nodes on the longest path from t to a leaf.
+
+    The children of term_children, found by type rather than by pattern,
+    since every explored reduct is measured.
+    """
     depth, level = 0, [t]
     while level:
         depth += 1
-        level = [child for s in level for _, child in term_children(s)]
+        below = []
+        for s in level:
+            kind = type(s)
+            if kind is App:
+                below.append(s.fun)
+                e = s.arg
+                if type(e) is Arg:
+                    below.append(e.term)
+                elif type(e) is Case:
+                    below += (e.left, e.right)
+            elif kind is Pair:
+                below += (s.fst, s.snd)
+            elif kind is not Var:
+                below.append(s.body)
+        level = below
     return depth
 
 
@@ -296,6 +315,96 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
 # Reduction graphs
 # --------------------------------------------------------------------------
 
+class SuccessorFacts:
+    """Acyclicity, longest reduction path and normal forms of the keys of
+    a successor mapping, memoized per key.
+
+    A key's facts depend only on the keys it reaches, so one instance
+    serves a mapping that only grows, as a ReductionTable's does, once
+    every key a queried key reaches has been expanded.
+    """
+
+    def __init__(self, succ: Mapping[str, Iterable[str]]):
+        self.succ = succ
+        self._longest: dict[str, int] = {}          # acyclic keys only
+        self._normal: dict[str, frozenset[str]] = {}
+        self._cyclic: set[str] = set()              # keys that reach a cycle
+
+    def _settle(self, start: str) -> None:
+        """Memoize the facts of start and of the keys it reaches, children
+        before parents; on meeting a cycle, mark every key on the path to
+        it as cyclic and stop."""
+        succ, longest, normal = self.succ, self._longest, self._normal
+        if start in longest or start in self._cyclic:
+            return
+        path = {start}
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            key, children = stack[-1]
+            for s in children:
+                if s in longest:
+                    continue
+                if s in path or s in self._cyclic:
+                    self._cyclic.update(k for k, _ in stack)
+                    return
+                path.add(s)
+                stack.append((s, iter(succ[s])))
+                break
+            else:
+                stack.pop()
+                path.discard(key)
+                longest[key] = max((longest[s] + 1 for s in succ[key]),
+                                   default=0)
+                nfs = [normal[s] for s in succ[key]]
+                if not nfs:
+                    normal[key] = frozenset((key,))
+                elif all(n == nfs[0] for n in nfs):
+                    normal[key] = nfs[0]  # shared, not copied
+                else:
+                    normal[key] = frozenset().union(*nfs)
+
+    def acyclic(self, key: str) -> bool:
+        self._settle(key)
+        return key in self._longest
+
+    def longest_path(self, key: str) -> int:
+        """Length of the longest reduction sequence from key."""
+        if not self.acyclic(key):
+            raise ValueError(f"{key} reaches a cycle")
+        return self._longest[key]
+
+    def confluence_failure(self, key: str,
+                           order: Iterable[str]) -> Optional[str]:
+        """Evidence that the keys reachable from key are not confluent,
+        listed in ``order`` (all of those keys), else None.
+
+        On a finite graph pairwise joinability means some node descends
+        from every node.  When acyclic, that is a unique normal form.
+        Otherwise the node with the fewest descendants lies in a terminal
+        cycle, and a node that cannot reach it shares no descendant with it.
+        """
+        if self.acyclic(key):
+            nfs = self._normal[key]
+            if len(nfs) < 2:
+                return None
+            listed = [k for k in order if k in nfs]
+            return f"{len(listed)} distinct normal forms: {listed}"
+        succ = self.succ
+
+        def reach(start: str) -> set[str]:
+            seen, todo = set(), [start]
+            while todo:
+                if (k := todo.pop()) not in seen:
+                    seen.add(k)
+                    todo.extend(succ[k])
+            return seen
+
+        below = {k: reach(k) for k in order}
+        low = min(below, key=lambda k: len(below[k]))
+        stray = next((k for k in below if low not in below[k]), None)
+        return None if stray is None else f"unjoinable pair: {low} vs {stray}"
+
+
 @dataclass
 class ReductionGraph:
     """Breadth-first closure of a term under one-step reduction.
@@ -306,11 +415,13 @@ class ReductionGraph:
     that admitted it, so ``trace_to`` rebuilds a shortest reduction.
     ``complete`` is False when the node cap dropped a reduct; ``stopped``
     is the node at which ``reduction_graph``'s ``stop`` predicate held.
+    A graph explored with a ReductionTable has no steps on its edges and
+    no term at a node whose term the table no longer holds.
     """
 
     root: str
-    nodes: dict[str, Term]
-    edges: list[tuple[str, ReductionStep, str]]
+    nodes: dict[str, Optional[Term]]
+    edges: list[tuple[str, Optional[ReductionStep], str]]
     complete: bool
     parents: dict[str, int] = field(default_factory=dict)
     stopped: Optional[str] = None
@@ -334,61 +445,19 @@ class ReductionGraph:
         steps.reverse()
         return Trace(self.nodes[self.root], steps)
 
+    def _facts(self) -> SuccessorFacts:
+        return SuccessorFacts(self.successor_map())
+
     def is_acyclic(self) -> bool:
-        succ = self.successor_map()
-        state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(k) -> bool:
-            state[k] = 1
-            for s in succ[k]:
-                mark = state.get(s)
-                if mark == 1:
-                    return False
-                if mark is None and not visit(s):
-                    return False
-            state[k] = 2
-            return True
-
-        return all(state.get(k) == 2 or visit(k) for k in self.nodes)
+        return self._facts().acyclic(self.root)
 
     def confluence_failure(self) -> Optional[str]:
-        """Evidence that the complete graph is not confluent, else None.
-
-        On a finite graph pairwise joinability means some node descends
-        from every node.  When acyclic, that is a unique normal form.
-        Otherwise the node with the fewest descendants lies in a terminal
-        cycle, and a node that cannot reach it shares no descendant with it.
-        """
-        if self.is_acyclic():
-            nfs = self.normal_forms()
-            return f"{len(nfs)} distinct normal forms: {nfs}" \
-                if len(nfs) > 1 else None
-        succ = self.successor_map()
-
-        def reach(start: str) -> set[str]:
-            seen, todo = set(), [start]
-            while todo:
-                if (k := todo.pop()) not in seen:
-                    seen.add(k)
-                    todo.extend(succ[k])
-            return seen
-
-        below = {k: reach(k) for k in self.nodes}
-        low = min(below, key=lambda k: len(below[k]))
-        stray = next((k for k in below if low not in below[k]), None)
-        return None if stray is None else f"unjoinable pair: {low} vs {stray}"
+        """Evidence that the complete graph is not confluent, else None."""
+        return self._facts().confluence_failure(self.root, self.nodes)
 
     def longest_path_length(self) -> int:
         """Length of the longest reduction sequence (graph must be acyclic)."""
-        succ = self.successor_map()
-        memo: dict[str, int] = {}
-
-        def depth(k) -> int:
-            if k not in memo:
-                memo[k] = max((1 + depth(s) for s in succ[k]), default=0)
-            return memo[k]
-
-        return depth(self.root)
+        return self._facts().longest_path(self.root)
 
     def to_dot(self) -> str:
         ids = {k: f"n{i}" for i, k in enumerate(self.nodes)}
@@ -414,8 +483,71 @@ class ReductionGraph:
         }
 
 
+def _steps(t: Term, key: str
+           ) -> Optional[list[tuple[ReductionStep, str, Term]]]:
+    """(step, key, term) per redex of the node t, keyed key, in redex
+    order; None when a reduct nests deeper than MAX_NESTING.
+
+    t itself nests at most that deep, so a reduct can only be deeper
+    along the contracted position p: by len(p) plus the contractum's
+    depth.  A contractum nests less than three times as deep as its
+    redex (mu-struct, the worst rule, adds a node and a copy of the
+    argument under each name), so the contractum is walked only when
+    len(p) + 3 * (depth of t - len(p)) passes the bound.  The key prints
+    at least three characters of its own for every node but a leaf,
+    which bounds the depth of t without walking it.
+    """
+    bound = (len(key) + 2) // 3
+    out = []
+    for p, _ in redexes(t):
+        step = step_at(t, p)
+        if 3 * bound - 2 * len(p) > MAX_NESTING and \
+                len(p) + term_depth(subterm_at(step.after, p)) > MAX_NESTING:
+            return None
+        out.append((step, canonical_form(step.after), step.after))
+    return out
+
+
+class ReductionTable:
+    """The one-step reducts of every key expanded so far, shared by the
+    reduction_graph calls it is passed to.
+
+    ``succ`` maps each expanded key to the keys of its reducts, one per
+    redex in redex order, or to None when a reduct nests deeper than
+    MAX_NESTING.  The table keeps keys, not steps: a reduct's term stays
+    in ``pending`` only until its own key is expanded.  ``facts``
+    memoizes acyclicity, longest path and normal forms per key.
+    """
+
+    def __init__(self):
+        self.succ: dict[str, Optional[tuple[str, ...]]] = {}
+        self.pending: dict[str, Term] = {}
+        self.facts = SuccessorFacts(self.succ)
+
+    def successors(self, key: str, t: Optional[Term]
+                   ) -> Optional[list[tuple[None, str, Optional[Term]]]]:
+        """(None, key, term) per reduct of the node key, whose term t is
+        needed only when key is not yet expanded; a reduct's term is None
+        once the table has dropped it.  None when a reduct is too deep."""
+        if key in self.succ:
+            dsts = self.succ[key]
+            return None if dsts is None else \
+                [(None, dst, self.pending.get(dst)) for dst in dsts]
+        steps = _steps(t, key)
+        self.pending.pop(key, None)
+        if steps is None:
+            self.succ[key] = None
+            return None
+        self.succ[key] = tuple(dst for _, dst, _ in steps)
+        for _, dst, after in steps:
+            if dst not in self.succ:
+                self.pending.setdefault(dst, after)
+        return [(None, dst, after) for _, dst, after in steps]
+
+
 def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
-                    stop: Optional[Callable[[Term], bool]] = None
+                    stop: Optional[Callable[[Term], bool]] = None,
+                    table: Optional[ReductionTable] = None
                     ) -> ReductionGraph:
     """Explore the reducts of t breadth-first, deduplicating alpha-equal nodes.
 
@@ -423,13 +555,19 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     count: a reduct past it is dropped with its edge, and the nodes
     already admitted are still expanded.  ``stop`` is tested on each
     node as it is dequeued; the first it holds for ends the search
-    unexpanded and is recorded as ``stopped``.
+    unexpanded and is recorded as ``stopped``.  A ``table`` supplies
+    the reducts of the keys it has expanded and records those of the
+    keys expanded here (``stop`` is then not supported, since a node
+    served from the table may have no term).  Raises ReductTooDeep when
+    t or a reduct nests deeper than MAX_NESTING.
     """
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
+    if term_depth(t) > MAX_NESTING:
+        raise ReductTooDeep(0)
     root = canonical_form(t)
-    nodes: dict[str, Term] = {root: t}
-    edges: list[tuple[str, ReductionStep, str]] = []
+    nodes: dict[str, Optional[Term]] = {root: t}
+    edges: list[tuple[str, Optional[ReductionStep], str]] = []
     parents: dict[str, int] = {}
     complete = True
     queue = [root]
@@ -437,14 +575,20 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
         current = nodes[key]
         if stop is not None and stop(current):
             return ReductionGraph(root, nodes, edges, complete, parents, key)
-        for p, _ in redexes(current):
-            step = step_at(current, p)
-            dst = canonical_form(step.after)
+        reducts = _steps(current, key) if table is None else \
+            table.successors(key, current)
+        if reducts is None:
+            distance = 1
+            while key != root:
+                key = edges[parents[key]][0]
+                distance += 1
+            raise ReductTooDeep(distance)
+        for step, dst, after in reducts:
             if dst not in nodes:
                 if len(nodes) >= node_cap:
                     complete = False
                     continue
-                nodes[dst] = step.after
+                nodes[dst] = after
                 parents[dst] = len(edges)
                 queue.append(dst)
             edges.append((key, step, dst))

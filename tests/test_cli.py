@@ -244,20 +244,34 @@ def test_reduce_fuel_exhausted(capsys):
     assert "fuel exhausted after 10 steps" in err
 
 
-def test_reduce_too_deep_is_inconclusive(capsys):
-    # 162 levels parse, but mu-struct appends w under each of the 61
-    # [a] names, so the first reduct is nested past the bound
+_N_ARGS = 20
+# a's type when the mu-struct input below is to be typed, with y : _A, w : P
+_A = "P" + " -> P" * _N_ARGS
+_TOO_DEEP = f"reduct nested deeper than {MAX_NESTING} levels after 1 steps\n"
+
+
+def _mu_struct_input(ann="P"):
+    """(mu a:ann. [a] mu b0:ann. [a] ... [a] y) applied to w 20 times.
+
+    With ann P it nests 162 levels and parses, but mu-struct appends w
+    under each of the 61 [a] names, so the first reduct is nested past
+    the bound.
+    """
     term = "y"
     for i in range(60):
-        term = f"mu b{i}:P. [a] {term}"
-    term = f"mu a:P. [a] {term}"
-    for _ in range(20):
+        term = f"mu b{i}:{ann}. [a] {term}"
+    term = f"mu a:{ann}. [a] {term}"
+    for _ in range(_N_ARGS):
         term = f"({term} w)"
-    code, out, err = run(capsys, "reduce", "--term", term, "--open", "y,w")
+    return term
+
+
+def test_reduce_too_deep_is_inconclusive(capsys):
+    code, out, err = run(capsys, "reduce", "--term", _mu_struct_input(),
+                         "--open", "y,w")
     assert code == INCONCLUSIVE
     assert out == ""
-    assert err == (f"reduct nested deeper than {MAX_NESTING} levels "
-                   "after 1 steps\n")
+    assert err == _TOO_DEEP
 
 
 # --------------------------------------------------------------------------
@@ -278,6 +292,15 @@ def test_graph_dot(capsys):
                        "--open", "y", "--dot")
     assert code == OK
     assert out.startswith("digraph")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--dot"]])
+def test_graph_too_deep_is_inconclusive(capsys, fmt):
+    code, out, err = run(capsys, "graph", "--term", _mu_struct_input(),
+                         "--open", "y,w", *fmt)
+    assert code == INCONCLUSIVE
+    assert out == ""
+    assert err == _TOO_DEEP
 
 
 def test_graph_cap_inconclusive(capsys):
@@ -311,6 +334,19 @@ def test_probe_wrong_type_fails(capsys):
     code, _, err = run(capsys, "probe", "--term", "T", "--law", "peirce")
     assert code == FAIL
     assert "type error" in err
+
+
+def test_probe_too_deep_is_inconclusive(capsys):
+    # the mu-struct input closed over y and w, typed at _|_ -> _A -> P -> P;
+    # the search meets the too-deep reduct on expanding its first node
+    subject = f"\\z:_|_. \\y:{_A}. \\w:P. {_mu_struct_input(_A)}"
+    code, out, _ = run(capsys, "check", "--term", subject)
+    assert code == OK
+    assert out.startswith("_|_ -> ")
+    code, out, err = run(capsys, "probe", "--law", "efq", "--term", subject)
+    assert code == INCONCLUSIVE
+    assert out == ""
+    assert err == _TOO_DEEP
 
 
 def test_probe_seed_determinism(capsys):

@@ -7,11 +7,15 @@ change the graphs, the searches or the verdicts without failing here.
 
 from collections import Counter
 
+import pytest
+
 from lambdamu import (
-    behavior, check_confluence, check_strong_normalization,
-    check_subject_reduction, enumerate_typed_terms, parse_formula, run_suite,
+    Corpus, PropertyReport, ReductTooDeep, TypeCheckError, behavior,
+    canonicalize, check, enumerate_typed_terms, parse_formula, parse_term,
+    run_suite,
 )
-from lambdamu.reduction import reduction_graph
+from lambdamu.metatheory import PROPERTIES, CorpusEntry
+from lambdamu.reduction import DEFAULT_NODE_CAP, reduction_graph
 
 SIZE = 10
 
@@ -61,13 +65,112 @@ def test_probe_search_facts(monkeypatch):
     assert {s.status for s in searches} == {"found"}
 
 
-def test_run_suite_matches_the_three_checks():
-    corpus = enumerate_typed_terms(7)
-    checks = [check_subject_reduction(corpus), check_confluence(corpus),
-              check_strong_normalization(corpus)]
-    for suite, single in zip(run_suite(corpus), checks, strict=True):
-        assert suite.property == single.property
-        assert suite.checked == single.checked == len(corpus)
-        assert suite.failures == single.failures
-        assert suite.incomplete == single.incomplete
-        assert suite.longest_paths == single.longest_paths
+def test_strong_normalization_facts():
+    sn = run_suite(enumerate_typed_terms(SIZE))[2]
+    paths = sn.longest_paths.values()
+    assert (sn.checked, len(sn.failures), len(sn.incomplete)) == (2604, 0, 0)
+    assert (len(paths), sum(paths)) == (2604, 4786)
+    assert Counter(paths) == {0: 82, 1: 595, 2: 1590, 3: 337}
+
+
+# --------------------------------------------------------------------------
+# run_suite, with its one table, against one fresh graph per entry
+# --------------------------------------------------------------------------
+
+def reference_suite(corpus, node_cap):
+    """The three reports from one reduction_graph per entry, no table:
+    every node re-checks (a failure reports the error of the node's
+    canonical form), the graph decides confluence, and it must be
+    acyclic."""
+    reports = [PropertyReport(name) for name in PROPERTIES]
+    sr, cf, sn = reports
+    for entry in corpus.entries:
+        try:
+            graph = reduction_graph(entry.term, node_cap)
+        except ReductTooDeep:
+            graph = None
+        for report in reports:
+            if graph is None or not graph.complete:
+                report.incomplete.append(entry)
+            else:
+                report.checked += 1
+        if graph is None or not graph.complete:
+            continue
+        for key, reduct in graph.nodes.items():
+            try:
+                check(dict(entry.gamma), dict(entry.delta),
+                      canonicalize(reduct), entry.formula)
+            except TypeCheckError as exc:
+                sr.failures.append((entry, f"reduct {key}: {exc}"))
+        why = graph.confluence_failure()
+        if why is not None:
+            cf.failures.append((entry, why))
+        if graph.is_acyclic():
+            sn.longest_paths[graph.root] = graph.longest_path_length()
+        else:
+            sn.failures.append((entry, "reduction graph has a cycle"))
+    return reports
+
+
+def _entry(term, formula, gamma=None, delta=None):
+    """An entry built directly, so that it may be listed at a wrong type."""
+    def ctx(c):
+        return tuple(sorted((k, parse_formula(v))
+                            for k, v in (c or {}).items()))
+    return CorpusEntry(parse_term(term), parse_formula(formula),
+                       ctx(gamma), ctx(delta))
+
+
+def _mu_struct_too_deep():
+    """Each mu-struct appends w under each of the 61 [a] names, so the
+    second reduct nests past the bound."""
+    term = "y"
+    for i in range(60):
+        term = f"mu b{i}:P. [a] {term}"
+    return _entry(f"((mu a:P. [a] {term} w) w)", "P", {"y": "P", "w": "P"})
+
+
+# the same reducts at different formulas and contexts, listed right and
+# wrong, so later entries meet reducts whose terms the table has dropped
+SHARED = [
+    _entry("(\\x:P -> P. x \\y:P. y)", "P -> P"),
+    _entry("(\\x:P -> P. x \\y:P. y)", "P"),
+    _entry("\\z:P. z", "P -> P"),
+    _entry("\\z:P. z", "Q -> Q"),
+    _entry("(\\x:P. z u)", "P", {"z": "P", "u": "P"}),
+    _entry("(\\x:P. z u)", "Q", {"z": "Q", "u": "P"}),
+    _entry("z", "P", {"z": "Q"}),
+    _entry("[a] (\\x:P. x u)", "_|_", {"u": "P"}, {"a": "P"}),
+    _entry("[a] (\\x:P. x u)", "_|_", {"u": "P"}, {"a": "Q"}),
+    _entry("(mu a:P -> P. [a] \\x:P. x (\\y:P. y v))", "P", {"v": "P"}),
+    _entry("(mu a:P -> P. [a] \\x:P. x (\\y:P. y v))", "P", {"v": "Q"}),
+]
+
+# a growing loop that hits the cap of 5; its own reduct, which admits
+# the reduct the loop's graph dropped; an entry under the cap; and one
+# with a reduct nested too deeply
+GROWING = "(\\x:~P. [a] (x x) \\x:~P. [a] (x x))"
+CAPPED = [_entry(GROWING, "_|_", {}, {"a": "P"}),
+          _entry(f"[a] {GROWING}", "_|_", {}, {"a": "P"}),
+          _entry("(\\x:P -> P. x \\y:P. y)", "P -> P"),
+          _mu_struct_too_deep()]
+# the looping control, next to a normal entry
+LOOPING = [_entry("(\\x:~P. (x x) \\x:~P. (x x))", "P -> P"),
+           _entry("\\x:~P. (x x)", "~P -> _|_")]
+
+
+@pytest.mark.parametrize("corpus, node_cap", [
+    (enumerate_typed_terms(8), DEFAULT_NODE_CAP),
+    (Corpus(SHARED), DEFAULT_NODE_CAP),
+    (Corpus(CAPPED), 5),
+    (Corpus(LOOPING), 50),
+], ids=["size-8", "shared", "capped", "looping"])
+def test_run_suite_matches_one_graph_per_entry(corpus, node_cap):
+    suite = run_suite(corpus, node_cap)
+    reference = reference_suite(corpus, node_cap)
+    for got, want in zip(suite, reference, strict=True):
+        assert got.property == want.property
+        assert got.checked == want.checked
+        assert got.failures == want.failures
+        assert got.incomplete == want.incomplete
+        assert got.longest_paths == want.longest_paths

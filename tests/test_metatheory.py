@@ -12,7 +12,7 @@ from lambdamu import (
 from lambdamu import metatheory
 from lambdamu.metatheory import (
     CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, MAX_LAMBDA_DEPTH, MAX_MU_DEPTH,
-    default_cut_pool, formula_pool, subformulas,
+    cut_pool, default_cut_pool, formula_pool, subformulas,
 )
 from lambdamu.typecheck import TypeCheckError
 
@@ -39,6 +39,15 @@ def test_default_cut_pool():
                                   Disj(P, P)]
 
 
+def test_cut_pool_covers_the_target_atoms():
+    q, r = PropVar("Q"), PropVar("R")
+    assert cut_pool() == cut_pool(parse_formula("~P \\/ P")) == \
+        default_cut_pool()
+    assert cut_pool(parse_formula("R -> Q /\\ P")) == default_cut_pool() + [
+        q, Arrow(q, BOT), Conj(q, q), Disj(q, q),
+        r, Arrow(r, BOT), Conj(r, r), Disj(r, r)]
+
+
 def test_subformulas():
     f = parse_formula("(P -> _|_) \\/ P")
     assert subformulas(f) == frozenset({f, Arrow(P, BOT), P, BOT})
@@ -58,6 +67,18 @@ def test_enumerate_efq_inhabitant():
     corpus = enumerate_typed_terms(3, target=parse_formula("_|_ -> P"))
     forms = {canonical_form(e.term) for e in corpus.entries}
     assert canonical_form(parse_term("\\z:_|_. mu a:P. z")) in forms
+
+
+def test_enumerate_target_over_another_atom():
+    # the Q twin of a P target has the same inhabitants, renamed
+    def forms(target):
+        corpus = enumerate_typed_terms(6, target=parse_formula(target))
+        return sorted(canonical_form(e.term) for e in corpus.entries)
+
+    over_q = forms("(Q -> Q) -> Q -> Q")
+    assert "\\x0:Q -> Q. \\x1:Q. (x0 x1)" in over_q
+    assert sorted(f.replace("Q", "P") for f in over_q) == \
+        forms("(P -> P) -> P -> P")
 
 
 def test_enumerate_atom_uninhabited():
@@ -326,3 +347,19 @@ def test_subject_reduction_flags_each_ill_typed_reduct():
         assert why.startswith(f"reduct {canonical_form(reduct)}: ")
     assert cf.ok and sn.ok
     assert sr.checked == cf.checked == sn.checked == 1
+
+
+def test_entry_with_a_too_deep_reduct_is_incomplete():
+    # each mu-struct appends w under each of the 61 [a] names, so the
+    # second reduct nests past the bound; the entry beside it is checked
+    term = Var("y")
+    for i in range(60):
+        term = Mu(f"b{i}", P, Named("a", term))
+    deep = App(App(Mu("a", P, Named("a", term)), Arg(Var("w"))),
+               Arg(Var("w")))
+    entries = [CorpusEntry(deep, P, (("w", P), ("y", P))),
+               CorpusEntry(parse_term("\\x:P. x"), Arrow(P, P))]
+    for report in run_suite(Corpus(entries)):
+        assert report.ok
+        assert report.checked == 1
+        assert report.incomplete == entries[:1]
