@@ -5,7 +5,12 @@ default corpus, so a refactor of the explorer or the oracles cannot
 change the graphs, the searches or the verdicts without failing here.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +19,17 @@ from lambdamu import (
     canonicalize, check, enumerate_typed_terms, parse_formula, parse_term,
     run_suite,
 )
+from lambdamu.cli import main
 from lambdamu.metatheory import PROPERTIES, CorpusEntry
 from lambdamu.reduction import DEFAULT_NODE_CAP, reduction_graph
 
 SIZE = 10
+GOLDEN_CLI = json.loads(
+    (Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
 
 def test_corpus_graph_facts():
@@ -33,6 +45,46 @@ def test_corpus_graph_facts():
         distinct.update(graph.nodes)
     assert (len(corpus), visits, edges, len(distinct), cap_hits, largest) == \
         (2604, 8830, 8348, 3089, 0, 6)
+
+
+def test_corpus_graph_keys_and_edges():
+    # the keys and edges themselves, not only their number
+    keys, edges = set(), set()
+    for entry in enumerate_typed_terms(SIZE).entries:
+        graph = reduction_graph(entry.term)
+        keys.update(graph.nodes)
+        edges.update(f"{src}\t{dst}" for src, _, dst in graph.edges)
+    assert (len(keys), _sha256(keys)) == (
+        3089, "e52a281ceeb26727442c1200c4cecf092e0698f36d49348bbdc328821ff2fac1")
+    assert (len(edges), _sha256(edges)) == (
+        4907, "489f7b41eb9bc154da15d67d60772ef2bf290ad882069ad15e70eef1ccf98942")
+
+
+def _stdout(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name, law", [
+    ("T", "efq"), ("C1", "peirce"), ("C2", "peirce"), ("W", "lem"),
+    ("Wprime", "lem")])
+def test_probe_json_output(name, law):
+    assert _stdout("probe", "--term", name, "--law", law) == \
+        json.dumps(GOLDEN_CLI["probe"][name], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("term, open_vars", [
+    ("(\\x:P. \\y:P. x y)", "y"),
+    ("(\\x:_|_. mu b:P. x [b] y)", "y,b"),
+    ("((s [x.x, y.y]) x)", "s,x"),
+    ("(mu a:P. [a] y [a] z)", "y,z,a"),
+])
+def test_reduce_renames_a_capturing_binder(term, open_vars):
+    # each normal form has a binder whose name occurs free in its scope
+    assert _stdout("reduce", "--term", term, "--open", open_vars) == \
+        GOLDEN_CLI["reduce"][term] + "\n"
 
 
 def test_probe_search_facts(monkeypatch):
