@@ -5,8 +5,8 @@ behavior probes for the three classical laws."""
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
     Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
-    alpha_equal, apply_sequence, canonicalize, free_variables, is_closed,
-    mu_substitute, neg, substitute,
+    apply_sequence, close, free_variables, is_closed, mu_substitute, neg,
+    substitute,
 )
 from .syntax import (
     ParseError, canonical_form, parse_formula, parse_term, print_formula,
@@ -26,7 +26,6 @@ from .metatheory import (
     check_subject_reduction, curated_corpus, enumerate_typed_terms, run_suite,
 )
 from .behavior import (
-    BehaviorReport, ExactLeaf, HeadApplied, AppliedTo, SpineWitness,
-    canonical_terms, is_mu_spine, probe_exfalso, probe_peirce, probe_tertium,
-    search_spine_reduct,
+    BehaviorReport, ExactLeaf, HeadApplied, AppliedTo, canonical_terms,
+    probe_exfalso, probe_peirce, probe_tertium, search_spine_reduct,
 )

@@ -30,43 +30,10 @@ from .reduction import DEFAULT_NODE_CAP, Trace, reduction_graph
 from .syntax import parse_term, print_term
 from .terms import (
     App, Arg, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula, FreshSupply,
-    Mu, Named, PropVar, Term, Var, all_names, alpha_equal, alpha_equal_eterm,
-    apply_sequence, is_closed,
+    Mu, Named, PropVar, Term, Var, all_names, apply_sequence, close,
+    free_variables, is_closed, open_names,
 )
 from .typecheck import TypeCheckError, infer
-
-
-# --------------------------------------------------------------------------
-# Mu-spines
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Wrapper:
-    kind: str  # "mu" | "name"
-    name: str
-    ann: Optional[Formula] = None
-
-
-@dataclass(frozen=True)
-class SpineWitness:
-    wrappers: tuple[Wrapper, ...]
-    leaf: Term
-
-    def rebuild(self) -> Term:
-        t = self.leaf
-        for w in reversed(self.wrappers):
-            t = Mu(w.name, w.ann, t) if w.kind == "mu" else Named(w.name, t)
-        return t
-
-
-def is_mu_spine(s: Term, leaf: Term) -> Optional[SpineWitness]:
-    """Witness that s is the leaf under mu-/name-wrappers, else None.
-
-    The leaf is compared by alpha-equality; the shortest wrapper list
-    wins when the leaf itself starts with a wrapper shape.
-    """
-    hit = _match_spine(s, [("leaf", ExactLeaf(leaf))])
-    return None if hit is None else hit[1]
 
 
 # --------------------------------------------------------------------------
@@ -74,7 +41,10 @@ def is_mu_spine(s: Term, leaf: Term) -> Optional[SpineWitness]:
 # --------------------------------------------------------------------------
 
 class LeafPattern:
-    """A syntactic matcher (up to alpha) over spine leaves, with slots."""
+    """A syntactic matcher (up to alpha) over spine leaves, with slots.
+
+    A leaf lies under the spine's mu-binders, so a slot may have dangling
+    mu-indices; _match_spine names them."""
 
     def match(self, t: Term) -> Optional[dict]:
         raise NotImplementedError
@@ -85,14 +55,14 @@ class ExactLeaf(LeafPattern):
     term: Term
 
     def match(self, t):
-        return {} if alpha_equal(t, self.term) else None
+        return {} if t == self.term else None
 
 
 def _peel_tail(t: Term, tail: tuple[ETerm, ...]) -> Optional[Term]:
     """Strip (. w1 ... wn) applications matching tail, outside in."""
     for e in reversed(tail):
         match t:
-            case App(f, arg) if alpha_equal_eterm(arg, e):
+            case App(f, arg) if arg == e:
                 t = f
             case _:
                 return None
@@ -142,7 +112,6 @@ class AppliedTo(LeafPattern):
 @dataclass
 class SpineSearch:
     status: str  # "found" | "not-found" | "cap-exceeded"
-    witness: Optional[SpineWitness] = None
     bindings: Optional[dict] = None
     trace: Optional[Trace] = None
     label: Optional[str] = None   # which pattern matched
@@ -150,23 +119,39 @@ class SpineSearch:
 
 
 def _match_spine(t: Term, patterns: list[tuple[str, LeafPattern]]):
-    """First (label, witness, bindings) whose pattern matches a spine leaf."""
-    wrappers: list[Wrapper] = []
+    """First (label, bindings) whose pattern matches a spine leaf of t.
+
+    The mu-variables that the spine's binders bind are free in a bound
+    slot: each is named by its binder's hint, numbered apart from the
+    free names of t and from the names of the binders outside it."""
+    hints: list[str] = []  # of the mu-binders crossed, innermost last
     current = t
     while True:
         for label, pattern in patterns:
             bound = pattern.match(current)
             if bound is not None:
-                return label, SpineWitness(tuple(wrappers), current), bound
-        match current:
-            case Mu(a, ann, body):
-                wrappers.append(Wrapper("mu", a, ann))
-                current = body
-            case Named(a, body):
-                wrappers.append(Wrapper("name", a))
-                current = body
-            case _:
-                return None
+                if hints:
+                    names = _binder_names(hints, free_variables(t))
+                    bound = {k: open_names(v, names) for k, v in bound.items()}
+                return label, bound
+        kind = type(current)
+        if kind is Mu:
+            hints.append(current.var)
+        elif kind is not Named:
+            return None
+        current = current.body
+
+
+def _binder_names(hints: list[str], free) -> tuple[str, ...]:
+    taken = set(free[0] | free[1])
+    names = []
+    for hint in hints:
+        name, stem, i = hint, hint.rstrip("0123456789") or hint, 0
+        while name in taken:
+            name, i = f"{stem}{i}", i + 1
+        taken.add(name)
+        names.append(name)
+    return tuple(names)
 
 
 def search_spine_reduct(t: Term, patterns: list[tuple[str, LeafPattern]],
@@ -183,9 +168,9 @@ def search_spine_reduct(t: Term, patterns: list[tuple[str, LeafPattern]],
     if graph.stopped is None:
         status = "not-found" if graph.complete else "cap-exceeded"
         return SpineSearch(status, explored=len(graph.nodes))
-    label, witness, bound = hit
-    return SpineSearch("found", witness, bound, graph.trace_to(graph.stopped),
-                       label, len(graph.nodes))
+    label, bound = hit
+    return SpineSearch("found", bound, graph.trace_to(graph.stopped), label,
+                       len(graph.nodes))
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +186,6 @@ class BehaviorReport:
     thetas: list[Term] = field(default_factory=list)
     traces: list[Trace] = field(default_factory=list)
     detail: str = ""
-    stages: list[dict] = field(default_factory=list)
 
     @property
     def confirmed(self) -> bool:
@@ -256,7 +240,6 @@ def probe_exfalso(subject: Term, n_args: int = 1,
     if result.status == "found":
         report.verdict = "confirmed"
         report.traces.append(result.trace)
-        report.stages.append({"witness": result.witness})
     elif result.status == "not-found":
         report.verdict = "refuted"
         report.detail = "complete reduction graph contains no spine over t*"
@@ -295,8 +278,8 @@ def probe_tertium(subject: Term, seq_len: int = 1,
     supply = _supply_for(subject, seed)
     c1, c2 = supply.fresh("c"), supply.fresh("c")
     x1, x2 = supply.fresh("x"), supply.fresh("x")
-    probe = App(subject, Case(x1, App(Var(c1), Arg(Var(x1))),
-                              x2, App(Var(c2), Arg(Var(x2)))))
+    probe = close(App(subject, Case(x1, App(Var(c1), Arg(Var(x1))),
+                                    x2, App(Var(c2), Arg(Var(x2))))))
     return _run_stages(BehaviorReport("tertium", subject, "inconclusive"),
                        probe,
                        [("branch1", HeadApplied(c1, ()), kinds[0]),
@@ -334,15 +317,11 @@ def _run_stages(report: BehaviorReport, current: Term,
         if result.label == "terminal":
             report.verdict = "confirmed"
             report.m = stage
-            report.stages.append({"label": result.label,
-                                  "witness": result.witness})
             report.detail = f"terminal ({print_term(result.bindings['slot'])} ...)"
             return report
         kind = kinds[result.label]
         theta = result.bindings["slot"]
         report.thetas.append(theta)
-        report.stages.append({"label": result.label, "kind": kind,
-                              "witness": result.witness})
         if stage == max_m:
             break
         if kind == "pos":

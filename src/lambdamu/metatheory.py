@@ -27,7 +27,8 @@ from .reduction import (
 from .syntax import print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
-    Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var, canonicalize,
+    Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var, free_variables,
+    rename_binders,
 )
 from .typecheck import Context, TypeCheckError, check
 
@@ -135,10 +136,11 @@ def subformulas(ty: Formula) -> frozenset[Formula]:
 class Enumerator:
     """Enumerates exactly the well-typed terms of a given type and size.
 
-    Binder names are canonical (x0, x1, ... by lambda depth; a0, a1, ...
-    by mu depth), so no shadowing occurs and memoization keys collide
-    for alpha-equivalent states.  Formulas are interned to integer ids
-    internally; memo keys are tuples of ids, never formula trees.
+    Variables are emitted as indices, so a state is its contexts' formula
+    ids, and binder names are hints by depth (x0, x1, ... for lambda,
+    a0, a1, ... for mu), so that no printed name shadows another.
+    Formulas are interned to integer ids internally; memo keys are
+    tuples of ids, never formula trees.
 
     Every subterm of an enumerated term has a type inside the universe,
     the subformula closure of the formula pool plus any requested
@@ -243,10 +245,10 @@ class Enumerator:
             self._memo[key] = ()
             return ()
         gmask = self._full
-        for _, a in gamma:
+        for a in gamma:
             gmask &= self._mask[a]
         goal = self._mask[tyid]
-        for _, b in delta:
+        for b in delta:
             goal |= self._mask[b]
         if gmask & ~goal & self._full:
             self._memo[key] = ()
@@ -255,7 +257,8 @@ class Enumerator:
         parts = self._parts[tyid]
         out: list[Term] = []
         if size == 1:
-            out.extend(Var(x) for x, a in gamma if a == tyid)
+            out.extend(Var(len(gamma) - 1 - i)
+                       for i, a in enumerate(gamma) if a == tyid)
         elif size > 1:
             n = size
             kind = parts[0]
@@ -264,7 +267,7 @@ class Enumerator:
                 x = f"x{len(gamma)}"
                 left_ty = self._ty_of_id[parts[1]]
                 for body in self._terms(parts[2], n - 1,
-                                        gamma + ((x, parts[1]),), delta):
+                                        gamma + (parts[1],), delta):
                     out.append(Abs(x, left_ty, body))
             if kind == "conj":
                 for i in range(1, n - 1):
@@ -285,12 +288,12 @@ class Enumerator:
             if tyid != self._bot and len(delta) < MAX_MU_DEPTH:
                 a = f"a{len(delta)}"
                 for body in self._terms(self._bot, n - 1, gamma,
-                                        delta + ((a, tyid),)):
+                                        delta + (tyid,)):
                     out.append(Mu(a, ty, body))
             if tyid == self._bot:
-                for name, btid in delta:
+                for i, btid in enumerate(delta):
                     for body in self._terms(btid, n - 1, gamma, delta):
-                        out.append(Named(name, body))
+                        out.append(Named(len(delta) - 1 - i, body))
             # eliminations; cut formulas range over the (bounded) cut pool
             for cut in self.cut_pool:
                 fun_tid = self._arrow_id(cut, tyid)
@@ -312,8 +315,8 @@ class Enumerator:
             if n >= 5 and len(gamma) < MAX_LAMBDA_DEPTH:
                 x = f"x{len(gamma)}"
                 for did in self.disj_pool:
-                    g1 = gamma + ((x, self._parts[did][1]),)
-                    g2 = gamma + ((x, self._parts[did][2]),)
+                    g1 = gamma + (self._parts[did][1],)
+                    g2 = gamma + (self._parts[did][2],)
                     for i in range(1, n - 3):
                         scruts = self._terms(did, i, gamma, delta)
                         if not scruts:
@@ -373,9 +376,8 @@ def curated_corpus(entries: list[tuple[Term, Formula, Context, Context]]) -> Cor
 def _type_error(entry: CorpusEntry, reduct: Term) -> Optional[str]:
     """None when reduct checks at the entry's type, else the type error.
 
-    Typing does not depend on bound names, so any alpha-variant of the
-    reduct decides; the error is that of its canonical form, so that the
-    evidence does not depend on which variant was reached first.
+    The error names binders as canonical_form does, so that the evidence
+    does not depend on which names the reduct reached first.
     """
     gamma, delta = dict(entry.gamma), dict(entry.delta)
     try:
@@ -384,10 +386,25 @@ def _type_error(entry: CorpusEntry, reduct: Term) -> Optional[str]:
     except TypeCheckError as exc:
         error = exc
     try:
-        check(gamma, delta, canonicalize(reduct), entry.formula)
+        check(gamma, delta, _canonical_hints(reduct), entry.formula)
     except TypeCheckError as exc:
         error = exc
     return str(error)
+
+
+def _canonical_hints(t: Term) -> Term:
+    """t with the binder names canonical_form prints as its hints."""
+    free = set().union(*free_variables(t))
+    count = {"x": 0, "a": 0}
+
+    def rename(kind, _):
+        stem = "a" if kind is Mu else "x"
+        while f"{stem}{count[stem]}" in free:
+            count[stem] += 1
+        count[stem] += 1
+        return f"{stem}{count[stem] - 1}"
+
+    return rename_binders(t, rename)
 
 
 PROPERTIES = ("subject-reduction", "confluence", "strong-normalization")

@@ -22,9 +22,8 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .syntax import MAX_NESTING, canonical_form, print_term
 from .terms import (
-    Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, FreshSupply, Inj1,
-    Inj2, Mu, Named, Pair, Proj1, Proj2, Term, Var, _rename_mu, all_names,
-    all_names_eterm, free_variables_eterm, mu_substitute, substitute,
+    Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
+    Pair, Proj1, Proj2, Term, Var, mu_substitute, shift_eterm, substitute,
 )
 
 RULE_IDS = ("beta", "proj", "case-inj", "case-perm", "mu-struct")
@@ -140,13 +139,13 @@ def term_depth(t: Term) -> int:
 
 
 def subterm_at(t: Term, p: Position) -> Term:
-    for i in p:
+    for k, i in enumerate(p):
         for j, child in term_children(t):
             if j == i:
                 t = child
                 break
         else:
-            raise InvalidPosition(f"no child {i} at {print_term(t)}")
+            raise InvalidPosition(f"no child {i} at position {p[:k]}")
     return t
 
 
@@ -177,7 +176,7 @@ def replace_at(t: Term, p: Position, new: Term) -> Term:
             return App(f, Case(x1, replace_at(u1, rest, new), x2, u2, ann))
         case App(f, Case(x1, u1, x2, u2, ann)), 2:
             return App(f, Case(x1, u1, x2, replace_at(u2, rest, new), ann))
-    raise InvalidPosition(f"no child {i} at {print_term(t)}")
+    raise InvalidPosition(f"no child {i} of a {type(t).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -235,41 +234,30 @@ def _result_ann(ann: Optional[Formula], e: ETerm) -> Optional[Formula]:
 
 
 def contract_root(t: Term) -> Term:
-    rule = rule_at(t)
-    if rule is None:
-        raise InvalidPosition(f"no redex at root of {print_term(t)}")
-    match rule, t:
-        case "beta", App(Abs(x, _, body), Arg(v)):
-            return substitute(body, x, v)
+    """The contractum of the redex t.  A subterm moved under binders has
+    its dangling indices shifted past them, so nothing is captured and
+    nothing renamed."""
+    match rule_at(t), t:
+        case "beta", App(Abs(_, _, body), Arg(v)):
+            return substitute(body, 0, v)
         case "proj", App(Pair(f, s), proj):
             return f if isinstance(proj, Proj1) else s
-        case "case-inj", App(Inj1(v, _), Case(x1, u1, _, _)):
-            return substitute(u1, x1, v)
-        case "case-inj", App(Inj2(v, _), Case(_, _, x2, u2)):
-            return substitute(u2, x2, v)
+        case "case-inj", App(Inj1(v, _), Case(_, u1, _, _)):
+            return substitute(u1, 0, v)
+        case "case-inj", App(Inj2(v, _), Case(_, _, _, u2)):
+            return substitute(u2, 0, v)
         case "case-perm", App(App(s, Case(x1, u1, x2, u2, ann)), e):
-            e_lam, _ = free_variables_eterm(e)
-            supply = FreshSupply(all_names(t) | all_names_eterm(e))
-            if x1 in e_lam:
-                y = supply.fresh(x1)
-                u1, x1 = substitute(u1, x1, Var(y)), y
-            if x2 in e_lam:
-                y = supply.fresh(x2)
-                u2, x2 = substitute(u2, x2, Var(y)), y
-            return App(s, Case(x1, App(u1, e), x2, App(u2, e),
+            under = shift_eterm(e, 1, 0)  # into each branch
+            return App(s, Case(x1, App(u1, under), x2, App(u2, under),
                                _result_ann(ann, e)))
         case "mu-struct", App(Mu(a, ann, body), e):
-            _, e_mu = free_variables_eterm(e)
-            if a in e_mu:
-                supply = FreshSupply(all_names(t) | all_names_eterm(e))
-                a2 = supply.fresh(a)
-                body, a = _rename_mu(body, a, a2), a2
-            return Mu(a, _result_ann(ann, e), mu_substitute(body, a, (e,)))
-    raise InvalidPosition(f"unmatched redex at {print_term(t)}")
+            return Mu(a, _result_ann(ann, e),
+                      mu_substitute(body, 0, (shift_eterm(e, 0, 1),)))
+    raise InvalidPosition(f"no redex at the root of a {type(t).__name__}")
 
 
 def contract(t: Term, p: Position) -> Term:
-    """Contract the redex at position p (capture-avoiding)."""
+    """Contract the redex at position p."""
     return replace_at(t, p, contract_root(subterm_at(t, p)))
 
 
@@ -413,7 +401,8 @@ class ReductionGraph:
     has one entry per redex of each expanded node; ``parents`` maps every
     node but the root to the index of its first incoming edge, the one
     that admitted it, so ``trace_to`` rebuilds a shortest reduction.
-    ``complete`` is False when the node cap dropped a reduct; ``stopped``
+    ``complete`` is False when the node cap dropped a reduct, after which
+    no node was expanded, so its edges are incomplete too; ``stopped``
     is the node at which ``reduction_graph``'s ``stop`` predicate held.
     A graph explored with a ReductionTable has no steps on its edges and
     no term at a node whose term the table no longer holds.
@@ -552,10 +541,11 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     """Explore the reducts of t breadth-first, deduplicating alpha-equal nodes.
 
     The package's one search over reducts.  The cap bounds the node
-    count: a reduct past it is dropped with its edge, and the nodes
-    already admitted are still expanded.  ``stop`` is tested on each
-    node as it is dequeued; the first it holds for ends the search
-    unexpanded and is recorded as ``stopped``.  A ``table`` supplies
+    count, and with it the work: a reduct past it is dropped with its
+    edge, and the nodes still queued after that are dequeued but not
+    expanded.  ``stop`` is tested on each node as it is dequeued; the
+    first it holds for ends the search unexpanded and is recorded as
+    ``stopped``.  A ``table`` supplies
     the reducts of the keys it has expanded and records those of the
     keys expanded here (``stop`` is then not supported, since a node
     served from the table may have no term).  Raises ReductTooDeep when
@@ -575,6 +565,8 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
         current = nodes[key]
         if stop is not None and stop(current):
             return ReductionGraph(root, nodes, edges, complete, parents, key)
+        if not complete:
+            continue
         reducts = _steps(current, key) if table is None else \
             table.successors(key, current)
         if reducts is None:

@@ -23,6 +23,9 @@ lambda-variable and as a mu-variable, are parse errors.  So is nesting
 deeper than MAX_NESTING levels: every term node opens a level, as does a
 formula and, inside it, every ``~``, bracketed subformula and right
 operand of a connective.
+
+The parser gives bound variables their indices and keeps binder names
+as hints (see ``terms``); the printer chooses the names again.
 """
 
 from __future__ import annotations
@@ -32,14 +35,14 @@ from dataclasses import dataclass
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
     Inj2, Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
-    canonicalize, is_neg,
+    is_neg,
 )
 
 KEYWORDS = {"mu", "in1", "in2", "p1", "p2"}
 
-# Deeper input is refused: at this depth the parser, the checker, the
-# printers and canonicalize all stay within Python's default recursion
-# limit of 1000 frames (they need at most about 610 there).
+# Deeper input is refused: at this depth the parser, the checker and the
+# printers all stay within Python's default recursion limit of 1000
+# frames (they need at most about 610 there).
 MAX_NESTING = 200
 
 # infix connectives: precedence and constructor; all right-associative
@@ -115,6 +118,10 @@ class _Parser:
         # global role map: identifier -> "lam" | "mu"
         self.roles: dict[str, str] = {}
         self.depth = 0  # open term and formula levels
+        # bound identifier -> the number of binders of its namespace
+        # outside it; as nothing is shadowed, that is one per name
+        self.lam: dict[str, int] = {}
+        self.mu: dict[str, int] = {}
 
     def descend(self) -> None:
         self.depth += 1
@@ -141,10 +148,11 @@ class _Parser:
                              tok.pos, expected=repr(kind))
         return self.next()
 
-    def ident(self, role: str, bound: frozenset[str]) -> str:
+    def ident(self, role: str) -> str:
+        """A binder's identifier, which nothing around it binds."""
         tok = self.expect("ident")
         name = tok.text
-        if name in bound:
+        if name in self.lam or name in self.mu:
             raise ParseError(f"shadowed variable {name!r}", tok.pos)
         prior = self.roles.get(name)
         if prior is not None and prior != role:
@@ -154,7 +162,8 @@ class _Parser:
         self.roles[name] = role
         return name
 
-    def use(self, role: str) -> str:
+    def use(self, role: str):
+        """A variable: its index when bound, else its name."""
         tok = self.expect("ident")
         name = tok.text
         prior = self.roles.get(name)
@@ -163,46 +172,48 @@ class _Parser:
                 f"{name!r} used both as a lambda-variable and a mu-variable",
                 tok.pos)
         self.roles[name] = role
-        return name
+        bound = self.lam if role == "lam" else self.mu
+        level = bound.get(name)
+        return name if level is None else len(bound) - 1 - level
+
+    def bound_term(self, bound: dict[str, int], name: str) -> Term:
+        """A term in the scope of a binder of name."""
+        bound[name] = len(bound)
+        t = self.term()
+        del bound[name]
+        return t
 
     # -- terms ------------------------------------------------------------
 
-    def term(self, lbound: frozenset[str], mbound: frozenset[str]) -> Term:
+    def term(self) -> Term:
         self.descend()
-        t = self._term(lbound, mbound)
+        t = self._term()
         self.depth -= 1
         return t
 
-    def _term(self, lbound: frozenset[str], mbound: frozenset[str]) -> Term:
+    def _term(self) -> Term:
         tok = self.peek()
-        if tok.kind == "\\":
+        if tok.kind == "\\" or (tok.kind == "keyword" and tok.text == "mu"):
             self.next()
-            x = self.ident("lam", lbound | mbound)
+            lam = tok.kind == "\\"
+            x = self.ident("lam" if lam else "mu")
             ann = None
             if self.peek().kind == ":":
                 self.next()
                 ann = self.formula()
             self.expect(".")
-            return Abs(x, ann, self.term(lbound | {x}, mbound))
-        if tok.kind == "keyword" and tok.text == "mu":
-            self.next()
-            a = self.ident("mu", lbound | mbound)
-            ann = None
-            if self.peek().kind == ":":
-                self.next()
-                ann = self.formula()
-            self.expect(".")
-            return Mu(a, ann, self.term(lbound, mbound | {a}))
+            body = self.bound_term(self.lam if lam else self.mu, x)
+            return Abs(x, ann, body) if lam else Mu(x, ann, body)
         if tok.kind == "[":
             self.next()
             a = self.use("mu")
             self.expect("]")
-            return Named(a, self.term(lbound, mbound))
+            return Named(a, self.term())
         if tok.kind == "<":
             self.next()
-            fst = self.term(lbound, mbound)
+            fst = self.term()
             self.expect(",")
-            snd = self.term(lbound, mbound)
+            snd = self.term()
             self.expect(">")
             return Pair(fst, snd)
         if tok.kind == "keyword" and tok.text in ("in1", "in2"):
@@ -212,12 +223,12 @@ class _Parser:
                 self.next()
                 ann = self.formula()
                 self.expect("}")
-            body = self.term(lbound, mbound)
+            body = self.term()
             return Inj1(body, ann) if tok.text == "in1" else Inj2(body, ann)
         if tok.kind == "(":
             self.next()
-            fun = self.term(lbound, mbound)
-            arg = self.eterm(lbound, mbound)
+            fun = self.term()
+            arg = self.eterm()
             self.expect(")")
             return App(fun, arg)
         if tok.kind == "ident":
@@ -225,7 +236,7 @@ class _Parser:
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
                          tok.pos, expected="a term")
 
-    def eterm(self, lbound: frozenset[str], mbound: frozenset[str]) -> ETerm:
+    def eterm(self) -> ETerm:
         tok = self.peek()
         if tok.kind == "keyword" and tok.text == "p1":
             self.next()
@@ -237,13 +248,13 @@ class _Parser:
         if tok.kind == "[" and self.peek(1).kind == "ident" \
                 and self.peek(2).kind == ".":
             self.next()
-            x1 = self.ident("lam", lbound | mbound)
+            x1 = self.ident("lam")
             self.expect(".")
-            u1 = self.term(lbound | {x1}, mbound)
+            u1 = self.bound_term(self.lam, x1)
             self.expect(",")
-            x2 = self.ident("lam", lbound | mbound)
+            x2 = self.ident("lam")
             self.expect(".")
-            u2 = self.term(lbound | {x2}, mbound)
+            u2 = self.bound_term(self.lam, x2)
             self.expect("]")
             ann = None
             if self.peek().kind == "{":
@@ -251,7 +262,7 @@ class _Parser:
                 ann = self.formula()
                 self.expect("}")
             return Case(x1, u1, x2, u2, ann)
-        return Arg(self.term(lbound, mbound))
+        return Arg(self.term())
 
     # -- formulas (precedence climbing) ------------------------------------
 
@@ -288,7 +299,7 @@ class _Parser:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t = p.term(frozenset(), frozenset())
+    t = p.term()
     tok = p.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
@@ -337,46 +348,127 @@ def _pf(a: Formula, level: int) -> str:
     raise TypeError(f"not a formula: {a!r}")
 
 
-def print_term(t: Term) -> str:
-    """Print t in the concrete grammar; re-parses to an alpha-equal term."""
-    match t:
-        case Var(x):
-            return x
-        case Abs(x, ann, b):
-            a = f":{print_formula(ann)}" if ann is not None else ""
-            return f"\\{x}{a}. {print_term(b)}"
-        case Mu(m, ann, b):
-            a = f":{print_formula(ann)}" if ann is not None else ""
-            return f"mu {m}{a}. {print_term(b)}"
-        case Named(m, b):
-            return f"[{m}] {print_term(b)}"
-        case Pair(f, s):
-            return f"<{print_term(f)}, {print_term(s)}>"
-        case Inj1(b, ann):
-            a = f"{{{print_formula(ann)}}}" if ann is not None else ""
-            return f"in1{a} {print_term(b)}"
-        case Inj2(b, ann):
-            a = f"{{{print_formula(ann)}}}" if ann is not None else ""
-            return f"in2{a} {print_term(b)}"
-        case App(f, e):
-            return f"({print_term(f)} {print_eterm(e)})"
-    raise TypeError(f"not a term: {t!r}")
+def print_term(t: Term, lam_names: tuple[str, ...] = (),
+               mu_names: tuple[str, ...] = ()) -> str:
+    """Print t in the concrete grammar; re-parses to an equal term.
 
-
-def print_eterm(e) -> str:
-    match e:
-        case Arg(t):
-            return print_term(t)
-        case Proj1():
-            return "p1"
-        case Proj2():
-            return "p2"
-        case Case(x1, u1, x2, u2, ann):
-            a = f"{{{print_formula(ann)}}}" if ann is not None else ""
-            return f"[{x1}.{print_term(u1)}, {x2}.{print_term(u2)}]{a}"
-    raise TypeError(f"not an E-term: {e!r}")
+    A binder is printed with its name hint, unless that name is bound
+    around it or would capture a free variable below it; then with the
+    hint's stem and the first number that is neither.  lam_names and
+    mu_names name the binders that t's dangling indices refer to,
+    innermost last.
+    """
+    return _Printer(False, lam_names, mu_names).text(t)
 
 
 def canonical_form(t: Term) -> str:
-    """Canonical printed form: identical for alpha-equal terms."""
-    return print_term(canonicalize(t))
+    """t printed with its binders named x0, x1, ... (lambda) and a0, a1,
+    ... (mu) in preorder, skipping every name free in t: one string per
+    alpha-equivalence class.  A case bracket's first binder is named
+    before its first branch, its second binder after that branch."""
+    return _Printer(True, (), ()).text(t)
+
+
+class _Printer:
+    """One printing of a term, with the names of the binders around the
+    current node, innermost last, and the free names met so far.  It
+    allocates little, since every explored reduct is printed."""
+
+    __slots__ = ("canonical", "lam", "mu", "taken", "free", "x", "a",
+                 "clash")
+
+    def __init__(self, canonical: bool, lam_names, mu_names):
+        self.canonical = canonical
+        self.lam, self.mu = list(lam_names), list(mu_names)
+        self.taken = ()     # names no binder may take
+        self.free = None    # the free names met, once there is one
+        self.x = self.a = 0  # canonical names issued
+        self.clash = False  # a free name met a binder name that hides it
+
+    def text(self, t: Term) -> str:
+        """t printed; again, with binders avoiding every free name of t,
+        if a free name clashed with a binder name on the first try (in
+        canonical mode, with any name the scheme issued)."""
+        text = self.term(t)
+        if self.canonical and self.free:
+            self.clash = any(f"{stem}{i}" in self.free
+                             for stem, n in (("x", self.x), ("a", self.a))
+                             for i in range(n))
+        if self.clash:
+            self.taken, self.x, self.a = frozenset(self.free), 0, 0
+            text = self.term(t)
+        return text
+
+    def name(self, hint: str, stem: str) -> str:
+        """The name of a binder: its hint if that is free to use."""
+        taken = self.taken
+        if self.canonical:
+            while True:
+                if stem == "x":
+                    chosen, self.x = f"x{self.x}", self.x + 1
+                else:
+                    chosen, self.a = f"a{self.a}", self.a + 1
+                if chosen not in taken:
+                    return chosen
+        lam, mu = self.lam, self.mu
+        if hint not in lam and hint not in mu and hint not in taken:
+            return hint
+        stem = hint.rstrip("0123456789") or hint
+        i = 0
+        while (chosen := f"{stem}{i}") in lam or chosen in mu \
+                or chosen in taken:
+            i += 1
+        return chosen
+
+    def use(self, x: str) -> str:
+        """A free name."""
+        if self.free is None:
+            self.free = set()
+        self.free.add(x)
+        if x in self.lam or x in self.mu:
+            self.clash = True
+        return x
+
+    def term(self, t: Term) -> str:
+        kind = type(t)
+        if kind is Var:
+            x = t.name
+            return self.lam[-1 - x] if type(x) is int else self.use(x)
+        if kind is App:
+            return f"({self.term(t.fun)} {self.eterm(t.arg)})"
+        if kind is Abs or kind is Mu:
+            names = self.lam if kind is Abs else self.mu
+            x = self.name(t.var, "x" if kind is Abs else "a")
+            a = f":{print_formula(t.ann)}" if t.ann is not None else ""
+            names.append(x)
+            body = self.term(t.body)
+            names.pop()
+            return f"\\{x}{a}. {body}" if kind is Abs else f"mu {x}{a}. {body}"
+        if kind is Named:
+            a = t.name
+            a = self.mu[-1 - a] if type(a) is int else self.use(a)
+            return f"[{a}] {self.term(t.body)}"
+        if kind is Pair:
+            return f"<{self.term(t.fst)}, {self.term(t.snd)}>"
+        if kind is Inj1 or kind is Inj2:
+            a = f"{{{print_formula(t.ann)}}}" if t.ann is not None else ""
+            return f"in{1 if kind is Inj1 else 2}{a} {self.term(t.body)}"
+        raise TypeError(f"not a term: {t!r}")
+
+    def eterm(self, e: ETerm) -> str:
+        kind = type(e)
+        if kind is Arg:
+            return self.term(e.term)
+        if kind is Proj1 or kind is Proj2:
+            return "p1" if kind is Proj1 else "p2"
+        if kind is Case:
+            lam = self.lam
+            lam.append(self.name(e.left_var, "x"))
+            u1 = self.term(e.left)
+            x1 = lam.pop()
+            lam.append(self.name(e.right_var, "x"))
+            u2 = self.term(e.right)
+            x2 = lam.pop()
+            a = f"{{{print_formula(e.ann)}}}" if e.ann is not None else ""
+            return f"[{x1}.{u1}, {x2}.{u2}]{a}"
+        raise TypeError(f"not an E-term: {e!r}")

@@ -5,12 +5,24 @@ plus pairs and injections; arguments (E-terms) are terms, projections,
 or case brackets.  Lambda-variables and mu-variables are drawn from
 disjoint namespaces.  All values are immutable; every operation here is
 a pure function.
+
+Terms are locally nameless (Chargueraud, "The Locally Nameless
+Representation", 2012): a bound variable is a de Bruijn index, the
+number of binders of its own namespace (Abs and case branches for
+lambda-variables, Mu for mu-variables) between it and its binder; a
+free variable is a name.  A binder keeps the name it was written with
+only as a hint for printing, which takes no part in ``==`` and
+``hash``: alpha-equal terms are equal.  Reduction works under binders
+without opening them, so a subterm may have dangling indices, which
+refer to binders above it; every operation here respects them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Union
+
+Name = Union[str, int]  # a free name, or the de Bruijn index of a binder
 
 
 # --------------------------------------------------------------------------
@@ -84,12 +96,14 @@ class ETerm:
 
 @dataclass(frozen=True)
 class Var(Term):
-    name: str
+    """A lambda-variable: a free name or a bound index."""
+
+    name: Name
 
 
 @dataclass(frozen=True)
 class Abs(Term):
-    var: str
+    var: str = field(compare=False)  # the binder's name, a printing hint
     ann: Optional[Formula]
     body: Term
 
@@ -120,16 +134,17 @@ class Inj2(Term):
 
 @dataclass(frozen=True)
 class Mu(Term):
-    var: str
+    var: str = field(compare=False)  # the binder's name, a printing hint
     ann: Optional[Formula]
     body: Term
 
 
 @dataclass(frozen=True)
 class Named(Term):
-    """A named term (a t), with a a mu-variable."""
+    """A named term (a t), with a a mu-variable: a free name or a bound
+    index."""
 
-    name: str
+    name: Name
     body: Term
 
 
@@ -158,9 +173,9 @@ class Case(ETerm):
     is exactly this formula.
     """
 
-    left_var: str
+    left_var: str = field(compare=False)  # printing hints, like Abs.var
     left: Term
-    right_var: str
+    right_var: str = field(compare=False)
     right: Term
     ann: Optional[Formula] = None
 
@@ -177,60 +192,147 @@ def apply_sequence(t: Term, es: Iterable[ETerm]) -> Term:
 
 
 # --------------------------------------------------------------------------
+# Binding: from names to indices and back
+# --------------------------------------------------------------------------
+
+def _walk(t: Term, var, named, lam=(), mu=(), rename=None) -> Term:
+    """t with var(v, lam, mu) for each lambda-variable leaf v and
+    named(n, body, lam, mu) for each named term n, whose body has been
+    walked already; lam and mu are the names of the lambda- and
+    mu-binders crossed, innermost last.  rename, if given, names each
+    binder afresh, in preorder.  An unchanged subterm is kept, not
+    copied."""
+    kind = type(t)
+    if kind is Var:
+        return var(t, lam, mu)
+    if kind is App:
+        f = _walk(t.fun, var, named, lam, mu, rename)
+        e = _walk_e(t.arg, var, named, lam, mu, rename)
+        return t if f is t.fun and e is t.arg else App(f, e)
+    if kind is Named:
+        return named(t, _walk(t.body, var, named, lam, mu, rename), lam, mu)
+    if kind is Abs or kind is Mu:
+        x = t.var if rename is None else rename(kind, t.var)
+        if kind is Abs:
+            b = _walk(t.body, var, named, lam + (x,), mu, rename)
+        else:
+            b = _walk(t.body, var, named, lam, mu + (x,), rename)
+        return t if b is t.body and x is t.var else kind(x, t.ann, b)
+    if kind is Pair:
+        f = _walk(t.fst, var, named, lam, mu, rename)
+        s = _walk(t.snd, var, named, lam, mu, rename)
+        return t if f is t.fst and s is t.snd else Pair(f, s)
+    if kind is Inj1 or kind is Inj2:
+        b = _walk(t.body, var, named, lam, mu, rename)
+        return t if b is t.body else kind(b, t.ann)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _walk_e(e: ETerm, var, named, lam=(), mu=(), rename=None) -> ETerm:
+    if type(e) is Arg:
+        u = _walk(e.term, var, named, lam, mu, rename)
+        return e if u is e.term else Arg(u)
+    if type(e) is not Case:
+        return e
+    x1 = e.left_var if rename is None else rename(Case, e.left_var)
+    u1 = _walk(e.left, var, named, lam + (x1,), mu, rename)
+    x2 = e.right_var if rename is None else rename(Case, e.right_var)
+    u2 = _walk(e.right, var, named, lam + (x2,), mu, rename)
+    if u1 is e.left and u2 is e.right and x1 is e.left_var \
+            and x2 is e.right_var:
+        return e
+    return Case(x1, u1, x2, u2, e.ann)
+
+
+def _same_var(v, lam, mu):
+    return v
+
+
+def _same_named(n, body, lam, mu):
+    return n if body is n.body else Named(n.name, body)
+
+
+def close(t: Term) -> Term:
+    """t with each free variable that a binder above it is named after
+    replaced by that binder's index, the innermost such binder winning.
+
+    The one way to build a term with binders from names:
+    ``close(Abs("x", P, Var("x")))`` is the identity on P.
+    """
+    def index(names, x):
+        for i, name in enumerate(reversed(names)):
+            if name == x:
+                return i
+        return x
+
+    return _walk(t, lambda v, lam, mu: Var(index(lam, v.name)),
+                 lambda n, body, lam, mu: Named(index(mu, n.name), body))
+
+
+def open_names(t: Term, mu_names: tuple[str, ...]) -> Term:
+    """t with each dangling mu-index replaced by the free name of its
+    binder, listed innermost last."""
+    def named(n, body, lam, mu):
+        a = n.name
+        if type(a) is int and a >= len(mu):
+            return Named(mu_names[len(mu) - 1 - a], body)
+        return _same_named(n, body, lam, mu)
+
+    return _walk(t, _same_var, named)
+
+
+def rename_binders(t: Term, rename) -> Term:
+    """t with each binder named rename(kind, name), in preorder, kind
+    being Abs, Mu or Case."""
+    return _walk(t, _same_var, _same_named, rename=rename)
+
+
+def _shifter(dl: int, dm: int):
+    """The var and named callbacks of _walk that move t dl lambda- and
+    dm mu-binders deeper."""
+    def var(v, lam, mu):
+        x = v.name
+        return Var(x + dl) if dl and type(x) is int and x >= len(lam) else v
+
+    def named(n, body, lam, mu):
+        a = n.name
+        if dm and type(a) is int and a >= len(mu):
+            return Named(a + dm, body)
+        return _same_named(n, body, lam, mu)
+
+    return var, named
+
+
+def shift(t: Term, dl: int, dm: int) -> Term:
+    """t moved under dl more lambda- and dm more mu-binders: its dangling
+    indices grow by as much."""
+    return _walk(t, *_shifter(dl, dm)) if dl or dm else t
+
+
+def shift_eterm(e: ETerm, dl: int, dm: int) -> ETerm:
+    return _walk_e(e, *_shifter(dl, dm)) if dl or dm else e
+
+
+# --------------------------------------------------------------------------
 # Free variables and name collection
 # --------------------------------------------------------------------------
 
 def free_variables(t: Term) -> tuple[frozenset[str], frozenset[str]]:
     """Free lambda-variables and free mu-variables of t, in that order."""
-    lam: set[str] = set()
-    mu: set[str] = set()
-    _free(t, frozenset(), frozenset(), lam, mu)
-    return frozenset(lam), frozenset(mu)
+    names: tuple[set[str], set[str]] = (set(), set())
 
+    def var(v, lam, mu):
+        if type(v.name) is str:
+            names[0].add(v.name)
+        return v
 
-def free_variables_eterm(e: ETerm) -> tuple[frozenset[str], frozenset[str]]:
-    lam: set[str] = set()
-    mu: set[str] = set()
-    _free_e(e, frozenset(), frozenset(), lam, mu)
-    return frozenset(lam), frozenset(mu)
+    def named(n, body, lam, mu):
+        if type(n.name) is str:
+            names[1].add(n.name)
+        return n
 
-
-def _free(t, lbound, mbound, lam, mu):
-    match t:
-        case Var(x):
-            if x not in lbound:
-                lam.add(x)
-        case Abs(x, _, b):
-            _free(b, lbound | {x}, mbound, lam, mu)
-        case App(f, e):
-            _free(f, lbound, mbound, lam, mu)
-            _free_e(e, lbound, mbound, lam, mu)
-        case Pair(f, s):
-            _free(f, lbound, mbound, lam, mu)
-            _free(s, lbound, mbound, lam, mu)
-        case Inj1(b, _) | Inj2(b, _):
-            _free(b, lbound, mbound, lam, mu)
-        case Mu(a, _, b):
-            _free(b, lbound, mbound | {a}, lam, mu)
-        case Named(a, b):
-            if a not in mbound:
-                mu.add(a)
-            _free(b, lbound, mbound, lam, mu)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-
-
-def _free_e(e, lbound, mbound, lam, mu):
-    match e:
-        case Arg(t):
-            _free(t, lbound, mbound, lam, mu)
-        case Proj1() | Proj2():
-            pass
-        case Case(x1, u1, x2, u2):
-            _free(u1, lbound | {x1}, mbound, lam, mu)
-            _free(u2, lbound | {x2}, mbound, lam, mu)
-        case _:
-            raise TypeError(f"not an E-term: {e!r}")
+    _walk(t, var, named)
+    return frozenset(names[0]), frozenset(names[1])
 
 
 def is_closed(t: Term) -> bool:
@@ -239,50 +341,16 @@ def is_closed(t: Term) -> bool:
 
 
 def all_names(t: Term) -> set[str]:
-    """Every identifier occurring in t, bound or free, both namespaces."""
+    """Every name in t: its free names and its binders' names (each
+    binder's body has a variable leaf)."""
     out: set[str] = set()
-    _names(t, out)
-    return out
 
+    def var(v, lam, mu):
+        out.update(lam, mu)
+        return v
 
-def all_names_eterm(e: ETerm) -> set[str]:
-    out: set[str] = set()
-    _names_e(e, out)
-    return out
-
-
-def _names(t, out):
-    match t:
-        case Var(x):
-            out.add(x)
-        case Abs(x, _, b):
-            out.add(x)
-            _names(b, out)
-        case App(f, e):
-            _names(f, out)
-            _names_e(e, out)
-        case Pair(f, s):
-            _names(f, out)
-            _names(s, out)
-        case Inj1(b, _) | Inj2(b, _):
-            _names(b, out)
-        case Mu(a, _, b):
-            out.add(a)
-            _names(b, out)
-        case Named(a, b):
-            out.add(a)
-            _names(b, out)
-
-
-def _names_e(e, out):
-    match e:
-        case Arg(t):
-            _names(t, out)
-        case Case(x1, u1, x2, u2):
-            out.add(x1)
-            out.add(x2)
-            _names(u1, out)
-            _names(u2, out)
+    _walk(t, var, _same_named)
+    return out.union(*free_variables(t))
 
 
 class FreshSupply:
@@ -310,283 +378,56 @@ class FreshSupply:
 # Substitution
 # --------------------------------------------------------------------------
 
-def substitute(t: Term, x: str, v: Term) -> Term:
-    """Capture-avoiding replacement of free occurrences of x in t by v."""
-    v_lam, v_mu = free_variables(v)
-    supply = FreshSupply(all_names(t) | all_names(v) | {x})
+def substitute(t: Term, x: Name, v: Term) -> Term:
+    """t with v for the lambda-variable x, a free name or a dangling index.
 
-    def go(t):
-        match t:
-            case Var(y):
-                return v if y == x else t
-            case Abs(y, ann, b):
-                if y == x:
-                    return t
-                if y in v_lam:
-                    y2 = supply.fresh(y)
-                    b = substitute(b, y, Var(y2))
-                    y = y2
-                return Abs(y, ann, go(b))
-            case App(f, e):
-                return App(go(f), go_e(e))
-            case Pair(f, s):
-                return Pair(go(f), go(s))
-            case Inj1(b, ann):
-                return Inj1(go(b), ann)
-            case Inj2(b, ann):
-                return Inj2(go(b), ann)
-            case Mu(a, ann, b):
-                if a in v_mu:
-                    a2 = supply.fresh(a)
-                    b = _rename_mu(b, a, a2)
-                    a = a2
-                return Mu(a, ann, go(b))
-            case Named(a, b):
-                return Named(a, go(b))
+    An index x is that of a binder being removed, so the dangling
+    indices above it drop by one.  v is a term of t's context: under a
+    binder of t its dangling indices grow, so nothing is captured.
+    """
+    bound = type(x) is int
+    copies: dict[tuple[int, int], Term] = {}
 
-    def go_e(e):
-        match e:
-            case Arg(t):
-                return Arg(go(t))
-            case Proj1() | Proj2():
-                return e
-            case Case(x1, u1, x2, u2, ann):
-                if x1 != x:
-                    if x1 in v_lam:
-                        y = supply.fresh(x1)
-                        u1, x1 = substitute(u1, x1, Var(y)), y
-                    u1 = go(u1)
-                if x2 != x:
-                    if x2 in v_lam:
-                        y = supply.fresh(x2)
-                        u2, x2 = substitute(u2, x2, Var(y)), y
-                    u2 = go(u2)
-                return Case(x1, u1, x2, u2, ann)
+    def var(u, lam, mu):
+        y, depth = u.name, len(lam)
+        if bound and type(y) is int:
+            if y > depth + x:
+                return Var(y - 1)
+            if y < depth + x:
+                return u
+        elif y != x:
+            return u
+        w = copies.get((depth, len(mu)))
+        if w is None:
+            w = copies[depth, len(mu)] = shift(v, depth, len(mu))
+        return w
 
-    return go(t)
+    return _walk(t, var, _same_named)
 
 
-def _rename_mu(t: Term, old: str, new: str) -> Term:
-    """Rename free occurrences of the mu-variable old to new (new is fresh)."""
-    match t:
-        case Var(_):
-            return t
-        case Abs(x, ann, b):
-            return Abs(x, ann, _rename_mu(b, old, new))
-        case App(f, e):
-            return App(_rename_mu(f, old, new), _rename_mu_e(e, old, new))
-        case Pair(f, s):
-            return Pair(_rename_mu(f, old, new), _rename_mu(s, old, new))
-        case Inj1(b, ann):
-            return Inj1(_rename_mu(b, old, new), ann)
-        case Inj2(b, ann):
-            return Inj2(_rename_mu(b, old, new), ann)
-        case Mu(a, ann, b):
-            if a == old:
-                return t
-            return Mu(a, ann, _rename_mu(b, old, new))
-        case Named(a, b):
-            return Named(new if a == old else a, _rename_mu(b, old, new))
+def mu_substitute(t: Term, a: Name, es: Iterable[ETerm]) -> Term:
+    """Structural substitution t[a := *es], for a a free name or a
+    dangling index.
 
-
-def _rename_mu_e(e: ETerm, old: str, new: str) -> ETerm:
-    match e:
-        case Arg(t):
-            return Arg(_rename_mu(t, old, new))
-        case Proj1() | Proj2():
-            return e
-        case Case(x1, u1, x2, u2, ann):
-            return Case(x1, _rename_mu(u1, old, new),
-                        x2, _rename_mu(u2, old, new), ann)
-
-
-def mu_substitute(t: Term, a: str, es: Iterable[ETerm]) -> Term:
-    """Structural substitution t[a := *es].
-
-    Replaces, inductively, each free subterm (a v) by (a (v es)); the
+    Replaces, inductively, each subterm (a v) by (a (v es)); the
     replacement also applies inside the v of a replaced occurrence.
-    Occurrences rebound by an inner mu-binder are untouched, and the
-    empty sequence is the identity.
+    The es are E-terms of t's context, and the empty sequence is the
+    identity.
     """
     es = tuple(es)
     if not es:
         return t
-    es_lam: set[str] = set()
-    es_mu: set[str] = set()
-    avoid = all_names(t) | {a}
-    for e in es:
-        l, m = free_variables_eterm(e)
-        es_lam |= l
-        es_mu |= m
-        avoid |= all_names_eterm(e)
-    supply = FreshSupply(avoid)
+    bound = type(a) is int
+    copies: dict[tuple[int, int], tuple[ETerm, ...]] = {}
 
-    def go(t):
-        match t:
-            case Var(_):
-                return t
-            case Abs(y, ann, b):
-                if y in es_lam:
-                    y2 = supply.fresh(y)
-                    b = substitute(b, y, Var(y2))
-                    y = y2
-                return Abs(y, ann, go(b))
-            case App(f, e):
-                return App(go(f), go_e(e))
-            case Pair(f, s):
-                return Pair(go(f), go(s))
-            case Inj1(b, ann):
-                return Inj1(go(b), ann)
-            case Inj2(b, ann):
-                return Inj2(go(b), ann)
-            case Mu(m, ann, b):
-                if m == a:
-                    return t
-                if m in es_mu:
-                    m2 = supply.fresh(m)
-                    b = _rename_mu(b, m, m2)
-                    m = m2
-                return Mu(m, ann, go(b))
-            case Named(m, b):
-                b = go(b)
-                if m == a:
-                    return Named(a, apply_sequence(b, es))
-                return Named(m, b)
+    def named(n, body, lam, mu):
+        depth = len(mu)
+        if n.name != (a + depth if bound else a):  # never equal across types
+            return _same_named(n, body, lam, mu)
+        moved = copies.get((len(lam), depth))
+        if moved is None:
+            moved = copies[len(lam), depth] = \
+                tuple(shift_eterm(e, len(lam), depth) for e in es)
+        return Named(n.name, apply_sequence(body, moved))
 
-    def go_e(e):
-        match e:
-            case Arg(t):
-                return Arg(go(t))
-            case Proj1() | Proj2():
-                return e
-            case Case(x1, u1, x2, u2, ann):
-                if x1 in es_lam:
-                    y = supply.fresh(x1)
-                    u1, x1 = substitute(u1, x1, Var(y)), y
-                if x2 in es_lam:
-                    y = supply.fresh(x2)
-                    u2, x2 = substitute(u2, x2, Var(y)), y
-                return Case(x1, go(u1), x2, go(u2), ann)
-
-    return go(t)
-
-
-# --------------------------------------------------------------------------
-# Alpha equivalence and canonical renaming
-# --------------------------------------------------------------------------
-
-def alpha_equal(t: Term, u: Term) -> bool:
-    """Equality up to consistent renaming of bound variables.
-
-    Annotations are compared structurally (None only matches None).
-    """
-    return _alpha(t, u, {}, {}, {}, {}, 0)
-
-
-def alpha_equal_eterm(e: ETerm, f: ETerm) -> bool:
-    return _alpha_e(e, f, {}, {}, {}, {}, 0)
-
-
-def _alpha(t, u, l1, l2, m1, m2, lvl):
-    match t, u:
-        case Var(x), Var(y):
-            return _same(x, y, l1, l2)
-        case Abs(x, a1, b1), Abs(y, a2, b2):
-            return a1 == a2 and _alpha(b1, b2, {**l1, x: lvl}, {**l2, y: lvl},
-                                       m1, m2, lvl + 1)
-        case App(f1, e1), App(f2, e2):
-            return (_alpha(f1, f2, l1, l2, m1, m2, lvl)
-                    and _alpha_e(e1, e2, l1, l2, m1, m2, lvl))
-        case Pair(a1, b1), Pair(a2, b2):
-            return (_alpha(a1, a2, l1, l2, m1, m2, lvl)
-                    and _alpha(b1, b2, l1, l2, m1, m2, lvl))
-        case Inj1(b1, a1), Inj1(b2, a2):
-            return a1 == a2 and _alpha(b1, b2, l1, l2, m1, m2, lvl)
-        case Inj2(b1, a1), Inj2(b2, a2):
-            return a1 == a2 and _alpha(b1, b2, l1, l2, m1, m2, lvl)
-        case Mu(a, a1, b1), Mu(b, a2, b2):
-            return a1 == a2 and _alpha(b1, b2, l1, l2, {**m1, a: lvl},
-                                       {**m2, b: lvl}, lvl + 1)
-        case Named(a, b1), Named(b, b2):
-            return _same(a, b, m1, m2) and _alpha(b1, b2, l1, l2, m1, m2, lvl)
-        case _:
-            return False
-
-
-def _alpha_e(e, f, l1, l2, m1, m2, lvl):
-    match e, f:
-        case Arg(t1), Arg(t2):
-            return _alpha(t1, t2, l1, l2, m1, m2, lvl)
-        case Proj1(), Proj1():
-            return True
-        case Proj2(), Proj2():
-            return True
-        case Case(x1, u1, y1, v1, a1), Case(x2, u2, y2, v2, a2):
-            return (a1 == a2
-                    and _alpha(u1, u2, {**l1, x1: lvl}, {**l2, x2: lvl},
-                               m1, m2, lvl + 1)
-                    and _alpha(v1, v2, {**l1, y1: lvl}, {**l2, y2: lvl},
-                               m1, m2, lvl + 1))
-        case _:
-            return False
-
-
-def _same(x, y, env1, env2):
-    if x in env1 or y in env2:
-        return env1.get(x) == env2.get(y) and env1.get(x) is not None
-    return x == y
-
-
-def canonicalize(t: Term) -> Term:
-    """Rename bound variables to a canonical scheme (x0, x1, ... / a0, a1, ...).
-
-    Deterministic: alpha-equal terms canonicalize to identical terms.
-    Free variables keep their names; canonical names skip any name that
-    occurs free in the input.
-    """
-    fl, fm = free_variables(t)
-    taken = set(fl) | set(fm)
-    counters = {"x": 0, "a": 0}
-
-    def fresh(kind):
-        while True:
-            name = f"{kind}{counters[kind]}"
-            counters[kind] += 1
-            if name not in taken:
-                return name
-
-    def go(t, lmap, mmap):
-        match t:
-            case Var(x):
-                return Var(lmap.get(x, x))
-            case Abs(x, ann, b):
-                x2 = fresh("x")
-                return Abs(x2, ann, go(b, {**lmap, x: x2}, mmap))
-            case App(f, e):
-                return App(go(f, lmap, mmap), go_e(e, lmap, mmap))
-            case Pair(f, s):
-                return Pair(go(f, lmap, mmap), go(s, lmap, mmap))
-            case Inj1(b, ann):
-                return Inj1(go(b, lmap, mmap), ann)
-            case Inj2(b, ann):
-                return Inj2(go(b, lmap, mmap), ann)
-            case Mu(a, ann, b):
-                a2 = fresh("a")
-                return Mu(a2, ann, go(b, lmap, {**mmap, a: a2}))
-            case Named(a, b):
-                return Named(mmap.get(a, a), go(b, lmap, mmap))
-
-    def go_e(e, lmap, mmap):
-        match e:
-            case Arg(t):
-                return Arg(go(t, lmap, mmap))
-            case Proj1() | Proj2():
-                return e
-            case Case(x1, u1, x2, u2, ann):
-                y1 = fresh("x")
-                u1 = go(u1, {**lmap, x1: y1}, mmap)
-                y2 = fresh("x")
-                u2 = go(u2, {**lmap, x2: y2}, mmap)
-                return Case(y1, u1, y2, u2, ann)
-
-    return go(t, {}, {})
+    return _walk(t, _same_var, named)

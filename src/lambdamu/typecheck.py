@@ -1,7 +1,10 @@
 """Typing judgments, the checker for the eleven rules, and derivations.
 
 A judgment has the shape ``gamma |- t : A ; delta`` where gamma binds
-lambda-variables and delta binds mu-variables (names).  Checking is
+lambda-variables and delta binds mu-variables (names).  The binders
+around a subterm enter gamma and delta under their name hints, and a
+judgment keeps those names, innermost last, to print its term, whose
+bound variables are indices.  Checking is
 syntax-directed: every Abs, Mu, Inj1 and Inj2 node must carry its
 annotation (Abs: argument type, Mu: result type, Inj: the other
 disjunct).  Case branches need no annotation; the branch binder types
@@ -26,20 +29,25 @@ RULES = ("ax", "arrow-i", "arrow-e", "and-i", "and-e1", "and-e2",
          "or-i1", "or-i2", "or-e", "abs-i", "abs-e")
 
 
+Names = tuple[tuple[str, ...], tuple[str, ...]]  # lambda, mu; innermost last
+
+
 class TypeCheckError(Exception):
-    """A term does not check; carries the offending subterm and rule."""
+    """A term does not check; carries the offending subterm and rule, and
+    the names of the binders around the subterm."""
 
     def __init__(self, message: str, term: Optional[Term] = None,
                  rule: Optional[str] = None,
                  expected: Optional[Formula] = None,
-                 found: Optional[Formula] = None):
+                 found: Optional[Formula] = None,
+                 names: Names = ((), ())):
         self.term = term
         self.rule = rule
         self.expected = expected
         self.found = found
         parts = [message]
         if term is not None:
-            parts.append(f"in {print_term(term)}")
+            parts.append(f"in {print_term(term, *names)}")
         if rule is not None:
             parts.append(f"(rule {rule})")
         if expected is not None and found is not None:
@@ -66,11 +74,15 @@ class Judgment:
     term: Term
     formula: Formula
     delta: tuple[tuple[str, Formula], ...]
+    names: Names = ((), ())  # of the binders term's indices refer to
+
+    def printed_term(self) -> str:
+        return print_term(self.term, *self.names)
 
     def __str__(self):
         g = ", ".join(f"{x}:{print_formula(a)}" for x, a in self.gamma)
         d = ", ".join(f"{a}:{print_formula(b)}" for a, b in self.delta)
-        return f"{g} |- {print_term(self.term)} : {print_formula(self.formula)} ; {d}"
+        return f"{g} |- {self.printed_term()} : {print_formula(self.formula)} ; {d}"
 
 
 @dataclass(frozen=True)
@@ -80,15 +92,67 @@ class Derivation:
     premises: tuple["Derivation", ...] = ()
 
 
+class _Scope:
+    """The contexts of a subterm.  gamma and delta are the given ones, by
+    name; lam and mu the formulas of the binders around it, by index
+    (innermost last).  ``shown`` is what its judgments record: gamma and
+    delta with the binders added under their names, sorted, and the
+    binders' names."""
+
+    __slots__ = ("gamma", "delta", "lam", "mu", "shown")
+
+    def __init__(self, gamma: Context, delta: Context, lam=(), mu=(),
+                 shown=None):
+        self.gamma, self.delta, self.lam, self.mu = gamma, delta, lam, mu
+        self.shown = shown or (_freeze(gamma), _freeze(delta), ((), ()))
+
+    def bind(self, x: str, a: Formula) -> "_Scope":
+        g, d, (lam, mu) = self.shown
+        return _Scope(self.gamma, self.delta, self.lam + (a,), self.mu,
+                      (_with(g, x, a), d, (lam + (x,), mu)))
+
+    def bind_mu(self, x: str, a: Formula) -> "_Scope":
+        g, d, (lam, mu) = self.shown
+        return _Scope(self.gamma, self.delta, self.lam, self.mu + (a,),
+                      (g, _with(d, x, a), (lam, mu + (x,))))
+
+    def lookup(self, x, role: str, t: Term) -> Formula:
+        """The formula of a variable of t: a name in the given context, an
+        index in the binders."""
+        if role == "variable":
+            by_index, by_name = self.lam, self.gamma
+        else:
+            by_index, by_name = self.mu, self.delta
+        if type(x) is int and x < len(by_index):
+            return by_index[-1 - x]
+        if type(x) is str and x in by_name:
+            return by_name[x]
+        # a dangling index has no name to print the term with
+        raise self.error(UnboundVariableError, f"unbound {role} {x!r}",
+                         t if type(x) is str else None)
+
+    def error(self, kind, message: str, t: Optional[Term],
+              rule: Optional[str] = None, expected: Optional[Formula] = None,
+              found: Optional[Formula] = None) -> TypeCheckError:
+        """A kind of TypeCheckError at t, which is printed with the names
+        of the binders around it."""
+        return kind(message, t, rule, expected, found, self.shown[2])
+
+
 def _freeze(ctx: Context) -> tuple[tuple[str, Formula], ...]:
     return tuple(sorted(ctx.items()))
 
 
+def _with(ctx, x: str, a: Formula):
+    """The frozen context ctx with x bound to a."""
+    if not ctx or ctx[-1][0] < x:  # binders named in order: x0, x1, ...
+        return ctx + ((x, a),)
+    return _freeze({**dict(ctx), x: a})
+
+
 def infer(gamma: Context, delta: Context, t: Term) -> Derivation:
     """Infer the unique type of t and return the full derivation tree."""
-    gamma = dict(gamma)
-    delta = dict(delta)
-    return _infer(gamma, delta, t)
+    return _infer(_Scope(dict(gamma), dict(delta)), t)
 
 
 def check(gamma: Context, delta: Context, t: Term, a: Formula) -> Derivation:
@@ -100,113 +164,109 @@ def check(gamma: Context, delta: Context, t: Term, a: Formula) -> Derivation:
     return d
 
 
-def _node(rule, gamma, delta, t, a, premises=()):
-    return Derivation(rule, Judgment(_freeze(gamma), t, a, _freeze(delta)),
+def _node(rule, scope, t, a, premises=()):
+    gamma, delta, names = scope.shown
+    return Derivation(rule, Judgment(gamma, t, a, delta, names),
                       tuple(premises))
 
 
-def _infer(gamma, delta, t) -> Derivation:
+def _infer(scope: _Scope, t: Term) -> Derivation:
     match t:
         case Var(x):
-            if x not in gamma:
-                raise UnboundVariableError(f"unbound variable {x!r}", term=t)
-            return _node("ax", gamma, delta, t, gamma[x])
+            return _node("ax", scope, t, scope.lookup(x, "variable", t))
 
         case Abs(x, ann, body):
             if ann is None:
-                raise MissingAnnotationError(
-                    "lambda binder needs a type annotation", term=t, rule="arrow-i")
-            d = _infer({**gamma, x: ann}, delta, body)
-            return _node("arrow-i", gamma, delta, t,
+                raise scope.error(MissingAnnotationError, "lambda binder "
+                                  "needs a type annotation", t, "arrow-i")
+            d = _infer(scope.bind(x, ann), body)
+            return _node("arrow-i", scope, t,
                          Arrow(ann, d.conclusion.formula), [d])
 
         case Pair(fst, snd):
-            d1 = _infer(gamma, delta, fst)
-            d2 = _infer(gamma, delta, snd)
-            return _node("and-i", gamma, delta, t,
+            d1 = _infer(scope, fst)
+            d2 = _infer(scope, snd)
+            return _node("and-i", scope, t,
                          Conj(d1.conclusion.formula, d2.conclusion.formula),
                          [d1, d2])
 
         case Inj1(body, ann):
             if ann is None:
-                raise MissingAnnotationError(
-                    "in1 needs the other disjunct as annotation", term=t, rule="or-i1")
-            d = _infer(gamma, delta, body)
-            return _node("or-i1", gamma, delta, t,
+                raise scope.error(MissingAnnotationError, "in1 needs the "
+                                  "other disjunct as annotation", t, "or-i1")
+            d = _infer(scope, body)
+            return _node("or-i1", scope, t,
                          Disj(d.conclusion.formula, ann), [d])
 
         case Inj2(body, ann):
             if ann is None:
-                raise MissingAnnotationError(
-                    "in2 needs the other disjunct as annotation", term=t, rule="or-i2")
-            d = _infer(gamma, delta, body)
-            return _node("or-i2", gamma, delta, t,
+                raise scope.error(MissingAnnotationError, "in2 needs the "
+                                  "other disjunct as annotation", t, "or-i2")
+            d = _infer(scope, body)
+            return _node("or-i2", scope, t,
                          Disj(ann, d.conclusion.formula), [d])
 
         case Mu(a, ann, body):
             if ann is None:
-                raise MissingAnnotationError(
-                    "mu binder needs a type annotation", term=t, rule="abs-e")
-            d = _infer(gamma, {**delta, a: ann}, body)
+                raise scope.error(MissingAnnotationError, "mu binder needs "
+                                  "a type annotation", t, "abs-e")
+            d = _infer(scope.bind_mu(a, ann), body)
             if d.conclusion.formula != BOT:
-                raise Mismatch("mu body must prove _|_", term=t, rule="abs-e",
-                               expected=BOT, found=d.conclusion.formula)
-            return _node("abs-e", gamma, delta, t, ann, [d])
+                raise scope.error(Mismatch, "mu body must prove _|_", t,
+                                  "abs-e", BOT, d.conclusion.formula)
+            return _node("abs-e", scope, t, ann, [d])
 
         case Named(a, body):
-            if a not in delta:
-                raise UnboundVariableError(f"unbound name {a!r}", term=t)
-            d = _infer(gamma, delta, body)
-            if d.conclusion.formula != delta[a]:
-                raise Mismatch(f"named term disagrees with {a!r}", term=t,
-                               rule="abs-i", expected=delta[a],
-                               found=d.conclusion.formula)
-            return _node("abs-i", gamma, delta, t, BOT, [d])
+            target = scope.lookup(a, "name", t)
+            d = _infer(scope, body)
+            if d.conclusion.formula != target:
+                shown = a if type(a) is str else scope.shown[2][1][-1 - a]
+                raise scope.error(Mismatch, f"named term disagrees with "
+                                  f"{shown!r}", t, "abs-i", target,
+                                  d.conclusion.formula)
+            return _node("abs-i", scope, t, BOT, [d])
 
         case App(fun, Arg(arg)):
-            d1 = _infer(gamma, delta, fun)
+            d1 = _infer(scope, fun)
             fty = d1.conclusion.formula
             if not isinstance(fty, Arrow):
-                raise Mismatch("applied term is not a function", term=t,
-                               rule="arrow-e", expected=Arrow(BOT, BOT), found=fty)
-            d2 = _infer(gamma, delta, arg)
+                raise scope.error(Mismatch, "applied term is not a function",
+                                  t, "arrow-e", Arrow(BOT, BOT), fty)
+            d2 = _infer(scope, arg)
             if d2.conclusion.formula != fty.left:
-                raise Mismatch("argument type mismatch", term=t, rule="arrow-e",
-                               expected=fty.left, found=d2.conclusion.formula)
-            return _node("arrow-e", gamma, delta, t, fty.right, [d1, d2])
+                raise scope.error(Mismatch, "argument type mismatch", t,
+                                  "arrow-e", fty.left, d2.conclusion.formula)
+            return _node("arrow-e", scope, t, fty.right, [d1, d2])
 
-        case App(fun, Proj1()):
-            d1 = _infer(gamma, delta, fun)
+        case App(fun, Proj1() | Proj2() as proj):
+            d1 = _infer(scope, fun)
             fty = d1.conclusion.formula
+            first = isinstance(proj, Proj1)
             if not isinstance(fty, Conj):
-                raise Mismatch("p1 needs a conjunction", term=t, rule="and-e1",
-                               expected=Conj(BOT, BOT), found=fty)
-            return _node("and-e1", gamma, delta, t, fty.left, [d1])
-
-        case App(fun, Proj2()):
-            d1 = _infer(gamma, delta, fun)
-            fty = d1.conclusion.formula
-            if not isinstance(fty, Conj):
-                raise Mismatch("p2 needs a conjunction", term=t, rule="and-e2",
-                               expected=Conj(BOT, BOT), found=fty)
-            return _node("and-e2", gamma, delta, t, fty.right, [d1])
+                raise scope.error(Mismatch, f"p{1 if first else 2} needs a "
+                                  f"conjunction", t,
+                                  "and-e1" if first else "and-e2",
+                                  Conj(BOT, BOT), fty)
+            return _node("and-e1" if first else "and-e2", scope, t,
+                         fty.left if first else fty.right, [d1])
 
         case App(fun, Case(x1, u1, x2, u2, ann)):
-            d1 = _infer(gamma, delta, fun)
+            d1 = _infer(scope, fun)
             fty = d1.conclusion.formula
             if not isinstance(fty, Disj):
-                raise Mismatch("case scrutinee is not a disjunction", term=t,
-                               rule="or-e", expected=Disj(BOT, BOT), found=fty)
-            d2 = _infer({**gamma, x1: fty.left}, delta, u1)
+                raise scope.error(Mismatch, "case scrutinee is not a "
+                                  "disjunction", t, "or-e", Disj(BOT, BOT),
+                                  fty)
+            d2 = _infer(scope.bind(x1, fty.left), u1)
             result = d2.conclusion.formula
             if ann is not None and ann != result:
-                raise Mismatch("case annotation disagrees with first branch",
-                               term=t, rule="or-e", expected=ann, found=result)
-            d3 = _infer({**gamma, x2: fty.right}, delta, u2)
+                raise scope.error(Mismatch, "case annotation disagrees with "
+                                  "first branch", t, "or-e", ann, result)
+            d3 = _infer(scope.bind(x2, fty.right), u2)
             if d3.conclusion.formula != result:
-                raise Mismatch("case branches disagree", term=t, rule="or-e",
-                               expected=result, found=d3.conclusion.formula)
-            return _node("or-e", gamma, delta, t, result, [d1, d2, d3])
+                raise scope.error(Mismatch, "case branches disagree", t,
+                                  "or-e", result, d3.conclusion.formula)
+            return _node("or-e", scope, t, result, [d1, d2, d3])
 
     raise TypeCheckError(f"not a term: {t!r}")
 
@@ -258,22 +318,28 @@ def validate_derivation(d: Derivation) -> None:
     t = d.conclusion.term
     a = d.conclusion.formula
     ps = d.premises
+    lam_names, mu_names = d.conclusion.names
 
     def pj(i):
         return ps[i].conclusion
+
+    def name(x, names):
+        return x if type(x) is str else names[-1 - x]
 
     def fail(why):
         raise TypeCheckError(f"invalid {d.rule} node ({why}): {d.conclusion}")
 
     match d.rule:
         case "ax":
-            if ps or not isinstance(t, Var) or g.get(t.name) != a:
+            if ps or not isinstance(t, Var) or \
+                    g.get(name(t.name, lam_names)) != a:
                 fail("axiom shape")
         case "arrow-i":
             if (len(ps) != 1 or not isinstance(t, Abs)
                     or a != Arrow(t.ann, pj(0).formula)
                     or pj(0).term != t.body
                     or dict(pj(0).gamma) != {**g, t.var: t.ann}
+                    or pj(0).names != (lam_names + (t.var,), mu_names)
                     or pj(0).delta != d.conclusion.delta):
                 fail("arrow-i shape")
         case "arrow-e":
@@ -329,6 +395,9 @@ def validate_derivation(d: Derivation) -> None:
                 disj = pj(0).formula
                 ok = (dict(pj(1).gamma) == {**g, t.arg.left_var: disj.left}
                       and dict(pj(2).gamma) == {**g, t.arg.right_var: disj.right}
+                      and pj(1).names == (lam_names + (t.arg.left_var,), mu_names)
+                      and pj(2).names == (lam_names + (t.arg.right_var,), mu_names)
+                      and pj(0).names == d.conclusion.names
                       and pj(0).gamma == d.conclusion.gamma
                       and all(p.delta == d.conclusion.delta for p in pj_all(ps)))
             if not ok:
@@ -337,7 +406,7 @@ def validate_derivation(d: Derivation) -> None:
             if (len(ps) != 1 or not isinstance(t, Named)
                     or a != BOT
                     or pj(0).term != t.body
-                    or dl.get(t.name) != pj(0).formula
+                    or dl.get(name(t.name, mu_names)) != pj(0).formula
                     or pj(0).gamma != d.conclusion.gamma
                     or pj(0).delta != d.conclusion.delta):
                 fail("abs-i shape")
@@ -347,10 +416,14 @@ def validate_derivation(d: Derivation) -> None:
                     or pj(0).formula != BOT
                     or pj(0).term != t.body
                     or dict(pj(0).delta) != {**dl, t.var: t.ann}
+                    or pj(0).names != (lam_names, mu_names + (t.var,))
                     or pj(0).gamma != d.conclusion.gamma):
                 fail("abs-e shape")
         case _:
             fail("unknown rule")
+    if d.rule not in ("arrow-i", "or-e", "abs-e") and \
+            any(p.names != d.conclusion.names for p in pj_all(ps)):
+        fail("binder names")
 
     for p in d.premises:
         validate_derivation(p)
@@ -367,7 +440,7 @@ def derivation_to_json(d: Derivation) -> dict:
         "rule": d.rule,
         "judgment": {
             "gamma": {x: print_formula(a) for x, a in j.gamma},
-            "term": print_term(j.term),
+            "term": j.printed_term(),
             "formula": print_formula(j.formula),
             "delta": {a: print_formula(b) for a, b in j.delta},
         },

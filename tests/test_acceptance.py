@@ -13,7 +13,8 @@ import pytest
 
 from lambdamu import (
     Abs, App, Arg, Arrow, BOT, PropVar, Var, canonical_terms,
-    check_strong_normalization, enumerate_typed_terms, erase, normalize,
+    check_strong_normalization, close, enumerate_typed_terms, erase,
+    normalize,
     parse_formula, parse_term, print_term, run_suite,
 )
 from lambdamu.cli import main
@@ -127,7 +128,7 @@ def test_acceptance_negative_control_flagged():
     # (\x:~P. (x x)) applied to itself beta-reduces to itself; the oracle
     # must flag the cycle.  The term is untypeable, so it is injected into
     # a curated corpus past the checker on purpose.
-    half = Abs("x", Arrow(P, BOT), App(Var("x"), Arg(Var("x"))))
+    half = close(Abs("x", Arrow(P, BOT), App(Var("x"), Arg(Var("x")))))
     loop = App(half, Arg(half))
     control = Corpus([CorpusEntry(loop, Arrow(P, P))])
     report = check_strong_normalization(control, node_cap=100)

@@ -1,12 +1,14 @@
 """Behavioral probes for the three classical laws."""
 
+import dataclasses
+
 import pytest
 
 from lambdamu import (
-    Abs, App, AppliedTo, Arg, Arrow, BOT, ExactLeaf, HeadApplied, Named,
-    PropVar, SpineWitness, Var, alpha_equal, canonical_terms, is_mu_spine,
-    parse_formula, parse_term, print_term, probe_exfalso, probe_peirce,
-    probe_tertium, search_spine_reduct,
+    Abs, App, AppliedTo, Arg, Arrow, BOT, ExactLeaf, HeadApplied, Mu, Named,
+    Pair, PropVar, Var, canonical_terms, close, parse_formula, parse_term,
+    print_term, probe_exfalso, probe_peirce, probe_tertium,
+    search_spine_reduct,
 )
 from lambdamu.typecheck import TypeCheckError
 
@@ -17,28 +19,50 @@ P = PropVar("P")
 # Spines and leaf patterns
 # --------------------------------------------------------------------------
 
+def _spine_search(src, leaf):
+    return search_spine_reduct(parse_term(src), [("leaf", ExactLeaf(leaf))],
+                               100)
+
+
 def test_is_mu_spine_positive():
-    s = parse_term("mu a:P. [a] mu b:Q. x")
-    w = is_mu_spine(s, Var("x"))
-    assert isinstance(w, SpineWitness)
-    assert [wr.kind for wr in w.wrappers] == ["mu", "name", "mu"]
-    assert w.leaf == Var("x")
-    assert alpha_equal(w.rebuild(), s)
+    res = _spine_search("mu a:P. [a] mu b:Q. x", Var("x"))
+    assert (res.status, res.label, res.explored) == ("found", "leaf", 1)
+    assert res.trace.steps == []
 
 
 def test_is_mu_spine_trivial():
-    w = is_mu_spine(Var("x"), Var("x"))
-    assert w is not None and w.wrappers == ()
+    assert _spine_search("x", Var("x")).status == "found"
 
 
 def test_is_mu_spine_negative():
-    assert is_mu_spine(parse_term("mu a:P. [a] y"), Var("x")) is None
-    assert is_mu_spine(parse_term("\\y:P. x"), Var("x")) is None
+    assert _spine_search("mu a:P. [a] y", Var("x")).status == "not-found"
+    assert _spine_search("\\y:P. x", Var("x")).status == "not-found"
 
 
 def test_is_mu_spine_alpha():
-    s = parse_term("mu a:P. \\y:Q. y")
-    assert is_mu_spine(s, parse_term("\\z:Q. z")) is not None
+    res = _spine_search("mu a:P. \\y:Q. y", parse_term("\\z:Q. z"))
+    assert res.status == "found"
+
+
+def test_spine_slot_names_the_wrappers_mu_variables():
+    res = search_spine_reduct(parse_term("mu a:P. mu b:P. (c <[a] s, [b] s>)"),
+                              [("c", HeadApplied("c", ()))], 100)
+    assert print_term(res.bindings["slot"]) == "<[a] s, [b] s>"
+
+
+def test_spine_slot_names_avoid_free_names():
+    # a wrapper whose hint is a free name of the term, and a second
+    # wrapper with the same hint: each gets a name of its own
+    body = App(Var("c"), Arg(Pair(Named("b", Var("s")),
+                                  Pair(Named("a", Var("s")),
+                                       Named("c2", Var("s"))))))
+    t = close(Mu("b", P, Mu("c2", P, body)))
+    t = dataclasses.replace(t, var="a",
+                            body=dataclasses.replace(t.body, var="a"))
+    assert print_term(t) == "mu a0:P. mu a1:P. (c <[a0] s, <[a] s, [a1] s>>)"
+    res = search_spine_reduct(t, [("c", HeadApplied("c", ()))], 100)
+    assert print_term(res.bindings["slot"]) == \
+        "<[a0] s, <[a] s, [a1] s>>"
 
 
 @pytest.mark.parametrize("pattern, src, slot", [
@@ -81,8 +105,8 @@ def test_search_spine_reduct_not_found():
 
 
 def test_search_cap_exceeded():
-    half = Abs("x", Arrow(P, BOT),
-               Named("a", App(Var("x"), Arg(Var("x")))))
+    half = close(Abs("x", Arrow(P, BOT),
+                     Named("a", App(Var("x"), Arg(Var("x"))))))
     loop = App(half, Arg(half))
     res = search_spine_reduct(loop, [("leaf", ExactLeaf(Var("t")))], 5)
     assert res.status == "cap-exceeded"
@@ -194,8 +218,12 @@ def test_tertium_canonical(name):
     assert report.confirmed
     assert report.m == 2
     assert len(report.thetas) == 2
-    kinds = [s["kind"] for s in report.stages if "kind" in s]
-    assert kinds == ["pos", "neg"]
+    # the first theta continues the P branch and is fed a fresh tail,
+    # the second continues the ~P branch and is fed a fresh v
+    fed = [trace.initial for trace in report.traces[1:]]
+    assert [t.fun for t in fed] == report.thetas
+    assert [t.arg.term.name[0] for t in fed] == ["t", "v"]
+    assert report.detail.startswith("terminal (v")
 
 
 def test_tertium_rejects_wrong_type():

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lambdamu
 from lambdamu import parse_term, print_term
+from lambdamu import reduction
 from lambdamu.cli import main
 from lambdamu.syntax import MAX_NESTING
 
@@ -250,18 +251,18 @@ _A = "P" + " -> P" * _N_ARGS
 _TOO_DEEP = f"reduct nested deeper than {MAX_NESTING} levels after 1 steps\n"
 
 
-def _mu_struct_input(ann="P"):
-    """(mu a:ann. [a] mu b0:ann. [a] ... [a] y) applied to w 20 times.
+def _mu_struct_input(ann="P", n_args=_N_ARGS):
+    """(mu a:ann. [a] mu b0:ann. [a] ... [a] y) applied to w n_args times.
 
-    With ann P it nests 162 levels and parses, but mu-struct appends w
-    under each of the 61 [a] names, so the first reduct is nested past
-    the bound.
+    With ann P and 20 arguments it nests 162 levels and parses, but
+    mu-struct appends w under each of the 61 [a] names, so the first
+    reduct is nested past the bound.
     """
     term = "y"
     for i in range(60):
         term = f"mu b{i}:{ann}. [a] {term}"
     term = f"mu a:{ann}. [a] {term}"
-    for _ in range(_N_ARGS):
+    for _ in range(n_args):
         term = f"({term} w)"
     return term
 
@@ -301,6 +302,22 @@ def test_graph_too_deep_is_inconclusive(capsys, fmt):
     assert code == INCONCLUSIVE
     assert out == ""
     assert err == _TOO_DEEP
+
+
+def test_graph_cap_bounds_the_work(capsys, monkeypatch):
+    # one w: no reduct is too deep, but the root's one reduct has 60
+    # reducts of about 1,100 characters, each with dozens of redexes;
+    # once the cap drops one of them, nothing more is expanded
+    expanded = []
+    redexes = reduction.redexes
+    monkeypatch.setattr(reduction, "redexes",
+                        lambda t: expanded.append(t) or redexes(t))
+    code, out, _ = run(capsys, "graph", "--term", _mu_struct_input(n_args=1),
+                       "--open", "y,w", "--node-cap", "20")
+    assert code == INCONCLUSIVE
+    graph = json.loads(out)
+    assert (graph["complete"], len(graph["nodes"])) == (False, 20)
+    assert len(expanded) == 2
 
 
 def test_graph_cap_inconclusive(capsys):

@@ -6,7 +6,7 @@ from lambdamu import (
     Abs, App, Arg, Arrow, BOT, Case, Conj, Corpus, Disj, Inj1, Inj2, Mu,
     Named, PROJ1, PROJ2, Pair, PropVar, Var, canonical_form,
     check_confluence, check_strong_normalization, check_subject_reduction,
-    check, curated_corpus, enumerate_typed_terms, infer, parse_formula,
+    check, close, curated_corpus, enumerate_typed_terms, infer, parse_formula,
     parse_term, run_suite,
 )
 from lambdamu import metatheory
@@ -234,7 +234,7 @@ def naive_corpus(max_size):
     found = set()
     pool = set(POOL)
     for n in range(1, max_size + 1):
-        for t in naive_terms(n):
+        for t in map(close, naive_terms(n)):
             try:
                 d = infer({}, {}, t)
             except TypeCheckError:
@@ -320,7 +320,7 @@ def test_property_report_json(small_corpus):
 def _looping_entry():
     # (x x) with x:~P self-applies; curated with an unsound context so the
     # corpus machinery itself is exercised on a non-normalizing term
-    half = Abs("x", Arrow(P, BOT), App(Var("x"), Arg(Var("x"))))
+    half = close(Abs("x", Arrow(P, BOT), App(Var("x"), Arg(Var("x")))))
     loop = App(half, Arg(half))
     return loop
 
@@ -355,8 +355,8 @@ def test_entry_with_a_too_deep_reduct_is_incomplete():
     term = Var("y")
     for i in range(60):
         term = Mu(f"b{i}", P, Named("a", term))
-    deep = App(App(Mu("a", P, Named("a", term)), Arg(Var("w"))),
-               Arg(Var("w")))
+    deep = close(App(App(Mu("a", P, Named("a", term)), Arg(Var("w"))),
+                     Arg(Var("w"))))
     entries = [CorpusEntry(deep, P, (("w", P), ("y", P))),
                CorpusEntry(parse_term("\\x:P. x"), Arrow(P, P))]
     for report in run_suite(Corpus(entries)):

@@ -4,9 +4,9 @@ import pytest
 
 from lambdamu import (
     Abs, App, Arg, Arrow, BOT, FuelExhausted, Mu, Named, PropVar,
-    ReductionGraph, ReductionStep, Var, alpha_equal, canonical_form,
-    canonical_terms, contract, erase, infer, normalize, parse_term,
-    print_term, redexes, reduction_graph, successors,
+    ReductionGraph, ReductionStep, Var, canonical_form, canonical_terms,
+    close, contract, erase, infer, normalize, parse_term, print_term,
+    redexes, reduction_graph, successors,
 )
 from lambdamu.reduction import (
     InvalidPosition, contract_root, is_normal, replace_at, rule_at, step_at,
@@ -34,21 +34,21 @@ Q = PropVar("Q")
 def test_simple_rules(src, rule, expected):
     t = parse_term(src)
     assert rule_at(t) == rule
-    assert alpha_equal(contract_root(t), parse_term(expected))
+    assert contract_root(t) == parse_term(expected)
 
 
 def test_case_perm():
     t = parse_term("((s [x.u, y.v]) w)")
     assert rule_at(t) == "case-perm"
     got = contract_root(t)
-    assert alpha_equal(got, parse_term("(s [x.(u w), y.(v w)])"))
+    assert got == parse_term("(s [x.(u w), y.(v w)])")
 
 
 def test_mu_struct():
     t = parse_term("(mu a:P -> Q. [a] f w)")
     assert rule_at(t) == "mu-struct"
     got = contract_root(t)
-    assert alpha_equal(got, parse_term("mu a:Q. [a] (f w)"))
+    assert got == parse_term("mu a:Q. [a] (f w)")
 
 
 def test_mu_struct_consumes_projection_annotation():
@@ -56,7 +56,7 @@ def test_mu_struct_consumes_projection_annotation():
     got = contract_root(t)
     assert isinstance(got, Mu)
     assert got.ann == Q
-    assert alpha_equal(got, parse_term("mu a:Q. [a] (p p2)"))
+    assert got == parse_term("mu a:Q. [a] (p p2)")
 
 
 def test_mu_struct_case_annotation():
@@ -128,7 +128,7 @@ def test_step_at_records_rule_and_position():
     assert step.rule == "beta"
     assert step.position == (1,)
     assert step.before == t
-    assert alpha_equal(step.after, parse_term("<y, u>"))
+    assert step.after == parse_term("<y, u>")
 
 
 def test_is_normal():
@@ -182,7 +182,7 @@ def _looping_term():
     Built untypeable on purpose: it is the negative control showing that
     fuel exhaustion and cycle detection fire outside the typed fragment.
     """
-    half = Abs("x", Arrow(P, BOT), App(Var("x"), Arg(Var("x"))))
+    half = close(Abs("x", Arrow(P, BOT), App(Var("x"), Arg(Var("x")))))
     return App(half, Arg(half))
 
 
@@ -220,23 +220,43 @@ def test_graph_cycle_detected():
     assert g.normal_forms() == []
 
 
+def _growing_loop():
+    """(half half) with half = \\x:~P. [a] (x x): every reduct is new."""
+    half = close(Abs("x", Arrow(P, BOT),
+                     Named("a", App(Var("x"), Arg(Var("x"))))))
+    return App(half, Arg(half))
+
+
 def test_graph_node_cap():
     # a growing (non-cyclic) loop hits the cap and is flagged incomplete
-    half = Abs("x", Arrow(P, BOT),
-               Named("a", App(Var("x"), Arg(Var("x")))))
-    g = reduction_graph(App(half, Arg(half)), node_cap=10)
+    g = reduction_graph(_growing_loop(), node_cap=10)
     assert not g.complete
 
 
-def test_graph_cap_still_expands_admitted_nodes():
-    half = Abs("x", Arrow(P, BOT),
-               Named("a", App(Var("x"), Arg(Var("x")))))
-    g = reduction_graph(App(half, Arg(half)), node_cap=10)
+def test_graph_cap_ends_expansion():
+    # nodes are expanded in breadth-first order up to the one whose
+    # reduct the cap dropped; the nodes after it have no edges
+    g = reduction_graph(_growing_loop(), node_cap=10)
     assert len(g.nodes) == 10
+    expanding = True
     for key, term in g.nodes.items():
-        reducts = [canonical_form(r) for r in successors(term)]
-        assert [dst for src, _, dst in g.edges if src == key] == \
-            [dst for dst in reducts if dst in g.nodes]
+        edges = [dst for src, _, dst in g.edges if src == key]
+        if expanding:
+            reducts = [canonical_form(r) for r in successors(term)]
+            assert edges == [dst for dst in reducts if dst in g.nodes]
+            expanding = all(dst in g.nodes for dst in reducts)
+        else:
+            assert edges == []
+    assert not expanding
+
+
+def test_graph_cap_still_tests_stop():
+    # stop is tested on the nodes queued after the cap, too
+    seen = []
+    g = reduction_graph(_growing_loop(), node_cap=10,
+                        stop=lambda term: seen.append(term))
+    assert g.stopped is None
+    assert seen == list(g.nodes.values())
 
 
 def test_graph_stop_and_trace_to():
@@ -315,4 +335,4 @@ REDEX_SOURCES = [
 def test_erasure_commutes_with_contraction(src):
     t = parse_term(src)
     for p, _ in redexes(t):
-        assert alpha_equal(erase(contract(t, p)), contract(erase(t), p))
+        assert erase(contract(t, p)) == contract(erase(t), p)

@@ -5,13 +5,11 @@ from hypothesis import given, strategies as st
 
 from lambdamu import (
     Abs, App, Arg, Arrow, BOT, Case, Conj, Disj, Inj1, Inj2, Mu, Named,
-    PROJ1, PROJ2, Pair, ParseError, PropVar, Var, alpha_equal, canonical_form,
-    canonicalize, free_variables, mu_substitute, parse_formula,
-    parse_term, print_formula, print_term, substitute,
+    PROJ1, PROJ2, Pair, ParseError, PropVar, Var, canonical_form, close,
+    contract, enumerate_typed_terms, free_variables, mu_substitute, normalize,
+    parse_formula, parse_term, print_formula, print_term, substitute,
 )
-from lambdamu.terms import (
-    FreshSupply, apply_sequence, free_variables_eterm, is_closed,
-)
+from lambdamu.terms import FreshSupply, apply_sequence, is_closed
 
 P = PropVar("P")
 Q = PropVar("Q")
@@ -64,7 +62,7 @@ def test_negation_prints_as_sugar():
 
 @pytest.mark.parametrize("text, term", [
     ("x", Var("x")),
-    ("\\x:P. x", Abs("x", P, Var("x"))),
+    ("\\x:P. x", close(Abs("x", P, Var("x")))),
     ("mu a:P. x", Mu("a", P, Var("x"))),
     ("[a] x", Named("a", Var("x"))),
     ("<x, y>", Pair(Var("x"), Var("y"))),
@@ -77,13 +75,23 @@ def test_negation_prints_as_sugar():
      App(Var("w"), Case("x", Var("u"), "y", Var("v")))),
     ("(w [x.u, y.v]{P})",
      App(Var("w"), Case("x", Var("u"), "y", Var("v"), P))),
+    ("mu a:P. [a] x", close(Mu("a", P, Named("a", Var("x"))))),
+    ("(w [x.u, y.y])",
+     close(App(Var("w"), Case("x", Var("u"), "y", Var("y"))))),
 ])
 def test_parse_term(text, term):
     assert parse_term(text) == term
 
 
+def test_parse_term_gives_bound_variables_indices():
+    t = parse_term("\\x:P. mu a:Q. \\y:P. [a] (x [u.u, v.y])")
+    assert t.body.body.body == Named(0, App(Var(1), Case(
+        "u", Var(0), "v", Var(1))))
+    assert (t.var, t.body.var, t.body.body.var) == ("x", "a", "y")
+
+
 def test_unannotated_binders_parse():
-    assert parse_term("\\x. x") == Abs("x", None, Var("x"))
+    assert parse_term("\\x. x") == close(Abs("x", None, Var("x")))
     assert parse_term("mu a. x") == Mu("a", None, Var("x"))
     assert parse_term("in1 x") == Inj1(Var("x"), None)
 
@@ -135,12 +143,12 @@ def test_substitute_ignores_bound():
 
 
 def test_substitute_capture_avoiding_lambda():
-    # substituting y := x under \x must rename the binder
+    # y := x under \\x: the x stays free, and only printing renames
     t = parse_term("\\x:P. y")
     got = substitute(t, "y", Var("x"))
     assert isinstance(got, Abs)
-    assert got.var != "x"
     assert got.body == Var("x")
+    assert print_term(got) == "\\x0:P. x"
 
 
 def test_substitute_capture_avoiding_mu():
@@ -148,14 +156,22 @@ def test_substitute_capture_avoiding_mu():
     t = parse_term("mu a:P. x")
     got = substitute(t, "x", parse_term("[a] y"))
     assert isinstance(got, Mu)
-    assert got.var != "a"
     assert got.body == Named("a", Var("y"))
+    assert print_term(got) == "mu a0:P. [a] y"
 
 
 def test_substitute_into_case_branches():
     t = parse_term("(w [x.z, y.z])")
     got = substitute(t, "z", Var("q"))
     assert got == parse_term("(w [x.q, y.q])")
+
+
+def test_substitute_shifts_under_binders():
+    # (\\x. \\y. \\z. x) applied to y's binder: the argument, which
+    # refers to a binder outside the redex, is moved under two binders
+    t = parse_term("\\w:P. (\\x:P. \\y:P. \\z:P. x w)")
+    nf, _ = normalize(t)
+    assert nf == parse_term("\\w:P. \\y:P. \\z:P. w")
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +181,7 @@ def test_substitute_into_case_branches():
 def naive_mu_substitute(t, a, es):
     """Independent bottom-up model of t[a := *es] for oracle comparison.
 
-    Only valid when no name in es can be captured anywhere in t, which
+    Only valid when the es have no bound variables of t's context, which
     the test inputs guarantee by construction.
     """
     es = tuple(es)
@@ -185,7 +201,7 @@ def naive_mu_substitute(t, a, es):
             case Inj2(b, ann):
                 return Inj2(go(b), ann)
             case Mu(m, ann, b):
-                return t if m == a else Mu(m, ann, go(b))
+                return Mu(m, ann, go(b))
             case Named(m, b):
                 b = go(b)
                 if m == a:
@@ -218,8 +234,7 @@ def naive_mu_substitute(t, a, es):
 def test_mu_substitute_matches_naive_oracle(src, var, args):
     t = parse_term(src)
     es = tuple(Arg(Var(x)) for x in args)
-    assert alpha_equal(mu_substitute(t, var, es),
-                       naive_mu_substitute(t, var, es))
+    assert mu_substitute(t, var, es) == naive_mu_substitute(t, var, es)
 
 
 def test_mu_substitute_empty_sequence_is_identity():
@@ -237,16 +252,16 @@ def test_mu_substitute_nested_inside_out():
 
 
 def test_mu_substitute_avoids_capture():
-    # e mentions b free; the inner mu b must be renamed
+    # e mentions b free; under the inner mu b it stays free
     t = parse_term("mu b:P. [a] x")
     got = mu_substitute(t, "a", (Arg(parse_term("[b] y")),))
     assert isinstance(got, Mu)
-    assert got.var != "b"
     assert got.body == Named("a", App(Var("x"), Arg(Named("b", Var("y")))))
+    assert print_term(got) == "mu b0:P. [a] (x [b] y)"
 
 
 # --------------------------------------------------------------------------
-# Alpha equivalence, canonicalization, free variables
+# Alpha equivalence is ==; canonical forms; free variables
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("s1, s2, equal", [
@@ -257,29 +272,34 @@ def test_mu_substitute_avoids_capture():
     ("(w [x.x, y.y])", "(w [u.u, v.v])", True),
     ("(w [x.x, y.y]{P})", "(w [u.u, v.v]{Q})", False),
     ("\\x:P. y", "\\x:P. z", False),
+    ("\\x:P. \\y:P. x", "\\y:P. \\x:P. y", True),
+    ("\\x:P. \\y:P. x", "\\x:P. \\y:P. y", False),
     ("x", "x", True),
     ("x", "y", False),
 ])
 def test_alpha_equal(s1, s2, equal):
-    assert alpha_equal(parse_term(s1), parse_term(s2)) is equal
+    t1, t2 = parse_term(s1), parse_term(s2)
+    assert (t1 == t2) is equal
+    if equal:
+        assert hash(t1) == hash(t2)
 
 
 def test_alpha_distinguishes_namespaces():
-    assert not alpha_equal(parse_term("\\x:P. x"), parse_term("mu a:P. [a] x"))
+    assert parse_term("\\x:P. x") != parse_term("mu a:P. [a] x")
 
 
 def test_canonicalize_is_stable():
     t = parse_term("\\foo:P. mu bar:Q. (foo [u.u, v.foo])")
     u = parse_term("\\one:P. mu two:Q. (one [p.p, q.one])")
-    assert canonicalize(t) == canonicalize(u)
-    assert canonical_form(t) == canonical_form(u)
+    assert t == u
+    assert canonical_form(t) == canonical_form(u) == \
+        "\\x0:P. mu a0:Q. (x0 [x1.x1, x2.x0])"
 
 
 def test_canonicalize_skips_free_names():
-    t = parse_term("\\y:P. x0")
-    got = canonicalize(t)
-    assert got.var != "x0"
-    assert got.body == Var("x0")
+    t = parse_term("<\\y:P. x0, mu b:P. [a1] y>")
+    assert canonical_form(t) == "<\\x1:P. x0, mu a0:P. [a1] y>"
+    assert canonical_form(parse_term("\\y:P. y")) == "\\x0:P. x0"
 
 
 def test_free_variables_two_namespaces():
@@ -292,9 +312,8 @@ def test_free_variables_two_namespaces():
 
 
 def test_free_variables_eterm_case_binders():
-    _, _ = free_variables_eterm(Arg(Var("x")))
-    lam, mu = free_variables_eterm(Case("x", Var("x"), "y", Var("z")))
-    assert lam == frozenset({"z"})
+    lam, mu = free_variables(parse_term("(w [x.x, y.z])"))
+    assert lam == frozenset({"w", "z"})
     assert mu == frozenset()
 
 
@@ -316,7 +335,8 @@ formulas = st.recursive(
 
 
 def terms(depth):
-    """All-constructor term strategy with well-scoped, non-shadowing names."""
+    """All-constructor term strategy with well-scoped, non-shadowing names,
+    closed over its binders."""
     def build(lvars, mvars, d):
         leaves = []
         if lvars:
@@ -346,19 +366,21 @@ def terms(depth):
                 Named, st.sampled_from(sorted(mvars)), sub))
         return st.one_of(options)
 
-    return build(frozenset(), frozenset(), depth)
+    return build(frozenset(), frozenset(), depth).map(close)
 
 
 @given(terms(3))
 def test_round_trip_generated(t):
-    assert alpha_equal(parse_term(print_term(t)), t)
+    text = print_term(t)
+    assert parse_term(text) == t
+    assert print_term(parse_term(text)) == text
 
 
 @given(terms(3))
 def test_canonicalize_idempotent(t):
-    c = canonicalize(t)
-    assert canonicalize(c) == c
-    assert alpha_equal(c, t)
+    c = canonical_form(t)
+    assert parse_term(c) == t
+    assert canonical_form(parse_term(c)) == c
 
 
 @pytest.mark.parametrize("src", [
@@ -367,7 +389,42 @@ def test_canonicalize_idempotent(t):
     "mu b:P \\/ ~P. [b] in1{~P} mu a:P. [b] in2{P} \\y:P. [a] y",
     "(w [x.<x, y>, y.(y p1)]{P})",
     "((\\x:P. x y) z)",
+    "<\\y:P. y, y>",  # a binder named like a free name outside it
 ])
 def test_round_trip_fixed(src):
-    t = parse_term(src)
-    assert alpha_equal(parse_term(print_term(t)), t)
+    assert print_term(parse_term(src)) == src
+
+
+def test_round_trip_corpus_texts():
+    for entry in enumerate_typed_terms(9).entries:
+        text = print_term(entry.term)
+        assert print_term(parse_term(text)) == text
+
+
+def test_alpha_variants_are_equal_and_hash_equal():
+    variants = [parse_term(src) for src in (
+        "\\z:~P -> P. mu a:P. [a] (z \\y:P. [a] y)",
+        "\\f:~P -> P. mu k:P. [k] (f \\v:P. [k] v)",
+        "\\x0:~P -> P. mu a0:P. [a0] (x0 \\x1:P. [a0] x1)")]
+    assert len(set(variants)) == 1
+    assert len({hash(t) for t in variants}) == 1
+
+
+# --------------------------------------------------------------------------
+# Printing renames a hint only where it must
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("src, printed", [
+    # beta copies \q into the scope of another \q
+    ("(\\z:P -> P -> P. \\q:P. (z q) \\x:P. \\q:P. x)",
+     "\\q:P. (\\x:P. \\q0:P. x q)"),
+    # a hint equal to a free name that it would capture
+    ("(\\x:P. \\y:P. x y)", "\\y0:P. y"),
+    # a hint equal to a name the probes issue, fed in as one
+    ("(\\x:P. \\t0:P. <x, t0> t0)", "\\t1:P. <t0, t1>"),
+])
+def test_round_trip_renamed_hints(src, printed):
+    reduct = contract(parse_term(src), ())  # beta at the root
+    assert print_term(reduct) == printed
+    assert parse_term(printed) == reduct
+    assert print_term(parse_term(printed)) == printed

@@ -5,8 +5,9 @@ from hypothesis import given
 
 from lambdamu import (
     Abs, Arrow, BOT, Conj, Derivation, Disj, Mu,
-    MissingAnnotationError, Mismatch, Named, PropVar, TypeCheckError, UnboundVariableError, Var, alpha_equal, canonical_terms,
-    check, derivation_to_json, erase, infer, parse_formula, parse_term,
+    MissingAnnotationError, Mismatch, Named, PropVar, TypeCheckError,
+    UnboundVariableError, Var, canonical_terms, check, close,
+    derivation_to_json, erase, infer, parse_formula, parse_term,
     validate_derivation,
 )
 
@@ -92,7 +93,7 @@ def test_unbound_mu_variable():
 
 def test_missing_annotation():
     with pytest.raises(MissingAnnotationError):
-        infer({}, {}, Abs("x", None, Var("x")))
+        infer({}, {}, close(Abs("x", None, Var("x"))))
     with pytest.raises(MissingAnnotationError):
         infer({"x": P}, {}, Mu("a", None, Var("x")))
 
@@ -110,6 +111,20 @@ def test_rule_negative(src, gamma):
     delta = {"a": Q} if "[a]" in src else {}
     with pytest.raises(TypeCheckError):
         infer(gamma, delta, parse_term(src))
+
+
+def test_error_names_the_binders_around_the_subterm():
+    with pytest.raises(Mismatch) as error:
+        infer({"w": Disj(P, Q)}, {}, parse_term(
+            "\\x:P. mu a:Q. [a] (w [u.(x u), v.v])"))
+    assert str(error.value) == (
+        "applied term is not a function: in (x u): (rule arrow-e): "
+        "expected ~_|_, found P")
+    with pytest.raises(Mismatch) as error:
+        infer({}, {}, parse_term("\\x:P. mu a:Q. [a] x"))
+    assert str(error.value) == (
+        "named term disagrees with 'a': in [a] x: (rule abs-i): "
+        "expected Q, found P")
 
 
 def test_case_annotation_mismatch():
@@ -132,12 +147,12 @@ def test_named_at_bot_requires_bot_in_delta():
 # --------------------------------------------------------------------------
 
 def test_lambda_shadowing_uses_inner_binding():
-    t = Abs("x", P, Abs("x", Q, Var("x")))
+    t = close(Abs("x", P, Abs("x", Q, Var("x"))))
     assert infer({}, {}, t).conclusion.formula == Arrow(P, Arrow(Q, Q))
 
 
 def test_mu_shadowing_uses_inner_binding():
-    t = Mu("a", P, Named("a", Mu("a", P, Named("a", Var("x")))))
+    t = close(Mu("a", P, Named("a", Mu("a", P, Named("a", Var("x"))))))
     assert infer({"x": P}, {}, t).conclusion.formula == P
     # the inner [a] checks against the inner binder's type
     with pytest.raises(Mismatch):
@@ -165,7 +180,7 @@ def test_erase_drops_annotations():
 
 def test_erase_preserves_structure():
     for name, (t, _) in canonical_terms().items():
-        assert alpha_equal(erase(erase(t)), erase(t))
+        assert erase(erase(t)) == erase(t)
 
 
 # --------------------------------------------------------------------------
