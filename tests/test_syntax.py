@@ -83,10 +83,11 @@ def test_parse_term(text, term):
     assert parse_term(text) == term
 
 
-def test_parse_term_gives_bound_variables_indices():
+def test_parse_term_binds_variables():
     t = parse_term("\\x:P. mu a:Q. \\y:P. [a] (x [u.u, v.y])")
-    assert t.body.body.body == Named(0, App(Var(1), Case(
-        "u", Var(0), "v", Var(1))))
+    assert t == close(Abs("x", P, Mu("a", Q, Abs("y", P, Named("a", App(
+        Var("x"), Case("u", Var("u"), "v", Var("y"))))))))
+    assert free_variables(t) == (frozenset(), frozenset())
     assert (t.var, t.body.var, t.body.body.var) == ("x", "a", "y")
 
 
