@@ -51,6 +51,20 @@ def test_mu_struct():
     assert got == parse_term("mu a:Q. [a] (f w)")
 
 
+@pytest.mark.parametrize("src, p, expected", [
+    # w is bound outside the redex and moves under a case binder ...
+    ("\\w:P. ((s [x.x, y.y]) w)", (0,), "\\w:P. (s [x.(x w), y.(y w)])"),
+    # ... and [k] w under the mu, a lambda- and a mu-binder
+    ("\\w:P. mu k:P. (mu a:P -> P. [a] \\z:P. mu b:P. [a] f [k] w)", (0, 0),
+     "\\w:P. mu k:P. mu a:P. [a] (\\z:P. mu b:P. [a] (f [k] w) [k] w)"),
+    # a binder of the argument lands under a binder of the body
+    ("\\w:P. (\\x:P. \\z:P. <x, z> <w, \\q:P. w>)", (0,),
+     "\\w:P. \\z:P. <<w, \\q:P. w>, z>"),
+])
+def test_contraction_under_binders_shifts(src, p, expected):
+    assert contract(parse_term(src), p) == parse_term(expected)
+
+
 def test_mu_struct_consumes_projection_annotation():
     t = parse_term("(mu a:P /\\ Q. [a] p p2)")
     got = contract_root(t)
