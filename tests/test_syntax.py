@@ -121,6 +121,54 @@ def test_parse_errors(text):
         parse_term(text)
 
 
+@pytest.mark.parametrize("parse, text, message, position", [
+    (parse_term, "x $", "unexpected character '$' at position 2", 2),
+    (parse_term, "½", "unexpected character '½' at position 0", 0),
+    (parse_term, "x ½", "unexpected character '½' at position 2", 2),
+    (parse_term, "2x", "unexpected character '2' at position 0", 0),
+    (parse_term, "P_|_", "unexpected character '|' at position 2", 2),
+    # "_|_" is one token even when an identifier follows it
+    (parse_term, "_|_x",
+     "unexpected '_|_' at position 0 (expected a term)", 0),
+    (parse_formula, "_|_P", "trailing input 'P' at position 3", 3),
+    (parse_formula, "P  ->", "unexpected 'end of input' at position 5 "
+     "(expected a formula)", 5),
+])
+def test_parse_error_text_and_position(parse, text, message, position):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert str(ei.value) == message
+    assert ei.value.position == position
+
+
+@pytest.mark.parametrize("text, term", [
+    ("x²", Var("x²")),         # a superscript digit continues a name
+    ("x½'", Var("x½'")),
+    ("_x", Var("_x")),                  # not "_|_"
+    ("été", Var("été")),
+    ("(x y)", App(Var("x"), Arg(Var("y")))),   # no-break space
+    ("\t(x\ny) ", App(Var("x"), Arg(Var("y")))),
+    ("(x p1')", App(Var("x"), Arg(Var("p1'")))),    # not the keyword p1
+])
+def test_lexer_boundaries(text, term):
+    assert parse_term(text) == term
+
+
+@pytest.mark.parametrize("text", [
+    "\\x:~_|_ -> P /\\ Q \\/ R. mu a:P. "
+    "[a] (<in1{Q} x, in2{P} y> [u.(u p1), v.(v p2)]{P})",
+    # spaces only where two names or keywords would run together
+    "\\x:~_|_->P/\\Q\\/R.mu a:P."
+    "[a](<in1{Q}x,in2{P}y>[u.(u p1),v.(v p2)]{P})",
+])
+def test_every_punctuation_mark_and_keyword(text):
+    formula = Arrow(Arrow(BOT, BOT), Disj(Conj(P, Q), PropVar("R")))
+    pair = Pair(Inj1(Var("x"), Q), Inj2(Var("y"), P))
+    case = Case("u", App(Var("u"), PROJ1), "v", App(Var("v"), PROJ2), P)
+    assert parse_term(text) == close(
+        Abs("x", formula, Mu("a", P, Named("a", App(pair, case)))))
+
+
 def test_nested_case_disambiguation():
     # "[" opens a case bracket only when followed by "ident ."
     named = parse_term("[a] x")
