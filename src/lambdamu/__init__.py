@@ -5,7 +5,7 @@ behavior probes for the three classical laws."""
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
     Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
-    apply_sequence, close, free_variables, is_closed, mu_substitute, neg,
+    apply_sequence, close, free_variables, is_closed, mu_substitute,
     substitute,
 )
 from .syntax import (
@@ -19,7 +19,7 @@ from .typecheck import (
 )
 from .reduction import (
     FuelExhausted, ReductTooDeep, ReductionGraph, ReductionStep, Trace,
-    contract, normalize, redexes, reduction_graph, successors,
+    normalize, redexes, reduction_graph,
 )
 from .metatheory import (
     Corpus, PropertyReport, check_confluence, check_strong_normalization,

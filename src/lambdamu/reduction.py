@@ -256,26 +256,12 @@ def contract_root(t: Term) -> Term:
     raise InvalidPosition(f"no redex at the root of a {type(t).__name__}")
 
 
-def contract(t: Term, p: Position) -> Term:
-    """Contract the redex at position p."""
-    return replace_at(t, p, contract_root(subterm_at(t, p)))
-
-
 def step_at(t: Term, p: Position) -> ReductionStep:
     sub = subterm_at(t, p)
     rule = rule_at(sub)
     if rule is None:
         raise InvalidPosition(f"no redex at {p} in {print_term(t)}")
     return ReductionStep(t, p, rule, replace_at(t, p, contract_root(sub)))
-
-
-def successors(t: Term) -> list[Term]:
-    """One-step reducts from every redex position; empty iff t is normal."""
-    return [contract(t, p) for p, _ in redexes(t)]
-
-
-def is_normal(t: Term) -> bool:
-    return not redexes(t)
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
@@ -415,16 +401,6 @@ class ReductionGraph:
     parents: dict[str, int] = field(default_factory=dict)
     stopped: Optional[str] = None
 
-    def successor_map(self) -> dict[str, set[str]]:
-        succ: dict[str, set[str]] = {k: set() for k in self.nodes}
-        for src, _, dst in self.edges:
-            succ[src].add(dst)
-        return succ
-
-    def normal_forms(self) -> list[str]:
-        succ = self.successor_map()
-        return [k for k in self.nodes if not succ[k]]
-
     def trace_to(self, key: str) -> Trace:
         """The reduction from the root to key along first incoming edges."""
         steps = []
@@ -433,20 +409,6 @@ class ReductionGraph:
             steps.append(step)
         steps.reverse()
         return Trace(self.nodes[self.root], steps)
-
-    def _facts(self) -> SuccessorFacts:
-        return SuccessorFacts(self.successor_map())
-
-    def is_acyclic(self) -> bool:
-        return self._facts().acyclic(self.root)
-
-    def confluence_failure(self) -> Optional[str]:
-        """Evidence that the complete graph is not confluent, else None."""
-        return self._facts().confluence_failure(self.root, self.nodes)
-
-    def longest_path_length(self) -> int:
-        """Length of the longest reduction sequence (graph must be acyclic)."""
-        return self._facts().longest_path(self.root)
 
     def to_dot(self) -> str:
         ids = {k: f"n{i}" for i, k in enumerate(self.nodes)}

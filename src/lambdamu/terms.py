@@ -64,22 +64,8 @@ class Disj(Formula):
 BOT = Bottom()
 
 
-def neg(a: Formula) -> Formula:
-    """~A is sugar for A -> _|_, never a separate constructor."""
-    return Arrow(a, BOT)
-
-
 def is_neg(a: Formula) -> bool:
     return isinstance(a, Arrow) and a.right == BOT
-
-
-def formula_size(a: Formula) -> int:
-    match a:
-        case PropVar(_) | Bottom():
-            return 1
-        case Arrow(l, r) | Conj(l, r) | Disj(l, r):
-            return 1 + formula_size(l) + formula_size(r)
-    raise TypeError(f"not a formula: {a!r}")
 
 
 # --------------------------------------------------------------------------

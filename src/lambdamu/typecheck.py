@@ -25,10 +25,6 @@ from .terms import (
 
 Context = Mapping[str, Formula]
 
-RULES = ("ax", "arrow-i", "arrow-e", "and-i", "and-e1", "and-e2",
-         "or-i1", "or-i2", "or-e", "abs-i", "abs-e")
-
-
 Names = tuple[tuple[str, ...], tuple[str, ...]]  # lambda, mu; innermost last
 
 

@@ -20,7 +20,9 @@ from lambdamu import (
 )
 from lambdamu.cli import main
 from lambdamu.metatheory import PROPERTIES, CorpusEntry
-from lambdamu.reduction import DEFAULT_NODE_CAP, reduction_graph
+from lambdamu.reduction import (
+    DEFAULT_NODE_CAP, SuccessorFacts, reduction_graph,
+)
 
 SIZE = 10
 GOLDEN_CLI = json.loads(
@@ -131,8 +133,8 @@ def test_strong_normalization_facts():
 def reference_suite(corpus, node_cap):
     """The three reports from one reduction_graph per entry, no table:
     every node re-checks (a failure reports the error of the node's
-    canonical form, parsed from its key), the graph decides confluence,
-    and it must be acyclic."""
+    canonical form, parsed from its key), and SuccessorFacts over the
+    graph's own edges decides confluence and acyclicity."""
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
     for entry in corpus.entries:
@@ -153,11 +155,15 @@ def reference_suite(corpus, node_cap):
                       parse_term(key), entry.formula)
             except TypeCheckError as exc:
                 sr.failures.append((entry, f"reduct {key}: {exc}"))
-        why = graph.confluence_failure()
+        succ = {k: [] for k in graph.nodes}
+        for src, _, dst in graph.edges:
+            succ[src].append(dst)
+        facts = SuccessorFacts(succ)
+        why = facts.confluence_failure(graph.root, graph.nodes)
         if why is not None:
             cf.failures.append((entry, why))
-        if graph.is_acyclic():
-            sn.longest_paths[graph.root] = graph.longest_path_length()
+        if facts.acyclic(graph.root):
+            sn.longest_paths[graph.root] = facts.longest_path(graph.root)
         else:
             sn.failures.append((entry, "reduction graph has a cycle"))
     return reports

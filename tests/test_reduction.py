@@ -5,12 +5,12 @@ import pytest
 from lambdamu import (
     Abs, App, Arg, Arrow, BOT, FuelExhausted, Mu, Named, PropVar,
     ReductionGraph, ReductionStep, Var, canonical_form, canonical_terms,
-    close, contract, erase, infer, normalize, parse_term, print_term,
-    redexes, reduction_graph, successors,
+    close, erase, infer, normalize, parse_term, print_term, redexes,
+    reduction_graph,
 )
 from lambdamu.reduction import (
-    InvalidPosition, contract_root, is_normal, replace_at, rule_at, step_at,
-    subterm_at,
+    InvalidPosition, SuccessorFacts, contract_root, replace_at, rule_at,
+    step_at, subterm_at,
 )
 from lambdamu.typecheck import TypeCheckError
 
@@ -62,7 +62,7 @@ def test_mu_struct():
      "\\w:P. \\z:P. <<w, \\q:P. w>, z>"),
 ])
 def test_contraction_under_binders_shifts(src, p, expected):
-    assert contract(parse_term(src), p) == parse_term(expected)
+    assert step_at(parse_term(src), p).after == parse_term(expected)
 
 
 def test_mu_struct_consumes_projection_annotation():
@@ -122,13 +122,13 @@ def test_invalid_position():
     with pytest.raises(InvalidPosition):
         subterm_at(Var("x"), (0,))
     with pytest.raises(InvalidPosition):
-        contract(Var("x"), ())
+        step_at(Var("x"), ())
 
 
 def test_successors_counts_overlapping_redexes():
     # two distinct one-step reducts: beta at root, proj inside
     t = parse_term("(\\x:P. x (<u, v> p1))")
-    succ = successors(t)
+    succ = [step_at(t, p).after for p, _ in redexes(t)]
     assert len(succ) == 2
     forms = {canonical_form(s) for s in succ}
     assert canonical_form(parse_term("(<u, v> p1)")) in forms
@@ -146,8 +146,8 @@ def test_step_at_records_rule_and_position():
 
 
 def test_is_normal():
-    assert is_normal(parse_term("\\x:P. x"))
-    assert not is_normal(parse_term("(\\x:P. x y)"))
+    assert not redexes(parse_term("\\x:P. x"))
+    assert redexes(parse_term("(\\x:P. x y)"))
 
 
 # --------------------------------------------------------------------------
@@ -209,29 +209,42 @@ def test_looping_term_is_untypeable():
 # Reduction graphs
 # --------------------------------------------------------------------------
 
+def _successors(g: ReductionGraph) -> dict[str, list[str]]:
+    """The keys of each node's one-step reducts, read off g's edges."""
+    succ = {k: [] for k in g.nodes}
+    for src, _, dst in g.edges:
+        succ[src].append(dst)
+    return succ
+
+
 def test_graph_of_normal_term():
     g = reduction_graph(parse_term("\\x:P. x"))
     assert g.complete
     assert list(g.nodes) == [g.root]
-    assert g.normal_forms() == [g.root]
-    assert g.is_acyclic()
-    assert g.longest_path_length() == 0
+    succ = _successors(g)
+    assert [k for k in succ if not succ[k]] == [g.root]
+    assert SuccessorFacts(succ).acyclic(g.root)
+    assert SuccessorFacts(succ).longest_path(g.root) == 0
 
 
 def test_graph_diamond_confluence():
     t = parse_term("(\\x:P. <x, x> (<u, v> p1))")
     g = reduction_graph(t)
     assert g.complete
-    assert g.is_acyclic()
-    nfs = g.normal_forms()
+    succ = _successors(g)
+    facts = SuccessorFacts(succ)
+    assert facts.acyclic(g.root)
+    nfs = [k for k in succ if not succ[k]]
     assert nfs == [canonical_form(parse_term("<u, u>"))]
-    assert g.longest_path_length() >= 2
+    assert facts.confluence_failure(g.root, g.nodes) is None
+    assert facts.longest_path(g.root) >= 2
 
 
 def test_graph_cycle_detected():
     g = reduction_graph(_looping_term(), node_cap=10)
-    assert not g.is_acyclic()
-    assert g.normal_forms() == []
+    succ = _successors(g)
+    assert not SuccessorFacts(succ).acyclic(g.root)
+    assert [k for k in succ if not succ[k]] == []
 
 
 def _growing_loop():
@@ -256,7 +269,8 @@ def test_graph_cap_ends_expansion():
     for key, term in g.nodes.items():
         edges = [dst for src, _, dst in g.edges if src == key]
         if expanding:
-            reducts = [canonical_form(r) for r in successors(term)]
+            reducts = [canonical_form(step_at(term, p).after)
+                       for p, _ in redexes(term)]
             assert edges == [dst for dst in reducts if dst in g.nodes]
             expanding = all(dst in g.nodes for dst in reducts)
         else:
@@ -275,7 +289,7 @@ def test_graph_cap_still_tests_stop():
 
 def test_graph_stop_and_trace_to():
     t = parse_term("(\\x:P. <x, x> (<u, v> p1))")
-    g = reduction_graph(t, stop=is_normal)
+    g = reduction_graph(t, stop=lambda term: not redexes(term))
     assert g.stopped == canonical_form(parse_term("<u, u>"))
     trace = g.trace_to(g.stopped)
     assert trace.initial is t
@@ -297,13 +311,15 @@ def test_graph_stop_at_root_expands_nothing():
 # Confluence decided on hand-built graphs
 # --------------------------------------------------------------------------
 
-def _graph(*edges: str) -> ReductionGraph:
-    """A complete graph rooted at r, from edges written "src>dst"."""
-    pairs = [tuple(e.split(">")) for e in edges]
-    keys = dict.fromkeys(["r"] + [k for pair in pairs for k in pair])
-    step = ReductionStep(Var("x"), (), "beta", Var("x"))
-    return ReductionGraph("r", {k: Var(k) for k in keys},
-                          [(src, step, dst) for src, dst in pairs], True)
+def _successor_map(*edges: str) -> dict[str, list[str]]:
+    """The successors of each key of a graph rooted at r, from edges
+    written "src>dst"; keys are listed as they first occur."""
+    succ = {"r": []}
+    for edge in edges:
+        src, dst = edge.split(">")
+        succ.setdefault(src, []).append(dst)
+        succ.setdefault(dst, [])
+    return succ
 
 
 @pytest.mark.parametrize("edges, evidence", [
@@ -316,7 +332,8 @@ def _graph(*edges: str) -> ReductionGraph:
     (["r>a", "r>b", "a>n", "b>n"], None),
 ])
 def test_confluence_on_hand_built_graphs(edges, evidence):
-    assert _graph(*edges).confluence_failure() == evidence
+    succ = _successor_map(*edges)
+    assert SuccessorFacts(succ).confluence_failure("r", succ) == evidence
 
 
 def test_graph_serializations():
@@ -349,4 +366,4 @@ REDEX_SOURCES = [
 def test_erasure_commutes_with_contraction(src):
     t = parse_term(src)
     for p, _ in redexes(t):
-        assert erase(contract(t, p)) == contract(erase(t), p)
+        assert erase(step_at(t, p).after) == step_at(erase(t), p).after
