@@ -30,7 +30,8 @@ as hints (see ``terms``); the printer chooses the names again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import Optional
 
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
@@ -49,8 +50,14 @@ MAX_NESTING = 200
 _INFIX = {"->": (0, Arrow), "\\/": (1, Disj), "/\\": (2, Conj)}
 _PREFIX = 3  # ~ binds tighter than every infix connective
 
-_PUNCT = ["_|_", "->", "/\\", "\\/", "\\", ".", ":", ",", "~",
-          "<", ">", "(", ")", "[", "]", "{", "}"]
+# One token per match, after whitespace: a punctuation mark, a word, or
+# any other character, which is an error; or the end of the input.
+# Punctuation is tried first, so "_|_x" is two tokens and "_x" one.  \s
+# and \w accept what str.isspace() and str.isalnum() (or "_") accept; a
+# word starts with a letter or "_", so tokenize refuses the numeric
+# characters that [^\W\d] lets through ("½", "²") at a word's start.
+_TOKEN = re.compile(r"\s*(?:(_\|_|->|/\\|\\/|[\\.:,~<>()\[\]{}])"
+                    r"|([^\W\d][\w']*)|(\S)|\Z)")
 
 
 class ParseError(Exception):
@@ -63,52 +70,30 @@ class ParseError(Exception):
         super().__init__(f"{message} at position {position}{suffix}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str   # "ident", "keyword", or the punctuation itself
-    text: str
-    pos: int
-
-
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
-
-
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                # "_|_" wins over identifier lexing; "_x" stays an identifier
-                toks.append(Token(p, p, i))
-                i += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if _is_ident_start(c):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(Token("eof", "", n))
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then ("eof", "", len(text)).  The
+    kind of a name is "ident"; that of a keyword or a punctuation mark is
+    its text."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        punct, word, other = m.groups()
+        if punct is not None:
+            toks.append((punct, punct, m.start(1)))
+        elif word is not None and (word[0].isalpha() or word[0] == "_"):
+            toks.append((word if word in KEYWORDS else "ident", word,
+                         m.start(2)))
+        elif word is None and other is None:
+            break
+        else:
+            at = m.start(m.lastindex)
+            raise ParseError(f"unexpected character {text[at]!r}", at)
+    toks.append(("eof", "", len(text)))
     return toks
+
+
+def _unexpected(tok: tuple[str, str, int], expected: str) -> ParseError:
+    return ParseError(f"unexpected {tok[1] or 'end of input'!r}", tok[2],
+                      expected=expected)
 
 
 class _Parser:
@@ -127,51 +112,47 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
-                             self.peek().pos)
+                             self.peek()[2])
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
+    def peek(self, k: int = 0) -> tuple[str, str, int]:
+        return self.toks[min(self.i + k, len(self.toks) - 1)]
 
-    def next(self) -> Token:
+    def kind(self) -> str:
+        return self.toks[self.i][0]
+
+    def next(self) -> tuple[str, str, int]:
         tok = self.toks[self.i]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.i += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
-                             tok.pos, expected=repr(kind))
-        return self.next()
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise _unexpected(tok, repr(kind))
+        return tok
+
+    def claim(self, tok: tuple[str, str, int], role: str) -> str:
+        """The name of an identifier token, which keeps its first role."""
+        name = tok[1]
+        if self.roles.setdefault(name, role) != role:
+            raise ParseError(
+                f"{name!r} used both as a lambda-variable and a mu-variable",
+                tok[2])
+        return name
 
     def ident(self, role: str) -> str:
         """A binder's identifier, which nothing around it binds."""
         tok = self.expect("ident")
-        name = tok.text
-        if name in self.lam or name in self.mu:
-            raise ParseError(f"shadowed variable {name!r}", tok.pos)
-        prior = self.roles.get(name)
-        if prior is not None and prior != role:
-            raise ParseError(
-                f"{name!r} used both as a lambda-variable and a mu-variable",
-                tok.pos)
-        self.roles[name] = role
-        return name
+        if tok[1] in self.lam or tok[1] in self.mu:
+            raise ParseError(f"shadowed variable {tok[1]!r}", tok[2])
+        return self.claim(tok, role)
 
     def use(self, role: str):
         """A variable: its index when bound, else its name."""
-        tok = self.expect("ident")
-        name = tok.text
-        prior = self.roles.get(name)
-        if prior is not None and prior != role:
-            raise ParseError(
-                f"{name!r} used both as a lambda-variable and a mu-variable",
-                tok.pos)
-        self.roles[name] = role
+        name = self.claim(self.expect("ident"), role)
         bound = self.lam if role == "lam" else self.mu
         level = bound.get(name)
         return name if level is None else len(bound) - 1 - level
@@ -183,6 +164,15 @@ class _Parser:
         del bound[name]
         return t
 
+    def braced(self) -> Optional[Formula]:
+        """The annotation "{" formula "}", if one follows."""
+        if self.kind() != "{":
+            return None
+        self.next()
+        ann = self.formula()
+        self.expect("}")
+        return ann
+
     # -- terms ------------------------------------------------------------
 
     def term(self) -> Term:
@@ -192,61 +182,53 @@ class _Parser:
         return t
 
     def _term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "\\" or (tok.kind == "keyword" and tok.text == "mu"):
+        kind = self.kind()
+        if kind == "\\" or kind == "mu":
             self.next()
-            lam = tok.kind == "\\"
+            lam = kind == "\\"
             x = self.ident("lam" if lam else "mu")
             ann = None
-            if self.peek().kind == ":":
+            if self.kind() == ":":
                 self.next()
                 ann = self.formula()
             self.expect(".")
             body = self.bound_term(self.lam if lam else self.mu, x)
             return Abs(x, ann, body) if lam else Mu(x, ann, body)
-        if tok.kind == "[":
+        if kind == "[":
             self.next()
             a = self.use("mu")
             self.expect("]")
             return Named(a, self.term())
-        if tok.kind == "<":
+        if kind == "<":
             self.next()
             fst = self.term()
             self.expect(",")
             snd = self.term()
             self.expect(">")
             return Pair(fst, snd)
-        if tok.kind == "keyword" and tok.text in ("in1", "in2"):
+        if kind == "in1" or kind == "in2":
             self.next()
-            ann = None
-            if self.peek().kind == "{":
-                self.next()
-                ann = self.formula()
-                self.expect("}")
+            ann = self.braced()
             body = self.term()
-            return Inj1(body, ann) if tok.text == "in1" else Inj2(body, ann)
-        if tok.kind == "(":
+            return Inj1(body, ann) if kind == "in1" else Inj2(body, ann)
+        if kind == "(":
             self.next()
             fun = self.term()
             arg = self.eterm()
             self.expect(")")
             return App(fun, arg)
-        if tok.kind == "ident":
+        if kind == "ident":
             return Var(self.use("lam"))
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
-                         tok.pos, expected="a term")
+        raise _unexpected(self.peek(), "a term")
 
     def eterm(self) -> ETerm:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text == "p1":
+        kind = self.kind()
+        if kind == "p1" or kind == "p2":
             self.next()
-            return PROJ1
-        if tok.kind == "keyword" and tok.text == "p2":
-            self.next()
-            return PROJ2
+            return PROJ1 if kind == "p1" else PROJ2
         # "[" starts a case bracket iff the identifier is followed by "."
-        if tok.kind == "[" and self.peek(1).kind == "ident" \
-                and self.peek(2).kind == ".":
+        if kind == "[" and self.peek(1)[0] == "ident" \
+                and self.peek(2)[0] == ".":
             self.next()
             x1 = self.ident("lam")
             self.expect(".")
@@ -256,12 +238,7 @@ class _Parser:
             self.expect(".")
             u2 = self.bound_term(self.lam, x2)
             self.expect("]")
-            ann = None
-            if self.peek().kind == "{":
-                self.next()
-                ann = self.formula()
-                self.expect("}")
-            return Case(x1, u1, x2, u2, ann)
+            return Case(x1, u1, x2, u2, self.braced())
         return Arg(self.term())
 
     # -- formulas (precedence climbing) ------------------------------------
@@ -273,7 +250,7 @@ class _Parser:
         self.descend()
         left = self._atom()
         while True:
-            infix = _INFIX.get(self.peek().kind)
+            infix = _INFIX.get(self.kind())
             if infix is None or infix[0] < level:
                 break
             self.next()
@@ -283,36 +260,36 @@ class _Parser:
 
     def _atom(self) -> Formula:
         tok = self.next()
-        if tok.kind == "~":
+        kind = tok[0]
+        if kind == "~":
             return Arrow(self.formula(_PREFIX), BOT)
-        if tok.kind == "_|_":
+        if kind == "_|_":
             return BOT
-        if tok.kind == "(":
+        if kind == "(":
             f = self.formula()
             self.expect(")")
             return f
-        if tok.kind == "ident":
-            return PropVar(tok.text)
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}",
-                         tok.pos, expected="a formula")
+        if kind == "ident":
+            return PropVar(tok[1])
+        raise _unexpected(tok, "a formula")
+
+
+def _parse(text: str, rule):
+    """rule run on a parser of text, which it must consume entirely."""
+    p = _Parser(text)
+    out = rule(p)
+    kind, rest, pos = p.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input {rest!r}", pos)
+    return out
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return t
+    return _parse(text, _Parser.term)
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return f
+    return _parse(text, _Parser.formula)
 
 
 # --------------------------------------------------------------------------
