@@ -36,7 +36,7 @@ from typing import Optional
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
     Inj2, Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
-    is_neg,
+    dangling, is_neg,
 )
 
 KEYWORDS = {"mu", "in1", "in2", "p1", "p2"}
@@ -327,13 +327,16 @@ def _pf(a: Formula, level: int) -> str:
 
 def print_term(t: Term, lam_names: tuple[str, ...] = (),
                mu_names: tuple[str, ...] = ()) -> str:
-    """Print t in the concrete grammar; re-parses to an equal term.
+    """Print t in the concrete grammar; re-parses to an equal term,
+    except that the parser refuses a term nested too deeply once its
+    annotations count (MAX_NESTING levels, formulas included) and a name
+    free both as a lambda- and as a mu-variable.
 
     A binder is printed with its name hint, unless that name is bound
     around it or would capture a free variable below it; then with the
     hint's stem and the first number that is neither.  lam_names and
     mu_names name the binders that t's dangling indices refer to,
-    innermost last.
+    innermost last; a ValueError says how many names are missing.
     """
     return _Printer(False, lam_names, mu_names).text(t)
 
@@ -366,7 +369,14 @@ class _Printer:
         """t printed; again, with binders avoiding every free name of t,
         if a free name clashed with a binder name on the first try (in
         canonical mode, with any name the scheme issued)."""
-        text = self.term(t)
+        try:
+            text = self.term(t)
+        except IndexError:  # a dangling index beyond the names given
+            lam, mu = dangling(t)
+            raise ValueError(
+                f"the term's dangling indices reach {lam} lambda- and {mu} "
+                f"mu-binders: pass all their names as lam_names and "
+                f"mu_names, innermost last") from None
         if self.canonical and self.free:
             self.clash = any(f"{stem}{i}" in self.free
                              for stem, n in (("x", self.x), ("a", self.a))

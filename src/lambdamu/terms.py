@@ -267,6 +267,25 @@ def open_names(t: Term, mu_names: tuple[str, ...]) -> Term:
     return _walk(t, _same_var, named)
 
 
+def dangling(t: Term) -> tuple[int, int]:
+    """How many lambda- and how many mu-binders above t its dangling
+    indices reach."""
+    reach = [0, 0]
+
+    def var(v, lam, mu):
+        if type(v.name) is int:
+            reach[0] = max(reach[0], v.name + 1 - len(lam))
+        return v
+
+    def named(n, body, lam, mu):
+        if type(n.name) is int:
+            reach[1] = max(reach[1], n.name + 1 - len(mu))
+        return n
+
+    _walk(t, var, named)
+    return reach[0], reach[1]
+
+
 def rename_binders(t: Term, rename) -> Term:
     """t with each binder named rename(kind, name), in preorder, kind
     being Abs, Mu or Case."""

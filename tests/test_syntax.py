@@ -9,7 +9,8 @@ from lambdamu import (
     enumerate_typed_terms, free_variables, mu_substitute, normalize,
     parse_formula, parse_term, print_formula, print_term, substitute,
 )
-from lambdamu.reduction import step_at
+from lambdamu.reduction import step_at, subterm_at
+from lambdamu.syntax import MAX_NESTING
 from lambdamu.terms import FreshSupply, apply_sequence, is_closed
 
 P = PropVar("P")
@@ -478,3 +479,29 @@ def test_round_trip_renamed_hints(src, printed):
     assert print_term(reduct) == printed
     assert parse_term(printed) == reduct
     assert print_term(parse_term(printed)) == printed
+
+
+def test_print_subterm_needs_the_names_of_its_binders():
+    body = subterm_at(parse_term("\\x:P. <x, y>"), (0,))
+    assert print_term(body, ("x",)) == "<x, y>"
+    for printer in (print_term, canonical_form):
+        with pytest.raises(ValueError,
+                           match="reach 1 lambda- and 0 mu-binders"):
+            printer(body)
+    inner = subterm_at(parse_term("\\x:P. mu a:P. \\z:P. [a] <x, z>"),
+                       (0, 0, 0))
+    with pytest.raises(ValueError, match="reach 2 lambda- and 1 mu-binders"):
+        print_term(inner, ("x",))
+    assert print_term(inner, ("x", "z"), ("a",)) == "[a] <x, z>"
+
+
+def test_printed_text_need_not_parse_back():
+    # the formula levels of an annotation count towards the nesting bound
+    t = Var("x0")
+    for i in reversed(range(MAX_NESTING - 1)):
+        t = Abs(f"x{i}", Arrow(P, P), t)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_term(print_term(close(t)))
+    # and the parser gives each name one role
+    with pytest.raises(ParseError, match="both as a lambda-variable"):
+        parse_term(print_term(Pair(Var("k"), Named("k", Var("y")))))
