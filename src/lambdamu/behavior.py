@@ -187,10 +187,6 @@ class BehaviorReport:
     traces: list[Trace] = field(default_factory=list)
     detail: str = ""
 
-    @property
-    def confirmed(self) -> bool:
-        return self.verdict == "confirmed"
-
     def to_json(self) -> dict:
         return {
             "law": self.law,

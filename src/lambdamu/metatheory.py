@@ -107,17 +107,12 @@ def _cut_shapes(atom: Formula) -> list[Formula]:
     return [atom, BOT, Arrow(atom, BOT), Conj(atom, atom), Disj(atom, atom)]
 
 
-def default_cut_pool() -> list[Formula]:
-    """Cut formulas for eliminations: P and _|_ plus one representative
-    per connective, enough to exercise every elimination rule."""
-    return _cut_shapes(P)
-
-
 def cut_pool(target: Optional[Formula] = None) -> list[Formula]:
-    """The default cut pool, then the same shapes over each other atom of
-    target, by name, so that a target over other atoms has the
-    eliminations a target over P has."""
-    pool = default_cut_pool()
+    """Cut formulas for eliminations: P and _|_ plus one representative
+    per connective, enough to exercise every elimination rule; then the
+    same shapes over each other atom of target, by name, so that a target
+    over other atoms has the eliminations a target over P has."""
+    pool = _cut_shapes(P)
     if target is not None:
         for name in sorted({f.name for f in subformulas(target)
                             if isinstance(f, PropVar)}):

@@ -70,10 +70,6 @@ class Trace:
     initial: Term
     steps: list[ReductionStep] = field(default_factory=list)
 
-    @property
-    def final(self) -> Term:
-        return self.steps[-1].after if self.steps else self.initial
-
     def to_json_lines(self) -> list[dict]:
         return [
             {

@@ -311,8 +311,7 @@ def _pf(a: Formula, level: int) -> str:
         case Bottom():
             return "_|_"
         case Arrow(l, r) if is_neg(a):
-            s = f"~{_pf(l, _NEG)}"
-            return s
+            return f"~{_pf(l, _NEG)}"
         case Arrow(l, r):
             s = f"{_pf(l, _DISJ)} -> {_pf(r, _ARROW)}"
             return f"({s})" if level > _ARROW else s

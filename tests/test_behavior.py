@@ -131,7 +131,7 @@ def test_canonical_terms_all_closed_and_typed():
 def test_exfalso_confirms_canonical(name):
     t, _ = canonical_terms()[name]
     report = probe_exfalso(t)
-    assert report.confirmed
+    assert report.verdict == "confirmed"
     assert report.law == "exfalso"
     assert report.m == 0
     assert report.traces
@@ -140,7 +140,7 @@ def test_exfalso_confirms_canonical(name):
 def test_exfalso_multiple_args():
     t, _ = canonical_terms()["T"]
     for n in range(4):
-        assert probe_exfalso(t, n_args=n).confirmed
+        assert probe_exfalso(t, n_args=n).verdict == "confirmed"
 
 
 def test_exfalso_rejects_wrong_type():
@@ -159,7 +159,7 @@ def test_exfalso_seed_determinism():
     r2 = probe_exfalso(t, seed=7)
     assert r1.to_json() == r2.to_json()
     r3 = probe_exfalso(t, seed=8)
-    assert r3.confirmed  # verdict independent of seed
+    assert r3.verdict == "confirmed"  # verdict independent of seed
 
 
 def test_exfalso_json():
@@ -176,7 +176,7 @@ def test_exfalso_json():
 def test_peirce_c1():
     t, _ = canonical_terms()["C1"]
     report = probe_peirce(t)
-    assert report.confirmed
+    assert report.verdict == "confirmed"
     assert report.m == 1
     assert len(report.thetas) == 1
     # the continuation theta feeds [a] back through the argument slot
@@ -187,7 +187,7 @@ def test_peirce_c1():
 def test_peirce_c2():
     t, _ = canonical_terms()["C2"]
     report = probe_peirce(t)
-    assert report.confirmed
+    assert report.verdict == "confirmed"
     assert report.m == 2
     assert len(report.thetas) == 2
 
@@ -204,7 +204,7 @@ def test_peirce_seed_determinism():
 
 def test_peirce_extra_args():
     t, _ = canonical_terms()["C1"]
-    assert probe_peirce(t, n_args=2).confirmed
+    assert probe_peirce(t, n_args=2).verdict == "confirmed"
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +215,7 @@ def test_peirce_extra_args():
 def test_tertium_canonical(name):
     t, _ = canonical_terms()[name]
     report = probe_tertium(t)
-    assert report.confirmed
+    assert report.verdict == "confirmed"
     assert report.m == 2
     assert len(report.thetas) == 2
     # the first theta continues the P branch and is fed a fresh tail,
@@ -233,7 +233,7 @@ def test_tertium_rejects_wrong_type():
 
 def test_tertium_seq_len():
     t, _ = canonical_terms()["W"]
-    assert probe_tertium(t, seq_len=2).confirmed
+    assert probe_tertium(t, seq_len=2).verdict == "confirmed"
 
 
 def test_tertium_seed_determinism():
@@ -251,4 +251,4 @@ def test_exfalso_small_enumerated():
     corpus = enumerate_typed_terms(6, target=parse_formula("_|_ -> P"))
     assert len(corpus) > 0
     for e in corpus.entries:
-        assert probe_exfalso(e.term).confirmed, print_term(e.term)
+        assert probe_exfalso(e.term).verdict == "confirmed", print_term(e.term)

@@ -12,7 +12,7 @@ from lambdamu import (
 from lambdamu import metatheory
 from lambdamu.metatheory import (
     CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, MAX_LAMBDA_DEPTH, MAX_MU_DEPTH,
-    cut_pool, default_cut_pool, formula_pool, subformulas,
+    cut_pool, formula_pool, subformulas,
 )
 from lambdamu.typecheck import TypeCheckError
 
@@ -35,15 +35,13 @@ def test_formula_pool_deterministic_order():
 
 
 def test_default_cut_pool():
-    assert default_cut_pool() == [P, BOT, Arrow(P, BOT), Conj(P, P),
-                                  Disj(P, P)]
+    assert cut_pool() == [P, BOT, Arrow(P, BOT), Conj(P, P), Disj(P, P)]
 
 
 def test_cut_pool_covers_the_target_atoms():
     q, r = PropVar("Q"), PropVar("R")
-    assert cut_pool() == cut_pool(parse_formula("~P \\/ P")) == \
-        default_cut_pool()
-    assert cut_pool(parse_formula("R -> Q /\\ P")) == default_cut_pool() + [
+    assert cut_pool(parse_formula("~P \\/ P")) == cut_pool()
+    assert cut_pool(parse_formula("R -> Q /\\ P")) == cut_pool() + [
         q, Arrow(q, BOT), Conj(q, q), Disj(q, q),
         r, Arrow(r, BOT), Conj(r, r), Disj(r, r)]
 
@@ -150,7 +148,7 @@ def test_enumerate_excludes_mu_at_bot():
 # It shares no code with the production enumerator beyond the checker.
 
 POOL = formula_pool(DEFAULT_MAX_FORMULA_SIZE)
-CUTS = set(default_cut_pool())
+CUTS = set(cut_pool())
 DISJ_CUTS = {f for f in CUTS if isinstance(f, Disj)}
 
 

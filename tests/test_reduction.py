@@ -170,7 +170,7 @@ def test_normalize_already_normal():
     nf, trace = normalize(t)
     assert nf == t
     assert trace.steps == []
-    assert trace.final == t
+    assert trace.initial is t
 
 
 def test_trace_json_lines():
@@ -293,7 +293,7 @@ def test_graph_stop_and_trace_to():
     assert g.stopped == canonical_form(parse_term("<u, u>"))
     trace = g.trace_to(g.stopped)
     assert trace.initial is t
-    assert canonical_form(trace.final) == g.stopped
+    assert canonical_form(trace.steps[-1].after) == g.stopped
     for before, step in zip([t] + [s.after for s in trace.steps], trace.steps):
         assert step.before is before
     assert g.trace_to(g.root).steps == []
