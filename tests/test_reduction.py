@@ -222,9 +222,10 @@ def test_graph_of_normal_term():
     assert g.complete
     assert list(g.nodes) == [g.root]
     succ = _successors(g)
+    facts = SuccessorFacts(succ)
     assert [k for k in succ if not succ[k]] == [g.root]
-    assert SuccessorFacts(succ).acyclic(g.root)
-    assert SuccessorFacts(succ).longest_path(g.root) == 0
+    assert facts.acyclic(g.root)
+    assert facts.longest_path(g.root) == 0
 
 
 def test_graph_diamond_confluence():
