@@ -21,7 +21,7 @@ from lambdamu import (
 from lambdamu.cli import main
 from lambdamu.metatheory import PROPERTIES, CorpusEntry
 from lambdamu.reduction import (
-    DEFAULT_NODE_CAP, SuccessorFacts, reduction_graph,
+    DEFAULT_NODE_CAP, RULE_IDS, SuccessorFacts, reduction_graph,
 )
 
 SIZE = 10
@@ -59,6 +59,23 @@ def test_corpus_graph_keys_and_edges():
         3089, "e52a281ceeb26727442c1200c4cecf092e0698f36d49348bbdc328821ff2fac1")
     assert (len(edges), _sha256(edges)) == (
         4907, "489f7b41eb9bc154da15d67d60772ef2bf290ad882069ad15e70eef1ccf98942")
+
+
+def test_corpus_graph_edges_in_exploration_order():
+    # every edge of every graph, in the order the explorer adds it, with
+    # the position and rule of its redex; and how often each rule fires
+    # (case-perm needs a larger term than size 10 builds)
+    lines, rules = [], Counter()
+    for entry in enumerate_typed_terms(SIZE).entries:
+        for src, step, dst in reduction_graph(entry.term).edges:
+            lines.append(f"{src}\t{list(step.position)}\t{step.rule}\t{dst}")
+            rules[step.rule] += 1
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        8348, "760428d953180c3bb2900d42fc3fb25f0db1ace57105112ad3206847a78bccf5")
+    assert {rule: rules[rule] for rule in RULE_IDS} == {
+        "beta": 3391, "proj": 904, "case-inj": 362, "case-perm": 0,
+        "mu-struct": 3691}
 
 
 def _stdout(*argv) -> str:

@@ -10,8 +10,9 @@ from lambdamu import (
 )
 from lambdamu.reduction import (
     InvalidPosition, SuccessorFacts, contract_root, replace_at, rule_at,
-    step_at, subterm_at,
+    step_at, subterm_at, term_depth,
 )
+from lambdamu.syntax import MAX_NESTING
 from lambdamu.typecheck import TypeCheckError
 
 P = PropVar("P")
@@ -171,6 +172,20 @@ def test_normalize_already_normal():
     assert nf == t
     assert trace.steps == []
     assert trace.initial is t
+
+
+@pytest.mark.parametrize("lambdas, redex", [
+    (197, "(\\y:P. y x0)"),
+    (196, "(mu a:P. [a] x0 x0)"),
+])
+def test_redex_at_the_nesting_bound(lambdas, redex):
+    # finding and contracting the innermost redex of a term nested
+    # exactly MAX_NESTING deep stays within the default recursion limit
+    t = parse_term("".join(f"\\x{i}:P. " for i in range(lambdas)) + redex)
+    assert term_depth(t) == MAX_NESTING
+    _, trace = normalize(t)
+    assert len(trace.steps) == 1
+    assert len(reduction_graph(t).nodes) == 2
 
 
 def test_trace_json_lines():
