@@ -18,12 +18,13 @@ for the second case branch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .syntax import MAX_NESTING, canonical_form, print_term
 from .terms import (
     Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
-    Pair, Proj1, Proj2, Term, Var, mu_substitute, shift_eterm, substitute,
+    Pair, Proj1, Proj2, Term, Var, dangling, mu_substitute, shift_eterm,
+    substitute,
 )
 
 RULE_IDS = ("beta", "proj", "case-inj", "case-perm", "mu-struct")
@@ -145,70 +146,9 @@ def subterm_at(t: Term, p: Position) -> Term:
     return t
 
 
-def replace_at(t: Term, p: Position, new: Term) -> Term:
-    if not p:
-        return new
-    i, rest = p[0], p[1:]
-    match t, i:
-        case Abs(x, ann, b), 0:
-            return Abs(x, ann, replace_at(b, rest, new))
-        case Mu(a, ann, b), 0:
-            return Mu(a, ann, replace_at(b, rest, new))
-        case Named(a, b), 0:
-            return Named(a, replace_at(b, rest, new))
-        case Inj1(b, ann), 0:
-            return Inj1(replace_at(b, rest, new), ann)
-        case Inj2(b, ann), 0:
-            return Inj2(replace_at(b, rest, new), ann)
-        case Pair(f, s), 0:
-            return Pair(replace_at(f, rest, new), s)
-        case Pair(f, s), 1:
-            return Pair(f, replace_at(s, rest, new))
-        case App(f, e), 0:
-            return App(replace_at(f, rest, new), e)
-        case App(f, Arg(u)), 1:
-            return App(f, Arg(replace_at(u, rest, new)))
-        case App(f, Case(x1, u1, x2, u2, ann)), 1:
-            return App(f, Case(x1, replace_at(u1, rest, new), x2, u2, ann))
-        case App(f, Case(x1, u1, x2, u2, ann)), 2:
-            return App(f, Case(x1, u1, x2, replace_at(u2, rest, new), ann))
-    raise InvalidPosition(f"no child {i} of a {type(t).__name__}")
-
-
 # --------------------------------------------------------------------------
 # Redexes and contraction
 # --------------------------------------------------------------------------
-
-def rule_at(t: Term) -> Optional[str]:
-    """The rule whose left-hand side matches at the root of t, if any."""
-    match t:
-        case App(Abs(), Arg()):
-            return "beta"
-        case App(Pair(), Proj1() | Proj2()):
-            return "proj"
-        case App(Inj1() | Inj2(), Case()):
-            return "case-inj"
-        case App(App(_, Case()), _):
-            return "case-perm"
-        case App(Mu(), _):
-            return "mu-struct"
-    return None
-
-
-def redexes(t: Term) -> list[tuple[Position, str]]:
-    """All redex positions, in leftmost-outermost (pre-)order."""
-    out: list[tuple[Position, str]] = []
-
-    def walk(t, path):
-        r = rule_at(t)
-        if r is not None:
-            out.append((path, r))
-        for i, child in term_children(t):
-            walk(child, path + (i,))
-
-    walk(t, ())
-    return out
-
 
 def _result_ann(ann: Optional[Formula], e: ETerm) -> Optional[Formula]:
     """The type annotation left after applying a term of type ann to e.
@@ -229,35 +169,97 @@ def _result_ann(ann: Optional[Formula], e: ETerm) -> Optional[Formula]:
     return None
 
 
-def contract_root(t: Term) -> Term:
-    """The contractum of the redex t.  A subterm moved under binders has
-    its dangling indices shifted past them, so nothing is captured and
-    nothing renamed."""
-    match rule_at(t), t:
-        case "beta", App(Abs(_, _, body), Arg(v)):
-            return substitute(body, 0, v)
-        case "proj", App(Pair(f, s), proj):
-            return f if isinstance(proj, Proj1) else s
-        case "case-inj", App(Inj1(v, _), Case(_, u1, _, _)):
-            return substitute(u1, 0, v)
-        case "case-inj", App(Inj2(v, _), Case(_, _, _, u2)):
-            return substitute(u2, 0, v)
-        case "case-perm", App(App(s, Case(x1, u1, x2, u2, ann)), e):
+def _contract(t: App) -> Optional[tuple[str, Term]]:
+    """The rule whose left-hand side matches at the root of the
+    application t and its contractum, or None.  A subterm moved under
+    binders has its dangling indices shifted past them, so nothing is
+    captured and nothing renamed."""
+    f, e = t.fun, t.arg
+    kf, ke = type(f), type(e)
+    if kf is Abs:
+        if ke is Arg:
+            return "beta", substitute(f.body, 0, e.term)
+    elif kf is Pair:
+        if ke is Proj1:
+            return "proj", f.fst
+        if ke is Proj2:
+            return "proj", f.snd
+    elif kf is Inj1 or kf is Inj2:
+        if ke is Case:
+            u = e.left if kf is Inj1 else e.right
+            return "case-inj", substitute(u, 0, f.body)
+    elif kf is App:
+        c = f.arg
+        if type(c) is Case:
             under = shift_eterm(e, 1, 0)  # into each branch
-            return App(s, Case(x1, App(u1, under), x2, App(u2, under),
-                               _result_ann(ann, e)))
-        case "mu-struct", App(Mu(a, ann, body), e):
-            return Mu(a, _result_ann(ann, e),
-                      mu_substitute(body, 0, (shift_eterm(e, 0, 1),)))
-    raise InvalidPosition(f"no redex at the root of a {type(t).__name__}")
+            return "case-perm", App(f.fun, Case(
+                c.left_var, App(c.left, under), c.right_var,
+                App(c.right, under), _result_ann(c.ann, e)))
+    elif kf is Mu:
+        return "mu-struct", Mu(f.var, _result_ann(f.ann, e), mu_substitute(
+            f.body, 0, (shift_eterm(e, 0, 1),)))
+    return None
+
+
+def _reducts(t: Term, path: Position = ()
+             ) -> Iterator[tuple[Position, str, Term, Term]]:
+    """(position, rule, reduct, contractum) for each redex of t, in
+    leftmost-outermost (pre-)order, with positions below path.
+
+    One walk finds and contracts every redex: each is contracted once,
+    when it is reached, and the nodes above it are rebuilt around the
+    contractum as the walk returns through them.  Lazy, so a caller
+    that stops early contracts no redex after the last it takes.
+    """
+    kind = type(t)
+    if kind is App:
+        f, e = t.fun, t.arg
+        root = _contract(t)
+        if root is not None:
+            yield path, root[0], root[1], root[1]
+        for p, rule, new, c in _reducts(f, path + (0,)):
+            yield p, rule, App(new, e), c
+        ke = type(e)
+        if ke is Arg:
+            for p, rule, new, c in _reducts(e.term, path + (1,)):
+                yield p, rule, App(f, Arg(new)), c
+        elif ke is Case:
+            x1, u1, x2, u2, ann = e.left_var, e.left, e.right_var, e.right, e.ann
+            for p, rule, new, c in _reducts(u1, path + (1,)):
+                yield p, rule, App(f, Case(x1, new, x2, u2, ann)), c
+            for p, rule, new, c in _reducts(u2, path + (2,)):
+                yield p, rule, App(f, Case(x1, u1, x2, new, ann)), c
+    elif kind is Pair:
+        f, s = t.fst, t.snd
+        for p, rule, new, c in _reducts(f, path + (0,)):
+            yield p, rule, Pair(new, s), c
+        for p, rule, new, c in _reducts(s, path + (1,)):
+            yield p, rule, Pair(f, new), c
+    elif kind is Abs or kind is Mu:
+        for p, rule, new, c in _reducts(t.body, path + (0,)):
+            yield p, rule, kind(t.var, t.ann, new), c
+    elif kind is Named:
+        for p, rule, new, c in _reducts(t.body, path + (0,)):
+            yield p, rule, Named(t.name, new), c
+    elif kind is Inj1 or kind is Inj2:
+        for p, rule, new, c in _reducts(t.body, path + (0,)):
+            yield p, rule, kind(new, t.ann), c
+    elif kind is not Var:
+        raise TypeError(f"not a term: {t!r}")
+
+
+def redexes(t: Term) -> list[tuple[Position, str]]:
+    """All redex positions and their rules, in leftmost-outermost
+    (pre-)order."""
+    return [(p, rule) for p, rule, _, _ in _reducts(t)]
 
 
 def step_at(t: Term, p: Position) -> ReductionStep:
-    sub = subterm_at(t, p)
-    rule = rule_at(sub)
-    if rule is None:
-        raise InvalidPosition(f"no redex at {p} in {print_term(t)}")
-    return ReductionStep(t, p, rule, replace_at(t, p, contract_root(sub)))
+    """The contraction of the redex at position p of t."""
+    for q, rule, after, _ in _reducts(t):
+        if q == p:
+            return ReductionStep(t, p, rule, after)
+    raise InvalidPosition(f"no redex at {p} in {print_term(t)}")
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
@@ -271,14 +273,14 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
     while True:
         if term_depth(current) > MAX_NESTING:
             raise ReductTooDeep(len(trace.steps))
-        rs = redexes(current)
-        if not rs:
+        first = next(_reducts(current), None)
+        if first is None:
             return current, trace
         if len(trace.steps) == fuel:
             raise FuelExhausted(trace)
-        step = step_at(current, rs[0][0])
-        trace.steps.append(step)
-        current = step.after
+        p, rule, after, _ = first
+        trace.steps.append(ReductionStep(current, p, rule, after))
+        current = after
 
 
 # --------------------------------------------------------------------------
@@ -446,12 +448,12 @@ def _steps(t: Term, key: str
     """
     bound = (len(key) + 2) // 3
     out = []
-    for p, _ in redexes(t):
-        step = step_at(t, p)
+    for p, rule, after, contractum in _reducts(t):
         if 3 * bound - 2 * len(p) > MAX_NESTING and \
-                len(p) + term_depth(subterm_at(step.after, p)) > MAX_NESTING:
+                len(p) + term_depth(contractum) > MAX_NESTING:
             return None
-        out.append((step, canonical_form(step.after), step.after))
+        out.append((ReductionStep(t, p, rule, after), canonical_form(after),
+                    after))
     return out
 
 
@@ -506,11 +508,15 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     ``stopped``.  A ``table`` supplies
     the reducts of the keys it has expanded and records those of the
     keys expanded here (``stop`` is then not supported, since a node
-    served from the table may have no term).  Raises ReductTooDeep when
+    served from the table may have no term).  Raises ValueError when t
+    has dangling indices, which no key can print, and ReductTooDeep when
     t or a reduct nests deeper than MAX_NESTING.
     """
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
+    if dangling(t) != (0, 0):
+        raise ValueError("the term has dangling indices: it is a subterm "
+                         "whose bound variables refer to binders above it")
     if term_depth(t) > MAX_NESTING:
         raise ReductTooDeep(0)
     root = canonical_form(t)

@@ -341,8 +341,9 @@ def free_variables(t: Term) -> tuple[frozenset[str], frozenset[str]]:
 
 
 def is_closed(t: Term) -> bool:
+    """No free names and no dangling indices."""
     lam, mu = free_variables(t)
-    return not lam and not mu
+    return not lam and not mu and dangling(t) == (0, 0)
 
 
 def all_names(t: Term) -> set[str]:

@@ -309,9 +309,9 @@ def test_graph_cap_bounds_the_work(capsys, monkeypatch):
     # reducts of about 1,100 characters, each with dozens of redexes;
     # once the cap drops one of them, nothing more is expanded
     expanded = []
-    redexes = reduction.redexes
-    monkeypatch.setattr(reduction, "redexes",
-                        lambda t: expanded.append(t) or redexes(t))
+    steps = reduction._steps
+    monkeypatch.setattr(reduction, "_steps",
+                        lambda t, key: expanded.append(t) or steps(t, key))
     code, out, _ = run(capsys, "graph", "--term", _mu_struct_input(n_args=1),
                        "--open", "y,w", "--node-cap", "20")
     assert code == INCONCLUSIVE

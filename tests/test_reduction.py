@@ -3,14 +3,13 @@
 import pytest
 
 from lambdamu import (
-    Abs, App, Arg, Arrow, BOT, FuelExhausted, Mu, Named, PropVar,
+    Abs, App, Arg, Arrow, BOT, FuelExhausted, Mu, Named, Pair, PropVar,
     ReductionGraph, ReductionStep, Var, canonical_form, canonical_terms,
     close, erase, infer, normalize, parse_term, print_term, redexes,
     reduction_graph,
 )
 from lambdamu.reduction import (
-    InvalidPosition, SuccessorFacts, contract_root, replace_at, rule_at,
-    step_at, subterm_at, term_depth,
+    InvalidPosition, SuccessorFacts, step_at, subterm_at, term_depth,
 )
 from lambdamu.syntax import MAX_NESTING
 from lambdamu.typecheck import TypeCheckError
@@ -33,23 +32,21 @@ Q = PropVar("Q")
     ("(in2{Q} w [x.z, y.<y, y>])", "case-inj", "<y0, y0>".replace("y0", "w")),
 ])
 def test_simple_rules(src, rule, expected):
-    t = parse_term(src)
-    assert rule_at(t) == rule
-    assert contract_root(t) == parse_term(expected)
+    step = step_at(parse_term(src), ())
+    assert step.rule == rule
+    assert step.after == parse_term(expected)
 
 
 def test_case_perm():
-    t = parse_term("((s [x.u, y.v]) w)")
-    assert rule_at(t) == "case-perm"
-    got = contract_root(t)
-    assert got == parse_term("(s [x.(u w), y.(v w)])")
+    step = step_at(parse_term("((s [x.u, y.v]) w)"), ())
+    assert step.rule == "case-perm"
+    assert step.after == parse_term("(s [x.(u w), y.(v w)])")
 
 
 def test_mu_struct():
-    t = parse_term("(mu a:P -> Q. [a] f w)")
-    assert rule_at(t) == "mu-struct"
-    got = contract_root(t)
-    assert got == parse_term("mu a:Q. [a] (f w)")
+    step = step_at(parse_term("(mu a:P -> Q. [a] f w)"), ())
+    assert step.rule == "mu-struct"
+    assert step.after == parse_term("mu a:Q. [a] (f w)")
 
 
 @pytest.mark.parametrize("src, p, expected", [
@@ -67,29 +64,27 @@ def test_contraction_under_binders_shifts(src, p, expected):
 
 
 def test_mu_struct_consumes_projection_annotation():
-    t = parse_term("(mu a:P /\\ Q. [a] p p2)")
-    got = contract_root(t)
+    got = step_at(parse_term("(mu a:P /\\ Q. [a] p p2)"), ()).after
     assert isinstance(got, Mu)
     assert got.ann == Q
     assert got == parse_term("mu a:Q. [a] (p p2)")
 
 
 def test_mu_struct_case_annotation():
-    t = parse_term("(mu a:P \\/ P. [a] w [x.x, y.y]{Q})")
-    got = contract_root(t)
+    got = step_at(parse_term("(mu a:P \\/ P. [a] w [x.x, y.y]{Q})"), ()).after
     assert got.ann == Q
 
 
 def test_case_perm_repairs_annotation():
-    t = parse_term("((s [x.f, y.g]{P -> Q}) w)")
-    got = contract_root(t)
+    got = step_at(parse_term("((s [x.f, y.g]{P -> Q}) w)"), ()).after
     assert got.arg.ann == Q
 
 
 def test_no_rule_at_normal_roots():
     for src in ["x", "\\x:P. x", "<x, y>", "(f x)", "mu a:P. [a] x",
                 "(w [x.x, y.y])"]:
-        assert rule_at(parse_term(src)) is None
+        with pytest.raises(InvalidPosition):
+            step_at(parse_term(src), ())
 
 
 # --------------------------------------------------------------------------
@@ -111,12 +106,11 @@ def test_nested_redex_positions():
     assert rs[1] == ((0, 0), "beta")
 
 
-def test_subterm_replace_round_trip():
+def test_step_at_rebuilds_around_the_contractum():
     t = parse_term("<(\\x:P. x u), y>")
-    p = (0,)
-    sub = subterm_at(t, p)
+    sub = subterm_at(t, (0,))
     assert print_term(sub) == "(\\x:P. x u)"
-    assert replace_at(t, p, sub) == t
+    assert step_at(t, (0,)).after == Pair(step_at(sub, ()).after, Var("y"))
 
 
 def test_invalid_position():
@@ -350,6 +344,12 @@ def _successor_map(*edges: str) -> dict[str, list[str]]:
 def test_confluence_on_hand_built_graphs(edges, evidence):
     succ = _successor_map(*edges)
     assert SuccessorFacts(succ).confluence_failure("r", succ) == evidence
+
+
+def test_graph_refuses_dangling_indices():
+    body = subterm_at(parse_term("\\x:P. mu a:P. [a] x"), (0,))
+    with pytest.raises(ValueError, match="the term has dangling indices"):
+        reduction_graph(body)
 
 
 def test_graph_serializations():

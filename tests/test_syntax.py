@@ -359,6 +359,15 @@ def test_free_variables_two_namespaces():
     assert is_closed(parse_term("\\x:P. x"))
 
 
+def test_is_closed_refuses_dangling_indices():
+    # the body's x is bound by the lambda outside it
+    body = subterm_at(parse_term("\\x:P. mu a:P. [a] x"), (0,))
+    assert free_variables(body) == (frozenset(), frozenset())
+    assert not is_closed(body)
+    assert not is_closed(subterm_at(parse_term("mu a:P. [a] y"), (0,)))
+    assert is_closed(parse_term("\\x:P. mu a:P. [a] x"))
+
+
 def test_free_variables_eterm_case_binders():
     lam, mu = free_variables(parse_term("(w [x.x, y.z])"))
     assert lam == frozenset({"w", "z"})
