@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .syntax import MAX_NESTING, canonical_form, print_term
+from .syntax import MAX_NESTING, canonical_form
 from .terms import (
     Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
     Pair, Proj1, Proj2, Term, Var, dangling, mu_substitute, shift_eterm,
@@ -85,34 +85,14 @@ class Trace:
 
 
 # --------------------------------------------------------------------------
-# Positions
+# Nesting depth
 # --------------------------------------------------------------------------
-
-def term_children(t: Term) -> list[tuple[int, Term]]:
-    match t:
-        case Var(_):
-            return []
-        case Abs(_, _, b) | Mu(_, _, b) | Named(_, b) | Inj1(b, _) | Inj2(b, _):
-            return [(0, b)]
-        case Pair(f, s):
-            return [(0, f), (1, s)]
-        case App(f, e):
-            out = [(0, f)]
-            match e:
-                case Arg(u):
-                    out.append((1, u))
-                case Case(_, u1, _, u2):
-                    out.append((1, u1))
-                    out.append((2, u2))
-            return out
-    raise TypeError(f"not a term: {t!r}")
-
 
 def term_depth(t: Term) -> int:
     """The number of term nodes on the longest path from t to a leaf.
 
-    The children of term_children, found by type rather than by pattern,
-    since every explored reduct is measured.
+    Children are found by type rather than by pattern, since every
+    explored reduct is measured.
     """
     depth, level = 0, [t]
     while level:
@@ -133,17 +113,6 @@ def term_depth(t: Term) -> int:
                 below.append(s.body)
         level = below
     return depth
-
-
-def subterm_at(t: Term, p: Position) -> Term:
-    for k, i in enumerate(p):
-        for j, child in term_children(t):
-            if j == i:
-                t = child
-                break
-        else:
-            raise InvalidPosition(f"no child {i} at position {p[:k]}")
-    return t
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +185,8 @@ def _reducts(t: Term, path: Position = ()
         f, e = t.fun, t.arg
         root = _contract(t)
         if root is not None:
-            yield path, root[0], root[1], root[1]
+            rule, c = root
+            yield path, rule, c, c
         for p, rule, new, c in _reducts(f, path + (0,)):
             yield p, rule, App(new, e), c
         ke = type(e)
@@ -224,7 +194,8 @@ def _reducts(t: Term, path: Position = ()
             for p, rule, new, c in _reducts(e.term, path + (1,)):
                 yield p, rule, App(f, Arg(new)), c
         elif ke is Case:
-            x1, u1, x2, u2, ann = e.left_var, e.left, e.right_var, e.right, e.ann
+            x1, u1, x2, u2 = e.left_var, e.left, e.right_var, e.right
+            ann = e.ann
             for p, rule, new, c in _reducts(u1, path + (1,)):
                 yield p, rule, App(f, Case(x1, new, x2, u2, ann)), c
             for p, rule, new, c in _reducts(u2, path + (2,)):
@@ -250,7 +221,7 @@ def _reducts(t: Term, path: Position = ()
 
 def redexes(t: Term) -> list[tuple[Position, str]]:
     """All redex positions and their rules, in leftmost-outermost
-    (pre-)order."""
+    (pre-)order.  A view over the walk, so every redex is contracted."""
     return [(p, rule) for p, rule, _, _ in _reducts(t)]
 
 
@@ -259,7 +230,7 @@ def step_at(t: Term, p: Position) -> ReductionStep:
     for q, rule, after, _ in _reducts(t):
         if q == p:
             return ReductionStep(t, p, rule, after)
-    raise InvalidPosition(f"no redex at {p} in {print_term(t)}")
+    raise InvalidPosition(f"no redex at position {p}")
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:

@@ -9,7 +9,7 @@ from lambdamu import (
     enumerate_typed_terms, free_variables, mu_substitute, normalize,
     parse_formula, parse_term, print_formula, print_term, substitute,
 )
-from lambdamu.reduction import step_at, subterm_at
+from lambdamu.reduction import step_at
 from lambdamu.syntax import MAX_NESTING
 from lambdamu.terms import FreshSupply, apply_sequence, is_closed
 
@@ -361,10 +361,10 @@ def test_free_variables_two_namespaces():
 
 def test_is_closed_refuses_dangling_indices():
     # the body's x is bound by the lambda outside it
-    body = subterm_at(parse_term("\\x:P. mu a:P. [a] x"), (0,))
+    body = parse_term("\\x:P. mu a:P. [a] x").body
     assert free_variables(body) == (frozenset(), frozenset())
     assert not is_closed(body)
-    assert not is_closed(subterm_at(parse_term("mu a:P. [a] y"), (0,)))
+    assert not is_closed(parse_term("mu a:P. [a] y").body)
     assert is_closed(parse_term("\\x:P. mu a:P. [a] x"))
 
 
@@ -488,14 +488,13 @@ def test_round_trip_renamed_hints(src, printed):
 
 
 def test_print_subterm_needs_the_names_of_its_binders():
-    body = subterm_at(parse_term("\\x:P. <x, y>"), (0,))
+    body = parse_term("\\x:P. <x, y>").body
     assert print_term(body, ("x",)) == "<x, y>"
     for printer in (print_term, canonical_form):
         with pytest.raises(ValueError,
                            match="reach 1 lambda- and 0 mu-binders"):
             printer(body)
-    inner = subterm_at(parse_term("\\x:P. mu a:P. \\z:P. [a] <x, z>"),
-                       (0, 0, 0))
+    inner = parse_term("\\x:P. mu a:P. \\z:P. [a] <x, z>").body.body.body
     with pytest.raises(ValueError, match="reach 2 lambda- and 1 mu-binders"):
         print_term(inner, ("x",))
     assert print_term(inner, ("x", "z"), ("a",)) == "[a] <x, z>"
