@@ -364,7 +364,7 @@ def test_is_closed_refuses_dangling_indices():
     body = parse_term("\\x:P. mu a:P. [a] x").body
     assert free_variables(body) == (frozenset(), frozenset())
     assert not is_closed(body)
-    assert not is_closed(parse_term("mu a:P. [a] y").body)
+    assert not is_closed(parse_term("mu a:P. [a] \\y:P. y").body)
     assert is_closed(parse_term("\\x:P. mu a:P. [a] x"))
 
 
