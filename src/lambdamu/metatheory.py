@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .reduction import (
-    DEFAULT_NODE_CAP, ReductTooDeep, ReductionTable, reduction_graph,
+    DEFAULT_NODE_CAP, ReductTooDeep, SuccessorFacts, reduction_graph,
 )
 from .syntax import print_term
 from .terms import (
@@ -409,20 +409,22 @@ def run_suite(corpus: Corpus,
               node_cap: int = DEFAULT_NODE_CAP) -> list[PropertyReport]:
     """Subject reduction, confluence and strong normalization, in that order.
 
-    All entries share one ReductionTable, so each distinct reduct is
-    expanded once, and each distinct (reduct, formula, contexts) is
-    type-checked once.  Confluence and strong normalization are lookups
-    at an entry's root in the table's per-key facts.  An entry whose
-    graph hits the node cap, or has a reduct nested too deeply, is
+    All entries share one reduction_graph memo, from each key to the
+    keys of its reducts, so each distinct reduct is expanded once, and
+    each distinct (reduct, formula, contexts) is type-checked once.
+    Confluence and strong normalization are lookups at an entry's root
+    in SuccessorFacts over the memo.  A graph the cap or a too-deep
+    reduct cut short adds nothing to the memo, and its entry is
     incomplete in every report.
     """
-    table = ReductionTable()
+    memo: dict[str, tuple[str, ...]] = {}
+    facts = SuccessorFacts(memo)
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
     errors: dict[tuple, dict[str, Optional[str]]] = {}
     for entry in corpus.entries:
         try:
-            graph = reduction_graph(entry.term, node_cap, table=table)
+            graph = reduction_graph(entry.term, node_cap, memo=memo)
         except ReductTooDeep:
             graph = None
         if graph is None or not graph.complete:
@@ -437,7 +439,7 @@ def run_suite(corpus: Corpus,
         rebuilt = None
         for key, reduct in graph.nodes.items():
             if key not in known:
-                if reduct is None:  # dropped by the table: explore afresh
+                if reduct is None:  # served from the memo: explore afresh
                     if rebuilt is None:
                         rebuilt = reduction_graph(entry.term, node_cap)
                     reduct = rebuilt.nodes[key]
@@ -445,12 +447,12 @@ def run_suite(corpus: Corpus,
             if known[key] is not None:
                 sr.failures.append((entry, f"reduct {key}: {known[key]}"))
         # some reduct is a descendant of every reduct
-        why = table.facts.confluence_failure(graph.root, graph.nodes)
+        why = facts.confluence_failure(graph.root, graph.nodes)
         if why is not None:
             cf.failures.append((entry, why))
         # the reduction graph is acyclic; record its longest path
-        if table.facts.acyclic(graph.root):
-            sn.longest_paths[graph.root] = table.facts.longest_path(graph.root)
+        if facts.acyclic(graph.root):
+            sn.longest_paths[graph.root] = facts.longest_path(graph.root)
         else:
             sn.failures.append((entry, "reduction graph has a cycle"))
     return reports

@@ -23,8 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from .syntax import MAX_NESTING, canonical_form
 from .terms import (
     Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
-    Pair, Proj1, Proj2, Term, Var, dangling, mu_substitute, shift_eterm,
-    substitute,
+    Pair, Proj1, Proj2, Term, Var, mu_substitute, shift_eterm, substitute,
 )
 
 RULE_IDS = ("beta", "proj", "case-inj", "case-perm", "mu-struct")
@@ -263,8 +262,9 @@ class SuccessorFacts:
     a successor mapping, memoized per key.
 
     A key's facts depend only on the keys it reaches, so one instance
-    serves a mapping that only grows, as a ReductionTable's does, once
-    every key a queried key reaches has been expanded.
+    serves a mapping that only grows, such as a reduction_graph memo,
+    as long as every key it reaches is in the mapping: a memo holds only
+    closed sets, so any key in it can be queried.
     """
 
     def __init__(self, succ: Mapping[str, Iterable[str]]):
@@ -359,8 +359,8 @@ class ReductionGraph:
     ``complete`` is False when the node cap dropped a reduct, after which
     no node was expanded, so its edges are incomplete too; ``stopped``
     is the node at which ``reduction_graph``'s ``stop`` predicate held.
-    A graph explored with a ReductionTable has no steps on its edges and
-    no term at a node whose term the table no longer holds.
+    A node served from ``reduction_graph``'s memo has no term, and its
+    edges have no steps.
     """
 
     root: str
@@ -428,46 +428,9 @@ def _steps(t: Term, key: str
     return out
 
 
-class ReductionTable:
-    """The one-step reducts of every key expanded so far, shared by the
-    reduction_graph calls it is passed to.
-
-    ``succ`` maps each expanded key to the keys of its reducts, one per
-    redex in redex order, or to None when a reduct nests deeper than
-    MAX_NESTING.  The table keeps keys, not steps: a reduct's term stays
-    in ``pending`` only until its own key is expanded.  ``facts``
-    memoizes acyclicity, longest path and normal forms per key.
-    """
-
-    def __init__(self):
-        self.succ: dict[str, Optional[tuple[str, ...]]] = {}
-        self.pending: dict[str, Term] = {}
-        self.facts = SuccessorFacts(self.succ)
-
-    def successors(self, key: str, t: Optional[Term]
-                   ) -> Optional[list[tuple[None, str, Optional[Term]]]]:
-        """(None, key, term) per reduct of the node key, whose term t is
-        needed only when key is not yet expanded; a reduct's term is None
-        once the table has dropped it.  None when a reduct is too deep."""
-        if key in self.succ:
-            dsts = self.succ[key]
-            return None if dsts is None else \
-                [(None, dst, self.pending.get(dst)) for dst in dsts]
-        steps = _steps(t, key)
-        self.pending.pop(key, None)
-        if steps is None:
-            self.succ[key] = None
-            return None
-        self.succ[key] = tuple(dst for _, dst, _ in steps)
-        for _, dst, after in steps:
-            if dst not in self.succ:
-                self.pending.setdefault(dst, after)
-        return [(None, dst, after) for _, dst, after in steps]
-
-
 def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                     stop: Optional[Callable[[Term], bool]] = None,
-                    table: Optional[ReductionTable] = None
+                    memo: Optional[dict[str, tuple[str, ...]]] = None
                     ) -> ReductionGraph:
     """Explore the reducts of t breadth-first, deduplicating alpha-equal nodes.
 
@@ -476,24 +439,38 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     edge, and the nodes still queued after that are dequeued but not
     expanded.  ``stop`` is tested on each node as it is dequeued; the
     first it holds for ends the search unexpanded and is recorded as
-    ``stopped``.  A ``table`` supplies
-    the reducts of the keys it has expanded and records those of the
-    keys expanded here (``stop`` is then not supported, since a node
-    served from the table may have no term).  Raises ValueError when t
-    has dangling indices, which no key can print, and ReductTooDeep when
-    t or a reduct nests deeper than MAX_NESTING.
+    ``stopped``.
+
+    ``memo`` maps keys to the keys of their reducts, one per redex in
+    redex order, and holds only closed sets: every reduct key of a key
+    in it is in it too.  A node whose key it holds is served from it,
+    with no term and no steps on its edges, and so are all the nodes
+    below it.  The keys expanded here are added to it only when the
+    graph completes, which keeps it closed; a graph that the cap or a
+    too-deep reduct cut short leaves it as it was.  ``stop`` needs the
+    term of every node, so it is refused together with ``memo``.
+
+    Raises ValueError when t has dangling indices, which no key can
+    print, and ReductTooDeep when t or a reduct nests deeper than
+    MAX_NESTING.
     """
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
-    if dangling(t) != (0, 0):
-        raise ValueError("the term has dangling indices: it is a subterm "
-                         "whose bound variables refer to binders above it")
+    if stop is not None and memo is not None:
+        raise ValueError("stop needs the term of every node, and a node "
+                         "served from memo has none")
     if term_depth(t) > MAX_NESTING:
         raise ReductTooDeep(0)
-    root = canonical_form(t)
+    try:
+        root = canonical_form(t)
+    except ValueError:
+        raise ValueError("the term has dangling indices: it is a subterm "
+                         "whose bound variables refer to binders above it"
+                         ) from None
     nodes: dict[str, Optional[Term]] = {root: t}
     edges: list[tuple[str, Optional[ReductionStep], str]] = []
     parents: dict[str, int] = {}
+    expanded: dict[str, tuple[str, ...]] = {}
     complete = True
     queue = [root]
     for key in queue:
@@ -502,14 +479,18 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
             return ReductionGraph(root, nodes, edges, complete, parents, key)
         if not complete:
             continue
-        reducts = _steps(current, key) if table is None else \
-            table.successors(key, current)
-        if reducts is None:
-            distance = 1
-            while key != root:
-                key = edges[parents[key]][0]
-                distance += 1
-            raise ReductTooDeep(distance)
+        if memo is not None and key in memo:
+            reducts = [(None, dst, None) for dst in memo[key]]
+        else:
+            reducts = _steps(current, key)
+            if reducts is None:
+                distance = 1
+                while key != root:
+                    key = edges[parents[key]][0]
+                    distance += 1
+                raise ReductTooDeep(distance)
+            if memo is not None:
+                expanded[key] = tuple(dst for _, dst, _ in reducts)
         for step, dst, after in reducts:
             if dst not in nodes:
                 if len(nodes) >= node_cap:
@@ -519,4 +500,6 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                 parents[dst] = len(edges)
                 queue.append(dst)
             edges.append((key, step, dst))
+    if memo is not None and complete:
+        memo.update(expanded)
     return ReductionGraph(root, nodes, edges, complete, parents)

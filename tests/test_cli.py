@@ -366,6 +366,22 @@ def test_probe_too_deep_is_inconclusive(capsys):
     assert err == _TOO_DEEP
 
 
+@pytest.mark.parametrize("argv", [
+    ["--term", "T", "--law", "efq", "--n-args", "1200"],
+    ["--term", "C1", "--law", "peirce", "--n-args", "1200"],
+    ["--term", "W", "--law", "lem", "--seq-len", "1200"],
+])
+def test_probe_deep_subject_is_inconclusive(capsys, argv):
+    # 1,200 arguments nest the subject far past the bound before any
+    # step; the depth is measured before anything walks it recursively
+    code, out, err = run(capsys, "probe", *argv)
+    assert code == INCONCLUSIVE
+    assert out == ""
+    assert err == f"reduct nested deeper than {MAX_NESTING} levels " \
+                  f"after 0 steps\n"
+    assert "Traceback" not in err
+
+
 def test_probe_seed_determinism(capsys):
     _, out1, _ = run(capsys, "probe", "--term", "C2", "--law", "peirce",
                      "--seed", "42")

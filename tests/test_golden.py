@@ -144,11 +144,11 @@ def test_strong_normalization_facts():
 
 
 # --------------------------------------------------------------------------
-# run_suite, with its one table, against one fresh graph per entry
+# run_suite, with its one memo, against one fresh graph per entry
 # --------------------------------------------------------------------------
 
 def reference_suite(corpus, node_cap):
-    """The three reports from one reduction_graph per entry, no table:
+    """The three reports from one reduction_graph per entry, no memo:
     every node re-checks (a failure reports the error of the node's
     canonical form, parsed from its key), and SuccessorFacts over the
     graph's own edges decides confluence and acyclicity."""
@@ -205,7 +205,7 @@ def _mu_struct_too_deep():
 
 
 # the same reducts at different formulas and contexts, listed right and
-# wrong, so later entries meet reducts whose terms the table has dropped
+# wrong, so later entries meet reducts served from the memo, with no term
 SHARED = [
     _entry("(\\x:P -> P. x \\y:P. y)", "P -> P"),
     _entry("(\\x:P -> P. x \\y:P. y)", "P"),

@@ -4,9 +4,9 @@ import pytest
 
 from lambdamu import (
     Abs, App, Arg, Arrow, BOT, FuelExhausted, Mu, Named, Pair, PropVar,
-    ReductionGraph, ReductionStep, Var, canonical_form, canonical_terms,
-    close, erase, infer, normalize, parse_term, print_term, redexes,
-    reduction_graph,
+    ReductionGraph, ReductionStep, ReductTooDeep, Var, canonical_form,
+    canonical_terms, close, enumerate_typed_terms, erase, infer, normalize,
+    parse_term, print_term, redexes, reduction_graph,
 )
 from lambdamu.reduction import (
     InvalidPosition, SuccessorFacts, step_at, term_depth,
@@ -317,6 +317,74 @@ def test_graph_stop_at_root_expands_nothing():
     assert g.stopped == g.root
     assert list(g.nodes) == [g.root]
     assert g.edges == []
+
+
+# --------------------------------------------------------------------------
+# The memo of fully explored keys
+# --------------------------------------------------------------------------
+
+def _closed(memo) -> bool:
+    return all(dst in memo for dsts in memo.values() for dst in dsts)
+
+
+def _mu_struct_too_deep():
+    """((mu a:P. [a] mu b0:P. [a] ... [a] y) w) w): each mu-struct
+    appends w under each of the 61 [a] names, so the root's reduct is
+    fine and the second reduct nests past the bound."""
+    term = "y"
+    for i in range(60):
+        term = f"mu b{i}:P. [a] {term}"
+    return parse_term(f"((mu a:P. [a] {term} w) w)")
+
+
+def test_complete_graph_fills_a_closed_memo():
+    # every node key is in the memo with its reducts' keys, and every
+    # reduct key of a memo key is a memo key
+    memo, succ = {}, {}
+    for t in (parse_term("(<u, v> p1)"),
+              parse_term("(\\x:P. <x, x> (<u, v> p1))"), _looping_term()):
+        g = reduction_graph(t, memo=memo)
+        assert g.complete
+        succ.update(_successors(g))
+        assert memo == {k: tuple(v) for k, v in succ.items()}
+        assert _closed(memo)
+    assert memo[g.root] == (g.root,)
+
+
+def test_cut_short_graph_leaves_the_memo_unchanged():
+    memo = {}
+    reduction_graph(parse_term("(\\x:P. <x, x> (<u, v> p1))"), memo=memo)
+    before = dict(memo)
+    g = reduction_graph(_growing_loop(), node_cap=5, memo=memo)
+    assert not g.complete
+    assert memo == before
+    with pytest.raises(ReductTooDeep, match="after 2 steps"):
+        reduction_graph(_mu_struct_too_deep(), memo=memo)
+    assert memo == before
+
+
+def test_graph_over_a_filled_memo_matches_a_fresh_one():
+    # every size-7 graph, and the looping control, explored again over
+    # the memo their first exploration filled, node for node
+    terms = [e.term for e in enumerate_typed_terms(7).entries]
+    terms.append(_looping_term())
+    memo = {}
+    for t in terms:
+        reduction_graph(t, memo=memo)
+    for t in terms:
+        fresh, again = reduction_graph(t), reduction_graph(t, memo=memo)
+        assert list(again.nodes) == list(fresh.nodes)
+        assert [(src, dst) for src, _, dst in again.edges] == \
+            [(src, dst) for src, _, dst in fresh.edges]
+        assert again.parents == fresh.parents
+        # served from the memo below the root, so nothing is expanded
+        assert all(again.nodes[k] is None for k in list(again.nodes)[1:])
+
+
+def test_graph_refuses_stop_with_a_memo():
+    with pytest.raises(ValueError, match="stop needs the term"):
+        reduction_graph(parse_term("(\\x:P. x y)"), stop=lambda term: False,
+                        memo={})
 
 
 # --------------------------------------------------------------------------
