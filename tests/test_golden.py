@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from lambdamu import (
-    Corpus, PropertyReport, ReductTooDeep, TypeCheckError, behavior, check,
-    enumerate_typed_terms, parse_formula, parse_term, run_suite,
+    BOT, Abs, App, Arrow, Corpus, Mu, Named, Pair, PropertyReport,
+    ReductTooDeep, TypeCheckError, Var, behavior, check,
+    enumerate_typed_terms, erase, infer, parse_formula, parse_term, run_suite,
 )
 from lambdamu.cli import main
 from lambdamu.metatheory import PROPERTIES, CorpusEntry
@@ -248,3 +249,69 @@ def test_run_suite_matches_one_graph_per_entry(corpus, node_cap):
         assert got.failures == want.failures
         assert got.incomplete == want.incomplete
         assert got.longest_paths == want.longest_paths
+
+
+# --------------------------------------------------------------------------
+# Type-error messages
+# --------------------------------------------------------------------------
+
+def _ill_typed():
+    """(gamma, delta, term): one for each error the checker raises, most
+    of them under lambda- and mu-binders, so that the printed subterm
+    needs the binders' names."""
+    P, Q = parse_formula("P"), parse_formula("Q")
+    texts = [
+        ({}, {}, "\\x0:P. mu a0:Q. [a0] y"),                  # unbound variable
+        ({}, {}, "\\x0:P. mu a0:_|_. [b] x0"),                # unbound name
+        ({}, {}, "\\x0:P. \\x1. x0"),                         # lambda annotation
+        ({}, {}, "\\x0:P. mu a0:P. [a0] in1 x0"),             # in1 annotation
+        ({}, {}, "\\x0:P. mu a0:P. [a0] in2 x0"),             # in2 annotation
+        ({}, {}, "\\x0:P. mu a0. [a0] x0"),                   # mu annotation
+        ({}, {}, "\\x0:P. mu a0:P. x0"),                      # mu body
+        ({}, {"b": Q}, "\\x0:P. [b] x0"),                     # named, free name
+        ({}, {}, "\\x0:P. mu a0:Q. mu a1:P. [a0] x0"),        # named, bound name
+        ({}, {}, "\\x0:P. mu a0:Q. [a0] (x0 x0)"),            # not a function
+        ({}, {}, "\\x0:P -> Q. \\x1:Q. (x0 x1)"),             # argument type
+        ({}, {}, "\\x0:P. mu a0:P. [a0] (x0 p1)"),            # p1
+        ({}, {}, "\\x0:P. mu a0:Q. [a0] (x0 p2)"),            # p2
+        ({}, {}, "\\x0:P. (x0 [x1.x1, x2.x2])"),              # scrutinee
+        ({}, {}, "\\x0:P \\/ P. (x0 [x1.x1, x2.x2]{Q})"),     # case annotation
+        ({}, {}, "\\x0:P \\/ Q. (x0 [x1.x1, x2.x2])"),        # case branches
+        ({"y": P, "z": Q}, {}, "(\\x0:P. \\x1:Q. x0 y)"),      # open, typed
+    ]
+    out = [(gamma, delta, parse_term(text)) for gamma, delta, text in texts]
+    # dangling indices, which no text can write
+    out.append(({}, {}, Abs("x0", P, Var(1))))
+    out.append(({"x": BOT}, {}, Mu("a0", P, Named(1, Var("x")))))
+    # a node that is not a term
+    out.append(({"f": Arrow(P, P)}, {}, App(Var("f"), "junk")))
+    out.append(({"x": P}, {}, Pair(Var("x"), None)))
+    return out
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except TypeCheckError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def test_type_error_messages():
+    # every size-9 corpus term at its formula and at a wrong one, each
+    # with its annotations erased, and the ill-typed variants; the
+    # message of every error check and infer raise, in order
+    lines = []
+    for entry in enumerate_typed_terms(9).entries:
+        t, a = entry.term, entry.formula
+        wrong = Arrow(a, a)
+        lines.append(_error(check, {}, {}, t, a))
+        lines.append(_error(check, {}, {}, t, wrong))
+        lines.append(_error(check, {}, {}, erase(t), a))
+        lines.append(_error(infer, {}, {}, erase(t)))
+    for gamma, delta, t in _ill_typed():
+        lines.append(_error(infer, gamma, delta, t))
+        lines.append(_error(check, gamma, delta, t, BOT))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        3918, "25452f9db26ea6bc12158e8e22567cbda5b2bdd7db06515e580d18050e5aaf16")
