@@ -33,7 +33,7 @@ from .terms import (
     Mu, Named, PropVar, Term, Var, all_names, apply_sequence, close,
     free_variables, is_closed, open_names,
 )
-from .typecheck import TypeCheckError, infer
+from .typecheck import TypeCheckError, check
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def _subject_type(subject: Term) -> Formula:
     """The type of a probe subject, which must be closed and typed."""
     if not is_closed(subject):
         raise TypeCheckError("probe subject must be closed", term=subject)
-    return infer({}, {}, subject).conclusion.formula
+    return check({}, {}, subject)
 
 
 def probe_exfalso(subject: Term, n_args: int = 1,
@@ -373,6 +373,5 @@ def canonical_terms() -> dict[str, tuple[Term, Formula]]:
     out = {}
     for name, src in _CANONICAL_SOURCES.items():
         t = parse_term(src)
-        d = infer({}, {}, t)
-        out[name] = (t, d.conclusion.formula)
+        out[name] = (t, check({}, {}, t))
     return out

@@ -17,7 +17,7 @@ from .reduction import (
 )
 from .syntax import ParseError, parse_formula, parse_term, print_formula, print_term
 from .terms import Term, free_variables, substitute
-from .typecheck import TypeCheckError, derivation_to_json, infer
+from .typecheck import TypeCheckError, check, derivation_to_json, infer
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -145,21 +145,24 @@ def _run(args) -> int:
     if args.command == "check":
         term = _load_term(args)
         try:
-            d = infer({}, {}, term)
+            if args.derivation:
+                d = infer({}, {}, term)
+                formula = d.conclusion.formula
+            else:
+                formula = check({}, {}, term)
         except TypeCheckError as exc:
             print(f"type error: {exc}", file=sys.stderr)
             return EXIT_FAIL
         if args.type is not None:
             expected = parse_formula(args.type)
-            if d.conclusion.formula != expected:
+            if formula != expected:
                 print(f"type mismatch: expected {print_formula(expected)}, "
-                      f"found {print_formula(d.conclusion.formula)}",
-                      file=sys.stderr)
+                      f"found {print_formula(formula)}", file=sys.stderr)
                 return EXIT_FAIL
         if args.derivation:
             print(json.dumps(derivation_to_json(d), indent=2))
         else:
-            print(print_formula(d.conclusion.formula))
+            print(print_formula(formula))
         return EXIT_OK
 
     if args.command == "reduce":

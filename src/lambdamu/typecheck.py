@@ -2,14 +2,19 @@
 
 A judgment has the shape ``gamma |- t : A ; delta`` where gamma binds
 lambda-variables and delta binds mu-variables (names).  The binders
-around a subterm enter gamma and delta under their name hints, and a
-judgment keeps those names, innermost last, to print its term, whose
-bound variables are indices.  Checking is
+around a subterm enter gamma and delta under their name hints, or, when
+the context binds a hint already, under the name print_term gives that
+binder; a judgment keeps those names, innermost last, to print its
+term, whose bound variables are indices.  Checking is
 syntax-directed: every Abs, Mu, Inj1 and Inj2 node must carry its
 annotation (Abs: argument type, Mu: result type, Inj: the other
 disjunct).  Case branches need no annotation; the branch binder types
 come from the scrutinee's disjunction and the result type comes from
 the first branch.
+
+One walk applies the rules.  ``check`` returns a term's formula and
+builds nothing else; ``infer`` returns its derivation tree, and is the
+only producer of derivations.
 """
 
 from __future__ import annotations
@@ -91,26 +96,46 @@ class Derivation:
 class _Scope:
     """The contexts of a subterm.  gamma and delta are the given ones, by
     name; lam and mu the formulas of the binders around it, by index
-    (innermost last).  ``shown`` is what its judgments record: gamma and
+    (innermost last).  ``shown()`` is what its judgments and errors
+    record, built on first read from the scope it extends: gamma and
     delta with the binders added under their names, sorted, and the
     binders' names."""
 
-    __slots__ = ("gamma", "delta", "lam", "mu", "shown")
+    __slots__ = ("gamma", "delta", "lam", "mu", "outer", "binder", "_shown")
 
     def __init__(self, gamma: Context, delta: Context, lam=(), mu=(),
-                 shown=None):
+                 outer=None, binder=None):
         self.gamma, self.delta, self.lam, self.mu = gamma, delta, lam, mu
-        self.shown = shown or (_freeze(gamma), _freeze(delta), ((), ()))
+        self.outer, self.binder = outer, binder  # binder: (is_mu, name, A)
+        self._shown = None
 
     def bind(self, x: str, a: Formula) -> "_Scope":
-        g, d, (lam, mu) = self.shown
         return _Scope(self.gamma, self.delta, self.lam + (a,), self.mu,
-                      (_with(g, x, a), d, (lam + (x,), mu)))
+                      self, (False, x, a))
 
     def bind_mu(self, x: str, a: Formula) -> "_Scope":
-        g, d, (lam, mu) = self.shown
         return _Scope(self.gamma, self.delta, self.lam, self.mu + (a,),
-                      (g, _with(d, x, a), (lam, mu + (x,))))
+                      self, (True, x, a))
+
+    def shown(self):
+        if self._shown is None:
+            pending, scope = [], self
+            while scope.outer is not None and scope._shown is None:
+                pending.append(scope)
+                scope = scope.outer
+            if scope._shown is None:
+                scope._shown = (_freeze(scope.gamma), _freeze(scope.delta),
+                                ((), ()))
+            for scope in reversed(pending):
+                g, d, (lam, mu) = scope.outer._shown
+                is_mu, x, a = scope.binder
+                if is_mu:
+                    d, x = _with(d, g, x, a)
+                    scope._shown = (g, d, (lam, mu + (x,)))
+                else:
+                    g, x = _with(g, d, x, a)
+                    scope._shown = (g, d, (lam + (x,), mu))
+        return self._shown
 
     def lookup(self, x, role: str, t: Term) -> Formula:
         """The formula of a variable of t: a name in the given context, an
@@ -132,139 +157,142 @@ class _Scope:
               found: Optional[Formula] = None) -> TypeCheckError:
         """A kind of TypeCheckError at t, which is printed with the names
         of the binders around it."""
-        return kind(message, t, rule, expected, found, self.shown[2])
+        return kind(message, t, rule, expected, found, self.shown()[2])
 
 
 def _freeze(ctx: Context) -> tuple[tuple[str, Formula], ...]:
     return tuple(sorted(ctx.items()))
 
 
-def _with(ctx, x: str, a: Formula):
-    """The frozen context ctx with x bound to a."""
+def _with(ctx, other, x: str, a: Formula):
+    """The frozen context ctx with a binder x bound to a, and the name it
+    is bound under: x, unless ctx binds x already; then, as print_term
+    names such a binder, x's stem and the first number that neither ctx
+    nor the other context binds."""
     if not ctx or ctx[-1][0] < x:  # binders named in order: x0, x1, ...
-        return ctx + ((x, a),)
-    return _freeze({**dict(ctx), x: a})
+        return ctx + ((x, a),), x
+    bound = dict(ctx)
+    if x in bound:
+        taken = bound.keys() | {y for y, _ in other}
+        stem, i = x.rstrip("0123456789") or x, 0
+        while f"{stem}{i}" in taken:
+            i += 1
+        x = f"{stem}{i}"
+    bound[x] = a
+    return _freeze(bound), x
 
 
 def infer(gamma: Context, delta: Context, t: Term) -> Derivation:
     """Infer the unique type of t and return the full derivation tree."""
-    return _infer(_Scope(dict(gamma), dict(delta)), t)
+    out: list[Derivation] = []
+    _infer(_Scope(dict(gamma), dict(delta)), t, out)
+    return out[0]
 
 
-def check(gamma: Context, delta: Context, t: Term, a: Formula) -> Derivation:
-    """Like infer, but the result must be structurally equal to a."""
-    d = infer(gamma, delta, t)
-    if d.conclusion.formula != a:
-        raise Mismatch("type mismatch", term=t,
-                       expected=a, found=d.conclusion.formula)
-    return d
+def check(gamma: Context, delta: Context, t: Term,
+          a: Optional[Formula] = None) -> Formula:
+    """The unique type of t, which must be structurally equal to a when a
+    is given; the same walk and errors as infer, with no derivation."""
+    found = _infer(_Scope(dict(gamma), dict(delta)), t)
+    if a is not None and found != a:
+        raise Mismatch("type mismatch", term=t, expected=a, found=found)
+    return found
 
 
-def _node(rule, scope, t, a, premises=()):
-    gamma, delta, names = scope.shown
-    return Derivation(rule, Judgment(gamma, t, a, delta, names),
-                      tuple(premises))
-
-
-def _infer(scope: _Scope, t: Term) -> Derivation:
+def _infer(scope: _Scope, t: Term, out: Optional[list] = None) -> Formula:
+    """The formula of t by the one rule that fits it.  Given a list out,
+    also append t's derivation to it, its premises collected alike."""
+    ps = None if out is None else []
     match t:
         case Var(x):
-            return _node("ax", scope, t, scope.lookup(x, "variable", t))
+            rule, a = "ax", scope.lookup(x, "variable", t)
 
         case Abs(x, ann, body):
             if ann is None:
                 raise scope.error(MissingAnnotationError, "lambda binder "
                                   "needs a type annotation", t, "arrow-i")
-            d = _infer(scope.bind(x, ann), body)
-            return _node("arrow-i", scope, t,
-                         Arrow(ann, d.conclusion.formula), [d])
+            rule, a = "arrow-i", Arrow(ann, _infer(scope.bind(x, ann), body,
+                                                   ps))
 
         case Pair(fst, snd):
-            d1 = _infer(scope, fst)
-            d2 = _infer(scope, snd)
-            return _node("and-i", scope, t,
-                         Conj(d1.conclusion.formula, d2.conclusion.formula),
-                         [d1, d2])
+            rule = "and-i"
+            a = Conj(_infer(scope, fst, ps), _infer(scope, snd, ps))
 
         case Inj1(body, ann):
             if ann is None:
                 raise scope.error(MissingAnnotationError, "in1 needs the "
                                   "other disjunct as annotation", t, "or-i1")
-            d = _infer(scope, body)
-            return _node("or-i1", scope, t,
-                         Disj(d.conclusion.formula, ann), [d])
+            rule, a = "or-i1", Disj(_infer(scope, body, ps), ann)
 
         case Inj2(body, ann):
             if ann is None:
                 raise scope.error(MissingAnnotationError, "in2 needs the "
                                   "other disjunct as annotation", t, "or-i2")
-            d = _infer(scope, body)
-            return _node("or-i2", scope, t,
-                         Disj(ann, d.conclusion.formula), [d])
+            rule, a = "or-i2", Disj(ann, _infer(scope, body, ps))
 
-        case Mu(a, ann, body):
+        case Mu(x, ann, body):
             if ann is None:
                 raise scope.error(MissingAnnotationError, "mu binder needs "
                                   "a type annotation", t, "abs-e")
-            d = _infer(scope.bind_mu(a, ann), body)
-            if d.conclusion.formula != BOT:
+            found = _infer(scope.bind_mu(x, ann), body, ps)
+            if found != BOT:
                 raise scope.error(Mismatch, "mu body must prove _|_", t,
-                                  "abs-e", BOT, d.conclusion.formula)
-            return _node("abs-e", scope, t, ann, [d])
+                                  "abs-e", BOT, found)
+            rule, a = "abs-e", ann
 
-        case Named(a, body):
-            target = scope.lookup(a, "name", t)
-            d = _infer(scope, body)
-            if d.conclusion.formula != target:
-                shown = a if type(a) is str else scope.shown[2][1][-1 - a]
+        case Named(x, body):
+            target = scope.lookup(x, "name", t)
+            found = _infer(scope, body, ps)
+            if found != target:
+                shown = x if type(x) is str else scope.shown()[2][1][-1 - x]
                 raise scope.error(Mismatch, f"named term disagrees with "
-                                  f"{shown!r}", t, "abs-i", target,
-                                  d.conclusion.formula)
-            return _node("abs-i", scope, t, BOT, [d])
+                                  f"{shown!r}", t, "abs-i", target, found)
+            rule, a = "abs-i", BOT
 
         case App(fun, Arg(arg)):
-            d1 = _infer(scope, fun)
-            fty = d1.conclusion.formula
+            fty = _infer(scope, fun, ps)
             if not isinstance(fty, Arrow):
                 raise scope.error(Mismatch, "applied term is not a function",
                                   t, "arrow-e", Arrow(BOT, BOT), fty)
-            d2 = _infer(scope, arg)
-            if d2.conclusion.formula != fty.left:
+            found = _infer(scope, arg, ps)
+            if found != fty.left:
                 raise scope.error(Mismatch, "argument type mismatch", t,
-                                  "arrow-e", fty.left, d2.conclusion.formula)
-            return _node("arrow-e", scope, t, fty.right, [d1, d2])
+                                  "arrow-e", fty.left, found)
+            rule, a = "arrow-e", fty.right
 
         case App(fun, Proj1() | Proj2() as proj):
-            d1 = _infer(scope, fun)
-            fty = d1.conclusion.formula
+            fty = _infer(scope, fun, ps)
             first = isinstance(proj, Proj1)
+            rule = "and-e1" if first else "and-e2"
             if not isinstance(fty, Conj):
                 raise scope.error(Mismatch, f"p{1 if first else 2} needs a "
-                                  f"conjunction", t,
-                                  "and-e1" if first else "and-e2",
-                                  Conj(BOT, BOT), fty)
-            return _node("and-e1" if first else "and-e2", scope, t,
-                         fty.left if first else fty.right, [d1])
+                                  f"conjunction", t, rule, Conj(BOT, BOT), fty)
+            a = fty.left if first else fty.right
 
         case App(fun, Case(x1, u1, x2, u2, ann)):
-            d1 = _infer(scope, fun)
-            fty = d1.conclusion.formula
+            fty = _infer(scope, fun, ps)
             if not isinstance(fty, Disj):
                 raise scope.error(Mismatch, "case scrutinee is not a "
                                   "disjunction", t, "or-e", Disj(BOT, BOT),
                                   fty)
-            d2 = _infer(scope.bind(x1, fty.left), u1)
-            result = d2.conclusion.formula
-            if ann is not None and ann != result:
+            a = _infer(scope.bind(x1, fty.left), u1, ps)
+            if ann is not None and ann != a:
                 raise scope.error(Mismatch, "case annotation disagrees with "
-                                  "first branch", t, "or-e", ann, result)
-            d3 = _infer(scope.bind(x2, fty.right), u2)
-            if d3.conclusion.formula != result:
+                                  "first branch", t, "or-e", ann, a)
+            found = _infer(scope.bind(x2, fty.right), u2, ps)
+            if found != a:
                 raise scope.error(Mismatch, "case branches disagree", t,
-                                  "or-e", result, d3.conclusion.formula)
-            return _node("or-e", scope, t, result, [d1, d2, d3])
+                                  "or-e", a, found)
+            rule = "or-e"
 
-    raise TypeCheckError(f"not a term: {t!r}")
+        case _:
+            raise TypeCheckError(f"not a term: {t!r}")
+
+    if out is not None:
+        gamma, delta, names = scope.shown()
+        out.append(Derivation(rule, Judgment(gamma, t, a, delta, names),
+                              tuple(ps)))
+    return a
 
 
 def erase(t: Term) -> Term:
@@ -307,7 +335,7 @@ def validate_derivation(d: Derivation) -> None:
     """Re-check every node locally against its rule schema.
 
     Independent of the checker: only looks at the recorded judgments.
-    Raises ValueError on the first malformed node.
+    Raises a TypeCheckError on the first malformed node.
     """
     g = dict(d.conclusion.gamma)
     dl = dict(d.conclusion.delta)
@@ -334,8 +362,9 @@ def validate_derivation(d: Derivation) -> None:
             if (len(ps) != 1 or not isinstance(t, Abs)
                     or a != Arrow(t.ann, pj(0).formula)
                     or pj(0).term != t.body
-                    or dict(pj(0).gamma) != {**g, t.var: t.ann}
-                    or pj(0).names != (lam_names + (t.var,), mu_names)
+                    or not _extends(g, lam_names, pj(0).gamma,
+                                    pj(0).names[0], t.var, t.ann)
+                    or pj(0).names[1] != mu_names
                     or pj(0).delta != d.conclusion.delta):
                 fail("arrow-i shape")
         case "arrow-e":
@@ -389,10 +418,11 @@ def validate_derivation(d: Derivation) -> None:
                   and pj(1).formula == a and pj(2).formula == a)
             if ok:
                 disj = pj(0).formula
-                ok = (dict(pj(1).gamma) == {**g, t.arg.left_var: disj.left}
-                      and dict(pj(2).gamma) == {**g, t.arg.right_var: disj.right}
-                      and pj(1).names == (lam_names + (t.arg.left_var,), mu_names)
-                      and pj(2).names == (lam_names + (t.arg.right_var,), mu_names)
+                ok = (_extends(g, lam_names, pj(1).gamma, pj(1).names[0],
+                               t.arg.left_var, disj.left)
+                      and _extends(g, lam_names, pj(2).gamma, pj(2).names[0],
+                                   t.arg.right_var, disj.right)
+                      and pj(1).names[1] == pj(2).names[1] == mu_names
                       and pj(0).names == d.conclusion.names
                       and pj(0).gamma == d.conclusion.gamma
                       and all(p.delta == d.conclusion.delta for p in pj_all(ps)))
@@ -411,8 +441,9 @@ def validate_derivation(d: Derivation) -> None:
                     or a != t.ann
                     or pj(0).formula != BOT
                     or pj(0).term != t.body
-                    or dict(pj(0).delta) != {**dl, t.var: t.ann}
-                    or pj(0).names != (lam_names, mu_names + (t.var,))
+                    or not _extends(dl, mu_names, pj(0).delta,
+                                    pj(0).names[1], t.var, t.ann)
+                    or pj(0).names[0] != lam_names
                     or pj(0).gamma != d.conclusion.gamma):
                 fail("abs-e shape")
         case _:
@@ -423,6 +454,17 @@ def validate_derivation(d: Derivation) -> None:
 
     for p in d.premises:
         validate_derivation(p)
+
+
+def _extends(ctx, names, inner_ctx, inner_names, x, a) -> bool:
+    """Whether the frozen inner_ctx and inner_names add to ctx and names
+    one binder x of formula a: under the name x, or under a name that ctx
+    does not bind when ctx binds x already."""
+    if len(inner_names) != len(names) + 1 or inner_names[:-1] != names:
+        return False
+    y = inner_names[-1]
+    return (y not in ctx and (y == x or x in ctx)
+            and dict(inner_ctx) == {**ctx, y: a})
 
 
 def pj_all(premises):

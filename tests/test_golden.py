@@ -300,17 +300,22 @@ def _error(fn, *args):
 def test_type_error_messages():
     # every size-9 corpus term at its formula and at a wrong one, each
     # with its annotations erased, and the ill-typed variants; the
-    # message of every error check and infer raise, in order
+    # message of every error check and infer raise, in order; and
+    # check's formula is infer's wherever the term is typed
     lines = []
     for entry in enumerate_typed_terms(9).entries:
         t, a = entry.term, entry.formula
         wrong = Arrow(a, a)
+        assert check({}, {}, t) == infer({}, {}, t).conclusion.formula == a
         lines.append(_error(check, {}, {}, t, a))
         lines.append(_error(check, {}, {}, t, wrong))
         lines.append(_error(check, {}, {}, erase(t), a))
         lines.append(_error(infer, {}, {}, erase(t)))
     for gamma, delta, t in _ill_typed():
         lines.append(_error(infer, gamma, delta, t))
+        if lines[-1] == "ok":
+            assert check(gamma, delta, t) == \
+                infer(gamma, delta, t).conclusion.formula
         lines.append(_error(check, gamma, delta, t, BOT))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (

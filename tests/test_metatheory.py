@@ -100,7 +100,7 @@ def test_enumerate_entries_are_closed_and_checked(monkeypatch):
     assert checked == [e.term for e in corpus.entries]
     for e in corpus.entries:
         assert e.gamma == () and e.delta == ()
-        assert check({}, {}, e.term, e.formula).conclusion.formula == e.formula
+        assert infer({}, {}, e.term).conclusion.formula == e.formula
 
 
 def test_enumerate_deterministic():

@@ -7,9 +7,11 @@ from lambdamu import (
     Abs, Arrow, BOT, Conj, Derivation, Disj, Mu,
     MissingAnnotationError, Mismatch, Named, PropVar, TypeCheckError,
     UnboundVariableError, Var, canonical_terms, check, close,
-    derivation_to_json, erase, infer, parse_formula, parse_term,
+    derivation_to_json, enumerate_typed_terms, erase, infer, parse_formula,
+    parse_term, probe_exfalso, probe_peirce, probe_tertium, run_suite,
     validate_derivation,
 )
+from lambdamu.terms import rename_binders
 
 P = PropVar("P")
 Q = PropVar("Q")
@@ -34,8 +36,8 @@ def typeof(src, gamma=None, delta=None):
 def test_canonical_golden_types(name, formula):
     term, ty = canonical_terms()[name]
     assert ty == parse_formula(formula)
-    d = check({}, {}, term, ty)
-    assert d.conclusion.formula == ty
+    assert check({}, {}, term, ty) == ty
+    assert infer({}, {}, term).conclusion.formula == ty
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +191,9 @@ def test_erase_preserves_structure():
 
 def test_validate_canonical_derivations():
     for name, (t, ty) in canonical_terms().items():
-        validate_derivation(check({}, {}, t, ty))
+        d = infer({}, {}, t)
+        assert d.conclusion.formula == ty
+        validate_derivation(d)
 
 
 def test_validate_rejects_forged_conclusion():
@@ -216,6 +220,72 @@ def test_derivation_to_json():
     assert j["rule"] == "arrow-i"
     assert j["judgment"]["formula"] == "P -> P"
     assert j["premises"][0]["rule"] == "ax"
+
+
+def _last_path(j):
+    """The judgments from the root of a derivation in JSON to its last
+    leaf."""
+    path = [j["judgment"]]
+    while j["premises"]:
+        j = j["premises"][-1]
+        path.append(j["judgment"])
+    return path
+
+
+@pytest.mark.parametrize("src, gamma, name, judgment", [
+    # three lambdas named x0; the last leaf reads the outermost
+    ("\\x0:Q. \\x1:P. \\z:P. x0", {}, "x0",
+     {"gamma": {"x0": "Q", "x1": "P", "x2": "P"}, "term": "x0",
+      "formula": "Q", "delta": {}}),
+    # case binders named as the lambda around them
+    ("\\x0:P \\/ Q. (x0 [x1.x0, x2.in2{P} x2])", {}, "x0",
+     {"gamma": {"x0": "P \\/ Q", "x1": "Q"}, "term": "x1", "formula": "Q",
+      "delta": {}}),
+    # two mu binders named a0; the last naming is by the outer one
+    ("mu a0:P. [a0] (f mu a1:Q. [a0] y)", {"y": P, "f": Arrow(Q, P)}, "a0",
+     {"gamma": {"f": "Q -> P", "y": "P"}, "term": "[a0] y",
+      "formula": "_|_", "delta": {"a0": "P", "a1": "Q"}}),
+    # a binder named as a variable of the given context
+    ("\\x0:Q. y", {"y": P}, "y",
+     {"gamma": {"y": "P", "y0": "Q"}, "term": "y", "formula": "P",
+      "delta": {}}),
+])
+def test_repeated_binder_names_give_valid_derivations(src, gamma, name,
+                                                      judgment):
+    # with every binder renamed to name, each judgment records the binders
+    # under the names print_term gives them, so the derivation validates;
+    # judgment is on the way to the last leaf
+    t = parse_term(src)
+    renamed = rename_binders(t, lambda kind, hint: name)
+    d = infer(gamma, {}, renamed)
+    validate_derivation(d)
+    assert d.conclusion.formula == infer(gamma, {}, t).conclusion.formula
+    assert judgment in _last_path(derivation_to_json(d))
+
+
+def test_oracles_and_probes_build_no_derivation(monkeypatch):
+    # enumeration, the three oracles and the probes read formulas only;
+    # derivations are built for infer's callers alone
+    built = []
+    init = Derivation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["rule"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Derivation, "__init__", counted)
+    corpus = enumerate_typed_terms(8)
+    reports = run_suite(corpus)
+    terms = canonical_terms()
+    verdicts = [probe_exfalso(terms["T"][0]).verdict,
+                probe_peirce(terms["C1"][0]).verdict,
+                probe_tertium(terms["W"][0]).verdict]
+    assert [(r.checked, len(r.failures)) for r in reports] == \
+        [(len(corpus), 0)] * 3
+    assert verdicts == ["confirmed"] * 3
+    assert built == []
+    infer({}, {}, terms["T"][0])
+    assert built == ["ax", "abs-e", "arrow-i"]
 
 
 def test_infer_deterministic():
