@@ -96,26 +96,26 @@ class Derivation:
 class _Scope:
     """The contexts of a subterm.  gamma and delta are the given ones, by
     name; lam and mu the formulas of the binders around it, by index
-    (innermost last).  ``shown()`` is what its judgments and errors
-    record, built on first read from the scope it extends: gamma and
-    delta with the binders added under their names, sorted, and the
-    binders' names."""
+    (innermost last); outer is the scope that the innermost binder, of
+    hint name, extends.  ``shown()`` is what its judgments and errors
+    record, built on first read from outer's: gamma and delta with the
+    binders added under their names, sorted, and the binders' names."""
 
-    __slots__ = ("gamma", "delta", "lam", "mu", "outer", "binder", "_shown")
+    __slots__ = ("gamma", "delta", "lam", "mu", "outer", "name", "_shown")
 
     def __init__(self, gamma: Context, delta: Context, lam=(), mu=(),
-                 outer=None, binder=None):
+                 outer=None, name=None):
         self.gamma, self.delta, self.lam, self.mu = gamma, delta, lam, mu
-        self.outer, self.binder = outer, binder  # binder: (is_mu, name, A)
+        self.outer, self.name = outer, name
         self._shown = None
 
     def bind(self, x: str, a: Formula) -> "_Scope":
         return _Scope(self.gamma, self.delta, self.lam + (a,), self.mu,
-                      self, (False, x, a))
+                      self, x)
 
     def bind_mu(self, x: str, a: Formula) -> "_Scope":
         return _Scope(self.gamma, self.delta, self.lam, self.mu + (a,),
-                      self, (True, x, a))
+                      self, x)
 
     def shown(self):
         if self._shown is None:
@@ -128,13 +128,12 @@ class _Scope:
                                 ((), ()))
             for scope in reversed(pending):
                 g, d, (lam, mu) = scope.outer._shown
-                is_mu, x, a = scope.binder
-                if is_mu:
-                    d, x = _with(d, g, x, a)
-                    scope._shown = (g, d, (lam, mu + (x,)))
-                else:
-                    g, x = _with(g, d, x, a)
+                if len(scope.lam) > len(lam):  # a lambda binder
+                    g, x = _with(g, d, scope.name, scope.lam[-1])
                     scope._shown = (g, d, (lam + (x,), mu))
+                else:
+                    d, x = _with(d, g, scope.name, scope.mu[-1])
+                    scope._shown = (g, d, (lam, mu + (x,)))
         return self._shown
 
     def lookup(self, x, role: str, t: Term) -> Formula:
@@ -202,11 +201,14 @@ def check(gamma: Context, delta: Context, t: Term,
 def _infer(scope: _Scope, t: Term, out: Optional[list] = None) -> Formula:
     """The formula of t by the one rule that fits it.  Given a list out,
     also append t's derivation to it, its premises collected alike."""
+    if type(t) is Var:  # ax, the one rule without premises
+        a = scope.lookup(t.name, "variable", t)
+        if out is not None:
+            gamma, delta, names = scope.shown()
+            out.append(Derivation("ax", Judgment(gamma, t, a, delta, names)))
+        return a
     ps = None if out is None else []
     match t:
-        case Var(x):
-            rule, a = "ax", scope.lookup(x, "variable", t)
-
         case Abs(x, ann, body):
             if ann is None:
                 raise scope.error(MissingAnnotationError, "lambda binder "
