@@ -129,10 +129,10 @@ class _Scope:
             for scope in reversed(pending):
                 g, d, (lam, mu) = scope.outer._shown
                 if len(scope.lam) > len(lam):  # a lambda binder
-                    g, x = _with(g, d, scope.name, scope.lam[-1])
+                    g, x = _with(g, scope.name, scope.lam[-1])
                     scope._shown = (g, d, (lam + (x,), mu))
                 else:
-                    d, x = _with(d, g, scope.name, scope.mu[-1])
+                    d, x = _with(d, scope.name, scope.mu[-1])
                     scope._shown = (g, d, (lam, mu + (x,)))
         return self._shown
 
@@ -163,18 +163,16 @@ def _freeze(ctx: Context) -> tuple[tuple[str, Formula], ...]:
     return tuple(sorted(ctx.items()))
 
 
-def _with(ctx, other, x: str, a: Formula):
+def _with(ctx, x: str, a: Formula):
     """The frozen context ctx with a binder x bound to a, and the name it
     is bound under: x, unless ctx binds x already; then, as print_term
-    names such a binder, x's stem and the first number that neither ctx
-    nor the other context binds."""
+    names such a binder, x's stem and the first number ctx does not bind."""
     if not ctx or ctx[-1][0] < x:  # binders named in order: x0, x1, ...
         return ctx + ((x, a),), x
     bound = dict(ctx)
     if x in bound:
-        taken = bound.keys() | {y for y, _ in other}
         stem, i = x.rstrip("0123456789") or x, 0
-        while f"{stem}{i}" in taken:
+        while f"{stem}{i}" in bound:
             i += 1
         x = f"{stem}{i}"
     bound[x] = a
@@ -183,7 +181,7 @@ def _with(ctx, other, x: str, a: Formula):
 
 def infer(gamma: Context, delta: Context, t: Term) -> Derivation:
     """Infer the unique type of t and return the full derivation tree."""
-    out: list[Derivation] = []
+    out = []
     _infer(_Scope(dict(gamma), dict(delta)), t, out)
     return out[0]
 
@@ -339,12 +337,10 @@ def validate_derivation(d: Derivation) -> None:
     Independent of the checker: only looks at the recorded judgments.
     Raises a TypeCheckError on the first malformed node.
     """
-    g = dict(d.conclusion.gamma)
-    dl = dict(d.conclusion.delta)
-    t = d.conclusion.term
-    a = d.conclusion.formula
-    ps = d.premises
-    lam_names, mu_names = d.conclusion.names
+    j = d.conclusion
+    g, dl = dict(j.gamma), dict(j.delta)
+    t, a, ps = j.term, j.formula, d.premises
+    lam_names, mu_names = j.names
 
     def pj(i):
         return ps[i].conclusion
@@ -353,7 +349,7 @@ def validate_derivation(d: Derivation) -> None:
         return x if type(x) is str else names[-1 - x]
 
     def fail(why):
-        raise TypeCheckError(f"invalid {d.rule} node ({why}): {d.conclusion}")
+        raise TypeCheckError(f"invalid {d.rule} node ({why}): {j}")
 
     match d.rule:
         case "ax":
@@ -367,30 +363,24 @@ def validate_derivation(d: Derivation) -> None:
                     or not _extends(g, lam_names, pj(0).gamma,
                                     pj(0).names[0], t.var, t.ann)
                     or pj(0).names[1] != mu_names
-                    or pj(0).delta != d.conclusion.delta):
+                    or pj(0).delta != j.delta):
                 fail("arrow-i shape")
         case "arrow-e":
             if (len(ps) != 2 or not isinstance(t, App)
                     or not isinstance(t.arg, Arg)
                     or pj(0).formula != Arrow(pj(1).formula, a)
-                    or pj(0).term != t.fun or pj(1).term != t.arg.term
-                    or any(p.gamma != d.conclusion.gamma
-                           or p.delta != d.conclusion.delta for p in pj_all(ps))):
+                    or pj(0).term != t.fun or pj(1).term != t.arg.term):
                 fail("arrow-e shape")
         case "and-i":
             if (len(ps) != 2 or not isinstance(t, Pair)
                     or a != Conj(pj(0).formula, pj(1).formula)
-                    or pj(0).term != t.fst or pj(1).term != t.snd
-                    or any(p.gamma != d.conclusion.gamma
-                           or p.delta != d.conclusion.delta for p in pj_all(ps))):
+                    or pj(0).term != t.fst or pj(1).term != t.snd):
                 fail("and-i shape")
         case "and-e1" | "and-e2":
             ok = (len(ps) == 1 and isinstance(t, App)
                   and isinstance(t.arg, Proj1 if d.rule == "and-e1" else Proj2)
                   and isinstance(pj(0).formula, Conj)
-                  and pj(0).term == t.fun
-                  and pj(0).gamma == d.conclusion.gamma
-                  and pj(0).delta == d.conclusion.delta)
+                  and pj(0).term == t.fun)
             if ok:
                 conj = pj(0).formula
                 ok = a == (conj.left if d.rule == "and-e1" else conj.right)
@@ -399,16 +389,12 @@ def validate_derivation(d: Derivation) -> None:
         case "or-i1":
             if (len(ps) != 1 or not isinstance(t, Inj1)
                     or a != Disj(pj(0).formula, t.ann)
-                    or pj(0).term != t.body
-                    or pj(0).gamma != d.conclusion.gamma
-                    or pj(0).delta != d.conclusion.delta):
+                    or pj(0).term != t.body):
                 fail("or-i1 shape")
         case "or-i2":
             if (len(ps) != 1 or not isinstance(t, Inj2)
                     or a != Disj(t.ann, pj(0).formula)
-                    or pj(0).term != t.body
-                    or pj(0).gamma != d.conclusion.gamma
-                    or pj(0).delta != d.conclusion.delta):
+                    or pj(0).term != t.body):
                 fail("or-i2 shape")
         case "or-e":
             ok = (len(ps) == 3 and isinstance(t, App)
@@ -425,18 +411,15 @@ def validate_derivation(d: Derivation) -> None:
                       and _extends(g, lam_names, pj(2).gamma, pj(2).names[0],
                                    t.arg.right_var, disj.right)
                       and pj(1).names[1] == pj(2).names[1] == mu_names
-                      and pj(0).names == d.conclusion.names
-                      and pj(0).gamma == d.conclusion.gamma
-                      and all(p.delta == d.conclusion.delta for p in pj_all(ps)))
+                      and pj(0).names == j.names and pj(0).gamma == j.gamma
+                      and all(p.delta == j.delta for p in pj_all(ps)))
             if not ok:
                 fail("or-e shape")
         case "abs-i":
             if (len(ps) != 1 or not isinstance(t, Named)
                     or a != BOT
                     or pj(0).term != t.body
-                    or dl.get(name(t.name, mu_names)) != pj(0).formula
-                    or pj(0).gamma != d.conclusion.gamma
-                    or pj(0).delta != d.conclusion.delta):
+                    or dl.get(name(t.name, mu_names)) != pj(0).formula):
                 fail("abs-i shape")
         case "abs-e":
             if (len(ps) != 1 or not isinstance(t, Mu)
@@ -446,13 +429,15 @@ def validate_derivation(d: Derivation) -> None:
                     or not _extends(dl, mu_names, pj(0).delta,
                                     pj(0).names[1], t.var, t.ann)
                     or pj(0).names[0] != lam_names
-                    or pj(0).gamma != d.conclusion.gamma):
+                    or pj(0).gamma != j.gamma):
                 fail("abs-e shape")
         case _:
             fail("unknown rule")
-    if d.rule not in ("arrow-i", "or-e", "abs-e") and \
-            any(p.names != d.conclusion.names for p in pj_all(ps)):
-        fail("binder names")
+    # a rule that binds nothing keeps its conclusion's contexts and names
+    if d.rule not in ("arrow-i", "or-e", "abs-e") and any(
+            (p.gamma, p.delta, p.names) != (j.gamma, j.delta, j.names)
+            for p in pj_all(ps)):
+        fail("contexts")
 
     for p in d.premises:
         validate_derivation(p)
@@ -462,7 +447,7 @@ def _extends(ctx, names, inner_ctx, inner_names, x, a) -> bool:
     """Whether the frozen inner_ctx and inner_names add to ctx and names
     one binder x of formula a: under the name x, or under a name that ctx
     does not bind when ctx binds x already."""
-    if len(inner_names) != len(names) + 1 or inner_names[:-1] != names:
+    if not inner_names or inner_names[:-1] != names:
         return False
     y = inner_names[-1]
     return (y not in ctx and (y == x or x in ctx)

@@ -261,23 +261,23 @@ def _ill_typed():
     needs the binders' names."""
     P, Q = parse_formula("P"), parse_formula("Q")
     texts = [
-        ({}, {}, "\\x0:P. mu a0:Q. [a0] y"),                  # unbound variable
-        ({}, {}, "\\x0:P. mu a0:_|_. [b] x0"),                # unbound name
-        ({}, {}, "\\x0:P. \\x1. x0"),                         # lambda annotation
-        ({}, {}, "\\x0:P. mu a0:P. [a0] in1 x0"),             # in1 annotation
-        ({}, {}, "\\x0:P. mu a0:P. [a0] in2 x0"),             # in2 annotation
-        ({}, {}, "\\x0:P. mu a0. [a0] x0"),                   # mu annotation
-        ({}, {}, "\\x0:P. mu a0:P. x0"),                      # mu body
-        ({}, {"b": Q}, "\\x0:P. [b] x0"),                     # named, free name
-        ({}, {}, "\\x0:P. mu a0:Q. mu a1:P. [a0] x0"),        # named, bound name
-        ({}, {}, "\\x0:P. mu a0:Q. [a0] (x0 x0)"),            # not a function
-        ({}, {}, "\\x0:P -> Q. \\x1:Q. (x0 x1)"),             # argument type
-        ({}, {}, "\\x0:P. mu a0:P. [a0] (x0 p1)"),            # p1
-        ({}, {}, "\\x0:P. mu a0:Q. [a0] (x0 p2)"),            # p2
-        ({}, {}, "\\x0:P. (x0 [x1.x1, x2.x2])"),              # scrutinee
-        ({}, {}, "\\x0:P \\/ P. (x0 [x1.x1, x2.x2]{Q})"),     # case annotation
-        ({}, {}, "\\x0:P \\/ Q. (x0 [x1.x1, x2.x2])"),        # case branches
-        ({"y": P, "z": Q}, {}, "(\\x0:P. \\x1:Q. x0 y)"),      # open, typed
+        ({}, {}, "\\x0:P. mu a0:Q. [a0] y"),                # unbound variable
+        ({}, {}, "\\x0:P. mu a0:_|_. [b] x0"),              # unbound name
+        ({}, {}, "\\x0:P. \\x1. x0"),                       # lambda annotation
+        ({}, {}, "\\x0:P. mu a0:P. [a0] in1 x0"),           # in1 annotation
+        ({}, {}, "\\x0:P. mu a0:P. [a0] in2 x0"),           # in2 annotation
+        ({}, {}, "\\x0:P. mu a0. [a0] x0"),                 # mu annotation
+        ({}, {}, "\\x0:P. mu a0:P. x0"),                    # mu body
+        ({}, {"b": Q}, "\\x0:P. [b] x0"),                   # named, free name
+        ({}, {}, "\\x0:P. mu a0:Q. mu a1:P. [a0] x0"),      # named, bound name
+        ({}, {}, "\\x0:P. mu a0:Q. [a0] (x0 x0)"),          # not a function
+        ({}, {}, "\\x0:P -> Q. \\x1:Q. (x0 x1)"),           # argument type
+        ({}, {}, "\\x0:P. mu a0:P. [a0] (x0 p1)"),          # p1
+        ({}, {}, "\\x0:P. mu a0:Q. [a0] (x0 p2)"),          # p2
+        ({}, {}, "\\x0:P. (x0 [x1.x1, x2.x2])"),            # scrutinee
+        ({}, {}, "\\x0:P \\/ P. (x0 [x1.x1, x2.x2]{Q})"),   # case annotation
+        ({}, {}, "\\x0:P \\/ Q. (x0 [x1.x1, x2.x2])"),      # case branches
+        ({"y": P, "z": Q}, {}, "(\\x0:P. \\x1:Q. x0 y)"),   # open, typed
     ]
     out = [(gamma, delta, parse_term(text)) for gamma, delta, text in texts]
     # dangling indices, which no text can write
