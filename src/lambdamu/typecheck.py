@@ -69,7 +69,7 @@ class Mismatch(TypeCheckError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Judgment:
     gamma: tuple[tuple[str, Formula], ...]
     term: Term
@@ -86,7 +86,7 @@ class Judgment:
         return f"{g} |- {self.printed_term()} : {print_formula(self.formula)} ; {d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     rule: str
     conclusion: Judgment
