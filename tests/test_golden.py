@@ -17,7 +17,8 @@ import pytest
 from lambdamu import (
     BOT, Abs, App, Arrow, Corpus, Mu, Named, Pair, PropertyReport,
     ReductTooDeep, TypeCheckError, Var, behavior, check,
-    enumerate_typed_terms, erase, infer, parse_formula, parse_term, run_suite,
+    enumerate_typed_terms, erase, infer, parse_formula, parse_term, print_term,
+    run_suite,
 )
 from lambdamu.cli import main
 from lambdamu.metatheory import PROPERTIES, CorpusEntry
@@ -320,3 +321,43 @@ def test_type_error_messages():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
         3918, "25452f9db26ea6bc12158e8e22567cbda5b2bdd7db06515e580d18050e5aaf16")
+
+
+# --------------------------------------------------------------------------
+# Graph output
+# --------------------------------------------------------------------------
+
+# open inputs whose free names look like the names canonical printing
+# gives binders, so every node's printing must skip them; the last one
+# hits the node cap
+OPEN_GRAPHS = [
+    ("(\\x:P. \\y:P. (x0 (x y)) x1)", "x0,x1", []),
+    ("(mu a:P. [a] mu b:P. [a0] (x0 [a] a1) w)", "a0,a1,x0,w", []),
+    ("(\\x:P. <x, x0> (<a0, x1> p1))", "x0,x1,a0", []),
+    ("((s [x.(x0 x), y.y]) x1)", "s,x0,x1", []),
+    ("(\\x:~P. [a0] (x x) \\x:~P. [a0] (x x))", "a0", ["--node-cap", "5"]),
+]
+
+
+def _graph_lines(*argv):
+    """The exit code and stdout of lambdamu graph, as JSON and as --dot."""
+    lines = []
+    for fmt in ([], ["--dot"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["graph", *argv, *fmt])
+        lines.append(f"{code}\t{out.getvalue()}")
+    return lines
+
+
+def test_graph_output():
+    # the JSON and the dot text of every size-9 corpus graph and of the
+    # open inputs, byte for byte
+    lines = []
+    for entry in enumerate_typed_terms(9).entries:
+        lines += _graph_lines("--term", print_term(entry.term))
+    for text, open_vars, cap in OPEN_GRAPHS:
+        lines += _graph_lines("--term", text, "--open", open_vars, *cap)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        1948, "4812e1011556caf4e23ef651fba817277507d27836735d824447a117f14a5443")
