@@ -9,8 +9,8 @@ from .terms import (
     substitute,
 )
 from .syntax import (
-    ParseError, canonical_form, parse_formula, parse_term, print_formula,
-    print_term,
+    ParseError, alpha_key, canonical_form, parse_formula, parse_term,
+    print_formula, print_term,
 )
 from .typecheck import (
     Derivation, Judgment, MissingAnnotationError, Mismatch, TypeCheckError,

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .reduction import (
-    DEFAULT_NODE_CAP, ReductTooDeep, SuccessorFacts, reduction_graph,
+    DEFAULT_NODE_CAP, ReductionGraph, ReductTooDeep, SuccessorFacts,
+    reduction_graph,
 )
-from .syntax import print_term
+from .syntax import canonical_form, print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
     Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var, free_variables,
@@ -369,7 +370,8 @@ def curated_corpus(entries: list[tuple[Term, Formula, Context, Context]]) -> Cor
 # --------------------------------------------------------------------------
 
 def _type_error(entry: CorpusEntry, reduct: Term) -> Optional[str]:
-    """None when reduct checks at the entry's type, else the type error.
+    """None when reduct checks at the entry's type, else the evidence:
+    its canonical form and the type error.
 
     The error names binders as canonical_form does, so that the evidence
     does not depend on which names the reduct reached first.
@@ -384,7 +386,17 @@ def _type_error(entry: CorpusEntry, reduct: Term) -> Optional[str]:
         check(gamma, delta, _canonical_hints(reduct), entry.formula)
     except TypeCheckError as exc:
         error = exc
-    return str(error)
+    return f"reduct {canonical_form(reduct)}: {error}"
+
+
+def _printed_confluence_failure(graph: ReductionGraph) -> Optional[str]:
+    """SuccessorFacts' confluence evidence for a complete graph whose
+    nodes all have terms, with the nodes printed by canonical_form."""
+    text = graph.printed()
+    succ: dict[str, list[str]] = {k: [] for k in text.values()}
+    for src, _, dst in graph.edges:
+        succ[text[src]].append(text[dst])
+    return SuccessorFacts(succ).confluence_failure(text[graph.root], succ)
 
 
 def _canonical_hints(t: Term) -> Term:
@@ -409,13 +421,14 @@ def run_suite(corpus: Corpus,
               node_cap: int = DEFAULT_NODE_CAP) -> list[PropertyReport]:
     """Subject reduction, confluence and strong normalization, in that order.
 
-    All entries share one reduction_graph memo, from each key to the
-    keys of its reducts, so each distinct reduct is expanded once, and
-    each distinct (reduct, formula, contexts) is type-checked once.
+    All entries share one reduction_graph memo, from each alpha-key to
+    the keys of its reducts, so each distinct reduct is expanded once,
+    and each distinct (reduct, formula, contexts) is type-checked once.
     Confluence and strong normalization are lookups at an entry's root
-    in SuccessorFacts over the memo.  A graph the cap or a too-deep
-    reduct cut short adds nothing to the memo, and its entry is
-    incomplete in every report.
+    in SuccessorFacts over the memo; longest paths are listed by the
+    root's key.  Evidence prints reducts by canonical_form.  A graph the
+    cap or a too-deep reduct cut short adds nothing to the memo, and its
+    entry is incomplete in every report.
     """
     memo: dict[str, tuple[str, ...]] = {}
     facts = SuccessorFacts(memo)
@@ -445,11 +458,12 @@ def run_suite(corpus: Corpus,
                     reduct = rebuilt.nodes[key]
                 known[key] = _type_error(entry, reduct)
             if known[key] is not None:
-                sr.failures.append((entry, f"reduct {key}: {known[key]}"))
+                sr.failures.append((entry, known[key]))
         # some reduct is a descendant of every reduct
-        why = facts.confluence_failure(graph.root, graph.nodes)
-        if why is not None:
-            cf.failures.append((entry, why))
+        if facts.confluence_failure(graph.root, graph.nodes) is not None:
+            if rebuilt is None:
+                rebuilt = reduction_graph(entry.term, node_cap)
+            cf.failures.append((entry, _printed_confluence_failure(rebuilt)))
         # the reduction graph is acyclic; record its longest path
         if facts.acyclic(graph.root):
             sn.longest_paths[graph.root] = facts.longest_path(graph.root)

@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .syntax import MAX_NESTING, canonical_form
+from .syntax import MAX_NESTING, alpha_key, canonical_form
 from .terms import (
     Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
-    Pair, Proj1, Proj2, Term, Var, mu_substitute, shift_eterm, substitute,
+    Pair, Proj1, Proj2, Term, Var, dangling, mu_substitute, shift_eterm,
+    substitute,
 )
 
 RULE_IDS = ("beta", "proj", "case-inj", "case-perm", "mu-struct")
@@ -352,15 +353,16 @@ class SuccessorFacts:
 class ReductionGraph:
     """Breadth-first closure of a term under one-step reduction.
 
-    Nodes are keyed by their alpha-canonical printed form.  ``edges``
-    has one entry per redex of each expanded node; ``parents`` maps every
-    node but the root to the index of its first incoming edge, the one
-    that admitted it, so ``trace_to`` rebuilds a shortest reduction.
+    Nodes are keyed by their alpha_key, one per alpha-equivalence class;
+    to_json and to_dot print them by canonical_form.  ``edges`` has one
+    entry per redex of each expanded node; ``parents`` maps every node
+    but the root to the index of its first incoming edge, the one that
+    admitted it, so ``trace_to`` rebuilds a shortest reduction.
     ``complete`` is False when the node cap dropped a reduct, after which
     no node was expanded, so its edges are incomplete too; ``stopped``
     is the node at which ``reduction_graph``'s ``stop`` predicate held.
     A node served from ``reduction_graph``'s memo has no term, and its
-    edges have no steps.
+    edges have no steps, so such a graph cannot be printed.
     """
 
     root: str
@@ -379,11 +381,16 @@ class ReductionGraph:
         steps.reverse()
         return Trace(self.nodes[self.root], steps)
 
+    def printed(self) -> dict[str, str]:
+        """The canonical form of each node, by key."""
+        return {k: canonical_form(t) for k, t in self.nodes.items()}
+
     def to_dot(self) -> str:
+        text = self.printed()
         ids = {k: f"n{i}" for i, k in enumerate(self.nodes)}
         lines = ["digraph reduction {"]
         for k, i in ids.items():
-            label = k.replace("\\", "\\\\").replace('"', '\\"')
+            label = text[k].replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {i} [label="{label}"];')
         for src, step, dst in self.edges:
             lines.append(f'  {ids[src]} -> {ids[dst]} [label="{step.rule}"];')
@@ -391,40 +398,41 @@ class ReductionGraph:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
+        text = self.printed()
         return {
-            "root": self.root,
+            "root": text[self.root],
             "complete": self.complete,
-            "nodes": list(self.nodes),
+            "nodes": list(text.values()),
             "edges": [
-                {"from": src, "to": dst, "rule": step.rule,
+                {"from": text[src], "to": text[dst], "rule": step.rule,
                  "position": list(step.position)}
                 for src, step, dst in self.edges
             ],
         }
 
 
-def _steps(t: Term, key: str
-           ) -> Optional[list[tuple[ReductionStep, str, Term]]]:
-    """(step, key, term) per redex of the node t, keyed key, in redex
-    order; None when a reduct nests deeper than MAX_NESTING.
+def _steps(t: Term, depth: int
+           ) -> Optional[list[tuple[ReductionStep, str, Term, int]]]:
+    """(step, key, term, depth bound) per redex of t, in redex order,
+    given a bound on t's depth (see term_depth) no greater than
+    MAX_NESTING; None when a reduct nests deeper than that.
 
-    t itself nests at most that deep, so a reduct can only be deeper
-    along the contracted position p: by len(p) plus the contractum's
-    depth.  A contractum nests less than three times as deep as its
-    redex (mu-struct, the worst rule, adds a node and a copy of the
-    argument under each name), so the contractum is walked only when
-    len(p) + 3 * (depth of t - len(p)) passes the bound.  The key prints
-    at least three characters of its own for every node but a leaf,
-    which bounds the depth of t without walking it.
+    A reduct differs from t only along the contracted position p, so it
+    nests at most max(depth, len(p) + the contractum's depth) deep.  A
+    contractum nests less than three times as deep as its redex
+    (mu-struct, the worst rule, adds a node and a copy of the argument
+    under each name), so len(p) + 3 * (depth - len(p)) bounds that too,
+    and the contractum is walked only when this passes MAX_NESTING.
     """
-    bound = (len(key) + 2) // 3
     out = []
     for p, rule, after, contractum in _reducts(t):
-        if 3 * bound - 2 * len(p) > MAX_NESTING and \
-                len(p) + term_depth(contractum) > MAX_NESTING:
-            return None
-        out.append((ReductionStep(t, p, rule, after), canonical_form(after),
-                    after))
+        bound = max(depth, len(p) + 3 * (depth - len(p)))
+        if bound > MAX_NESTING:
+            bound = max(depth, len(p) + term_depth(contractum))
+            if bound > MAX_NESTING:
+                return None
+        out.append((ReductionStep(t, p, rule, after), alpha_key(after),
+                    after, bound))
     return out
 
 
@@ -450,8 +458,8 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     too-deep reduct cut short leaves it as it was.  ``stop`` needs the
     term of every node, so it is refused together with ``memo``.
 
-    Raises ValueError when t has dangling indices, which no key can
-    print, and ReductTooDeep when t or a reduct nests deeper than
+    Raises ValueError when t has dangling indices, which canonical_form
+    cannot print, and ReductTooDeep when t or a reduct nests deeper than
     MAX_NESTING.
     """
     if node_cap < 1:
@@ -459,30 +467,29 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     if stop is not None and memo is not None:
         raise ValueError("stop needs the term of every node, and a node "
                          "served from memo has none")
-    if term_depth(t) > MAX_NESTING:
+    depth = term_depth(t)
+    if depth > MAX_NESTING:
         raise ReductTooDeep(0)
-    try:
-        root = canonical_form(t)
-    except ValueError:
+    if dangling(t) != (0, 0):
         raise ValueError("the term has dangling indices: it is a subterm "
-                         "whose bound variables refer to binders above it"
-                         ) from None
+                         "whose bound variables refer to binders above it")
+    root = alpha_key(t)
     nodes: dict[str, Optional[Term]] = {root: t}
     edges: list[tuple[str, Optional[ReductionStep], str]] = []
     parents: dict[str, int] = {}
     expanded: dict[str, tuple[str, ...]] = {}
     complete = True
-    queue = [root]
-    for key in queue:
+    queue = [(root, depth)]  # with a bound on each node's depth
+    for key, depth in queue:
         current = nodes[key]
         if stop is not None and stop(current):
             return ReductionGraph(root, nodes, edges, complete, parents, key)
         if not complete:
             continue
         if memo is not None and key in memo:
-            reducts = [(None, dst, None) for dst in memo[key]]
+            reducts = [(None, dst, None, None) for dst in memo[key]]
         else:
-            reducts = _steps(current, key)
+            reducts = _steps(current, depth)
             if reducts is None:
                 distance = 1
                 while key != root:
@@ -490,15 +497,15 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                     distance += 1
                 raise ReductTooDeep(distance)
             if memo is not None:
-                expanded[key] = tuple(dst for _, dst, _ in reducts)
-        for step, dst, after in reducts:
+                expanded[key] = tuple(dst for _, dst, _, _ in reducts)
+        for step, dst, after, bound in reducts:
             if dst not in nodes:
                 if len(nodes) >= node_cap:
                     complete = False
                     continue
                 nodes[dst] = after
                 parents[dst] = len(edges)
-                queue.append(dst)
+                queue.append((dst, bound))
             edges.append((key, step, dst))
     if memo is not None and complete:
         memo.update(expanded)

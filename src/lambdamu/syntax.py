@@ -348,6 +348,71 @@ def canonical_form(t: Term) -> str:
     return _Printer(True, (), ()).text(t)
 
 
+def alpha_key(t) -> str:
+    """A string equal for two terms, E-terms or formulas exactly when
+    they are ``==``, that is alpha-equal: one per alpha-equivalence
+    class, for keying and hashing only; canonical_form prints a term.
+
+    Built from the children's keys, in prefix order with one tag per
+    node: binder hints are left out, indices and free names written as
+    they are.  A node keeps its key in its ``_key`` slot from the first
+    read on, so a reduct pays only for the nodes it does not share.
+    """
+    key = getattr(t, "_key", None)  # no exception raised in Python
+    if key is not None:
+        return key
+    kind = type(t)
+    if kind is App:
+        key = f"@{alpha_key(t.fun)}{alpha_key(t.arg)}"
+    elif kind is Var:
+        key = _ref(t.name)
+    elif kind is Arg:
+        key = alpha_key(t.term)
+    elif kind is Abs or kind is Mu:
+        key = f"{'L' if kind is Abs else 'M'}{_ann(t.ann)}{alpha_key(t.body)}"
+    elif kind is Named:
+        key = f"N{_ref(t.name)}{alpha_key(t.body)}"
+    elif kind is Pair:
+        key = f"<{alpha_key(t.fst)}{alpha_key(t.snd)}"
+    elif kind is Inj1 or kind is Inj2:
+        key = f"{'I' if kind is Inj1 else 'J'}{_ann(t.ann)}{alpha_key(t.body)}"
+    elif kind is Case:
+        key = f"C{alpha_key(t.left)}{alpha_key(t.right)}{_ann(t.ann)}"
+    elif kind is Proj1 or kind is Proj2:
+        key = "F" if kind is Proj1 else "S"
+    elif kind is PropVar:
+        key = f"{len(t.name)}:{t.name}"
+    elif kind is Bottom:
+        key = "B"
+    elif kind is Arrow or kind is Conj or kind is Disj:
+        key = f"{_CONNECTIVE[kind]}{alpha_key(t.left)}{alpha_key(t.right)}"
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_key", key)
+    return key
+
+
+# The tags no other tag of the same place begins with: a term is a
+# variable's reference or starts with one of "@LMN<IJ"; an E-term is a
+# term or starts with one of "FSC"; an annotation is "-" or a formula,
+# which starts with a digit (a name's length) or one of "B>&|".  A
+# reference is one character from U+0080 for a small index, else "#" or
+# "$" and a number, so keys stay one byte a character.
+_CONNECTIVE = {Arrow: ">", Conj: "&", Disj: "|"}
+_SMALL_INDEX = [chr(0x80 + i) for i in range(0x80)]
+
+
+def _ref(x) -> str:
+    """The key of a variable's reference: its index or its free name."""
+    if type(x) is int:
+        return _SMALL_INDEX[x] if 0 <= x < 0x80 else f"#{x};"
+    return f"${len(x)}:{x}"
+
+
+def _ann(a: Optional[Formula]) -> str:
+    return "-" if a is None else alpha_key(a)
+
+
 class _Printer:
     """One printing of a term, with the names of the binders around the
     current node, innermost last, and the free names met so far.  It

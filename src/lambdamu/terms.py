@@ -15,6 +15,10 @@ only as a hint for printing, which takes no part in ``==`` and
 ``hash``: alpha-equal terms are equal.  Reduction works under binders
 without opening them, so a subterm may have dangling indices, which
 refer to binders above it; every operation here respects them.
+
+Every node is a slotted, frozen dataclass with one more slot, ``_key``,
+left unset until ``syntax.alpha_key`` reads the node: a string that two
+nodes share exactly when they are ``==``.
 """
 
 from __future__ import annotations
@@ -30,32 +34,32 @@ Name = Union[str, int]  # a free name, or the de Bruijn index of a binder
 # --------------------------------------------------------------------------
 
 class Formula:
-    __slots__ = ()
+    __slots__ = ("_key",)  # syntax.alpha_key's cache, unset until read
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropVar(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conj(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disj(Formula):
     left: Formula
     right: Formula
@@ -73,59 +77,59 @@ def is_neg(a: Formula) -> bool:
 # --------------------------------------------------------------------------
 
 class Term:
-    __slots__ = ()
+    __slots__ = ("_key",)  # syntax.alpha_key's cache, unset until read
 
 
 class ETerm:
-    __slots__ = ()
+    __slots__ = ("_key",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     """A lambda-variable: a free name or a bound index."""
 
     name: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs(Term):
     var: str = field(compare=False)  # the binder's name, a printing hint
     ann: Optional[Formula]
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: ETerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inj1(Term):
     body: Term
     ann: Optional[Formula] = None  # the right disjunct of the result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inj2(Term):
     body: Term
     ann: Optional[Formula] = None  # the left disjunct of the result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mu(Term):
     var: str = field(compare=False)  # the binder's name, a printing hint
     ann: Optional[Formula]
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Named(Term):
     """A named term (a t), with a a mu-variable: a free name or a bound
     index."""
@@ -134,22 +138,22 @@ class Named(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arg(ETerm):
     term: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proj1(ETerm):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proj2(ETerm):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(ETerm):
     """A case bracket [x.u, y.v]; x is bound in u only, y in v only.
 

@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 from .syntax import print_formula, print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Case, Conj, Disj, Formula, Inj1, Inj2, Mu,
-    Named, Pair, Proj1, Proj2, Term, Var,
+    Named, Pair, Proj1, Proj2, Term, Var, dangling,
 )
 
 Context = Mapping[str, Formula]
@@ -129,10 +129,10 @@ class _Scope:
             for scope in reversed(pending):
                 g, d, (lam, mu) = scope.outer._shown
                 if len(scope.lam) > len(lam):  # a lambda binder
-                    g, x = _with(g, scope.name, scope.lam[-1])
+                    g, x = _with(g, d, scope.name, scope.lam[-1])
                     scope._shown = (g, d, (lam + (x,), mu))
                 else:
-                    d, x = _with(d, scope.name, scope.mu[-1])
+                    d, x = _with(d, g, scope.name, scope.mu[-1])
                     scope._shown = (g, d, (lam, mu + (x,)))
         return self._shown
 
@@ -163,16 +163,20 @@ def _freeze(ctx: Context) -> tuple[tuple[str, Formula], ...]:
     return tuple(sorted(ctx.items()))
 
 
-def _with(ctx, x: str, a: Formula):
+def _with(ctx, other, x: str, a: Formula):
     """The frozen context ctx with a binder x bound to a, and the name it
-    is bound under: x, unless ctx binds x already; then, as print_term
-    names such a binder, x's stem and the first number ctx does not bind."""
-    if not ctx or ctx[-1][0] < x:  # binders named in order: x0, x1, ...
+    is bound under: x, unless ctx or the other frozen context binds x
+    already; then, as print_term names such a binder, x's stem and the
+    first number neither binds, since no name is a lambda- and a
+    mu-variable at once."""
+    clash = any(y == x for y, _ in other)
+    if not clash and (not ctx or ctx[-1][0] < x):  # in order: x0, x1, ...
         return ctx + ((x, a),), x
     bound = dict(ctx)
-    if x in bound:
+    if clash or x in bound:
+        taken = bound.keys() | {y for y, _ in other}
         stem, i = x.rstrip("0123456789") or x, 0
-        while f"{stem}{i}" in bound:
+        while f"{stem}{i}" in taken:
             i += 1
         x = f"{stem}{i}"
     bound[x] = a
@@ -341,6 +345,11 @@ def validate_derivation(d: Derivation) -> None:
     g, dl = dict(j.gamma), dict(j.delta)
     t, a, ps = j.term, j.formula, d.premises
     lam_names, mu_names = j.names
+    lam, mu = dangling(t)
+    if lam > len(lam_names) or mu > len(mu_names):
+        # no name to print the judgment with
+        raise TypeCheckError(f"invalid {d.rule} node (an index past the "
+                             f"names of its judgment)")
 
     def pj(i):
         return ps[i].conclusion
@@ -360,7 +369,7 @@ def validate_derivation(d: Derivation) -> None:
             if (len(ps) != 1 or not isinstance(t, Abs)
                     or a != Arrow(t.ann, pj(0).formula)
                     or pj(0).term != t.body
-                    or not _extends(g, lam_names, pj(0).gamma,
+                    or not _extends(g, dl, lam_names, pj(0).gamma,
                                     pj(0).names[0], t.var, t.ann)
                     or pj(0).names[1] != mu_names
                     or pj(0).delta != j.delta):
@@ -406,10 +415,11 @@ def validate_derivation(d: Derivation) -> None:
                   and pj(1).formula == a and pj(2).formula == a)
             if ok:
                 disj = pj(0).formula
-                ok = (_extends(g, lam_names, pj(1).gamma, pj(1).names[0],
-                               t.arg.left_var, disj.left)
-                      and _extends(g, lam_names, pj(2).gamma, pj(2).names[0],
-                                   t.arg.right_var, disj.right)
+                ok = (_extends(g, dl, lam_names, pj(1).gamma,
+                               pj(1).names[0], t.arg.left_var, disj.left)
+                      and _extends(g, dl, lam_names, pj(2).gamma,
+                                   pj(2).names[0], t.arg.right_var,
+                                   disj.right)
                       and pj(1).names[1] == pj(2).names[1] == mu_names
                       and pj(0).names == j.names and pj(0).gamma == j.gamma
                       and all(p.delta == j.delta for p in pj_all(ps)))
@@ -426,7 +436,7 @@ def validate_derivation(d: Derivation) -> None:
                     or a != t.ann
                     or pj(0).formula != BOT
                     or pj(0).term != t.body
-                    or not _extends(dl, mu_names, pj(0).delta,
+                    or not _extends(dl, g, mu_names, pj(0).delta,
                                     pj(0).names[1], t.var, t.ann)
                     or pj(0).names[0] != lam_names
                     or pj(0).gamma != j.gamma):
@@ -443,14 +453,15 @@ def validate_derivation(d: Derivation) -> None:
         validate_derivation(p)
 
 
-def _extends(ctx, names, inner_ctx, inner_names, x, a) -> bool:
+def _extends(ctx, other, names, inner_ctx, inner_names, x, a) -> bool:
     """Whether the frozen inner_ctx and inner_names add to ctx and names
-    one binder x of formula a: under the name x, or under a name that ctx
-    does not bind when ctx binds x already."""
+    one binder x of formula a: under the name x, or under a name that
+    neither ctx nor the other context binds when one of them binds x."""
     if not inner_names or inner_names[:-1] != names:
         return False
     y = inner_names[-1]
-    return (y not in ctx and (y == x or x in ctx)
+    return (y not in ctx and y not in other
+            and (y == x or x in ctx or x in other)
             and dict(inner_ctx) == {**ctx, y: a})
 
 

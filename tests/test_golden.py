@@ -16,7 +16,7 @@ import pytest
 
 from lambdamu import (
     BOT, Abs, App, Arrow, Corpus, Mu, Named, Pair, PropertyReport,
-    ReductTooDeep, TypeCheckError, Var, behavior, check,
+    ReductTooDeep, TypeCheckError, Var, alpha_key, behavior, check,
     enumerate_typed_terms, erase, infer, parse_formula, parse_term, print_term,
     run_suite,
 )
@@ -25,6 +25,7 @@ from lambdamu.metatheory import PROPERTIES, CorpusEntry
 from lambdamu.reduction import (
     DEFAULT_NODE_CAP, RULE_IDS, SuccessorFacts, reduction_graph,
 )
+from lambdamu.terms import rename_binders
 
 SIZE = 10
 GOLDEN_CLI = json.loads(
@@ -51,16 +52,34 @@ def test_corpus_graph_facts():
 
 
 def test_corpus_graph_keys_and_edges():
-    # the keys and edges themselves, not only their number
+    # the nodes and edges themselves, printed, not only their number
     keys, edges = set(), set()
     for entry in enumerate_typed_terms(SIZE).entries:
         graph = reduction_graph(entry.term)
-        keys.update(graph.nodes)
-        edges.update(f"{src}\t{dst}" for src, _, dst in graph.edges)
+        text = graph.printed()
+        keys.update(text.values())
+        edges.update(f"{text[src]}\t{text[dst]}" for src, _, dst in graph.edges)
     assert (len(keys), _sha256(keys)) == (
         3089, "e52a281ceeb26727442c1200c4cecf092e0698f36d49348bbdc328821ff2fac1")
     assert (len(edges), _sha256(edges)) == (
         4907, "489f7b41eb9bc154da15d67d60772ef2bf290ad882069ad15e70eef1ccf98942")
+
+
+def test_alpha_key_is_equality():
+    # over every size-10 reduct and two renamings of its binders, two
+    # terms share a key exactly when they are ==: hints change no key
+    reducts = [t for entry in enumerate_typed_terms(SIZE).entries
+               for t in reduction_graph(entry.term).nodes.values()]
+    terms = reducts + [rename_binders(t, rename) for t in reducts
+                       for rename in (lambda kind, hint: "x",
+                                      lambda kind, hint: f"{hint}_")]
+    by_key = {}
+    for t in terms:
+        assert by_key.setdefault(alpha_key(t), t) == t
+    assert len(by_key) == len(set(terms)) == 3089
+    for i, t in enumerate(reducts):
+        assert alpha_key(terms[len(reducts) + 2 * i]) == alpha_key(t) == \
+            alpha_key(terms[len(reducts) + 2 * i + 1])
 
 
 def test_corpus_graph_edges_in_exploration_order():
@@ -69,8 +88,11 @@ def test_corpus_graph_edges_in_exploration_order():
     # (case-perm never fires at size 10)
     lines, rules = [], Counter()
     for entry in enumerate_typed_terms(SIZE).entries:
-        for src, step, dst in reduction_graph(entry.term).edges:
-            lines.append(f"{src}\t{list(step.position)}\t{step.rule}\t{dst}")
+        graph = reduction_graph(entry.term)
+        text = graph.printed()
+        for src, step, dst in graph.edges:
+            lines.append(f"{text[src]}\t{list(step.position)}\t{step.rule}"
+                         f"\t{text[dst]}")
             rules[step.rule] += 1
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
@@ -152,8 +174,9 @@ def test_strong_normalization_facts():
 def reference_suite(corpus, node_cap):
     """The three reports from one reduction_graph per entry, no memo:
     every node re-checks (a failure reports the error of the node's
-    canonical form, parsed from its key), and SuccessorFacts over the
-    graph's own edges decides confluence and acyclicity."""
+    canonical form, parsed again), and SuccessorFacts over the graph's
+    own edges, between printed nodes, decides confluence and
+    acyclicity; longest paths are listed by the root's key."""
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
     for entry in corpus.entries:
@@ -168,21 +191,23 @@ def reference_suite(corpus, node_cap):
                 report.checked += 1
         if graph is None or not graph.complete:
             continue
-        for key in graph.nodes:
+        text = graph.printed()
+        for printed in text.values():
             try:
                 check(dict(entry.gamma), dict(entry.delta),
-                      parse_term(key), entry.formula)
+                      parse_term(printed), entry.formula)
             except TypeCheckError as exc:
-                sr.failures.append((entry, f"reduct {key}: {exc}"))
-        succ = {k: [] for k in graph.nodes}
+                sr.failures.append((entry, f"reduct {printed}: {exc}"))
+        succ = {printed: [] for printed in text.values()}
         for src, _, dst in graph.edges:
-            succ[src].append(dst)
+            succ[text[src]].append(text[dst])
         facts = SuccessorFacts(succ)
-        why = facts.confluence_failure(graph.root, graph.nodes)
+        root = text[graph.root]
+        why = facts.confluence_failure(root, succ)
         if why is not None:
             cf.failures.append((entry, why))
-        if facts.acyclic(graph.root):
-            sn.longest_paths[graph.root] = facts.longest_path(graph.root)
+        if facts.acyclic(root):
+            sn.longest_paths[graph.root] = facts.longest_path(root)
         else:
             sn.failures.append((entry, "reduction graph has a cycle"))
     return reports

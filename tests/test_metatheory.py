@@ -9,7 +9,7 @@ from lambdamu import (
     check, close, curated_corpus, enumerate_typed_terms, infer, parse_formula,
     parse_term, run_suite,
 )
-from lambdamu import metatheory
+from lambdamu import metatheory, reduction
 from lambdamu.metatheory import (
     CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, MAX_LAMBDA_DEPTH, MAX_MU_DEPTH,
     cut_pool, formula_pool, subformulas,
@@ -345,6 +345,27 @@ def test_subject_reduction_flags_each_ill_typed_reduct():
         assert why.startswith(f"reduct {canonical_form(reduct)}: ")
     assert cf.ok and sn.ok
     assert sr.checked == cf.checked == sn.checked == 1
+
+
+def test_confluence_evidence_prints_the_normal_forms(monkeypatch):
+    # a beta that turns the argument u into w leaves two normal forms
+    # of (\x:P. x (<u, v> p1)), u and w; the evidence prints them by
+    # canonical form, also for the second entry, whose graph the memo
+    # serves with no terms
+    contract = reduction._contract
+
+    def skewed(t):
+        out = contract(t)
+        if out is not None and out[0] == "beta" and t.arg.term == Var("u"):
+            return "beta", Var("w")
+        return out
+
+    monkeypatch.setattr(reduction, "_contract", skewed)
+    entry = CorpusEntry(parse_term("(\\x:P. x (<u, v> p1))"), P,
+                        (("u", P), ("v", P), ("w", P)))
+    sr, cf, sn = run_suite(Corpus([entry, entry]))
+    assert cf.failures == [(entry, "2 distinct normal forms: ['u', 'w']")] * 2
+    assert sr.ok and sn.ok
 
 
 def test_entry_with_a_too_deep_reduct_is_incomplete():

@@ -246,7 +246,7 @@ def test_graph_diamond_confluence():
     succ = _successors(g)
     facts = SuccessorFacts(succ)
     assert facts.acyclic(g.root)
-    nfs = [k for k in succ if not succ[k]]
+    nfs = [canonical_form(g.nodes[k]) for k in succ if not succ[k]]
     assert nfs == [canonical_form(parse_term("<u, u>"))]
     assert facts.confluence_failure(g.root, g.nodes) is None
     assert facts.longest_path(g.root) >= 2
@@ -277,14 +277,16 @@ def test_graph_cap_ends_expansion():
     # reduct the cap dropped; the nodes after it have no edges
     g = reduction_graph(_growing_loop(), node_cap=10)
     assert len(g.nodes) == 10
+    text = g.printed()
+    nodes = set(text.values())
     expanding = True
     for key, term in g.nodes.items():
-        edges = [dst for src, _, dst in g.edges if src == key]
+        edges = [text[dst] for src, _, dst in g.edges if src == key]
         if expanding:
             reducts = [canonical_form(step_at(term, p).after)
                        for p, _ in redexes(term)]
-            assert edges == [dst for dst in reducts if dst in g.nodes]
-            expanding = all(dst in g.nodes for dst in reducts)
+            assert edges == [dst for dst in reducts if dst in nodes]
+            expanding = all(dst in nodes for dst in reducts)
         else:
             assert edges == []
     assert not expanding
@@ -302,10 +304,11 @@ def test_graph_cap_still_tests_stop():
 def test_graph_stop_and_trace_to():
     t = parse_term("(\\x:P. <x, x> (<u, v> p1))")
     g = reduction_graph(t, stop=lambda term: not redexes(term))
-    assert g.stopped == canonical_form(parse_term("<u, u>"))
+    stopped = canonical_form(g.nodes[g.stopped])
+    assert stopped == canonical_form(parse_term("<u, u>"))
     trace = g.trace_to(g.stopped)
     assert trace.initial is t
-    assert canonical_form(trace.steps[-1].after) == g.stopped
+    assert canonical_form(trace.steps[-1].after) == stopped
     for before, step in zip([t] + [s.after for s in trace.steps], trace.steps):
         assert step.before is before
     assert g.trace_to(g.root).steps == []
@@ -361,6 +364,32 @@ def test_cut_short_graph_leaves_the_memo_unchanged():
     with pytest.raises(ReductTooDeep, match="after 2 steps"):
         reduction_graph(_mu_struct_too_deep(), memo=memo)
     assert memo == before
+
+
+def _applied(head, arg, n):
+    """head applied to arg n times, one App node on the other."""
+    for _ in range(n):
+        head = App(head, Arg(arg))
+    return head
+
+
+def test_graph_reduct_too_deep_by_applications_alone():
+    # ((\x. \y. (x y) w ... w) v ... v) w ... w): the first reduct puts
+    # the v chain under the w chain, 174 deep; the second puts the last
+    # w chain under both, 212 deep, and holds nothing but App nodes, each
+    # one character of a key, so the depth bound is not a key's length
+    body = _applied(App(Var("x"), Arg(Var("y"))), Var("w"), 110)
+    t = close(App(App(Abs("x", P, Abs("y", P, body)),
+                      Arg(_applied(Var("v"), Var("v"), 60))),
+                  Arg(_applied(Var("w"), Var("w"), 100))))
+    assert term_depth(t) == 116
+    first = step_at(t, (0,)).after
+    assert term_depth(first) == 174
+    assert term_depth(step_at(first, ()).after) == 212
+    with pytest.raises(ReductTooDeep, match="after 2 steps"):
+        reduction_graph(t)
+    with pytest.raises(ReductTooDeep, match="after 1 steps"):
+        reduction_graph(first)
 
 
 def test_graph_over_a_filled_memo_matches_a_fresh_one():
@@ -426,7 +455,7 @@ def test_graph_serializations():
     t = parse_term("(\\x:P. x y)")
     g = reduction_graph(t)
     j = g.to_json()
-    assert j["root"] == g.root
+    assert j["root"] == canonical_form(t)
     assert j["complete"] is True
     assert len(j["edges"]) == 1
     dot = g.to_dot()

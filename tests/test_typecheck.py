@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 
 from lambdamu import (
-    Abs, Arrow, BOT, Conj, Derivation, Disj, Mu,
+    Abs, Arrow, BOT, Conj, Derivation, Disj, Judgment, Mu,
     MissingAnnotationError, Mismatch, Named, PropVar, TypeCheckError,
     UnboundVariableError, Var, canonical_terms, check, close,
     derivation_to_json, enumerate_typed_terms, erase, infer, parse_formula,
-    parse_term, probe_exfalso, probe_peirce, probe_tertium, run_suite,
-    validate_derivation,
+    parse_term, print_term, probe_exfalso, probe_peirce, probe_tertium,
+    run_suite, validate_derivation,
 )
 from lambdamu.terms import rename_binders
 
@@ -249,6 +249,14 @@ def _last_path(j):
     ("\\x0:Q. y", {"y": P}, "y",
      {"gamma": {"y": "P", "y0": "Q"}, "term": "y", "formula": "P",
       "delta": {}}),
+    # a mu binder named as the lambda around it
+    ("\\x0:P. mu a0:P. [a0] x0", {}, "x",
+     {"gamma": {"x": "P"}, "term": "[x0] x", "formula": "_|_",
+      "delta": {"x0": "P"}}),
+    # a lambda binder named as the mu binder around it
+    ("mu a0:P -> P. [a0] \\x0:P. x0", {}, "a",
+     {"gamma": {"a0": "P"}, "term": "a0", "formula": "P",
+      "delta": {"a": "P -> P"}}),
 ])
 def test_repeated_binder_names_give_valid_derivations(src, gamma, name,
                                                       judgment):
@@ -261,6 +269,44 @@ def test_repeated_binder_names_give_valid_derivations(src, gamma, name,
     validate_derivation(d)
     assert d.conclusion.formula == infer(gamma, {}, t).conclusion.formula
     assert judgment in _last_path(derivation_to_json(d))
+
+
+def _judgments(d):
+    yield d.conclusion
+    for p in d.premises:
+        yield from _judgments(p)
+
+
+@pytest.mark.parametrize("src", [
+    "\\x0:P. mu a0:P. [a0] x0",
+    "mu a0:P -> P. [a0] \\x0:P. mu a1:P. [a0] \\x1:P. mu a2:P. [a1] x1",
+    "\\x0:P \\/ P. mu a0:P. [a0] (x0 [x1.x1, x2.mu a1:P. [a0] x2])",
+])
+def test_judgments_never_name_two_namespaces_alike(src):
+    # with every binder named alike, each judgment's term prints with
+    # names the parser takes back, for no name is both a lambda- and a
+    # mu-variable there
+    t = parse_term(src)
+    renamed = rename_binders(t, lambda kind, hint: "x")
+    d = infer({}, {}, renamed)
+    validate_derivation(d)
+    for j in _judgments(d):
+        lam, mu = {x for x, _ in j.gamma}, {a for a, _ in j.delta}
+        assert not lam & mu
+        text = j.printed_term()
+        assert print_term(parse_term(text)) == text
+
+
+@pytest.mark.parametrize("judgment", [
+    Judgment((), Var(0), BOT, ()),
+    Judgment((("y", P),), Named(0, Var("y")), BOT, ()),
+])
+def test_validate_rejects_an_index_past_the_names(judgment):
+    # a forged node whose term has an index its judgment names no binder
+    # for is invalid, not an IndexError
+    rule = "ax" if isinstance(judgment.term, Var) else "abs-i"
+    with pytest.raises(TypeCheckError, match="an index past the names"):
+        validate_derivation(Derivation(rule, judgment, ()))
 
 
 def test_oracles_and_probes_build_no_derivation(monkeypatch):
