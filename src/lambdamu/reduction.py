@@ -91,8 +91,8 @@ class Trace:
 def term_depth(t: Term) -> int:
     """The number of term nodes on the longest path from t to a leaf.
 
-    Children are found by type rather than by pattern, since every
-    explored reduct is measured.
+    Children are found by type rather than by pattern, since the
+    explorer measures every root and many contracta.
     """
     depth, level = 0, [t]
     while level:

@@ -349,16 +349,17 @@ def canonical_form(t: Term) -> str:
 
 
 def alpha_key(t) -> str:
-    """A string equal for two terms, E-terms or formulas exactly when
-    they are ``==``, that is alpha-equal: one per alpha-equivalence
-    class, for keying and hashing only; canonical_form prints a term.
+    """A string equal for two terms exactly when they are ``==``, that
+    is alpha-equal: one per alpha-equivalence class, for keying and
+    hashing only; canonical_form prints a term.  Likewise for two
+    E-terms and for two formulas.
 
     Built from the children's keys, in prefix order with one tag per
     node: binder hints are left out, indices and free names written as
     they are.  A node keeps its key in its ``_key`` slot from the first
     read on, so a reduct pays only for the nodes it does not share.
     """
-    key = getattr(t, "_key", None)  # no exception raised in Python
+    key = getattr(t, "_key", None)  # cheaper than catching an unset slot
     if key is not None:
         return key
     kind = type(t)
@@ -392,10 +393,11 @@ def alpha_key(t) -> str:
     return key
 
 
-# The tags no other tag of the same place begins with: a term is a
-# variable's reference or starts with one of "@LMN<IJ"; an E-term is a
-# term or starts with one of "FSC"; an annotation is "-" or a formula,
-# which starts with a digit (a name's length) or one of "B>&|".  A
+# A key reads back one way only, since each kind of node starts with a
+# tag no other kind in its place starts with: a term is a variable's
+# reference or starts with one of "@LMN<IJ"; an E-term is a term or
+# starts with one of "FSC"; an annotation is "-" or a formula, which
+# starts with a digit (its name's length) or one of "B>&|".  A
 # reference is one character from U+0080 for a small index, else "#" or
 # "$" and a number, so keys stay one byte a character.
 _CONNECTIVE = {Arrow: ">", Conj: "&", Disj: "|"}
@@ -416,7 +418,7 @@ def _ann(a: Optional[Formula]) -> str:
 class _Printer:
     """One printing of a term, with the names of the binders around the
     current node, innermost last, and the free names met so far.  It
-    allocates little, since every explored reduct is printed."""
+    allocates little, since a front end may print every term it reads."""
 
     __slots__ = ("canonical", "lam", "mu", "taken", "free", "x", "a",
                  "clash")

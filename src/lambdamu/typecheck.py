@@ -3,8 +3,8 @@
 A judgment has the shape ``gamma |- t : A ; delta`` where gamma binds
 lambda-variables and delta binds mu-variables (names).  The binders
 around a subterm enter gamma and delta under their name hints, or, when
-the context binds a hint already, under the name print_term gives that
-binder; a judgment keeps those names, innermost last, to print its
+either context binds a hint already, under the name print_term gives
+that binder; a judgment keeps those names, innermost last, to print its
 term, whose bound variables are indices.  Checking is
 syntax-directed: every Abs, Mu, Inj1 and Inj2 node must carry its
 annotation (Abs: argument type, Mu: result type, Inj: the other
@@ -169,12 +169,15 @@ def _with(ctx, other, x: str, a: Formula):
     already; then, as print_term names such a binder, x's stem and the
     first number neither binds, since no name is a lambda- and a
     mu-variable at once."""
-    clash = any(y == x for y, _ in other)
-    if not clash and (not ctx or ctx[-1][0] < x):  # in order: x0, x1, ...
-        return ctx + ((x, a),), x
+    for y, _ in other:
+        if y == x:
+            break
+    else:
+        if not ctx or ctx[-1][0] < x:  # binders named in order: x0, x1, ...
+            return ctx + ((x, a),), x
     bound = dict(ctx)
-    if clash or x in bound:
-        taken = bound.keys() | {y for y, _ in other}
+    taken = bound.keys() | {y for y, _ in other}
+    if x in taken:
         stem, i = x.rstrip("0123456789") or x, 0
         while f"{stem}{i}" in taken:
             i += 1

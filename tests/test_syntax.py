@@ -1,12 +1,14 @@
 """Parser, printer, and binding-structure tests."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from lambdamu import (
     Abs, App, Arg, Arrow, BOT, Case, Conj, Disj, Inj1, Inj2, Mu, Named,
-    PROJ1, PROJ2, Pair, ParseError, PropVar, Var, canonical_form, close,
-    enumerate_typed_terms, free_variables, mu_substitute, normalize,
+    PROJ1, PROJ2, Pair, ParseError, PropVar, Var, alpha_key, canonical_form,
+    close, enumerate_typed_terms, free_variables, mu_substitute, normalize,
     parse_formula, parse_term, print_formula, print_term, substitute,
 )
 from lambdamu.reduction import step_at
@@ -328,12 +330,41 @@ def test_mu_substitute_avoids_capture():
 def test_alpha_equal(s1, s2, equal):
     t1, t2 = parse_term(s1), parse_term(s2)
     assert (t1 == t2) is equal
+    assert (alpha_key(t1) == alpha_key(t2)) is equal
     if equal:
         assert hash(t1) == hash(t2)
 
 
 def test_alpha_distinguishes_namespaces():
     assert parse_term("\\x:P. x") != parse_term("mu a:P. [a] x")
+
+
+def test_alpha_key_separates_what_differs():
+    # indices, names that look like indices or keys, annotations, and
+    # every constructor; a formula's key apart from another's
+    P = PropVar("P")
+    terms = [Var(0), Var(127), Var(128), Var(1000), Var("0"), Var("x"),
+             Var("x1"), Var("$1:x"), Var(""), Named(0, Var("a")),
+             Named("a", Var(0)), Abs("x", None, Var(0)),
+             Abs("x", P, Var(0)), Abs("x", PropVar("-"), Var(0)),
+             Mu("a", P, Named(0, Var(0))), Inj1(Var(0)), Inj2(Var(0)),
+             Inj1(Var(0), BOT), Pair(Var(0), Var(1)),
+             App(Var(0), Arg(Var(1))), App(Var(0), PROJ1),
+             App(Var(0), PROJ2), App(Var(0), Case("x", Var(0), "y", Var(1))),
+             App(Var(0), Case("x", Var(0), "y", Var(1), P))]
+    formulas = [P, PropVar("P -> P"), PropVar("1:P"), BOT, Arrow(P, P),
+                Conj(P, P), Disj(P, P), Arrow(P, Arrow(P, P)),
+                Arrow(Arrow(P, P), P)]
+    for nodes in (terms, formulas):
+        assert len({alpha_key(n) for n in nodes}) == len(nodes)
+
+
+def test_terms_pickle_before_and_after_their_key_is_read():
+    t = parse_term("\\x:P. mu a:~P. [a] (x [y.y, z.z])")
+    assert pickle.loads(pickle.dumps(t)) == t
+    key = alpha_key(t)
+    copied = pickle.loads(pickle.dumps(t))
+    assert copied == t and alpha_key(copied) == key
 
 
 def test_canonicalize_is_stable():
