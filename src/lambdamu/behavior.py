@@ -31,7 +31,7 @@ from .syntax import parse_term, print_term
 from .terms import (
     App, Arg, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula, FreshSupply,
     Mu, Named, PropVar, Term, Var, all_names, apply_sequence, close,
-    free_variables, is_closed, open_names,
+    free_variables, fresh_name, is_closed, open_names,
 )
 from .typecheck import TypeCheckError, check
 
@@ -143,14 +143,9 @@ def _match_spine(t: Term, patterns: list[tuple[str, LeafPattern]]):
 
 
 def _binder_names(hints: list[str], free) -> tuple[str, ...]:
-    taken = set(free[0] | free[1])
-    names = []
+    names: list[str] = []
     for hint in hints:
-        name, stem, i = hint, hint.rstrip("0123456789") or hint, 0
-        while name in taken:
-            name, i = f"{stem}{i}", i + 1
-        taken.add(name)
-        names.append(name)
+        names.append(fresh_name(hint, *free, names))
     return tuple(names)
 
 

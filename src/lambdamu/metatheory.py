@@ -22,14 +22,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .reduction import (
-    DEFAULT_NODE_CAP, ReductionGraph, ReductTooDeep, SuccessorFacts,
-    reduction_graph,
+    DEFAULT_NODE_CAP, ReductTooDeep, SuccessorFacts, reduction_graph,
 )
-from .syntax import canonical_form, print_term
+from .syntax import canonical_form, canonical_hints, print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
-    Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var, free_variables,
-    rename_binders,
+    Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var,
 )
 from .typecheck import Context, TypeCheckError, check
 
@@ -166,54 +164,44 @@ class Enumerator:
         self._allowed.update(self.cut_pool)
         self._memo: dict = {}
 
-    def _mk(self, key: tuple, ty: Formula) -> int:
+    def _mk(self, key: tuple) -> int:
+        """The id of the formula of key, its kind and its parts' ids; the
+        formula is built on the key's first use."""
         i = self._node.get(key)
         if i is None:
             i = len(self._ty_of_id)
-            self._ty_of_id.append(ty)
-            self._parts.append(key)
+            ty_of, mask = self._ty_of_id, self._mask
             match key:
                 case ("var", name):
-                    mask = 0b10 if name == "P" else 0
+                    ty, m = PropVar(name), 0b10 if name == "P" else 0
                 case ("bot",):
-                    mask = 0
+                    ty, m = BOT, 0
                 case ("arrow", l, r):
-                    mask = (~self._mask[l] | self._mask[r]) & self._full
+                    ty = Arrow(ty_of[l], ty_of[r])
+                    m = (~mask[l] | mask[r]) & self._full
                 case ("conj", l, r):
-                    mask = self._mask[l] & self._mask[r]
+                    ty, m = Conj(ty_of[l], ty_of[r]), mask[l] & mask[r]
                 case ("disj", l, r):
-                    mask = self._mask[l] | self._mask[r]
-            self._mask.append(mask)
+                    ty, m = Disj(ty_of[l], ty_of[r]), mask[l] | mask[r]
+            ty_of.append(ty)
+            self._parts.append(key)
+            mask.append(m)
             self._node[key] = i
         return i
 
     def _tid(self, ty: Formula) -> int:
         match ty:
             case PropVar(name):
-                return self._mk(("var", name), ty)
+                return self._mk(("var", name))
             case Bottom():
-                return self._mk(("bot",), ty)
+                return self._mk(("bot",))
             case Arrow(left, right):
-                return self._mk(("arrow", self._tid(left), self._tid(right)), ty)
+                return self._mk(("arrow", self._tid(left), self._tid(right)))
             case Conj(left, right):
-                return self._mk(("conj", self._tid(left), self._tid(right)), ty)
+                return self._mk(("conj", self._tid(left), self._tid(right)))
             case Disj(left, right):
-                return self._mk(("disj", self._tid(left), self._tid(right)), ty)
+                return self._mk(("disj", self._tid(left), self._tid(right)))
         raise TypeError(f"not a formula: {ty!r}")
-
-    def _arrow_id(self, left: int, right: int) -> int:
-        key = ("arrow", left, right)
-        i = self._node.get(key)
-        if i is None:
-            i = self._mk(key, Arrow(self._ty_of_id[left], self._ty_of_id[right]))
-        return i
-
-    def _conj_id(self, left: int, right: int) -> int:
-        key = ("conj", left, right)
-        i = self._node.get(key)
-        if i is None:
-            i = self._mk(key, Conj(self._ty_of_id[left], self._ty_of_id[right]))
-        return i
 
     def _admit(self, ty: Formula) -> None:
         """Extend the type universe with ty and its subformulas.
@@ -292,7 +280,7 @@ class Enumerator:
                         out.append(Named(len(delta) - 1 - i, body))
             # eliminations; cut formulas range over the (bounded) cut pool
             for cut in self.cut_pool:
-                fun_tid = self._arrow_id(cut, tyid)
+                fun_tid = self._mk(("arrow", cut, tyid))
                 for i in range(1, n - 1):
                     funs = self._terms(fun_tid, i, gamma, delta)
                     if not funs:
@@ -302,10 +290,10 @@ class Enumerator:
                             out.append(App(fun, Arg(arg)))
             if n >= 3:
                 for cut in self.cut_pool:
-                    for fun in self._terms(self._conj_id(tyid, cut),
+                    for fun in self._terms(self._mk(("conj", tyid, cut)),
                                            n - 2, gamma, delta):
                         out.append(App(fun, PROJ1))
-                    for fun in self._terms(self._conj_id(cut, tyid),
+                    for fun in self._terms(self._mk(("conj", cut, tyid)),
                                            n - 2, gamma, delta):
                         out.append(App(fun, PROJ2))
             if n >= 5 and len(gamma) < MAX_LAMBDA_DEPTH:
@@ -383,35 +371,10 @@ def _type_error(entry: CorpusEntry, reduct: Term) -> Optional[str]:
     except TypeCheckError as exc:
         error = exc
     try:
-        check(gamma, delta, _canonical_hints(reduct), entry.formula)
+        check(gamma, delta, canonical_hints(reduct), entry.formula)
     except TypeCheckError as exc:
         error = exc
     return f"reduct {canonical_form(reduct)}: {error}"
-
-
-def _printed_confluence_failure(graph: ReductionGraph) -> Optional[str]:
-    """SuccessorFacts' confluence evidence for a complete graph whose
-    nodes all have terms, with the nodes printed by canonical_form."""
-    text = graph.printed()
-    succ: dict[str, list[str]] = {k: [] for k in text.values()}
-    for src, _, dst in graph.edges:
-        succ[text[src]].append(text[dst])
-    return SuccessorFacts(succ).confluence_failure(text[graph.root], succ)
-
-
-def _canonical_hints(t: Term) -> Term:
-    """t with the binder names canonical_form prints as its hints."""
-    free = set().union(*free_variables(t))
-    count = {"x": 0, "a": 0}
-
-    def rename(kind, _):
-        stem = "a" if kind is Mu else "x"
-        while f"{stem}{count[stem]}" in free:
-            count[stem] += 1
-        count[stem] += 1
-        return f"{stem}{count[stem] - 1}"
-
-    return rename_binders(t, rename)
 
 
 PROPERTIES = ("subject-reduction", "confluence", "strong-normalization")
@@ -460,12 +423,17 @@ def run_suite(corpus: Corpus,
             if known[key] is not None:
                 sr.failures.append((entry, known[key]))
         # some reduct is a descendant of every reduct
-        if facts.confluence_failure(graph.root, graph.nodes) is not None:
+        acyclic = facts.acyclic(graph.root)
+        witnesses = facts.confluence_failure(graph.root, graph.nodes)
+        if witnesses is not None:
             if rebuilt is None:
                 rebuilt = reduction_graph(entry.term, node_cap)
-            cf.failures.append((entry, _printed_confluence_failure(rebuilt)))
+            shown = [canonical_form(rebuilt.nodes[k]) for k in witnesses]
+            cf.failures.append((entry, (
+                f"{len(shown)} distinct normal forms: {shown}" if acyclic
+                else f"unjoinable pair: {shown[0]} vs {shown[1]}")))
         # the reduction graph is acyclic; record its longest path
-        if facts.acyclic(graph.root):
+        if acyclic:
             sn.longest_paths[graph.root] = facts.longest_path(graph.root)
         else:
             sn.failures.append((entry, "reduction graph has a cycle"))

@@ -318,9 +318,11 @@ class SuccessorFacts:
         return self._longest[key]
 
     def confluence_failure(self, key: str,
-                           order: Iterable[str]) -> Optional[str]:
-        """Evidence that the keys reachable from key are not confluent,
-        listed in ``order`` (all of those keys), else None.
+                           order: Iterable[str]) -> Optional[list[str]]:
+        """The witnesses that the keys reachable from key, listed in
+        ``order`` (all of those keys), are not confluent, else None: when
+        key is acyclic, its normal forms in that order; otherwise an
+        unjoinable pair.
 
         On a finite graph pairwise joinability means some node descends
         from every node.  When acyclic, that is a unique normal form.
@@ -329,10 +331,7 @@ class SuccessorFacts:
         """
         if self.acyclic(key):
             nfs = self._normal[key]
-            if len(nfs) < 2:
-                return None
-            listed = [k for k in order if k in nfs]
-            return f"{len(listed)} distinct normal forms: {listed}"
+            return None if len(nfs) < 2 else [k for k in order if k in nfs]
         succ = self.succ
 
         def reach(start: str) -> set[str]:
@@ -346,7 +345,7 @@ class SuccessorFacts:
         below = {k: reach(k) for k in order}
         low = min(below, key=lambda k: len(below[k]))
         stray = next((k for k in below if low not in below[k]), None)
-        return None if stray is None else f"unjoinable pair: {low} vs {stray}"
+        return None if stray is None else [low, stray]
 
 
 @dataclass

@@ -36,7 +36,7 @@ from typing import Optional
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
     Inj2, Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
-    dangling, is_neg,
+    dangling, free_variables, fresh_name, is_neg, rename_binders,
 )
 
 KEYWORDS = {"mu", "in1", "in2", "p1", "p2"}
@@ -348,6 +348,15 @@ def canonical_form(t: Term) -> str:
     return _Printer(True, (), ()).text(t)
 
 
+def canonical_hints(t: Term) -> Term:
+    """t with the names canonical_form gives its binders as their hints,
+    so that print_term prints it as canonical_form does."""
+    printer = _Printer(True, (), ())
+    printer.taken = set().union(*free_variables(t))
+    return rename_binders(t, lambda kind, hint: printer.name(
+        hint, "a" if kind is Mu else "x"))
+
+
 def alpha_key(t) -> str:
     """A string equal for two terms exactly when they are ``==``, that
     is alpha-equal: one per alpha-equivalence class, for keying and
@@ -466,12 +475,7 @@ class _Printer:
         lam, mu = self.lam, self.mu
         if hint not in lam and hint not in mu and hint not in taken:
             return hint
-        stem = hint.rstrip("0123456789") or hint
-        i = 0
-        while (chosen := f"{stem}{i}") in lam or chosen in mu \
-                or chosen in taken:
-            i += 1
-        return chosen
+        return fresh_name(hint, lam, mu, taken)
 
     def use(self, x: str) -> str:
         """A free name."""

@@ -363,6 +363,16 @@ def all_names(t: Term) -> set[str]:
     return out.union(*free_variables(t))
 
 
+def fresh_name(hint: str, *taken) -> str:
+    """The name a binder of name hint takes beside the names in taken, a
+    few containers: hint if none holds it, else hint's stem (hint less
+    its trailing digits) and the first number none holds."""
+    name, stem, i = hint, hint.rstrip("0123456789") or hint, 0
+    while any(name in names for names in taken):
+        name, i = f"{stem}{i}", i + 1
+    return name
+
+
 class FreshSupply:
     """Deterministic fresh-name generator avoiding a given set of names.
 

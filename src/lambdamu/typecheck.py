@@ -3,9 +3,10 @@
 A judgment has the shape ``gamma |- t : A ; delta`` where gamma binds
 lambda-variables and delta binds mu-variables (names).  The binders
 around a subterm enter gamma and delta under their name hints, or, when
-either context binds a hint already, under the name print_term gives
-that binder; a judgment keeps those names, innermost last, to print its
-term, whose bound variables are indices.  Checking is
+either context binds a hint already, under the name ``fresh_name`` gives
+it beside both contexts, the rule print_term names binders by; a
+judgment keeps those names, innermost last, to print its term, whose
+bound variables are indices.  Checking is
 syntax-directed: every Abs, Mu, Inj1 and Inj2 node must carry its
 annotation (Abs: argument type, Mu: result type, Inj: the other
 disjunct).  Case branches need no annotation; the branch binder types
@@ -25,7 +26,7 @@ from typing import Mapping, Optional
 from .syntax import print_formula, print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Case, Conj, Disj, Formula, Inj1, Inj2, Mu,
-    Named, Pair, Proj1, Proj2, Term, Var, dangling,
+    Named, Pair, Proj1, Proj2, Term, Var, dangling, fresh_name,
 )
 
 Context = Mapping[str, Formula]
@@ -165,10 +166,9 @@ def _freeze(ctx: Context) -> tuple[tuple[str, Formula], ...]:
 
 def _with(ctx, other, x: str, a: Formula):
     """The frozen context ctx with a binder x bound to a, and the name it
-    is bound under: x, unless ctx or the other frozen context binds x
-    already; then, as print_term names such a binder, x's stem and the
-    first number neither binds, since no name is a lambda- and a
-    mu-variable at once."""
+    is bound under: fresh_name of x beside the names ctx and the other
+    frozen context bind, since no name is a lambda- and a mu-variable at
+    once."""
     for y, _ in other:
         if y == x:
             break
@@ -176,12 +176,7 @@ def _with(ctx, other, x: str, a: Formula):
         if not ctx or ctx[-1][0] < x:  # binders named in order: x0, x1, ...
             return ctx + ((x, a),), x
     bound = dict(ctx)
-    taken = bound.keys() | {y for y, _ in other}
-    if x in taken:
-        stem, i = x.rstrip("0123456789") or x, 0
-        while f"{stem}{i}" in taken:
-            i += 1
-        x = f"{stem}{i}"
+    x = fresh_name(x, bound, dict(other))
     bound[x] = a
     return _freeze(bound), x
 

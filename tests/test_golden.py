@@ -176,7 +176,8 @@ def reference_suite(corpus, node_cap):
     every node re-checks (a failure reports the error of the node's
     canonical form, parsed again), and SuccessorFacts over the graph's
     own edges, between printed nodes, decides confluence and
-    acyclicity; longest paths are listed by the root's key."""
+    acyclicity, its witnesses worded here; longest paths are listed by
+    the root's key."""
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
     for entry in corpus.entries:
@@ -203,9 +204,13 @@ def reference_suite(corpus, node_cap):
             succ[text[src]].append(text[dst])
         facts = SuccessorFacts(succ)
         root = text[graph.root]
-        why = facts.confluence_failure(root, succ)
-        if why is not None:
-            cf.failures.append((entry, why))
+        witnesses = facts.confluence_failure(root, succ)
+        if witnesses is not None and facts.acyclic(root):
+            cf.failures.append((entry, f"{len(witnesses)} distinct normal "
+                                       f"forms: {witnesses}"))
+        elif witnesses is not None:
+            a, b = witnesses
+            cf.failures.append((entry, f"unjoinable pair: {a} vs {b}"))
         if facts.acyclic(root):
             sn.longest_paths[graph.root] = facts.longest_path(root)
         else:
@@ -245,6 +250,11 @@ SHARED = [
     _entry("[a] (\\x:P. x u)", "_|_", {"u": "P"}, {"a": "Q"}),
     _entry("(mu a:P -> P. [a] \\x:P. x (\\y:P. y v))", "P", {"v": "P"}),
     _entry("(mu a:P -> P. [a] \\x:P. x (\\y:P. y v))", "P", {"v": "Q"}),
+    # ill-typed reducts whose evidence names binders beside contexts that
+    # bind canonical names: x0 free in the term and x1 in the context
+    # only, then x0 in the context only
+    _entry("(\\x:P -> P. \\y:P. (x y) x0)", "P -> P", {"x0": "Q", "x1": "P"}),
+    _entry("(\\x:Q. \\y:P. (x y) z)", "P -> P", {"x0": "P", "z": "Q"}),
 ]
 
 # a growing loop that hits the cap of 5; its own reduct, which admits

@@ -1,6 +1,8 @@
-"""Every name a module of the package or of the tests imports is used."""
+"""Every name a module of the package or of the tests imports is used,
+and every function and class the package defines is used."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,51 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == \
         ["os (line 1)", "c (line 2)"]
+
+
+def references(source: str, strings: bool = False) -> set[str]:
+    """The names, attributes and imported names in source; with strings,
+    also the last part of each string that is a dotted name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str) \
+                and re.fullmatch(r"[\w.]+", node.value):
+            out.add(node.value.rsplit(".", 1)[-1])
+    return out
+
+
+def unreferenced(package: list[str], bench: list[str]) -> list[str]:
+    """The top-level functions and classes of the package's sources that
+    nothing in the package refers to (an import counts, so a re-export
+    of the package's __init__ does; another module's is checked used
+    above) and that no name or dotted string of the bench's names."""
+    used = set().union(*map(references, package),
+                       *(references(s, strings=True) for s in bench))
+    return [node.name for source in package for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used]
+
+
+def test_every_definition_is_used():
+    def read(d):
+        return [p.read_text(encoding="utf-8")
+                for p in sorted((ROOT / d).glob("*.py"))]
+
+    assert unreferenced(read("src/lambdamu"), read("perfbench")) == []
+
+
+def test_detects_an_unused_definition():
+    package = ["def used():\n    pass\n\n\ndef dead():\n    pass\n\n\n"
+               "class Dead:\n    pass\n\n\nclass Kept:\n    pass\n",
+               "from .a import Kept\n\nused()\n", "def timed():\n    pass\n"]
+    doc = '"""Wraps timed."""\n'
+    assert unreferenced(package, [doc + 'WRAP = ("a.timed",)\n']) == \
+        ["dead", "Dead"]
+    assert unreferenced(package, [doc]) == ["dead", "Dead", "timed"]

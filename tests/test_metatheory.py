@@ -368,6 +368,27 @@ def test_confluence_evidence_prints_the_normal_forms(monkeypatch):
     assert sr.ok and sn.ok
 
 
+def test_confluence_evidence_prints_an_unjoinable_pair(monkeypatch):
+    # a beta that leaves (\x:P. x u) as it is loops there, while the
+    # other order reaches u through (<u, v> p1), which cannot reach the
+    # loop; both are printed by canonical form, from the memo too
+    contract = reduction._contract
+
+    def looping(t):
+        out = contract(t)
+        if out is not None and out[0] == "beta" and t.arg.term == Var("u"):
+            return "beta", t
+        return out
+
+    monkeypatch.setattr(reduction, "_contract", looping)
+    entry = CorpusEntry(parse_term("(\\x:P. x (<u, v> p1))"), P,
+                        (("u", P), ("v", P)))
+    sr, cf, sn = run_suite(Corpus([entry, entry]))
+    assert cf.failures == [
+        (entry, "unjoinable pair: (\\x0:P. x0 u) vs (<u, v> p1)")] * 2
+    assert sn.failures == [(entry, "reduction graph has a cycle")] * 2
+
+
 def test_entry_with_a_too_deep_reduct_is_incomplete():
     # each mu-struct appends w under each of the 61 [a] names, so the
     # second reduct nests past the bound; the entry beside it is checked

@@ -11,9 +11,12 @@ from lambdamu import (
     close, enumerate_typed_terms, free_variables, mu_substitute, normalize,
     parse_formula, parse_term, print_formula, print_term, substitute,
 )
-from lambdamu.reduction import step_at
-from lambdamu.syntax import MAX_NESTING
-from lambdamu.terms import FreshSupply, apply_sequence, is_closed
+from lambdamu.reduction import reduction_graph, step_at
+from lambdamu.syntax import MAX_NESTING, canonical_hints
+from lambdamu.terms import (
+    FreshSupply, apply_sequence, fresh_name, is_closed, open_names,
+    rename_binders,
+)
 
 P = PropVar("P")
 Q = PropVar("Q")
@@ -379,6 +382,29 @@ def test_canonicalize_skips_free_names():
     t = parse_term("<\\y:P. x0, mu b:P. [a1] y>")
     assert canonical_form(t) == "<\\x1:P. x0, mu a0:P. [a1] y>"
     assert canonical_form(parse_term("\\y:P. y")) == "\\x0:P. x0"
+
+
+def test_canonical_hints_print_as_canonical_form():
+    # every size-9 graph node; the node under each root binder, that
+    # binder's variable now free and named as canonical naming names a
+    # binder; and every node with one hint for all its binders
+    nodes = [t for entry in enumerate_typed_terms(9).entries
+             for t in reduction_graph(entry.term).nodes.values()]
+    opened = [substitute(t.body, 0, Var("x0")) if type(t) is Abs
+              else open_names(t.body, ("a0",)) for t in nodes
+              if type(t) in (Abs, Mu)]
+    repeated = [rename_binders(t, lambda kind, hint: "x0") for t in nodes]
+    assert {free_variables(t) for t in opened} >= {
+        (frozenset({"x0"}), frozenset()), (frozenset(), frozenset({"a0"}))}
+    for t in nodes + opened + repeated:
+        assert print_term(canonical_hints(t)) == canonical_form(t)
+
+
+def test_fresh_name_numbers_the_stem_apart():
+    assert fresh_name("x", {"y"}) == "x"
+    assert fresh_name("x", {"x"}, ["x0"]) == "x1"
+    assert fresh_name("a12", {"a12", "a0"}) == "a1"
+    assert fresh_name("7", {"7"}) == "70"
 
 
 def test_free_variables_two_namespaces():
