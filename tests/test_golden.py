@@ -9,13 +9,14 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from lambdamu import (
-    BOT, Abs, App, Arrow, Corpus, Mu, Named, Pair, PropertyReport,
+    BOT, Abs, App, Arrow, Corpus, Mu, Named, Pair, ParseError, PropertyReport,
     ReductTooDeep, TypeCheckError, Var, alpha_key, behavior, check,
     enumerate_typed_terms, erase, infer, parse_formula, parse_term, print_term,
     run_suite,
@@ -396,3 +397,48 @@ def test_graph_output():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
         1948, "4812e1011556caf4e23ef651fba817277507d27836735d824447a117f14a5443")
+
+
+# --------------------------------------------------------------------------
+# Parse errors
+# --------------------------------------------------------------------------
+
+# a token of the concrete grammar, found apart from the parser's own lexer
+_TOKEN = re.compile(r"_\|_|->|/\\|\\/|[\\.:,~<>()\[\]{}]|[\w']+")
+
+# inputs no token deletion makes: characters outside the grammar,
+# shadowing, a name in both roles, nesting past the bound
+MALFORMED = [
+    "", "  ", "x $", "\u00bd", "x \u00bd", "x\u00bd", "2x", "'x", "x'",
+    "P_|_", "_|_x", "\u00e9", "\\x:P. x\t", "\\x:P. \\x:P. x",
+    "[x] x", "mu a:P. [a] \\a:P. a", "(x [y.y, y.y])", "in1{P x",
+    "\\x:P ->. x", "mu a:P. [a] a", "\\x:P. (x [x.x, y.y])", "(x p3)",
+    "(x [a] y)", "<x, y", "~" * 199 + "P", "~" * 200 + "P", "(" * 200 + "x",
+    "\\x:" + "~" * 199 + "P. x",
+]
+
+
+def _parse_error(parse, text) -> str:
+    try:
+        parse(text)
+    except ParseError as exc:
+        return f"{exc}|{exc.position}|{exc.expected}"
+    return "ok"
+
+
+def test_parse_error_messages():
+    # every size-7 corpus text with each of its tokens deleted in turn,
+    # and the malformed inputs above, parsed as a term and as a formula:
+    # the message, position and expectation of every error, in order
+    texts = []
+    for entry in enumerate_typed_terms(7).entries:
+        text = print_term(entry.term)
+        texts += [text[:m.start()] + text[m.end():]
+                  for m in _TOKEN.finditer(text)]
+    texts += MALFORMED
+    lines = [_parse_error(parse, text) for text in texts
+             for parse in (parse_term, parse_formula)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(texts), len(lines) - lines.count("ok"), digest) == (
+        2773, 5383,
+        "2e2aed85a503c59438c0b41664211fbfef93cd7f32d628a42b70524288baba8c")
