@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from .syntax import MAX_NESTING, alpha_key, canonical_form
 from .terms import (
     Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
-    Pair, Proj1, Proj2, Term, Var, dangling, mu_substitute, shift_eterm,
-    substitute,
+    Pair, Proj1, Proj2, Term, Var, dangling, mu_substitute, node,
+    shift_eterm, substitute,
 )
 
 RULE_IDS = ("beta", "proj", "case-inj", "case-perm", "mu-struct")
@@ -58,7 +58,7 @@ class ReductTooDeep(Exception):
                          f"after {steps} steps")
 
 
-@dataclass(frozen=True)
+@node
 class ReductionStep:
     before: Term
     position: Position

@@ -31,6 +31,7 @@ as hints (see ``terms``); the printer chooses the names again.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Optional
 
 from .terms import (
@@ -49,15 +50,23 @@ MAX_NESTING = 200
 # infix connectives: precedence and constructor; all right-associative
 _INFIX = {"->": (0, Arrow), "\\/": (1, Disj), "/\\": (2, Conj)}
 _PREFIX = 3  # ~ binds tighter than every infix connective
+_ATOM = {"~", "_|_", "("}  # the marks that start a formula, besides a name
 
-# One token per match, after whitespace: a punctuation mark, a word, or
-# any other character, which is an error; or the end of the input.
-# Punctuation is tried first, so "_|_x" is two tokens and "_x" one.  \s
-# and \w accept what str.isspace() and str.isalnum() (or "_") accept; a
-# word starts with a letter or "_", so tokenize refuses the numeric
-# characters that [^\W\d] lets through ("½", "²") at a word's start.
-_TOKEN = re.compile(r"\s*(?:(_\|_|->|/\\|\\/|[\\.:,~<>()\[\]{}])"
-                    r"|([^\W\d][\w']*)|(\S)|\Z)")
+# One token per match, with no group, so that findall returns the
+# tokens' text: a punctuation mark, a word, any other character but
+# whitespace, or "" at the end of the input.  No alternative matches
+# whitespace, so the search skips it.  Punctuation is tried first, so
+# "_|_x" is two tokens and "_x" one.  \s and \w accept what
+# str.isspace() and str.isalnum() (or "_") accept; a word starts with a
+# letter or "_", so tokenize refuses the numeric characters that [^\W\d]
+# lets through ("½", "²") at a word's start, as it refuses any other
+# character that is no punctuation mark.
+_TOKEN = re.compile(r"_\|_|->|/\\|\\/|[\\.:,~<>()\[\]{}]|[^\W\d][\w']*|\S|\Z")
+
+# the tokens that are not names: punctuation, keywords and the end
+_RESERVED = frozenset(("_|_", "->", "/\\", "\\/", "\\", ".", ":", ",", "~",
+                       "<", ">", "(", ")", "[", "]", "{", "}", "",
+                       *KEYWORDS))
 
 
 class ParseError(Exception):
@@ -70,217 +79,208 @@ class ParseError(Exception):
         super().__init__(f"{message} at position {position}{suffix}")
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) per token, then ("eof", "", len(text)).  The
-    kind of a name is "ident"; that of a keyword or a punctuation mark is
-    its text."""
-    toks = []
-    for m in _TOKEN.finditer(text):
-        punct, word, other = m.groups()
-        if punct is not None:
-            toks.append((punct, punct, m.start(1)))
-        elif word is not None and (word[0].isalpha() or word[0] == "_"):
-            toks.append((word if word in KEYWORDS else "ident", word,
-                         m.start(2)))
-        elif word is None and other is None:
-            break
-        else:
-            at = m.start(m.lastindex)
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-    toks.append(("eof", "", len(text)))
+def tokenize(text: str) -> list[str]:
+    """The tokens of text, then "" for its end.  A token outside
+    _RESERVED is a name, which starts with a letter or "_"; the first
+    that does not is refused, at the position found by scanning text
+    again, as positions are found only for errors."""
+    toks = _TOKEN.findall(text)
+    bad = [tok for tok in set(toks).difference(_RESERVED)
+           if not (tok[0].isalpha() or tok[0] == "_")]
+    if bad:
+        i = min(map(toks.index, bad))
+        raise ParseError(f"unexpected character {toks[i][0]!r}",
+                         _position(text, i))
     return toks
 
 
-def _unexpected(tok: tuple[str, str, int], expected: str) -> ParseError:
-    return ParseError(f"unexpected {tok[1] or 'end of input'!r}", tok[2],
-                      expected=expected)
+def _position(text: str, i: int) -> int:
+    """The character position of text's i-th token, counted from 0."""
+    return next(islice(_TOKEN.finditer(text), i, None)).start()
 
 
 class _Parser:
+    """One parse of a text.  A rule parsing a term or a formula takes
+    depth, the number of term and formula levels open with its own."""
+
     def __init__(self, text: str):
+        self.text = text
         self.toks = tokenize(text)
-        self.i = 0
+        self.i = 0  # the next token; it stays on the final ""
         # global role map: identifier -> "lam" | "mu"
         self.roles: dict[str, str] = {}
-        self.depth = 0  # open term and formula levels
         # bound identifier -> the number of binders of its namespace
         # outside it; as nothing is shadowed, that is one per name
         self.lam: dict[str, int] = {}
         self.mu: dict[str, int] = {}
 
-    def descend(self) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
-                             self.peek()[2])
+    def error(self, message: str, i: int, expected: str | None = None
+              ) -> ParseError:
+        return ParseError(message, _position(self.text, i), expected)
+
+    def unexpected(self, expected: str) -> ParseError:
+        """An error at the next token, which is not what was expected."""
+        tok = self.toks[self.i] or "end of input"
+        return self.error(f"unexpected {tok!r}", self.i, expected)
+
+    def too_deep(self) -> ParseError:
+        return self.error(f"input nested deeper than {MAX_NESTING} levels",
+                          self.i)
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self, k: int = 0) -> tuple[str, str, int]:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
+    def expect(self, tok: str) -> None:
+        if self.toks[self.i] != tok:
+            raise self.unexpected(repr(tok))
+        self.i += 1
 
-    def kind(self) -> str:
-        return self.toks[self.i][0]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise _unexpected(tok, repr(kind))
-        return tok
-
-    def claim(self, tok: tuple[str, str, int], role: str) -> str:
-        """The name of an identifier token, which keeps its first role."""
-        name = tok[1]
+    def name(self, role: str) -> str:
+        """The next token, a name, which keeps its first role."""
+        name = self.toks[self.i]
+        if name in _RESERVED:
+            raise self.unexpected("'ident'")
         if self.roles.setdefault(name, role) != role:
-            raise ParseError(
+            raise self.error(
                 f"{name!r} used both as a lambda-variable and a mu-variable",
-                tok[2])
+                self.i)
+        self.i += 1
         return name
 
     def ident(self, role: str) -> str:
         """A binder's identifier, which nothing around it binds."""
-        tok = self.expect("ident")
-        if tok[1] in self.lam or tok[1] in self.mu:
-            raise ParseError(f"shadowed variable {tok[1]!r}", tok[2])
-        return self.claim(tok, role)
+        name = self.toks[self.i]
+        if name in self.lam or name in self.mu:
+            raise self.error(f"shadowed variable {name!r}", self.i)
+        return self.name(role)
 
     def use(self, role: str):
         """A variable: its index when bound, else its name."""
-        name = self.claim(self.expect("ident"), role)
+        name = self.name(role)
         bound = self.lam if role == "lam" else self.mu
         level = bound.get(name)
         return name if level is None else len(bound) - 1 - level
 
-    def bound_term(self, bound: dict[str, int], name: str) -> Term:
+    def bound_term(self, bound: dict[str, int], name: str, depth: int
+                   ) -> Term:
         """A term in the scope of a binder of name."""
         bound[name] = len(bound)
-        t = self.term()
+        t = self.term(depth)
         del bound[name]
         return t
 
-    def braced(self) -> Optional[Formula]:
+    def braced(self, depth: int) -> Optional[Formula]:
         """The annotation "{" formula "}", if one follows."""
-        if self.kind() != "{":
+        if self.toks[self.i] != "{":
             return None
-        self.next()
-        ann = self.formula()
+        self.i += 1
+        ann = self.formula(depth)
         self.expect("}")
         return ann
 
     # -- terms ------------------------------------------------------------
 
-    def term(self) -> Term:
-        self.descend()
-        t = self._term()
-        self.depth -= 1
-        return t
-
-    def _term(self) -> Term:
-        kind = self.kind()
-        if kind == "\\" or kind == "mu":
-            self.next()
-            lam = kind == "\\"
-            x = self.ident("lam" if lam else "mu")
-            ann = None
-            if self.kind() == ":":
-                self.next()
-                ann = self.formula()
-            self.expect(".")
-            body = self.bound_term(self.lam if lam else self.mu, x)
-            return Abs(x, ann, body) if lam else Mu(x, ann, body)
-        if kind == "[":
-            self.next()
-            a = self.use("mu")
-            self.expect("]")
-            return Named(a, self.term())
-        if kind == "<":
-            self.next()
-            fst = self.term()
-            self.expect(",")
-            snd = self.term()
-            self.expect(">")
-            return Pair(fst, snd)
-        if kind == "in1" or kind == "in2":
-            self.next()
-            ann = self.braced()
-            body = self.term()
-            return Inj1(body, ann) if kind == "in1" else Inj2(body, ann)
-        if kind == "(":
-            self.next()
-            fun = self.term()
-            arg = self.eterm()
+    def term(self, depth: int) -> Term:
+        if depth > MAX_NESTING:
+            raise self.too_deep()
+        tok = self.toks[self.i]
+        if tok not in _RESERVED:
+            return Var(self.use("lam"))
+        depth += 1  # that of the children
+        if tok == "(":
+            self.i += 1
+            fun = self.term(depth)
+            arg = self.eterm(depth)
             self.expect(")")
             return App(fun, arg)
-        if kind == "ident":
-            return Var(self.use("lam"))
-        raise _unexpected(self.peek(), "a term")
+        if tok == "\\" or tok == "mu":
+            self.i += 1
+            lam = tok == "\\"
+            x = self.ident("lam" if lam else "mu")
+            ann = None
+            if self.toks[self.i] == ":":
+                self.i += 1
+                ann = self.formula(depth)
+            self.expect(".")
+            body = self.bound_term(self.lam if lam else self.mu, x, depth)
+            return Abs(x, ann, body) if lam else Mu(x, ann, body)
+        if tok == "[":
+            self.i += 1
+            a = self.use("mu")
+            self.expect("]")
+            return Named(a, self.term(depth))
+        if tok == "<":
+            self.i += 1
+            fst = self.term(depth)
+            self.expect(",")
+            snd = self.term(depth)
+            self.expect(">")
+            return Pair(fst, snd)
+        if tok == "in1" or tok == "in2":
+            self.i += 1
+            ann = self.braced(depth)
+            body = self.term(depth)
+            return Inj1(body, ann) if tok == "in1" else Inj2(body, ann)
+        raise self.unexpected("a term")
 
-    def eterm(self) -> ETerm:
-        kind = self.kind()
-        if kind == "p1" or kind == "p2":
-            self.next()
-            return PROJ1 if kind == "p1" else PROJ2
+    def eterm(self, depth: int) -> ETerm:
+        """An E-term, which opens no level of its own: its terms and its
+        annotation are at depth."""
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        if tok == "p1" or tok == "p2":
+            self.i += 1
+            return PROJ1 if tok == "p1" else PROJ2
         # "[" starts a case bracket iff the identifier is followed by "."
-        if kind == "[" and self.peek(1)[0] == "ident" \
-                and self.peek(2)[0] == ".":
-            self.next()
+        if tok == "[" and toks[i + 1] not in _RESERVED and toks[i + 2] == ".":
+            self.i += 1
             x1 = self.ident("lam")
             self.expect(".")
-            u1 = self.bound_term(self.lam, x1)
+            u1 = self.bound_term(self.lam, x1, depth)
             self.expect(",")
             x2 = self.ident("lam")
             self.expect(".")
-            u2 = self.bound_term(self.lam, x2)
+            u2 = self.bound_term(self.lam, x2, depth)
             self.expect("]")
-            return Case(x1, u1, x2, u2, self.braced())
-        return Arg(self.term())
+            return Case(x1, u1, x2, u2, self.braced(depth))
+        return Arg(self.term(depth))
 
     # -- formulas (precedence climbing) ------------------------------------
 
-    def formula(self, level: int = 0) -> Formula:
+    def formula(self, depth: int, level: int = 0) -> Formula:
         """A formula whose infix connectives bind at least as tightly as
         level; the right operand of a connective is parsed at its own
         level, which makes every connective right-associative."""
-        self.descend()
-        left = self._atom()
-        while True:
-            infix = _INFIX.get(self.kind())
-            if infix is None or infix[0] < level:
-                break
-            self.next()
-            left = infix[1](left, self.formula(infix[0]))
-        self.depth -= 1
-        return left
-
-    def _atom(self) -> Formula:
-        tok = self.next()
-        kind = tok[0]
-        if kind == "~":
-            return Arrow(self.formula(_PREFIX), BOT)
-        if kind == "_|_":
-            return BOT
-        if kind == "(":
-            f = self.formula()
+        if depth > MAX_NESTING:
+            raise self.too_deep()
+        toks = self.toks
+        tok = toks[self.i]
+        if tok in _RESERVED and tok not in _ATOM:
+            raise self.unexpected("a formula")
+        self.i += 1
+        if tok not in _RESERVED:
+            left = PropVar(tok)
+        elif tok == "~":
+            left = Arrow(self.formula(depth + 1, _PREFIX), BOT)
+        elif tok == "_|_":
+            left = BOT
+        else:
+            left = self.formula(depth + 1)
             self.expect(")")
-            return f
-        if kind == "ident":
-            return PropVar(tok[1])
-        raise _unexpected(tok, "a formula")
+        while True:
+            infix = _INFIX.get(toks[self.i])
+            if infix is None or infix[0] < level:
+                return left
+            self.i += 1
+            left = infix[1](left, self.formula(depth + 1, infix[0]))
 
 
 def _parse(text: str, rule):
-    """rule run on a parser of text, which it must consume entirely."""
+    """rule run on a parser of text at depth 1; it must consume the text
+    entirely."""
     p = _Parser(text)
-    out = rule(p)
-    kind, rest, pos = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {rest!r}", pos)
+    out = rule(p, 1)
+    if p.toks[p.i]:
+        raise p.error(f"trailing input {p.toks[p.i]!r}", p.i)
     return out
 
 

@@ -16,17 +16,44 @@ only as a hint for printing, which takes no part in ``==`` and
 without opening them, so a subterm may have dangling indices, which
 refer to binders above it; every operation here respects them.
 
-Every node is a slotted, frozen dataclass with one more slot, ``_key``,
-left unset until ``syntax.alpha_key`` reads the node: a string that two
-nodes share exactly when they are ``==``.
+Every node class is a ``node``: a frozen, slotted dataclass whose
+``__init__`` fills the slots through their descriptors.  Terms, E-terms
+and formulas have one more slot, ``_key``, left unset until
+``syntax.alpha_key`` reads the node: a string that two nodes share
+exactly when they are ``==``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Union
 
 Name = Union[str, int]  # a free name, or the de Bruijn index of a binder
+
+
+def node(cls):
+    """cls as a frozen, slotted dataclass whose ``__init__``, of the same
+    signature, stores each field through its slot's member descriptor:
+    a third cheaper per node than the ``object.__setattr__`` a frozen
+    dataclass calls.  Assigning or deleting a field still raises
+    ``FrozenInstanceError``; ``==``, hash, repr and pickling are the
+    dataclass's.  A field may have a plain default; default_factory,
+    init=False, kw_only and __post_init__ are not carried over."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    body = "".join(f"        set_{name}(self, {name})\n" for name in names)
+    scope: dict = {}
+    exec(f"def make({', '.join(f'set_{name}' for name in names)}):\n"
+         f"    def __init__(self, {', '.join(names)}):\n"
+         f"{body or '        pass'}\n"
+         f"    return __init__\n", scope)
+    init = scope["make"](*(cls.__dict__[name].__set__ for name in names))
+    plain = cls.__init__
+    init.__qualname__ = plain.__qualname__
+    init.__defaults__, init.__annotations__ = \
+        plain.__defaults__, plain.__annotations__
+    cls.__init__ = init
+    return cls
 
 
 # --------------------------------------------------------------------------
@@ -37,29 +64,29 @@ class Formula:
     __slots__ = ("_key",)  # syntax.alpha_key's cache, unset until read
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class PropVar(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Arrow(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Conj(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Disj(Formula):
     left: Formula
     right: Formula
@@ -84,52 +111,52 @@ class ETerm:
     __slots__ = ("_key",)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Var(Term):
     """A lambda-variable: a free name or a bound index."""
 
     name: Name
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Abs(Term):
     var: str = field(compare=False)  # the binder's name, a printing hint
     ann: Optional[Formula]
     body: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class App(Term):
     fun: Term
     arg: ETerm
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Inj1(Term):
     body: Term
     ann: Optional[Formula] = None  # the right disjunct of the result
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Inj2(Term):
     body: Term
     ann: Optional[Formula] = None  # the left disjunct of the result
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Mu(Term):
     var: str = field(compare=False)  # the binder's name, a printing hint
     ann: Optional[Formula]
     body: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Named(Term):
     """A named term (a t), with a a mu-variable: a free name or a bound
     index."""
@@ -138,22 +165,22 @@ class Named(Term):
     body: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Arg(ETerm):
     term: Term
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Proj1(ETerm):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Proj2(ETerm):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Case(ETerm):
     """A case bracket [x.u, y.v]; x is bound in u only, y in v only.
 
@@ -275,19 +302,47 @@ def dangling(t: Term) -> tuple[int, int]:
     """How many lambda- and how many mu-binders above t its dangling
     indices reach."""
     reach = [0, 0]
-
-    def var(v, lam, mu):
-        if type(v.name) is int:
-            reach[0] = max(reach[0], v.name + 1 - len(lam))
-        return v
-
-    def named(n, body, lam, mu):
-        if type(n.name) is int:
-            reach[1] = max(reach[1], n.name + 1 - len(mu))
-        return n
-
-    _walk(t, var, named)
+    _reach(t, 0, 0, reach)
     return reach[0], reach[1]
+
+
+def _reach(t: Term, lam: int, mu: int, reach: list[int]) -> None:
+    """Raise reach to the lambda- and mu-binders above t that the indices
+    of t reach, t lying under lam lambda- and mu mu-binders; one call
+    per branch, a loop down each node's last child."""
+    while True:
+        kind = type(t)
+        if kind is Var:
+            x = t.name
+            if type(x) is int and x - lam >= reach[0]:
+                reach[0] = x + 1 - lam
+            return
+        if kind is App:
+            _reach(t.fun, lam, mu, reach)
+            e = t.arg
+            if type(e) is Arg:
+                t = e.term
+            elif type(e) is Case:
+                _reach(e.left, lam + 1, mu, reach)
+                t, lam = e.right, lam + 1
+            else:
+                return
+        elif kind is Abs:
+            t, lam = t.body, lam + 1
+        elif kind is Mu:
+            t, mu = t.body, mu + 1
+        elif kind is Named:
+            a = t.name
+            if type(a) is int and a - mu >= reach[1]:
+                reach[1] = a + 1 - mu
+            t = t.body
+        elif kind is Pair:
+            _reach(t.fst, lam, mu, reach)
+            t = t.snd
+        elif kind is Inj1 or kind is Inj2:
+            t = t.body
+        else:
+            raise TypeError(f"not a term: {t!r}")
 
 
 def rename_binders(t: Term, rename) -> Term:

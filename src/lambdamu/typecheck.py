@@ -20,13 +20,12 @@ only producer of derivations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .syntax import print_formula, print_term
 from .terms import (
     Abs, App, Arg, Arrow, BOT, Case, Conj, Disj, Formula, Inj1, Inj2, Mu,
-    Named, Pair, Proj1, Proj2, Term, Var, dangling, fresh_name,
+    Named, Pair, Proj1, Proj2, Term, Var, dangling, fresh_name, node,
 )
 
 Context = Mapping[str, Formula]
@@ -70,7 +69,7 @@ class Mismatch(TypeCheckError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Judgment:
     gamma: tuple[tuple[str, Formula], ...]
     term: Term
@@ -87,7 +86,7 @@ class Judgment:
         return f"{g} |- {self.printed_term()} : {print_formula(self.formula)} ; {d}"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Derivation:
     rule: str
     conclusion: Judgment

@@ -1,21 +1,25 @@
 """Parser, printer, and binding-structure tests."""
 
+import dataclasses
+import inspect
 import pickle
+import types
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lambdamu import (
-    Abs, App, Arg, Arrow, BOT, Case, Conj, Disj, Inj1, Inj2, Mu, Named,
-    PROJ1, PROJ2, Pair, ParseError, PropVar, Var, alpha_key, canonical_form,
-    close, enumerate_typed_terms, free_variables, mu_substitute, normalize,
+    Abs, App, Arg, Arrow, BOT, Case, Conj, Derivation, Disj, Inj1, Inj2,
+    Judgment, Mu, Named, PROJ1, PROJ2, Pair, ParseError, PropVar,
+    ReductionStep, Var, alpha_key, canonical_form, close,
+    enumerate_typed_terms, free_variables, mu_substitute, normalize,
     parse_formula, parse_term, print_formula, print_term, substitute,
 )
 from lambdamu.reduction import reduction_graph, step_at
 from lambdamu.syntax import MAX_NESTING, canonical_hints
 from lambdamu.terms import (
-    FreshSupply, apply_sequence, fresh_name, is_closed, open_names,
-    rename_binders,
+    Bottom, ETerm, Formula, FreshSupply, Proj1, Proj2, Term, apply_sequence,
+    fresh_name, is_closed, open_names, rename_binders,
 )
 
 P = PropVar("P")
@@ -368,6 +372,84 @@ def test_terms_pickle_before_and_after_their_key_is_read():
     key = alpha_key(t)
     copied = pickle.loads(pickle.dumps(t))
     assert copied == t and alpha_key(copied) == key
+
+
+def _node_fields(hint):
+    """Field values for one node of each class, by keyword; every binder
+    in them has the name hint."""
+    lam = Abs(hint, P, Var(0))
+    judgment = Judgment((("y", P),), lam, Arrow(P, P), ())
+    return {
+        PropVar: {"name": "P"}, Bottom: {},
+        Arrow: {"left": P, "right": BOT}, Conj: {"left": P, "right": Q},
+        Disj: {"left": Q, "right": P},
+        Var: {"name": 0}, Abs: {"var": hint, "ann": P, "body": Var(0)},
+        App: {"fun": lam, "arg": Arg(Var("y"))},
+        Pair: {"fst": lam, "snd": Var("y")},
+        Inj1: {"body": lam, "ann": Q}, Inj2: {"body": lam, "ann": None},
+        Mu: {"var": hint, "ann": P, "body": Named(0, lam)},
+        Named: {"name": "a", "body": lam}, Arg: {"term": lam},
+        Proj1: {}, Proj2: {},
+        Case: {"left_var": hint, "left": Var(0), "right_var": hint,
+               "right": lam, "ann": P},
+        Judgment: {"gamma": (("y", P),), "term": lam, "formula": Arrow(P, P),
+                   "delta": (), "names": ((), ())},
+        Derivation: {"rule": "abs-i", "conclusion": judgment,
+                     "premises": ()},
+        ReductionStep: {"before": App(lam, Arg(Var("y"))), "position": (),
+                        "rule": "beta", "after": Var("y")},
+    }
+
+
+NODES = list(_node_fields("x"))
+
+
+def test_every_frozen_dataclass_of_the_node_modules_is_a_node():
+    found = {cls for module in set(map(inspect.getmodule, NODES))
+             for cls in vars(module).values()
+             if isinstance(cls, type) and cls.__module__ == module.__name__
+             and dataclasses.is_dataclass(cls)
+             and cls.__dataclass_params__.frozen}
+    assert found == set(NODES)
+
+
+@pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
+def test_node_contract(cls):
+    values = _node_fields("x")[cls]
+    node = cls(**values)
+    assert node == cls(*values.values())
+    assert {name: getattr(node, name) for name in values} == values
+    # the plain frozen, slotted dataclass's signature, repr and hash
+    plain = dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type,
+         dataclasses.field(default=f.default, compare=f.compare))
+        for f in dataclasses.fields(cls)], frozen=True, slots=True)
+    assert inspect.signature(cls) == inspect.signature(plain)
+    assert repr(node) == repr(plain(**values))
+    assert hash(node) == hash(plain(**values))
+    # every field a slot, and none writable once built
+    assert not hasattr(node, "__dict__")
+    for name, value in values.items():
+        assert isinstance(vars(cls)[name], types.MemberDescriptorType)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    assert {name: getattr(node, name) for name in values} == values
+
+    # pickled with the syntax nodes' keys unset, then set
+    def keys(n):
+        parts = (n, *(getattr(n, name) for name in values))
+        return [alpha_key(v) for v in parts
+                if isinstance(v, (Term, ETerm, Formula))]
+
+    assert pickle.loads(pickle.dumps(node)) == node
+    read = keys(node)
+    copied = pickle.loads(pickle.dumps(node))
+    assert copied == node and keys(copied) == read
+    # binder hints take no part in == and hash
+    renamed = cls(**_node_fields("z")[cls])
+    assert renamed == node and hash(renamed) == hash(node)
 
 
 def test_canonicalize_is_stable():
