@@ -3,7 +3,7 @@ parsing, type checking, reduction, metatheory oracles, and operational
 behavior probes for the three classical laws."""
 
 from .terms import (
-    Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
+    Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
     Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
     apply_sequence, close, free_variables, is_closed, mu_substitute,
     substitute,

@@ -29,7 +29,7 @@ from typing import Optional
 from .reduction import DEFAULT_NODE_CAP, Trace, reduction_graph
 from .syntax import parse_term, print_term
 from .terms import (
-    App, Arg, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula, FreshSupply,
+    App, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula, FreshSupply,
     Mu, Named, PropVar, Term, Var, all_names, apply_sequence, close,
     free_variables, fresh_name, is_closed, open_names,
 )
@@ -81,7 +81,7 @@ class HeadApplied(LeafPattern):
         if core is None:
             return None
         match core:
-            case App(Var(h), Arg(s)) if h == self.head:
+            case App(Var(h), Term() as s) if h == self.head:
                 return {"slot": s}
         return None
 
@@ -199,7 +199,7 @@ def _supply_for(subject: Term, seed: int) -> FreshSupply:
 
 
 def _fresh_args(supply: FreshSupply, prefix: str, n: int) -> tuple[ETerm, ...]:
-    return tuple(Arg(Var(supply.fresh(prefix))) for _ in range(n))
+    return tuple(Var(supply.fresh(prefix)) for _ in range(n))
 
 
 def _subject_type(subject: Term) -> Formula:
@@ -224,7 +224,7 @@ def probe_exfalso(subject: Term, n_args: int = 1,
     supply = _supply_for(subject, seed)
     t_star = supply.fresh("t")
     args = _fresh_args(supply, "u", n_args)
-    probe = apply_sequence(App(subject, Arg(Var(t_star))), args)
+    probe = apply_sequence(App(subject, Var(t_star)), args)
     result = search_spine_reduct(probe, [("leaf", ExactLeaf(Var(t_star)))],
                                  node_cap)
     report = BehaviorReport("exfalso", subject, "inconclusive")
@@ -251,7 +251,7 @@ def probe_peirce(subject: Term, n_args: int = 1,
     u_star = supply.fresh("u")
     tail = _fresh_args(supply, "t", n_args)
     return _run_stages(BehaviorReport("peirce", subject, "inconclusive"),
-                       apply_sequence(App(subject, Arg(Var(u_star))), tail),
+                       apply_sequence(App(subject, Var(u_star)), tail),
                        [("continue", HeadApplied(u_star, tail), "neg")],
                        [tail], supply, n_args, node_cap, max_m)
 
@@ -269,8 +269,8 @@ def probe_tertium(subject: Term, seq_len: int = 1,
     supply = _supply_for(subject, seed)
     c1, c2 = supply.fresh("c"), supply.fresh("c")
     x1, x2 = supply.fresh("x"), supply.fresh("x")
-    probe = close(App(subject, Case(x1, App(Var(c1), Arg(Var(x1))),
-                                    x2, App(Var(c2), Arg(Var(x2))))))
+    probe = close(App(subject, Case(x1, App(Var(c1), Var(x1)),
+                                    x2, App(Var(c2), Var(x2)))))
     return _run_stages(BehaviorReport("tertium", subject, "inconclusive"),
                        probe,
                        [("branch1", HeadApplied(c1, ()), kinds[0]),
@@ -322,7 +322,7 @@ def _run_stages(report: BehaviorReport, current: Term,
         else:
             v = supply.fresh("v")
             issued_vs.append(v)
-            current = App(theta, Arg(Var(v)))
+            current = App(theta, Var(v))
     report.detail = f"no terminal leaf within max_m={max_m} stages"
     return report
 

@@ -52,7 +52,7 @@ _NATURAL = _int_at_least(0)
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lambdamu", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_NATURAL, default=0,
                         help="seed for fresh-name generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--open", dest="open_vars", default="",
                        help="comma-separated free lambda-variables to allow")
 
-    p = sub.add_parser("parse", help="parse and echo the canonical printing")
+    p = sub.add_parser("parse", help="parse and print back, binder names "
+                                     "kept as written")
     add_input(p)
 
     p = sub.add_parser("check", help="type-check a closed term")

@@ -7,7 +7,7 @@ typed construction so only well-typed terms are produced, or curated
 controls for the detectors).
 
 Term size counts term and E-term constructor nodes (projections and
-case brackets count one each; the argument wrapper is free).  Binder
+case brackets count one each; an argument counts as its term).  Binder
 annotations are not counted but are drawn from a bounded formula pool
 over the alphabet {P, _|_}, plus the subformulas of a target, which may
 bring atoms of its own; elimination cut formulas come from five fixed
@@ -26,7 +26,7 @@ from .reduction import (
 )
 from .syntax import canonical_form, canonical_hints, print_term
 from .terms import (
-    Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
+    Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
     Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var,
 )
 from .typecheck import Context, TypeCheckError, check
@@ -287,7 +287,7 @@ class Enumerator:
                         continue
                     for arg in self._terms(cut, n - 1 - i, gamma, delta):
                         for fun in funs:
-                            out.append(App(fun, Arg(arg)))
+                            out.append(App(fun, arg))
             if n >= 3:
                 for cut in self.cut_pool:
                     for fun in self._terms(self._mk(("conj", tyid, cut)),

@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .syntax import MAX_NESTING, alpha_key, canonical_form
 from .terms import (
-    Abs, App, Arg, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
-    Pair, Proj1, Proj2, Term, Var, dangling, mu_substitute, node,
-    shift_eterm, substitute,
+    Abs, App, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
+    Pair, Proj1, Proj2, Term, Var, dangling, mu_substitute, node, shift,
+    substitute,
 )
 
 RULE_IDS = ("beta", "proj", "case-inj", "case-perm", "mu-struct")
@@ -88,6 +88,9 @@ class Trace:
 # Nesting depth
 # --------------------------------------------------------------------------
 
+_ONE_CHILD = frozenset((Abs, Mu, Named, Inj1, Inj2))
+
+
 def term_depth(t: Term) -> int:
     """The number of term nodes on the longest path from t to a leaf.
 
@@ -103,14 +106,17 @@ def term_depth(t: Term) -> int:
             if kind is App:
                 below.append(s.fun)
                 e = s.arg
-                if type(e) is Arg:
-                    below.append(e.term)
-                elif type(e) is Case:
+                ke = type(e)
+                if ke is Case:
                     below += (e.left, e.right)
+                elif ke is not Proj1 and ke is not Proj2:
+                    below.append(e)
             elif kind is Pair:
                 below += (s.fst, s.snd)
-            elif kind is not Var:
+            elif kind in _ONE_CHILD:
                 below.append(s.body)
+            elif kind is not Var:
+                raise TypeError(f"not a term: {s!r}")
         level = below
     return depth
 
@@ -122,12 +128,12 @@ def term_depth(t: Term) -> int:
 def _result_ann(ann: Optional[Formula], e: ETerm) -> Optional[Formula]:
     """The type annotation left after applying a term of type ann to e.
 
-    Arguments and projections decompose the annotation; a case bracket
-    supplies its own result annotation.  None when underivable, which
-    only happens on unannotated or untypable inputs.
+    Term arguments and projections decompose the annotation; a case
+    bracket supplies its own result annotation.  None when underivable,
+    which only happens on unannotated or untypable inputs.
     """
     match e:
-        case Arg(_):
+        case Term():
             return ann.right if isinstance(ann, Arrow) else None
         case Proj1():
             return ann.left if isinstance(ann, Conj) else None
@@ -146,8 +152,8 @@ def _contract(t: App) -> Optional[tuple[str, Term]]:
     f, e = t.fun, t.arg
     kf, ke = type(f), type(e)
     if kf is Abs:
-        if ke is Arg:
-            return "beta", substitute(f.body, 0, e.term)
+        if isinstance(e, Term):
+            return "beta", substitute(f.body, 0, e)
     elif kf is Pair:
         if ke is Proj1:
             return "proj", f.fst
@@ -160,13 +166,13 @@ def _contract(t: App) -> Optional[tuple[str, Term]]:
     elif kf is App:
         c = f.arg
         if type(c) is Case:
-            under = shift_eterm(e, 1, 0)  # into each branch
+            under = shift(e, 1, 0)  # into each branch
             return "case-perm", App(f.fun, Case(
                 c.left_var, App(c.left, under), c.right_var,
                 App(c.right, under), _result_ann(c.ann, e)))
     elif kf is Mu:
         return "mu-struct", Mu(f.var, _result_ann(f.ann, e), mu_substitute(
-            f.body, 0, (shift_eterm(e, 0, 1),)))
+            f.body, 0, (shift(e, 0, 1),)))
     return None
 
 
@@ -190,16 +196,16 @@ def _reducts(t: Term, path: Position = ()
         for p, rule, new, c in _reducts(f, path + (0,)):
             yield p, rule, App(new, e), c
         ke = type(e)
-        if ke is Arg:
-            for p, rule, new, c in _reducts(e.term, path + (1,)):
-                yield p, rule, App(f, Arg(new)), c
-        elif ke is Case:
+        if ke is Case:
             x1, u1, x2, u2 = e.left_var, e.left, e.right_var, e.right
             ann = e.ann
             for p, rule, new, c in _reducts(u1, path + (1,)):
                 yield p, rule, App(f, Case(x1, new, x2, u2, ann)), c
             for p, rule, new, c in _reducts(u2, path + (2,)):
                 yield p, rule, App(f, Case(x1, u1, x2, new, ann)), c
+        elif ke is not Proj1 and ke is not Proj2:
+            for p, rule, new, c in _reducts(e, path + (1,)):
+                yield p, rule, App(f, new), c
     elif kind is Pair:
         f, s = t.fst, t.snd
         for p, rule, new, c in _reducts(f, path + (0,)):
@@ -354,31 +360,33 @@ class ReductionGraph:
 
     Nodes are keyed by their alpha_key, one per alpha-equivalence class;
     to_json and to_dot print them by canonical_form.  ``edges`` has one
-    entry per redex of each expanded node; ``parents`` maps every node
-    but the root to the index of its first incoming edge, the one that
-    admitted it, so ``trace_to`` rebuilds a shortest reduction.
-    ``complete`` is False when the node cap dropped a reduct, after which
-    no node was expanded, so its edges are incomplete too; ``stopped``
-    is the node at which ``reduction_graph``'s ``stop`` predicate held.
-    A node served from ``reduction_graph``'s memo has no term, and its
-    edges have no steps, so such a graph cannot be printed.
+    entry (source, position, rule, destination) per redex of each
+    expanded node; ``parents`` maps every node but the root to the index
+    of its first incoming edge, the one that admitted it, so
+    ``trace_to`` rebuilds a shortest reduction.  ``complete`` is False
+    when the node cap dropped a reduct, after which no node was
+    expanded, so its edges are incomplete too; ``stopped`` is the node
+    at which ``reduction_graph``'s ``stop`` predicate held.  A node
+    served from ``reduction_graph``'s memo has no term, and its edges
+    have no position and no rule, so such a graph cannot be printed.
     """
 
     root: str
     nodes: dict[str, Optional[Term]]
-    edges: list[tuple[str, Optional[ReductionStep], str]]
+    edges: list[tuple[str, Optional[Position], Optional[str], str]]
     complete: bool
     parents: dict[str, int] = field(default_factory=dict)
     stopped: Optional[str] = None
 
     def trace_to(self, key: str) -> Trace:
         """The reduction from the root to key along first incoming edges."""
-        steps = []
+        nodes, steps = self.nodes, []
         while key != self.root:
-            key, step, _ = self.edges[self.parents[key]]
-            steps.append(step)
+            src, position, rule, _ = self.edges[self.parents[key]]
+            steps.append(ReductionStep(nodes[src], position, rule, nodes[key]))
+            key = src
         steps.reverse()
-        return Trace(self.nodes[self.root], steps)
+        return Trace(nodes[self.root], steps)
 
     def printed(self) -> dict[str, str]:
         """The canonical form of each node, by key."""
@@ -391,8 +399,8 @@ class ReductionGraph:
         for k, i in ids.items():
             label = text[k].replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {i} [label="{label}"];')
-        for src, step, dst in self.edges:
-            lines.append(f'  {ids[src]} -> {ids[dst]} [label="{step.rule}"];')
+        for src, _, rule, dst in self.edges:
+            lines.append(f'  {ids[src]} -> {ids[dst]} [label="{rule}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -403,17 +411,17 @@ class ReductionGraph:
             "complete": self.complete,
             "nodes": list(text.values()),
             "edges": [
-                {"from": text[src], "to": text[dst], "rule": step.rule,
-                 "position": list(step.position)}
-                for src, step, dst in self.edges
+                {"from": text[src], "to": text[dst], "rule": rule,
+                 "position": list(position)}
+                for src, position, rule, dst in self.edges
             ],
         }
 
 
 def _steps(t: Term, depth: int
-           ) -> Optional[list[tuple[ReductionStep, str, Term, int]]]:
-    """(step, key, term, depth bound) per redex of t, in redex order,
-    given a bound on t's depth (see term_depth) no greater than
+           ) -> Optional[list[tuple[Position, str, str, Term, int]]]:
+    """(position, rule, key, term, depth bound) per redex of t, in redex
+    order, given a bound on t's depth (see term_depth) no greater than
     MAX_NESTING; None when a reduct nests deeper than that.
 
     A reduct differs from t only along the contracted position p, so it
@@ -430,8 +438,7 @@ def _steps(t: Term, depth: int
             bound = max(depth, len(p) + term_depth(contractum))
             if bound > MAX_NESTING:
                 return None
-        out.append((ReductionStep(t, p, rule, after), alpha_key(after),
-                    after, bound))
+        out.append((p, rule, alpha_key(after), after, bound))
     return out
 
 
@@ -474,7 +481,7 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                          "whose bound variables refer to binders above it")
     root = alpha_key(t)
     nodes: dict[str, Optional[Term]] = {root: t}
-    edges: list[tuple[str, Optional[ReductionStep], str]] = []
+    edges: list[tuple[str, Optional[Position], Optional[str], str]] = []
     parents: dict[str, int] = {}
     expanded: dict[str, tuple[str, ...]] = {}
     complete = True
@@ -486,7 +493,7 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
         if not complete:
             continue
         if memo is not None and key in memo:
-            reducts = [(None, dst, None, None) for dst in memo[key]]
+            reducts = [(None, None, dst, None, None) for dst in memo[key]]
         else:
             reducts = _steps(current, depth)
             if reducts is None:
@@ -496,8 +503,8 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                     distance += 1
                 raise ReductTooDeep(distance)
             if memo is not None:
-                expanded[key] = tuple(dst for _, dst, _, _ in reducts)
-        for step, dst, after, bound in reducts:
+                expanded[key] = tuple(dst for _, _, dst, _, _ in reducts)
+        for position, rule, dst, after, bound in reducts:
             if dst not in nodes:
                 if len(nodes) >= node_cap:
                     complete = False
@@ -505,7 +512,7 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                 nodes[dst] = after
                 parents[dst] = len(edges)
                 queue.append((dst, bound))
-            edges.append((key, step, dst))
+            edges.append((key, position, rule, dst))
     if memo is not None and complete:
         memo.update(expanded)
     return ReductionGraph(root, nodes, edges, complete, parents)

@@ -35,7 +35,7 @@ from itertools import islice
 from typing import Optional
 
 from .terms import (
-    Abs, App, Arg, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
+    Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
     Inj2, Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
     dangling, free_variables, fresh_name, is_neg, rename_binders,
 )
@@ -242,7 +242,7 @@ class _Parser:
             u2 = self.bound_term(self.lam, x2, depth)
             self.expect("]")
             return Case(x1, u1, x2, u2, self.braced(depth))
-        return Arg(self.term(depth))
+        return self.term(depth)
 
     # -- formulas (precedence climbing) ------------------------------------
 
@@ -376,8 +376,6 @@ def alpha_key(t) -> str:
         key = f"@{alpha_key(t.fun)}{alpha_key(t.arg)}"
     elif kind is Var:
         key = _ref(t.name)
-    elif kind is Arg:
-        key = alpha_key(t.term)
     elif kind is Abs or kind is Mu:
         key = f"{'L' if kind is Abs else 'M'}{_ann(t.ann)}{alpha_key(t.body)}"
     elif kind is Named:
@@ -514,18 +512,16 @@ class _Printer:
 
     def eterm(self, e: ETerm) -> str:
         kind = type(e)
-        if kind is Arg:
-            return self.term(e.term)
         if kind is Proj1 or kind is Proj2:
             return "p1" if kind is Proj1 else "p2"
-        if kind is Case:
-            lam = self.lam
-            lam.append(self.name(e.left_var, "x"))
-            u1 = self.term(e.left)
-            x1 = lam.pop()
-            lam.append(self.name(e.right_var, "x"))
-            u2 = self.term(e.right)
-            x2 = lam.pop()
-            a = f"{{{print_formula(e.ann)}}}" if e.ann is not None else ""
-            return f"[{x1}.{u1}, {x2}.{u2}]{a}"
-        raise TypeError(f"not an E-term: {e!r}")
+        if kind is not Case:
+            return self.term(e)
+        lam = self.lam
+        lam.append(self.name(e.left_var, "x"))
+        u1 = self.term(e.left)
+        x1 = lam.pop()
+        lam.append(self.name(e.right_var, "x"))
+        u2 = self.term(e.right)
+        x2 = lam.pop()
+        a = f"{{{print_formula(e.ann)}}}" if e.ann is not None else ""
+        return f"[{x1}.{u1}, {x2}.{u2}]{a}"

@@ -1,9 +1,10 @@
 """Abstract syntax and binding operations for the proof-term language.
 
 Terms extend the lambda-calculus with mu-abstraction and named terms,
-plus pairs and injections; arguments (E-terms) are terms, projections,
-or case brackets.  Lambda-variables and mu-variables are drawn from
-disjoint namespaces.  All values are immutable; every operation here is
+plus pairs and injections.  An application's argument is an E-term: a
+term itself, a projection or a case bracket, all under the ``ETerm``
+base.  Lambda-variables and mu-variables are drawn from disjoint
+namespaces.  All values are immutable; every operation here is
 a pure function.
 
 Terms are locally nameless (Chargueraud, "The Locally Nameless
@@ -103,12 +104,12 @@ def is_neg(a: Formula) -> bool:
 # Terms and E-terms
 # --------------------------------------------------------------------------
 
-class Term:
+class ETerm:
     __slots__ = ("_key",)  # syntax.alpha_key's cache, unset until read
 
 
-class ETerm:
-    __slots__ = ("_key",)
+class Term(ETerm):
+    __slots__ = ()
 
 
 @node
@@ -163,11 +164,6 @@ class Named(Term):
 
     name: Name
     body: Term
-
-
-@node
-class Arg(ETerm):
-    term: Term
 
 
 @node
@@ -246,11 +242,11 @@ def _walk(t: Term, var, named, lam=(), mu=(), rename=None) -> Term:
 
 
 def _walk_e(e: ETerm, var, named, lam=(), mu=(), rename=None) -> ETerm:
-    if type(e) is Arg:
-        u = _walk(e.term, var, named, lam, mu, rename)
-        return e if u is e.term else Arg(u)
-    if type(e) is not Case:
+    kind = type(e)
+    if kind is Proj1 or kind is Proj2:
         return e
+    if kind is not Case:
+        return _walk(e, var, named, lam, mu, rename)
     x1 = e.left_var if rename is None else rename(Case, e.left_var)
     u1 = _walk(e.left, var, named, lam + (x1,), mu, rename)
     x2 = e.right_var if rename is None else rename(Case, e.right_var)
@@ -320,13 +316,14 @@ def _reach(t: Term, lam: int, mu: int, reach: list[int]) -> None:
         if kind is App:
             _reach(t.fun, lam, mu, reach)
             e = t.arg
-            if type(e) is Arg:
-                t = e.term
-            elif type(e) is Case:
+            ke = type(e)
+            if ke is Case:
                 _reach(e.left, lam + 1, mu, reach)
                 t, lam = e.right, lam + 1
-            else:
+            elif ke is Proj1 or ke is Proj2:
                 return
+            else:
+                t = e
         elif kind is Abs:
             t, lam = t.body, lam + 1
         elif kind is Mu:
@@ -367,13 +364,9 @@ def _shifter(dl: int, dm: int):
     return var, named
 
 
-def shift(t: Term, dl: int, dm: int) -> Term:
-    """t moved under dl more lambda- and dm more mu-binders: its dangling
-    indices grow by as much."""
-    return _walk(t, *_shifter(dl, dm)) if dl or dm else t
-
-
-def shift_eterm(e: ETerm, dl: int, dm: int) -> ETerm:
+def shift(e: ETerm, dl: int, dm: int) -> ETerm:
+    """e, a term or an E-term, moved under dl more lambda- and dm more
+    mu-binders: its dangling indices grow by as much."""
     return _walk_e(e, *_shifter(dl, dm)) if dl or dm else e
 
 
@@ -432,10 +425,13 @@ class FreshSupply:
     """Deterministic fresh-name generator avoiding a given set of names.
 
     The start offset is the only seedable knob in the library: different
-    offsets give different concrete names but identical structure.
+    offsets give different concrete names but identical structure.  It
+    may not be negative, since a name such as ``t-2`` does not parse.
     """
 
     def __init__(self, avoid: Iterable[str] = (), start: int = 0):
+        if start < 0:
+            raise ValueError(f"start must be >= 0, got {start}")
         self.avoid = set(avoid)
         self.counter = start
 
@@ -502,7 +498,7 @@ def mu_substitute(t: Term, a: Name, es: Iterable[ETerm]) -> Term:
         moved = copies.get((len(lam), depth))
         if moved is None:
             moved = copies[len(lam), depth] = \
-                tuple(shift_eterm(e, len(lam), depth) for e in es)
+                tuple(shift(e, len(lam), depth) for e in es)
         return Named(n.name, apply_sequence(body, moved))
 
     return _walk(t, _same_var, named)

@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 from .syntax import print_formula, print_term
 from .terms import (
-    Abs, App, Arg, Arrow, BOT, Case, Conj, Disj, Formula, Inj1, Inj2, Mu,
+    Abs, App, Arrow, BOT, Case, Conj, Disj, ETerm, Formula, Inj1, Inj2, Mu,
     Named, Pair, Proj1, Proj2, Term, Var, dangling, fresh_name, node,
 )
 
@@ -250,7 +250,7 @@ def _infer(scope: _Scope, t: Term, out: Optional[list] = None) -> Formula:
                                   f"{shown!r}", t, "abs-i", target, found)
             rule, a = "abs-i", BOT
 
-        case App(fun, Arg(arg)):
+        case App(fun, Term() as arg):
             fty = _infer(scope, fun, ps)
             if not isinstance(fty, Arrow):
                 raise scope.error(Mismatch, "applied term is not a function",
@@ -296,15 +296,15 @@ def _infer(scope: _Scope, t: Term, out: Optional[list] = None) -> Formula:
     return a
 
 
-def erase(t: Term) -> Term:
-    """Strip all binder annotations; idempotent."""
+def erase(t: ETerm) -> ETerm:
+    """Strip all binder annotations from a term or an E-term; idempotent."""
     match t:
-        case Var(_):
+        case Var(_) | Proj1() | Proj2():
             return t
         case Abs(x, _, b):
             return Abs(x, None, erase(b))
         case App(f, e):
-            return App(erase(f), _erase_e(e))
+            return App(erase(f), erase(e))
         case Pair(f, s):
             return Pair(erase(f), erase(s))
         case Inj1(b, _):
@@ -315,17 +315,9 @@ def erase(t: Term) -> Term:
             return Mu(a, None, erase(b))
         case Named(a, b):
             return Named(a, erase(b))
-    raise TypeCheckError(f"not a term: {t!r}")
-
-
-def _erase_e(e):
-    match e:
-        case Arg(t):
-            return Arg(erase(t))
-        case Proj1() | Proj2():
-            return e
         case Case(x1, u1, x2, u2, _):
             return Case(x1, erase(u1), x2, erase(u2), None)
+    raise TypeCheckError(f"not a term: {t!r}")
 
 
 # --------------------------------------------------------------------------
@@ -373,9 +365,8 @@ def validate_derivation(d: Derivation) -> None:
                 fail("arrow-i shape")
         case "arrow-e":
             if (len(ps) != 2 or not isinstance(t, App)
-                    or not isinstance(t.arg, Arg)
                     or pj(0).formula != Arrow(pj(1).formula, a)
-                    or pj(0).term != t.fun or pj(1).term != t.arg.term):
+                    or pj(0).term != t.fun or pj(1).term != t.arg):
                 fail("arrow-e shape")
         case "and-i":
             if (len(ps) != 2 or not isinstance(t, Pair)

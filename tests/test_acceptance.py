@@ -12,7 +12,7 @@ import time
 import pytest
 
 from lambdamu import (
-    Abs, App, Arg, Arrow, BOT, PropVar, Var, canonical_terms,
+    Abs, App, Arrow, BOT, PropVar, Var, canonical_terms,
     check_strong_normalization, close, enumerate_typed_terms, erase,
     normalize,
     parse_formula, parse_term, print_term, run_suite,
@@ -73,13 +73,13 @@ def test_acceptance_golden_types():
 def test_acceptance_golden_traces():
     def run_traces():
         T, _ = canonical_terms()["T"]
-        applied = App(App(T, Arg(Var("t"))), Arg(Var("u")))
+        applied = App(App(T, Var("t")), Var("u"))
         nf, trace = normalize(applied)
         assert [s.rule for s in trace.steps] == ["beta", "mu-struct"]
         assert print_term(erase(nf)) == "mu a. t"
 
         C1, _ = canonical_terms()["C1"]
-        nf1, trace1 = normalize(App(C1, Arg(Var("u"))))
+        nf1, trace1 = normalize(App(C1, Var("u")))
         assert trace1.steps[0].rule == "beta"
         assert print_term(erase(nf1)) == \
             "mu a. [a] (u \\y. [a] y)"
@@ -128,8 +128,8 @@ def test_acceptance_negative_control_flagged():
     # (\x:~P. (x x)) applied to itself beta-reduces to itself; the oracle
     # must flag the cycle.  The term is untypeable, so it is injected into
     # a curated corpus past the checker on purpose.
-    half = close(Abs("x", Arrow(P, BOT), App(Var("x"), Arg(Var("x")))))
-    loop = App(half, Arg(half))
+    half = close(Abs("x", Arrow(P, BOT), App(Var("x"), Var("x"))))
+    loop = App(half, half)
     control = Corpus([CorpusEntry(loop, Arrow(P, P))])
     report = check_strong_normalization(control, node_cap=100)
     assert not report.ok

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from lambdamu import (
-    Abs, App, AppliedTo, Arg, Arrow, BOT, ExactLeaf, HeadApplied, Mu, Named,
+    Abs, App, AppliedTo, Arrow, BOT, ExactLeaf, HeadApplied, Mu, Named,
     Pair, PropVar, Var, canonical_terms, close, parse_formula, parse_term,
     print_term, probe_exfalso, probe_peirce, probe_tertium,
     search_spine_reduct,
@@ -53,9 +53,9 @@ def test_spine_slot_names_the_wrappers_mu_variables():
 def test_spine_slot_names_avoid_free_names():
     # a wrapper whose hint is a free name of the term, and a second
     # wrapper with the same hint: each gets a name of its own
-    body = App(Var("c"), Arg(Pair(Named("b", Var("s")),
-                                  Pair(Named("a", Var("s")),
-                                       Named("c2", Var("s"))))))
+    body = App(Var("c"), Pair(Named("b", Var("s")),
+                              Pair(Named("a", Var("s")),
+                                   Named("c2", Var("s")))))
     t = close(Mu("b", P, Mu("c2", P, body)))
     t = dataclasses.replace(t, var="a",
                             body=dataclasses.replace(t.body, var="a"))
@@ -68,8 +68,8 @@ def test_spine_slot_names_avoid_free_names():
 @pytest.mark.parametrize("pattern, src, slot", [
     (ExactLeaf(Var("t")), "t", "t"),
     (HeadApplied("c", ()), "(c s)", "s"),
-    (HeadApplied("u", (Arg(Var("w")),)), "((u s) w)", "s"),
-    (AppliedTo((Arg(Var("w")),)), "(s w)", "s"),
+    (HeadApplied("u", (Var("w"),)), "((u s) w)", "s"),
+    (AppliedTo((Var("w"),)), "(s w)", "s"),
 ])
 def test_leaf_patterns_match(pattern, src, slot):
     got = pattern.match(parse_term(src))
@@ -80,17 +80,17 @@ def test_leaf_patterns_match(pattern, src, slot):
 
 def test_leaf_patterns_reject():
     assert HeadApplied("c", ()).match(parse_term("(d s)")) is None
-    assert HeadApplied("u", (Arg(Var("w")),)).match(parse_term("(u s)")) is None
-    assert AppliedTo((Arg(Var("w")),),
+    assert HeadApplied("u", (Var("w"),)).match(parse_term("(u s)")) is None
+    assert AppliedTo((Var("w"),),
                      frozenset({"v"})).match(parse_term("(s w)")) is None
-    assert AppliedTo((Arg(Var("w")),),
+    assert AppliedTo((Var("w"),),
                      frozenset({"v"})).match(parse_term("(v w)")) == \
         {"slot": Var("v")}
 
 
 def test_search_spine_reduct_finds_via_reduction():
     T, _ = canonical_terms()["T"]
-    probe = App(App(T, Arg(Var("t"))), Arg(Var("u")))
+    probe = App(App(T, Var("t")), Var("u"))
     res = search_spine_reduct(probe, [("leaf", ExactLeaf(Var("t")))], 1000)
     assert res.status == "found"
     assert res.label == "leaf"
@@ -106,8 +106,8 @@ def test_search_spine_reduct_not_found():
 
 def test_search_cap_exceeded():
     half = close(Abs("x", Arrow(P, BOT),
-                     Named("a", App(Var("x"), Arg(Var("x"))))))
-    loop = App(half, Arg(half))
+                     Named("a", App(Var("x"), Var("x")))))
+    loop = App(half, half)
     res = search_spine_reduct(loop, [("leaf", ExactLeaf(Var("t")))], 5)
     assert res.status == "cap-exceeded"
 
@@ -202,6 +202,12 @@ def test_peirce_seed_determinism():
     assert probe_peirce(t, seed=3).to_json() == probe_peirce(t, seed=3).to_json()
 
 
+def test_negative_seed_is_refused():
+    # a negative seed would issue names such as t-2, which do not parse
+    with pytest.raises(ValueError):
+        probe_peirce(canonical_terms()["C1"][0], seed=-1)
+
+
 def test_peirce_extra_args():
     t, _ = canonical_terms()["C1"]
     assert probe_peirce(t, n_args=2).verdict == "confirmed"
@@ -222,7 +228,7 @@ def test_tertium_canonical(name):
     # the second continues the ~P branch and is fed a fresh v
     fed = [trace.initial for trace in report.traces[1:]]
     assert [t.fun for t in fed] == report.thetas
-    assert [t.arg.term.name[0] for t in fed] == ["t", "v"]
+    assert [t.arg.name[0] for t in fed] == ["t", "v"]
     assert report.detail.startswith("terminal (v")
 
 

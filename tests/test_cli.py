@@ -436,6 +436,7 @@ def test_corpus_target_with_other_atoms(capsys):
     ["probe", "--term", "C1", "--law", "peirce", "--max-m", "-1"],
     ["probe", "--term", "T", "--law", "efq", "--n-args", "-1"],
     ["graph", "--term", "x", "--open", "x", "--json"],
+    ["--seed", "-1", "probe", "--term", "C1", "--law", "peirce"],
 ])
 def test_bad_input_is_usage(tmp_path, capsys, argv):
     binary = tmp_path / "binary.lmu"

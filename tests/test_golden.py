@@ -59,7 +59,8 @@ def test_corpus_graph_keys_and_edges():
         graph = reduction_graph(entry.term)
         text = graph.printed()
         keys.update(text.values())
-        edges.update(f"{text[src]}\t{text[dst]}" for src, _, dst in graph.edges)
+        edges.update(f"{text[src]}\t{text[dst]}"
+                     for src, _, _, dst in graph.edges)
     assert (len(keys), _sha256(keys)) == (
         3089, "e52a281ceeb26727442c1200c4cecf092e0698f36d49348bbdc328821ff2fac1")
     assert (len(edges), _sha256(edges)) == (
@@ -91,10 +92,10 @@ def test_corpus_graph_edges_in_exploration_order():
     for entry in enumerate_typed_terms(SIZE).entries:
         graph = reduction_graph(entry.term)
         text = graph.printed()
-        for src, step, dst in graph.edges:
-            lines.append(f"{text[src]}\t{list(step.position)}\t{step.rule}"
+        for src, position, rule, dst in graph.edges:
+            lines.append(f"{text[src]}\t{list(position)}\t{rule}"
                          f"\t{text[dst]}")
-            rules[step.rule] += 1
+            rules[rule] += 1
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
         8348, "760428d953180c3bb2900d42fc3fb25f0db1ace57105112ad3206847a78bccf5")
@@ -201,7 +202,7 @@ def reference_suite(corpus, node_cap):
             except TypeCheckError as exc:
                 sr.failures.append((entry, f"reduct {printed}: {exc}"))
         succ = {printed: [] for printed in text.values()}
-        for src, _, dst in graph.edges:
+        for src, _, _, dst in graph.edges:
             succ[text[src]].append(text[dst])
         facts = SuccessorFacts(succ)
         root = text[graph.root]

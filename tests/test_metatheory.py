@@ -3,8 +3,8 @@
 import pytest
 
 from lambdamu import (
-    Abs, App, Arg, Arrow, BOT, Case, Conj, Corpus, Disj, Inj1, Inj2, Mu,
-    Named, PROJ1, PROJ2, Pair, PropVar, Var, canonical_form,
+    Abs, App, Arrow, BOT, Case, Conj, Corpus, Disj, Inj1, Inj2, Mu,
+    Named, PROJ1, PROJ2, Pair, PropVar, Term, Var, canonical_form,
     check_confluence, check_strong_normalization, check_subject_reduction,
     check, close, curated_corpus, enumerate_typed_terms, infer, parse_formula,
     parse_term, run_suite,
@@ -122,8 +122,8 @@ def test_enumerate_excludes_mu_at_bot():
             case App(f, e):
                 sub = [f]
                 match e:
-                    case Arg(u):
-                        sub.append(u)
+                    case Term():
+                        sub.append(e)
                     case Case(_, u1, _, u2, _):
                         sub.extend([u1, u2])
                 return any(has_mu_at_bot(s) for s in sub)
@@ -180,7 +180,7 @@ def naive_terms(size, lvars=(), mvars=()):
         for left in naive_terms(i, lvars, mvars):
             for right in naive_terms(size - 1 - i, lvars, mvars):
                 yield Pair(left, right)
-                yield App(left, Arg(right))
+                yield App(left, right)
     for fun in naive_terms(size - 2, lvars, mvars):
         yield App(fun, PROJ1)
         yield App(fun, PROJ2)
@@ -212,7 +212,7 @@ def cut_discipline(d):
     if isinstance(t, App):
         fun_ty = d.premises[0].conclusion.formula
         match t.arg:
-            case Arg(_):
+            case Term():
                 if fun_ty.left not in CUTS:
                     return False
             case _ if isinstance(fun_ty, Conj):
@@ -318,8 +318,8 @@ def test_property_report_json(small_corpus):
 def _looping_entry():
     # (x x) with x:~P self-applies; curated with an unsound context so the
     # corpus machinery itself is exercised on a non-normalizing term
-    half = close(Abs("x", Arrow(P, BOT), App(Var("x"), Arg(Var("x")))))
-    loop = App(half, Arg(half))
+    half = close(Abs("x", Arrow(P, BOT), App(Var("x"), Var("x"))))
+    loop = App(half, half)
     return loop
 
 
@@ -356,7 +356,7 @@ def test_confluence_evidence_prints_the_normal_forms(monkeypatch):
 
     def skewed(t):
         out = contract(t)
-        if out is not None and out[0] == "beta" and t.arg.term == Var("u"):
+        if out is not None and out[0] == "beta" and t.arg == Var("u"):
             return "beta", Var("w")
         return out
 
@@ -376,7 +376,7 @@ def test_confluence_evidence_prints_an_unjoinable_pair(monkeypatch):
 
     def looping(t):
         out = contract(t)
-        if out is not None and out[0] == "beta" and t.arg.term == Var("u"):
+        if out is not None and out[0] == "beta" and t.arg == Var("u"):
             return "beta", t
         return out
 
@@ -395,8 +395,7 @@ def test_entry_with_a_too_deep_reduct_is_incomplete():
     term = Var("y")
     for i in range(60):
         term = Mu(f"b{i}", P, Named("a", term))
-    deep = close(App(App(Mu("a", P, Named("a", term)), Arg(Var("w"))),
-                     Arg(Var("w"))))
+    deep = close(App(App(Mu("a", P, Named("a", term)), Var("w")), Var("w")))
     entries = [CorpusEntry(deep, P, (("w", P), ("y", P))),
                CorpusEntry(parse_term("\\x:P. x"), Arrow(P, P))]
     for report in run_suite(Corpus(entries)):

@@ -3,7 +3,7 @@
 import pytest
 
 from lambdamu import (
-    Abs, App, Arg, Arrow, BOT, FuelExhausted, Mu, Named, Pair, PropVar,
+    Abs, App, Arrow, BOT, FuelExhausted, Mu, Named, Pair, PropVar,
     ReductionGraph, ReductionStep, ReductTooDeep, Var, canonical_form,
     canonical_terms, close, enumerate_typed_terms, erase, infer, normalize,
     parse_term, print_term, redexes, reduction_graph,
@@ -154,7 +154,7 @@ def test_is_normal():
 def test_normalize_golden_T_applied():
     # ((T t) u) with T = \z:_|_. mu a:P. z reduces in two steps to mu a. t
     T, _ = canonical_terms()["T"]
-    t = App(App(T, Arg(Var("t"))), Arg(Var("u")))
+    t = App(App(T, Var("t")), Var("u"))
     nf, trace = normalize(t)
     assert len(trace.steps) == 2
     assert [s.rule for s in trace.steps] == ["beta", "mu-struct"]
@@ -207,8 +207,8 @@ def _looping_term():
     Built untypeable on purpose: it is the negative control showing that
     fuel exhaustion and cycle detection fire outside the typed fragment.
     """
-    half = close(Abs("x", Arrow(P, BOT), App(Var("x"), Arg(Var("x")))))
-    return App(half, Arg(half))
+    half = close(Abs("x", Arrow(P, BOT), App(Var("x"), Var("x"))))
+    return App(half, half)
 
 
 def test_looping_term_is_untypeable():
@@ -223,7 +223,7 @@ def test_looping_term_is_untypeable():
 def _successors(g: ReductionGraph) -> dict[str, list[str]]:
     """The keys of each node's one-step reducts, read off g's edges."""
     succ = {k: [] for k in g.nodes}
-    for src, _, dst in g.edges:
+    for src, _, _, dst in g.edges:
         succ[src].append(dst)
     return succ
 
@@ -262,8 +262,8 @@ def test_graph_cycle_detected():
 def _growing_loop():
     """(half half) with half = \\x:~P. [a] (x x): every reduct is new."""
     half = close(Abs("x", Arrow(P, BOT),
-                     Named("a", App(Var("x"), Arg(Var("x"))))))
-    return App(half, Arg(half))
+                     Named("a", App(Var("x"), Var("x")))))
+    return App(half, half)
 
 
 def test_graph_node_cap():
@@ -281,7 +281,7 @@ def test_graph_cap_ends_expansion():
     nodes = set(text.values())
     expanding = True
     for key, term in g.nodes.items():
-        edges = [text[dst] for src, _, dst in g.edges if src == key]
+        edges = [text[dst] for src, _, _, dst in g.edges if src == key]
         if expanding:
             reducts = [canonical_form(step_at(term, p).after)
                        for p, _ in redexes(term)]
@@ -369,7 +369,7 @@ def test_cut_short_graph_leaves_the_memo_unchanged():
 def _applied(head, arg, n):
     """head applied to arg n times, one App node on the other."""
     for _ in range(n):
-        head = App(head, Arg(arg))
+        head = App(head, arg)
     return head
 
 
@@ -378,10 +378,10 @@ def test_graph_reduct_too_deep_by_applications_alone():
     # the v chain under the w chain, 174 deep; the second puts the last
     # w chain under both, 212 deep, and holds nothing but App nodes, each
     # one character of a key, so the depth bound is not a key's length
-    body = _applied(App(Var("x"), Arg(Var("y"))), Var("w"), 110)
+    body = _applied(App(Var("x"), Var("y")), Var("w"), 110)
     t = close(App(App(Abs("x", P, Abs("y", P, body)),
-                      Arg(_applied(Var("v"), Var("v"), 60))),
-                  Arg(_applied(Var("w"), Var("w"), 100))))
+                      _applied(Var("v"), Var("v"), 60)),
+                  _applied(Var("w"), Var("w"), 100)))
     assert term_depth(t) == 116
     first = step_at(t, (0,)).after
     assert term_depth(first) == 174
@@ -403,8 +403,8 @@ def test_graph_over_a_filled_memo_matches_a_fresh_one():
     for t in terms:
         fresh, again = reduction_graph(t), reduction_graph(t, memo=memo)
         assert list(again.nodes) == list(fresh.nodes)
-        assert [(src, dst) for src, _, dst in again.edges] == \
-            [(src, dst) for src, _, dst in fresh.edges]
+        assert [(src, dst) for src, _, _, dst in again.edges] == \
+            [(src, dst) for src, _, _, dst in fresh.edges]
         assert again.parents == fresh.parents
         # served from the memo below the root, so nothing is expanded
         assert all(again.nodes[k] is None for k in list(again.nodes)[1:])

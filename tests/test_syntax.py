@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambdamu import (
-    Abs, App, Arg, Arrow, BOT, Case, Conj, Derivation, Disj, Inj1, Inj2,
+    Abs, App, Arrow, BOT, Case, Conj, Derivation, Disj, Inj1, Inj2,
     Judgment, Mu, Named, PROJ1, PROJ2, Pair, ParseError, PropVar,
-    ReductionStep, Var, alpha_key, canonical_form, close,
-    enumerate_typed_terms, free_variables, mu_substitute, normalize,
-    parse_formula, parse_term, print_formula, print_term, substitute,
+    ReductionStep, TypeCheckError, Var, alpha_key, canonical_form, check,
+    close, enumerate_typed_terms, free_variables, infer, mu_substitute,
+    normalize, parse_formula, parse_term, print_formula, print_term,
+    redexes, substitute,
 )
 from lambdamu.reduction import reduction_graph, step_at
 from lambdamu.syntax import MAX_NESTING, canonical_hints
 from lambdamu.terms import (
     Bottom, ETerm, Formula, FreshSupply, Proj1, Proj2, Term, apply_sequence,
-    fresh_name, is_closed, open_names, rename_binders,
+    fresh_name, is_closed, open_names, rename_binders, shift,
 )
 
 P = PropVar("P")
@@ -79,7 +80,7 @@ def test_negation_prints_as_sugar():
     ("<x, y>", Pair(Var("x"), Var("y"))),
     ("in1{Q} x", Inj1(Var("x"), Q)),
     ("in2{Q} x", Inj2(Var("x"), Q)),
-    ("(f x)", App(Var("f"), Arg(Var("x")))),
+    ("(f x)", App(Var("f"), Var("x"))),
     ("(p p1)", App(Var("p"), PROJ1)),
     ("(p p2)", App(Var("p"), PROJ2)),
     ("(w [x.u, y.v])",
@@ -94,9 +95,9 @@ def test_negation_prints_as_sugar():
     ("x\u00bd'", Var("x\u00bd'")),   # so does a one-half
     ("_x", Var("_x")),                # not "_|_"
     ("\u00e9t\u00e9", Var("\u00e9t\u00e9")),
-    ("(x\u00a0y)", App(Var("x"), Arg(Var("y")))),   # a no-break space
-    ("\t(x\ny)\u2028", App(Var("x"), Arg(Var("y")))),
-    ("(x p1')", App(Var("x"), Arg(Var("p1'")))),    # not the keyword p1
+    ("(x\u00a0y)", App(Var("x"), Var("y"))),   # a no-break space
+    ("\t(x\ny)\u2028", App(Var("x"), Var("y"))),
+    ("(x p1')", App(Var("x"), Var("p1'"))),    # not the keyword p1
 ])
 def test_parse_term(text, term):
     assert parse_term(text) == term
@@ -267,8 +268,8 @@ def naive_mu_substitute(t, a, es):
 
     def go_e(e):
         match e:
-            case Arg(u):
-                return Arg(go(u))
+            case Term():
+                return go(e)
             case Case(x1, u1, x2, u2, ann):
                 return Case(x1, go(u1), x2, go(u2), ann)
             case _:
@@ -290,7 +291,7 @@ def naive_mu_substitute(t, a, es):
 ])
 def test_mu_substitute_matches_naive_oracle(src, var, args):
     t = parse_term(src)
-    es = tuple(Arg(Var(x)) for x in args)
+    es = tuple(Var(x) for x in args)
     assert mu_substitute(t, var, es) == naive_mu_substitute(t, var, es)
 
 
@@ -303,17 +304,17 @@ def test_mu_substitute_empty_sequence_is_identity():
 def test_mu_substitute_nested_inside_out():
     # each (a v) becomes (a (v e)), including the occurrence inside v
     t = parse_term("[a] [a] x")
-    got = mu_substitute(t, "a", (Arg(Var("y")),))
-    inner = Named("a", App(Var("x"), Arg(Var("y"))))
-    assert got == Named("a", App(inner, Arg(Var("y"))))
+    got = mu_substitute(t, "a", (Var("y"),))
+    inner = Named("a", App(Var("x"), Var("y")))
+    assert got == Named("a", App(inner, Var("y")))
 
 
 def test_mu_substitute_avoids_capture():
     # e mentions b free; under the inner mu b it stays free
     t = parse_term("mu b:P. [a] x")
-    got = mu_substitute(t, "a", (Arg(parse_term("[b] y")),))
+    got = mu_substitute(t, "a", (parse_term("[b] y"),))
     assert isinstance(got, Mu)
-    assert got.body == Named("a", App(Var("x"), Arg(Named("b", Var("y")))))
+    assert got.body == Named("a", App(Var("x"), Named("b", Var("y"))))
     assert print_term(got) == "mu b0:P. [a] (x [b] y)"
 
 
@@ -356,7 +357,7 @@ def test_alpha_key_separates_what_differs():
              Abs("x", P, Var(0)), Abs("x", PropVar("-"), Var(0)),
              Mu("a", P, Named(0, Var(0))), Inj1(Var(0)), Inj2(Var(0)),
              Inj1(Var(0), BOT), Pair(Var(0), Var(1)),
-             App(Var(0), Arg(Var(1))), App(Var(0), PROJ1),
+             App(Var(0), Var(1)), App(Var(0), PROJ1),
              App(Var(0), PROJ2), App(Var(0), Case("x", Var(0), "y", Var(1))),
              App(Var(0), Case("x", Var(0), "y", Var(1), P))]
     formulas = [P, PropVar("P -> P"), PropVar("1:P"), BOT, Arrow(P, P),
@@ -384,11 +385,11 @@ def _node_fields(hint):
         Arrow: {"left": P, "right": BOT}, Conj: {"left": P, "right": Q},
         Disj: {"left": Q, "right": P},
         Var: {"name": 0}, Abs: {"var": hint, "ann": P, "body": Var(0)},
-        App: {"fun": lam, "arg": Arg(Var("y"))},
+        App: {"fun": lam, "arg": Var("y")},
         Pair: {"fst": lam, "snd": Var("y")},
         Inj1: {"body": lam, "ann": Q}, Inj2: {"body": lam, "ann": None},
         Mu: {"var": hint, "ann": P, "body": Named(0, lam)},
-        Named: {"name": "a", "body": lam}, Arg: {"term": lam},
+        Named: {"name": "a", "body": lam},
         Proj1: {}, Proj2: {},
         Case: {"left_var": hint, "left": Var(0), "right_var": hint,
                "right": lam, "ann": P},
@@ -396,7 +397,7 @@ def _node_fields(hint):
                    "delta": (), "names": ((), ())},
         Derivation: {"rule": "abs-i", "conclusion": judgment,
                      "premises": ()},
-        ReductionStep: {"before": App(lam, Arg(Var("y"))), "position": (),
+        ReductionStep: {"before": App(lam, Var("y")), "position": (),
                         "rule": "beta", "after": Var("y")},
     }
 
@@ -441,7 +442,7 @@ def test_node_contract(cls):
     def keys(n):
         parts = (n, *(getattr(n, name) for name in values))
         return [alpha_key(v) for v in parts
-                if isinstance(v, (Term, ETerm, Formula))]
+                if isinstance(v, (ETerm, Formula))]
 
     assert pickle.loads(pickle.dumps(node)) == node
     read = keys(node)
@@ -518,6 +519,22 @@ def test_fresh_supply_avoids_names():
     assert supply.fresh("t") not in {"t0", "t1"}
 
 
+@pytest.mark.parametrize("t", [Abs("x", P, "junk"), App(Var("f"), "junk")],
+                         ids=["body", "argument"])
+def test_a_node_that_is_not_a_term_is_refused(t):
+    # every walk refuses it with a typed error; none passes it through
+    for walk in (print_term, canonical_form, alpha_key, free_variables,
+                 is_closed, close, lambda t: shift(t, 1, 1), redexes,
+                 normalize, reduction_graph):
+        with pytest.raises(TypeError, match="not a term"):
+            walk(t)
+    gamma = {"f": Arrow(P, P)}
+    with pytest.raises(TypeCheckError, match="not a term"):
+        check(gamma, {}, t, Arrow(P, P))
+    with pytest.raises(TypeCheckError, match="not a term"):
+        infer(gamma, {}, t)
+
+
 # --------------------------------------------------------------------------
 # Round trips, including generated terms
 # --------------------------------------------------------------------------
@@ -551,7 +568,7 @@ def terms(depth):
             st.builds(Pair, sub, sub),
             st.builds(Inj1, sub, formulas),
             st.builds(Inj2, sub, formulas),
-            st.builds(lambda f, u: App(f, Arg(u)), sub, sub),
+            st.builds(App, sub, sub),
             st.builds(lambda f: App(f, PROJ1), sub),
             st.builds(lambda f, u, v: App(f, Case(x, u, a + "y", v)),
                       sub, build(lvars | {x}, mvars, d - 1),
