@@ -1,4 +1,5 @@
-"""Golden whole-corpus facts at term size 10.
+"""Golden whole-corpus facts at term size 10, and at size 8 over formulas
+of size 5.
 
 These pin the work the reduction engine and the probes do over the
 default corpus, so a refactor of the explorer or the oracles cannot
@@ -18,8 +19,8 @@ import pytest
 from lambdamu import (
     BOT, Abs, App, Arrow, Corpus, Mu, Named, Pair, ParseError, PropertyReport,
     ReductTooDeep, TypeCheckError, Var, alpha_key, behavior, check,
-    enumerate_typed_terms, erase, infer, parse_formula, parse_term, print_term,
-    run_suite,
+    enumerate_typed_terms, erase, infer, parse_formula, parse_term,
+    print_formula, print_term, run_suite,
 )
 from lambdamu.cli import main
 from lambdamu.metatheory import PROPERTIES, CorpusEntry
@@ -167,6 +168,20 @@ def test_strong_normalization_facts():
     assert (sn.checked, len(sn.failures), len(sn.incomplete)) == (2604, 0, 0)
     assert (len(paths), sum(paths)) == (2604, 4786)
     assert Counter(paths) == {0: 82, 1: 595, 2: 1590, 3: 337}
+
+
+def test_formula_size_5_corpus_facts():
+    # the wider universe that holds the classical laws' types: its
+    # entries, printed in order, and every oracle's verdict over them
+    corpus = enumerate_typed_terms(8, max_formula_size=5)
+    lines = [f"{print_term(e.term)} : {print_formula(e.formula)}"
+             for e in corpus.entries]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        9248, "9054771a29635b785fea84b870d0eabcdee9fb1191e4b82208e623c937eccd3a")
+    assert [(r.property, r.checked, len(r.failures), len(r.incomplete))
+            for r in run_suite(corpus)] == [
+        (name, 9248, 0, 0) for name in PROPERTIES]
 
 
 # --------------------------------------------------------------------------
