@@ -140,6 +140,9 @@ class Enumerator:
     the subformula closure of the formula pool plus any requested
     targets.  Together with the bounded cut pool this keeps the search
     space finite; the enumeration is complete relative to those bounds.
+    A state whose type lies outside the universe is empty: it is
+    answered before the memo and never memoized, and an elimination
+    whose function type lies outside is not tried.
     """
 
     def __init__(self, max_formula_size: int, cuts: list[Formula]):
@@ -221,13 +224,12 @@ class Enumerator:
         return self._terms(self._tid(ty), size, (), ())
 
     def _terms(self, tyid: int, size: int, gamma, delta) -> tuple[Term, ...]:
+        if tyid not in self._allowed:
+            return ()
         key = (tyid, size, gamma, delta)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if tyid not in self._allowed:
-            self._memo[key] = ()
-            return ()
         gmask = self._full
         for a in gamma:
             gmask &= self._mask[a]
@@ -281,6 +283,8 @@ class Enumerator:
             # eliminations; cut formulas range over the (bounded) cut pool
             for cut in self.cut_pool:
                 fun_tid = self._mk(("arrow", cut, tyid))
+                if fun_tid not in self._allowed:
+                    continue
                 for i in range(1, n - 1):
                     funs = self._terms(fun_tid, i, gamma, delta)
                     if not funs:
@@ -327,7 +331,8 @@ def enumerate_typed_terms(max_size: int,
     otherwise all closed terms whose type lies in the formula pool.
     Cut formulas for eliminations range over the smaller cut pool, which
     covers the target's atoms.
-    Every entry is re-checked by the type checker before inclusion.
+    Entries are well typed by construction and are not checked again
+    here; run_suite checks each root with its reducts.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -336,9 +341,7 @@ def enumerate_typed_terms(max_size: int,
     entries: list[CorpusEntry] = []
     for ty in targets:
         for n in range(1, max_size + 1):
-            for t in enum.terms_of(ty, n):
-                check({}, {}, t, ty)
-                entries.append(CorpusEntry(t, ty))
+            entries.extend(CorpusEntry(t, ty) for t in enum.terms_of(ty, n))
     return Corpus(entries)
 
 

@@ -456,6 +456,8 @@ def substitute(t: Term, x: Name, v: Term) -> Term:
     indices above it drop by one.  v is a term of t's context: under a
     binder of t its dangling indices grow, so nothing is captured.
     """
+    if not isinstance(v, Term):
+        raise TypeError(f"not a term: {v!r}")
     bound = type(x) is int
     copies: dict[tuple[int, int], Term] = {}
 
@@ -486,6 +488,9 @@ def mu_substitute(t: Term, a: Name, es: Iterable[ETerm]) -> Term:
     identity.
     """
     es = tuple(es)
+    for e in es:
+        if not isinstance(e, ETerm):
+            raise TypeError(f"not a term: {e!r}")
     if not es:
         return t
     bound = type(a) is int

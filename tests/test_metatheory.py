@@ -6,10 +6,10 @@ from lambdamu import (
     Abs, App, Arrow, BOT, Case, Conj, Corpus, Disj, Inj1, Inj2, Mu,
     Named, PROJ1, PROJ2, Pair, PropVar, Term, Var, canonical_form,
     check_confluence, check_strong_normalization, check_subject_reduction,
-    check, close, curated_corpus, enumerate_typed_terms, infer, parse_formula,
-    parse_term, run_suite,
+    check, close, curated_corpus, enumerate_typed_terms, infer, is_closed,
+    parse_formula, parse_term, run_suite,
 )
-from lambdamu import metatheory, reduction
+from lambdamu import reduction
 from lambdamu.metatheory import (
     CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, MAX_LAMBDA_DEPTH, MAX_MU_DEPTH,
     cut_pool, formula_pool, subformulas,
@@ -88,19 +88,22 @@ def test_enumerate_rejects_bad_size():
         enumerate_typed_terms(0)
 
 
-def test_enumerate_entries_are_closed_and_checked(monkeypatch):
-    checked = []
-
-    def counted(gamma, delta, t, a):
-        checked.append(t)
-        return check(gamma, delta, t, a)
-
-    monkeypatch.setattr(metatheory, "check", counted)
-    corpus = enumerate_typed_terms(5)
-    assert checked == [e.term for e in corpus.entries]
-    for e in corpus.entries:
-        assert e.gamma == () and e.delta == ()
-        assert infer({}, {}, e.term).conclusion.formula == e.formula
+def test_enumerate_entries_are_closed_and_well_typed():
+    # enumeration builds by typed construction and checks nothing; every
+    # entry of these corpora is closed and has its formula under both
+    # check and infer
+    corpora = [(enumerate_typed_terms(10), 2604),
+               (enumerate_typed_terms(7, max_formula_size=5), 2448)]
+    corpora += [(enumerate_typed_terms(10, target=parse_formula(law)), count)
+                for law, count in (("_|_ -> P", 981), ("(~P -> P) -> P", 11),
+                                   ("~P \\/ P", 31))]
+    for corpus, count in corpora:
+        assert len(corpus) == count
+        for e in corpus.entries:
+            assert e.gamma == () and e.delta == ()
+            assert is_closed(e.term)
+            assert check({}, {}, e.term, e.formula) == e.formula
+            assert infer({}, {}, e.term).conclusion.formula == e.formula
 
 
 def test_enumerate_deterministic():

@@ -525,9 +525,17 @@ def test_a_node_that_is_not_a_term_is_refused(t):
     # every walk refuses it with a typed error; none passes it through
     for walk in (print_term, canonical_form, alpha_key, free_variables,
                  is_closed, close, lambda t: shift(t, 1, 1), redexes,
-                 normalize, reduction_graph):
+                 normalize, reduction_graph,
+                 lambda t: substitute(t, "f", Var("y")),
+                 lambda t: mu_substitute(t, "a", [Var("y")])):
         with pytest.raises(TypeError, match="not a term"):
             walk(t)
+    # a replacement that is not a term is refused up front, also where
+    # no shift would walk it
+    with pytest.raises(TypeError, match="not a term"):
+        substitute(Var("x"), "x", "junk")
+    with pytest.raises(TypeError, match="not a term"):
+        mu_substitute(Named("a", Var("x")), "a", [PROJ1, "junk"])
     gamma = {"f": Arrow(P, P)}
     with pytest.raises(TypeCheckError, match="not a term"):
         check(gamma, {}, t, Arrow(P, P))
