@@ -338,11 +338,9 @@ def enumerate_typed_terms(max_size: int,
         raise ValueError("max_size must be >= 1")
     enum = Enumerator(max_formula_size, cut_pool(target))
     targets = [target] if target is not None else formula_pool(max_formula_size)
-    entries: list[CorpusEntry] = []
-    for ty in targets:
-        for n in range(1, max_size + 1):
-            entries.extend(CorpusEntry(t, ty) for t in enum.terms_of(ty, n))
-    return Corpus(entries)
+    return Corpus([CorpusEntry(t, ty) for ty in targets
+                   for n in range(1, max_size + 1)
+                   for t in enum.terms_of(ty, n)])
 
 
 def curated_corpus(entries: list[tuple[Term, Formula, Context, Context]]) -> Corpus:
