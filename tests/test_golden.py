@@ -19,8 +19,8 @@ import pytest
 from lambdamu import (
     BOT, Abs, App, Arrow, Corpus, Mu, Named, Pair, ParseError, PropertyReport,
     ReductTooDeep, TypeCheckError, Var, alpha_key, behavior, check,
-    enumerate_typed_terms, erase, infer, parse_formula, parse_term,
-    print_formula, print_term, run_suite,
+    derivation_to_json, enumerate_typed_terms, erase, infer, parse_formula,
+    parse_term, print_formula, print_term, run_suite, validate_derivation,
 )
 from lambdamu.cli import main
 from lambdamu.metatheory import PROPERTIES, CorpusEntry
@@ -373,6 +373,42 @@ def test_type_error_messages():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
         3918, "25452f9db26ea6bc12158e8e22567cbda5b2bdd7db06515e580d18050e5aaf16")
+
+
+# --------------------------------------------------------------------------
+# Derivations
+# --------------------------------------------------------------------------
+
+def _rules(d, counts):
+    counts[d.rule] += 1
+    for p in d.premises:
+        _rules(p, counts)
+
+
+def test_corpus_derivations():
+    # every size-9 corpus term, as enumerated and with every binder named
+    # x, under empty contexts and under contexts whose names the binders'
+    # hints collide with: each derivation validates, every rule occurs,
+    # and the JSON of all of them, names and all, is pinned
+    P = parse_formula("P")
+    contexts = [({}, {}), ({"x": P, "x0": P}, {"x1": P})]
+    digest, count, rules = hashlib.sha256(), 0, Counter()
+    for entry in enumerate_typed_terms(9).entries:
+        for t in (entry.term, rename_binders(entry.term, lambda k, h: "x")):
+            for gamma, delta in contexts:
+                d = infer(gamma, delta, t)
+                validate_derivation(d)
+                digest.update(json.dumps(derivation_to_json(d)).encode())
+                digest.update(b"\n")
+                count += 1
+                _rules(d, rules)
+    assert count == 3876
+    assert rules == {
+        "ax": 8352, "arrow-i": 6500, "arrow-e": 3180, "and-i": 648,
+        "and-e1": 1076, "and-e2": 1076, "or-i1": 132, "or-i2": 132,
+        "or-e": 324, "abs-i": 2592, "abs-e": 6068}
+    assert digest.hexdigest() == \
+        "768c2ce9f7263a78f46b7e436d331b1471a8c78973d9f8d0ca45a73810be9419"
 
 
 # --------------------------------------------------------------------------
