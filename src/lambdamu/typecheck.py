@@ -1,12 +1,15 @@
 """Typing judgments, the checker for the eleven rules, and derivations.
 
 A judgment has the shape ``gamma |- t : A ; delta`` where gamma binds
-lambda-variables and delta binds mu-variables (names).  The binders
-around a subterm enter gamma and delta under their name hints, or, when
-either context binds a hint already, under the name ``fresh_name`` gives
-it beside both contexts, the rule print_term names binders by; a
-judgment keeps those names, innermost last, to print its term, whose
-bound variables are indices.  Checking is
+lambda-variables and delta binds mu-variables (names).  Like terms,
+judgments are locally nameless: gamma and delta are the contexts given
+to the checker, the same in every judgment of a derivation, and a
+judgment keeps the binders around its term by index, each with its
+name hint and formula.  Names are chosen only when a judgment or an
+error is printed: a binder enters gamma or delta under its hint, or,
+when either context binds the hint already, under the name
+``fresh_name`` gives it beside both contexts, the rule print_term
+names binders by.  Checking is
 syntax-directed: every Abs, Mu, Inj1 and Inj2 node must carry its
 annotation (Abs: argument type, Mu: result type, Inj: the other
 disjunct).  Case branches need no annotation; the branch binder types
@@ -69,21 +72,34 @@ class Mismatch(TypeCheckError):
     pass
 
 
+Binder = tuple[bool, str, Formula]  # is_mu, name hint, formula
+
+
 @node
 class Judgment:
+    """gamma |- term : formula ; delta, with the binders around term,
+    outermost first, that its indices refer to."""
+
     gamma: tuple[tuple[str, Formula], ...]
     term: Term
     formula: Formula
     delta: tuple[tuple[str, Formula], ...]
-    names: Names = ((), ())  # of the binders term's indices refer to
+    binders: tuple[Binder, ...] = ()
+
+    def named(self):
+        """gamma and delta with the binders added under their names, and
+        those names (lambda, mu; innermost last)."""
+        return _named(self.gamma, self.delta, self.binders)
 
     def printed_term(self) -> str:
-        return print_term(self.term, *self.names)
+        return print_term(self.term, *self.named()[2])
 
     def __str__(self):
-        g = ", ".join(f"{x}:{print_formula(a)}" for x, a in self.gamma)
-        d = ", ".join(f"{a}:{print_formula(b)}" for a, b in self.delta)
-        return f"{g} |- {self.printed_term()} : {print_formula(self.formula)} ; {d}"
+        gamma, delta, names = self.named()
+        g = ", ".join(f"{x}:{print_formula(a)}" for x, a in gamma)
+        d = ", ".join(f"{a}:{print_formula(b)}" for a, b in delta)
+        return (f"{g} |- {print_term(self.term, *names)} : "
+                f"{print_formula(self.formula)} ; {d}")
 
 
 @node
@@ -93,70 +109,51 @@ class Derivation:
     premises: tuple["Derivation", ...] = ()
 
 
-class _Scope:
-    """The contexts of a subterm.  gamma and delta are the given ones, by
-    name; lam and mu the formulas of the binders around it, by index
-    (innermost last); outer is the scope that the innermost binder, of
-    hint name, extends.  ``shown()`` is what its judgments and errors
-    record, built on first read from outer's: gamma and delta with the
-    binders added under their names, sorted, and the binders' names."""
-
-    __slots__ = ("gamma", "delta", "lam", "mu", "outer", "name", "_shown")
-
-    def __init__(self, gamma: Context, delta: Context, lam=(), mu=(),
-                 outer=None, name=None):
-        self.gamma, self.delta, self.lam, self.mu = gamma, delta, lam, mu
-        self.outer, self.name = outer, name
-        self._shown = None
-
-    def bind(self, x: str, a: Formula) -> "_Scope":
-        return _Scope(self.gamma, self.delta, self.lam + (a,), self.mu,
-                      self, x)
-
-    def bind_mu(self, x: str, a: Formula) -> "_Scope":
-        return _Scope(self.gamma, self.delta, self.lam, self.mu + (a,),
-                      self, x)
-
-    def shown(self):
-        if self._shown is None:
-            pending, scope = [], self
-            while scope.outer is not None and scope._shown is None:
-                pending.append(scope)
-                scope = scope.outer
-            if scope._shown is None:
-                scope._shown = (_freeze(scope.gamma), _freeze(scope.delta),
-                                ((), ()))
-            for scope in reversed(pending):
-                g, d, (lam, mu) = scope.outer._shown
-                if len(scope.lam) > len(lam):  # a lambda binder
-                    g, x = _with(g, d, scope.name, scope.lam[-1])
-                    scope._shown = (g, d, (lam + (x,), mu))
-                else:
-                    d, x = _with(d, g, scope.name, scope.mu[-1])
-                    scope._shown = (g, d, (lam, mu + (x,)))
-        return self._shown
-
-    def lookup(self, x, role: str, t: Term) -> Formula:
-        """The formula of a variable of t: a name in the given context, an
-        index in the binders."""
-        if role == "variable":
-            by_index, by_name = self.lam, self.gamma
+def _named(gamma, delta, binders):
+    """The frozen gamma and delta with binders added, outermost first,
+    each under the name _with gives it, and the binders' names."""
+    lam, mu = (), ()
+    for is_mu, x, a in binders:
+        if is_mu:
+            delta, x = _with(delta, gamma, x, a)
+            mu += (x,)
         else:
-            by_index, by_name = self.mu, self.delta
+            gamma, x = _with(gamma, delta, x, a)
+            lam += (x,)
+    return gamma, delta, (lam, mu)
+
+
+class _Scope:
+    """The contexts given to a walk: gamma and delta, by name, and, under
+    infer, frozen as its judgments record them."""
+
+    __slots__ = ("gamma", "delta", "frozen")
+
+    def __init__(self, gamma: Context, delta: Context, frozen=None):
+        self.gamma, self.delta, self.frozen = gamma, delta, frozen
+
+    def lookup(self, x, by_index, role: str, t: Term, binders) -> Formula:
+        """The formula of a variable of t: a name in the given context, an
+        index in by_index, the formulas of its namespace's binders."""
+        by_name = self.gamma if role == "variable" else self.delta
         if type(x) is int and x < len(by_index):
             return by_index[-1 - x]
         if type(x) is str and x in by_name:
             return by_name[x]
         # a dangling index has no name to print the term with
-        raise self.error(UnboundVariableError, f"unbound {role} {x!r}",
-                         t if type(x) is str else None)
+        raise self.error(binders, UnboundVariableError, f"unbound {role} "
+                         f"{x!r}", t if type(x) is str else None)
 
-    def error(self, kind, message: str, t: Optional[Term],
+    def names(self, binders) -> Names:
+        """The names of the binders around a subterm."""
+        return _named(_freeze(self.gamma), _freeze(self.delta), binders)[2]
+
+    def error(self, binders, kind, message: str, t: Optional[Term],
               rule: Optional[str] = None, expected: Optional[Formula] = None,
               found: Optional[Formula] = None) -> TypeCheckError:
         """A kind of TypeCheckError at t, which is printed with the names
         of the binders around it."""
-        return kind(message, t, rule, expected, found, self.shown()[2])
+        return kind(message, t, rule, expected, found, self.names(binders))
 
 
 def _freeze(ctx: Context) -> tuple[tuple[str, Formula], ...]:
@@ -183,7 +180,8 @@ def _with(ctx, other, x: str, a: Formula):
 def infer(gamma: Context, delta: Context, t: Term) -> Derivation:
     """Infer the unique type of t and return the full derivation tree."""
     out = []
-    _infer(_Scope(dict(gamma), dict(delta)), t, out)
+    _infer(_Scope(dict(gamma), dict(delta),
+                  frozen=(_freeze(gamma), _freeze(delta))), (), (), (), t, out)
     return out[0]
 
 
@@ -191,107 +189,127 @@ def check(gamma: Context, delta: Context, t: Term,
           a: Optional[Formula] = None) -> Formula:
     """The unique type of t, which must be structurally equal to a when a
     is given; the same walk and errors as infer, with no derivation."""
-    found = _infer(_Scope(dict(gamma), dict(delta)), t)
+    found = _infer(_Scope(dict(gamma), dict(delta)), (), (), (), t)
     if a is not None and found != a:
         raise Mismatch("type mismatch", term=t, expected=a, found=found)
     return found
 
 
-def _infer(scope: _Scope, t: Term, out: Optional[list] = None) -> Formula:
-    """The formula of t by the one rule that fits it.  Given a list out,
-    also append t's derivation to it, its premises collected alike."""
+def _infer(scope: _Scope, lam, mu, binders: tuple[Binder, ...], t: Term,
+           out: Optional[list] = None) -> Formula:
+    """The formula of t by the one rule that fits it, under binders, whose
+    formulas lam and mu list by namespace, innermost last.  Given a list
+    out, also append t's derivation to it, its premises collected
+    alike."""
     if type(t) is Var:  # ax, the one rule without premises
-        a = scope.lookup(t.name, "variable", t)
+        a = scope.lookup(t.name, lam, "variable", t, binders)
         if out is not None:
-            gamma, delta, names = scope.shown()
-            out.append(Derivation("ax", Judgment(gamma, t, a, delta, names)))
+            gamma, delta = scope.frozen
+            out.append(Derivation("ax", Judgment(gamma, t, a, delta,
+                                                 binders)))
         return a
     ps = None if out is None else []
     match t:
         case Abs(x, ann, body):
             if ann is None:
-                raise scope.error(MissingAnnotationError, "lambda binder "
-                                  "needs a type annotation", t, "arrow-i")
-            rule, a = "arrow-i", Arrow(ann, _infer(scope.bind(x, ann), body,
-                                                   ps))
+                raise scope.error(binders, MissingAnnotationError, "lambda "
+                                  "binder needs a type annotation", t,
+                                  "arrow-i")
+            rule = "arrow-i"
+            a = Arrow(ann, _infer(scope, lam + (ann,), mu,
+                                  binders + ((False, x, ann),), body, ps))
 
         case Pair(fst, snd):
             rule = "and-i"
-            a = Conj(_infer(scope, fst, ps), _infer(scope, snd, ps))
+            a = Conj(_infer(scope, lam, mu, binders, fst, ps),
+                     _infer(scope, lam, mu, binders, snd, ps))
 
         case Inj1(body, ann):
             if ann is None:
-                raise scope.error(MissingAnnotationError, "in1 needs the "
-                                  "other disjunct as annotation", t, "or-i1")
-            rule, a = "or-i1", Disj(_infer(scope, body, ps), ann)
+                raise scope.error(binders, MissingAnnotationError, "in1 "
+                                  "needs the other disjunct as annotation",
+                                  t, "or-i1")
+            a = Disj(_infer(scope, lam, mu, binders, body, ps), ann)
+            rule = "or-i1"
 
         case Inj2(body, ann):
             if ann is None:
-                raise scope.error(MissingAnnotationError, "in2 needs the "
-                                  "other disjunct as annotation", t, "or-i2")
-            rule, a = "or-i2", Disj(ann, _infer(scope, body, ps))
+                raise scope.error(binders, MissingAnnotationError, "in2 "
+                                  "needs the other disjunct as annotation",
+                                  t, "or-i2")
+            a = Disj(ann, _infer(scope, lam, mu, binders, body, ps))
+            rule = "or-i2"
 
         case Mu(x, ann, body):
             if ann is None:
-                raise scope.error(MissingAnnotationError, "mu binder needs "
-                                  "a type annotation", t, "abs-e")
-            found = _infer(scope.bind_mu(x, ann), body, ps)
+                raise scope.error(binders, MissingAnnotationError, "mu "
+                                  "binder needs a type annotation", t,
+                                  "abs-e")
+            found = _infer(scope, lam, mu + (ann,),
+                           binders + ((True, x, ann),), body, ps)
             if found != BOT:
-                raise scope.error(Mismatch, "mu body must prove _|_", t,
-                                  "abs-e", BOT, found)
+                raise scope.error(binders, Mismatch, "mu body must prove "
+                                  "_|_", t, "abs-e", BOT, found)
             rule, a = "abs-e", ann
 
         case Named(x, body):
-            target = scope.lookup(x, "name", t)
-            found = _infer(scope, body, ps)
+            target = scope.lookup(x, mu, "name", t, binders)
+            found = _infer(scope, lam, mu, binders, body, ps)
             if found != target:
-                shown = x if type(x) is str else scope.shown()[2][1][-1 - x]
-                raise scope.error(Mismatch, f"named term disagrees with "
-                                  f"{shown!r}", t, "abs-i", target, found)
+                shown = x if type(x) is str else \
+                    scope.names(binders)[1][-1 - x]
+                raise scope.error(binders, Mismatch, f"named term disagrees "
+                                  f"with {shown!r}", t, "abs-i", target,
+                                  found)
             rule, a = "abs-i", BOT
 
         case App(fun, Term() as arg):
-            fty = _infer(scope, fun, ps)
+            fty = _infer(scope, lam, mu, binders, fun, ps)
             if not isinstance(fty, Arrow):
-                raise scope.error(Mismatch, "applied term is not a function",
-                                  t, "arrow-e", Arrow(BOT, BOT), fty)
-            found = _infer(scope, arg, ps)
+                raise scope.error(binders, Mismatch, "applied term is not a "
+                                  "function", t, "arrow-e", Arrow(BOT, BOT),
+                                  fty)
+            found = _infer(scope, lam, mu, binders, arg, ps)
             if found != fty.left:
-                raise scope.error(Mismatch, "argument type mismatch", t,
-                                  "arrow-e", fty.left, found)
+                raise scope.error(binders, Mismatch, "argument type "
+                                  "mismatch", t, "arrow-e", fty.left, found)
             rule, a = "arrow-e", fty.right
 
         case App(fun, Proj1() | Proj2() as proj):
-            fty = _infer(scope, fun, ps)
+            fty = _infer(scope, lam, mu, binders, fun, ps)
             first = isinstance(proj, Proj1)
             rule = "and-e1" if first else "and-e2"
             if not isinstance(fty, Conj):
-                raise scope.error(Mismatch, f"p{1 if first else 2} needs a "
-                                  f"conjunction", t, rule, Conj(BOT, BOT), fty)
+                raise scope.error(binders, Mismatch, f"p{1 if first else 2} "
+                                  f"needs a conjunction", t, rule,
+                                  Conj(BOT, BOT), fty)
             a = fty.left if first else fty.right
 
         case App(fun, Case(x1, u1, x2, u2, ann)):
-            fty = _infer(scope, fun, ps)
+            fty = _infer(scope, lam, mu, binders, fun, ps)
             if not isinstance(fty, Disj):
-                raise scope.error(Mismatch, "case scrutinee is not a "
-                                  "disjunction", t, "or-e", Disj(BOT, BOT),
-                                  fty)
-            a = _infer(scope.bind(x1, fty.left), u1, ps)
+                raise scope.error(binders, Mismatch, "case scrutinee is not "
+                                  "a disjunction", t, "or-e",
+                                  Disj(BOT, BOT), fty)
+            a = _infer(scope, lam + (fty.left,), mu,
+                       binders + ((False, x1, fty.left),), u1, ps)
             if ann is not None and ann != a:
-                raise scope.error(Mismatch, "case annotation disagrees with "
-                                  "first branch", t, "or-e", ann, a)
-            found = _infer(scope.bind(x2, fty.right), u2, ps)
+                raise scope.error(binders, Mismatch, "case annotation "
+                                  "disagrees with first branch", t, "or-e",
+                                  ann, a)
+            found = _infer(scope, lam + (fty.right,), mu,
+                           binders + ((False, x2, fty.right),), u2, ps)
             if found != a:
-                raise scope.error(Mismatch, "case branches disagree", t,
-                                  "or-e", a, found)
+                raise scope.error(binders, Mismatch, "case branches "
+                                  "disagree", t, "or-e", a, found)
             rule = "or-e"
 
         case _:
             raise TypeCheckError(f"not a term: {t!r}")
 
     if out is not None:
-        gamma, delta, names = scope.shown()
-        out.append(Derivation(rule, Judgment(gamma, t, a, delta, names),
+        gamma, delta = scope.frozen
+        out.append(Derivation(rule, Judgment(gamma, t, a, delta, binders),
                               tuple(ps)))
     return a
 
@@ -331,11 +349,11 @@ def validate_derivation(d: Derivation) -> None:
     Raises a TypeCheckError on the first malformed node.
     """
     j = d.conclusion
-    g, dl = dict(j.gamma), dict(j.delta)
-    t, a, ps = j.term, j.formula, d.premises
-    lam_names, mu_names = j.names
-    lam, mu = dangling(t)
-    if lam > len(lam_names) or mu > len(mu_names):
+    t, a, ps, binders = j.term, j.formula, d.premises, j.binders
+    lam = [b[2] for b in binders if not b[0]]  # formulas, innermost last
+    mu = [b[2] for b in binders if b[0]]
+    reach_lam, reach_mu = dangling(t)
+    if reach_lam > len(lam) or reach_mu > len(mu):
         # no name to print the judgment with
         raise TypeCheckError(f"invalid {d.rule} node (an index past the "
                              f"names of its judgment)")
@@ -343,26 +361,26 @@ def validate_derivation(d: Derivation) -> None:
     def pj(i):
         return ps[i].conclusion
 
-    def name(x, names):
-        return x if type(x) is str else names[-1 - x]
+    def lookup(x, ctx, by_index):
+        return dict(ctx).get(x) if type(x) is str else by_index[-1 - x]
 
     def fail(why):
         raise TypeCheckError(f"invalid {d.rule} node ({why}): {j}")
 
+    # only arrow-i, or-e and abs-e bind: each premise keeps the
+    # conclusion's binders, plus the one such a rule adds to it
+    inner = [binders] * len(ps)
     match d.rule:
         case "ax":
             if ps or not isinstance(t, Var) or \
-                    g.get(name(t.name, lam_names)) != a:
+                    lookup(t.name, j.gamma, lam) != a:
                 fail("axiom shape")
         case "arrow-i":
             if (len(ps) != 1 or not isinstance(t, Abs)
                     or a != Arrow(t.ann, pj(0).formula)
-                    or pj(0).term != t.body
-                    or not _extends(g, dl, lam_names, pj(0).gamma,
-                                    pj(0).names[0], t.var, t.ann)
-                    or pj(0).names[1] != mu_names
-                    or pj(0).delta != j.delta):
+                    or pj(0).term != t.body):
                 fail("arrow-i shape")
+            inner = [binders + ((False, t.var, t.ann),)]
         case "arrow-e":
             if (len(ps) != 2 or not isinstance(t, App)
                     or pj(0).formula != Arrow(pj(1).formula, a)
@@ -394,79 +412,51 @@ def validate_derivation(d: Derivation) -> None:
                     or pj(0).term != t.body):
                 fail("or-i2 shape")
         case "or-e":
-            ok = (len(ps) == 3 and isinstance(t, App)
-                  and isinstance(t.arg, Case)
-                  and isinstance(pj(0).formula, Disj)
-                  and pj(0).term == t.fun
-                  and pj(1).term == t.arg.left
-                  and pj(2).term == t.arg.right
-                  and pj(1).formula == a and pj(2).formula == a)
-            if ok:
-                disj = pj(0).formula
-                ok = (_extends(g, dl, lam_names, pj(1).gamma,
-                               pj(1).names[0], t.arg.left_var, disj.left)
-                      and _extends(g, dl, lam_names, pj(2).gamma,
-                                   pj(2).names[0], t.arg.right_var,
-                                   disj.right)
-                      and pj(1).names[1] == pj(2).names[1] == mu_names
-                      and pj(0).names == j.names and pj(0).gamma == j.gamma
-                      and all(p.delta == j.delta for p in pj_all(ps)))
-            if not ok:
+            if not (len(ps) == 3 and isinstance(t, App)
+                    and isinstance(t.arg, Case)
+                    and isinstance(pj(0).formula, Disj)
+                    and pj(0).term == t.fun
+                    and pj(1).term == t.arg.left
+                    and pj(2).term == t.arg.right
+                    and pj(1).formula == a and pj(2).formula == a):
                 fail("or-e shape")
+            disj = pj(0).formula
+            inner = [binders, binders + ((False, t.arg.left_var, disj.left),),
+                     binders + ((False, t.arg.right_var, disj.right),)]
         case "abs-i":
             if (len(ps) != 1 or not isinstance(t, Named)
                     or a != BOT
                     or pj(0).term != t.body
-                    or dl.get(name(t.name, mu_names)) != pj(0).formula):
+                    or lookup(t.name, j.delta, mu) != pj(0).formula):
                 fail("abs-i shape")
         case "abs-e":
             if (len(ps) != 1 or not isinstance(t, Mu)
                     or a != t.ann
                     or pj(0).formula != BOT
-                    or pj(0).term != t.body
-                    or not _extends(dl, g, mu_names, pj(0).delta,
-                                    pj(0).names[1], t.var, t.ann)
-                    or pj(0).names[0] != lam_names
-                    or pj(0).gamma != j.gamma):
+                    or pj(0).term != t.body):
                 fail("abs-e shape")
+            inner = [binders + ((True, t.var, t.ann),)]
         case _:
             fail("unknown rule")
-    # a rule that binds nothing keeps its conclusion's contexts and names
-    if d.rule not in ("arrow-i", "or-e", "abs-e") and any(
-            (p.gamma, p.delta, p.names) != (j.gamma, j.delta, j.names)
-            for p in pj_all(ps)):
+    if any((p.conclusion.gamma, p.conclusion.delta, p.conclusion.binders)
+           != (j.gamma, j.delta, b) for p, b in zip(ps, inner)):
         fail("contexts")
 
     for p in d.premises:
         validate_derivation(p)
 
 
-def _extends(ctx, other, names, inner_ctx, inner_names, x, a) -> bool:
-    """Whether the frozen inner_ctx and inner_names add to ctx and names
-    one binder x of formula a: under the name x, or under a name that
-    neither ctx nor the other context binds when one of them binds x."""
-    if not inner_names or inner_names[:-1] != names:
-        return False
-    y = inner_names[-1]
-    return (y not in ctx and y not in other
-            and (y == x or x in ctx or x in other)
-            and dict(inner_ctx) == {**ctx, y: a})
-
-
-def pj_all(premises):
-    return [p.conclusion for p in premises]
-
-
 def derivation_to_json(d: Derivation) -> dict:
     """Derivation as a JSON-serializable tree in the concrete syntax."""
     j = d.conclusion
+    gamma, delta, names = j.named()
     return {
         "rule": d.rule,
         "judgment": {
-            "gamma": {x: print_formula(a) for x, a in j.gamma},
-            "term": j.printed_term(),
+            "gamma": {x: print_formula(a) for x, a in gamma},
+            "term": print_term(j.term, *names),
             "formula": print_formula(j.formula),
-            "delta": {a: print_formula(b) for a, b in j.delta},
+            "delta": {a: print_formula(b) for a, b in delta},
         },
         "premises": [derivation_to_json(p) for p in d.premises],
     }

@@ -205,6 +205,8 @@ def derivation_formulas(d):
         yield a
     for _, a in d.conclusion.delta:
         yield a
+    for _, _, a in d.conclusion.binders:
+        yield a
     for p in d.premises:
         yield from derivation_formulas(p)
 

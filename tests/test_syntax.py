@@ -394,7 +394,7 @@ def _node_fields(hint):
         Case: {"left_var": hint, "left": Var(0), "right_var": hint,
                "right": lam, "ann": P},
         Judgment: {"gamma": (("y", P),), "term": lam, "formula": Arrow(P, P),
-                   "delta": (), "names": ((), ())},
+                   "delta": (), "binders": ()},
         Derivation: {"rule": "abs-i", "conclusion": judgment,
                      "premises": ()},
         ReductionStep: {"before": App(lam, Var("y")), "position": (),

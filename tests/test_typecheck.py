@@ -76,7 +76,10 @@ def test_infer_returns_full_derivation():
     assert isinstance(d, Derivation)
     assert d.rule == "arrow-i"
     assert d.premises[0].rule == "ax"
-    assert d.premises[0].conclusion.gamma == (("x", P),)
+    # the binder is kept by index, and named x when the judgment is
+    j = d.premises[0].conclusion
+    assert (j.gamma, j.binders, j.delta) == ((), ((False, "x", P),), ())
+    assert j.named() == ((("x", P),), (), (("x",), ()))
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +294,9 @@ def test_judgments_never_name_two_namespaces_alike(src):
     d = infer({}, {}, renamed)
     validate_derivation(d)
     for j in _judgments(d):
-        lam, mu = {x for x, _ in j.gamma}, {a for a, _ in j.delta}
+        gamma, delta, _ = j.named()
+        lam, mu = {x for x, _ in gamma}, {a for a, _ in delta}
+        assert len(lam) + len(mu) == len(j.binders)
         assert not lam & mu
         text = j.printed_term()
         assert print_term(parse_term(text)) == text
@@ -307,6 +312,30 @@ def test_validate_rejects_an_index_past_the_names(judgment):
     rule = "ax" if isinstance(judgment.term, Var) else "abs-i"
     with pytest.raises(TypeCheckError, match="an index past the names"):
         validate_derivation(Derivation(rule, judgment, ()))
+
+
+@pytest.mark.parametrize("src, forge", [
+    # a premise that drops, renames or retypes the binder its rule adds
+    ("\\x:P. x", lambda j: {"binders": ()}),
+    ("\\x:P. x", lambda j: {"binders": ((False, "y", P),)}),
+    ("mu a:P. [a] y", lambda j: {"binders": ((False, "a", P),)}),
+    ("(w [u.u, v.v])", lambda j: {"binders": ((False, "u", Q),)}),
+    # a premise that changes a given context
+    ("\\x:P. x", lambda j: {"gamma": (("z", P),)}),
+    ("(w [u.u, v.v])", lambda j: {"delta": (("a", P),)}),
+])
+def test_validate_rejects_a_premise_with_other_contexts(src, forge):
+    gamma = {"y": P, "w": Disj(P, P)}
+    d = infer(gamma, {}, parse_term(src))
+    validate_derivation(d)
+    p = d.premises[-1]
+    j = p.conclusion
+    fields = {"gamma": j.gamma, "term": j.term, "formula": j.formula,
+              "delta": j.delta, "binders": j.binders, **forge(j)}
+    forged = Derivation(d.rule, d.conclusion, d.premises[:-1] + (
+        Derivation(p.rule, Judgment(**fields), p.premises),))
+    with pytest.raises(TypeCheckError, match="contexts"):
+        validate_derivation(forged)
 
 
 def test_oracles_and_probes_build_no_derivation(monkeypatch):
