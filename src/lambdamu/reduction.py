@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from .syntax import MAX_NESTING, alpha_key, canonical_form
 from .terms import (
     Abs, App, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
-    Pair, Proj1, Proj2, Term, Var, dangling, mu_substitute, node, shift,
+    Pair, Proj1, Proj2, Term, Var, mu_substitute, node, shape, shift,
     substitute,
 )
 
@@ -82,43 +82,6 @@ class Trace:
             }
             for i, s in enumerate(self.steps)
         ]
-
-
-# --------------------------------------------------------------------------
-# Nesting depth
-# --------------------------------------------------------------------------
-
-_ONE_CHILD = frozenset((Abs, Mu, Named, Inj1, Inj2))
-
-
-def term_depth(t: Term) -> int:
-    """The number of term nodes on the longest path from t to a leaf.
-
-    Children are found by type rather than by pattern, since the
-    explorer measures every root and many contracta.
-    """
-    depth, level = 0, [t]
-    while level:
-        depth += 1
-        below = []
-        for s in level:
-            kind = type(s)
-            if kind is App:
-                below.append(s.fun)
-                e = s.arg
-                ke = type(e)
-                if ke is Case:
-                    below += (e.left, e.right)
-                elif ke is not Proj1 and ke is not Proj2:
-                    below.append(e)
-            elif kind is Pair:
-                below += (s.fst, s.snd)
-            elif kind in _ONE_CHILD:
-                below.append(s.body)
-            elif kind is not Var:
-                raise TypeError(f"not a term: {s!r}")
-        level = below
-    return depth
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +211,7 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
     trace = Trace(t)
     current = t
     while True:
-        if term_depth(current) > MAX_NESTING:
+        if shape(current)[0] > MAX_NESTING:
             raise ReductTooDeep(len(trace.steps))
         first = next(_reducts(current), None)
         if first is None:
@@ -421,7 +384,7 @@ class ReductionGraph:
 def _steps(t: Term, depth: int
            ) -> Optional[list[tuple[Position, str, str, Term, int]]]:
     """(position, rule, key, term, depth bound) per redex of t, in redex
-    order, given a bound on t's depth (see term_depth) no greater than
+    order, given a bound on t's depth (see terms.shape) no greater than
     MAX_NESTING; None when a reduct nests deeper than that.
 
     A reduct differs from t only along the contracted position p, so it
@@ -435,7 +398,7 @@ def _steps(t: Term, depth: int
     for p, rule, after, contractum in _reducts(t):
         bound = max(depth, len(p) + 3 * (depth - len(p)))
         if bound > MAX_NESTING:
-            bound = max(depth, len(p) + term_depth(contractum))
+            bound = max(depth, len(p) + shape(contractum)[0])
             if bound > MAX_NESTING:
                 return None
         out.append((p, rule, alpha_key(after), after, bound))
@@ -473,10 +436,10 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     if stop is not None and memo is not None:
         raise ValueError("stop needs the term of every node, and a node "
                          "served from memo has none")
-    depth = term_depth(t)
+    depth, lam, mu = shape(t)
     if depth > MAX_NESTING:
         raise ReductTooDeep(0)
-    if dangling(t) != (0, 0):
+    if lam or mu:
         raise ValueError("the term has dangling indices: it is a subterm "
                          "whose bound variables refer to binders above it")
     root = alpha_key(t)

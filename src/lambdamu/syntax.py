@@ -37,7 +37,7 @@ from typing import Optional
 from .terms import (
     Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
     Inj2, Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
-    dangling, free_variables, fresh_name, is_neg, rename_binders,
+    free_variables, fresh_name, is_neg, rename_binders, shape,
 )
 
 KEYWORDS = {"mu", "in1", "in2", "p1", "p2"}
@@ -445,7 +445,7 @@ class _Printer:
         try:
             text = self.term(t)
         except IndexError:  # a dangling index beyond the names given
-            lam, mu = dangling(t)
+            _, lam, mu = shape(t)
             raise ValueError(
                 f"the term's dangling indices reach {lam} lambda- and {mu} "
                 f"mu-binders: pass all their names as lam_names and "

@@ -294,52 +294,48 @@ def open_names(t: Term, mu_names: tuple[str, ...]) -> Term:
     return _walk(t, _same_var, named)
 
 
-def dangling(t: Term) -> tuple[int, int]:
-    """How many lambda- and how many mu-binders above t its dangling
-    indices reach."""
-    reach = [0, 0]
-    _reach(t, 0, 0, reach)
-    return reach[0], reach[1]
-
-
-def _reach(t: Term, lam: int, mu: int, reach: list[int]) -> None:
-    """Raise reach to the lambda- and mu-binders above t that the indices
-    of t reach, t lying under lam lambda- and mu mu-binders; one call
-    per branch, a loop down each node's last child."""
-    while True:
-        kind = type(t)
-        if kind is Var:
-            x = t.name
-            if type(x) is int and x - lam >= reach[0]:
-                reach[0] = x + 1 - lam
-            return
-        if kind is App:
-            _reach(t.fun, lam, mu, reach)
-            e = t.arg
-            ke = type(e)
-            if ke is Case:
-                _reach(e.left, lam + 1, mu, reach)
-                t, lam = e.right, lam + 1
-            elif ke is Proj1 or ke is Proj2:
-                return
+def shape(t: Term) -> tuple[int, int, int]:
+    """t's depth, the number of term nodes on its longest path to a leaf,
+    and how many lambda- and how many mu-binders above t its dangling
+    indices reach.  One walk, level by level, so that no term is too deep
+    for it; children are found by type rather than by pattern, since the
+    explorer measures every root."""
+    depth = reach_lam = reach_mu = 0
+    level = [(t, 0, 0)]  # each node with the lambda- and mu-binders above
+    while level:
+        depth += 1
+        below = []
+        for s, lam, mu in level:
+            kind = type(s)
+            if kind is Var:
+                x = s.name
+                if type(x) is int and x - lam >= reach_lam:
+                    reach_lam = x + 1 - lam
+            elif kind is App:
+                below.append((s.fun, lam, mu))
+                e = s.arg
+                ke = type(e)
+                if ke is Case:
+                    below += ((e.left, lam + 1, mu), (e.right, lam + 1, mu))
+                elif ke is not Proj1 and ke is not Proj2:
+                    below.append((e, lam, mu))
+            elif kind is Abs:
+                below.append((s.body, lam + 1, mu))
+            elif kind is Mu:
+                below.append((s.body, lam, mu + 1))
+            elif kind is Named:
+                a = s.name
+                if type(a) is int and a - mu >= reach_mu:
+                    reach_mu = a + 1 - mu
+                below.append((s.body, lam, mu))
+            elif kind is Pair:
+                below += ((s.fst, lam, mu), (s.snd, lam, mu))
+            elif kind is Inj1 or kind is Inj2:
+                below.append((s.body, lam, mu))
             else:
-                t = e
-        elif kind is Abs:
-            t, lam = t.body, lam + 1
-        elif kind is Mu:
-            t, mu = t.body, mu + 1
-        elif kind is Named:
-            a = t.name
-            if type(a) is int and a - mu >= reach[1]:
-                reach[1] = a + 1 - mu
-            t = t.body
-        elif kind is Pair:
-            _reach(t.fst, lam, mu, reach)
-            t = t.snd
-        elif kind is Inj1 or kind is Inj2:
-            t = t.body
-        else:
-            raise TypeError(f"not a term: {t!r}")
+                raise TypeError(f"not a term: {s!r}")
+        level = below
+    return depth, reach_lam, reach_mu
 
 
 def rename_binders(t: Term, rename) -> Term:
@@ -395,7 +391,7 @@ def free_variables(t: Term) -> tuple[frozenset[str], frozenset[str]]:
 def is_closed(t: Term) -> bool:
     """No free names and no dangling indices."""
     lam, mu = free_variables(t)
-    return not lam and not mu and dangling(t) == (0, 0)
+    return not lam and not mu and shape(t)[1:] == (0, 0)
 
 
 def all_names(t: Term) -> set[str]:

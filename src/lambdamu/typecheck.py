@@ -28,7 +28,7 @@ from typing import Mapping, Optional
 from .syntax import print_formula, print_term
 from .terms import (
     Abs, App, Arrow, BOT, Case, Conj, Disj, ETerm, Formula, Inj1, Inj2, Mu,
-    Named, Pair, Proj1, Proj2, Term, Var, dangling, fresh_name, node,
+    Named, Pair, Proj1, Proj2, Term, Var, fresh_name, node, shape,
 )
 
 Context = Mapping[str, Formula]
@@ -352,7 +352,7 @@ def validate_derivation(d: Derivation) -> None:
     t, a, ps, binders = j.term, j.formula, d.premises, j.binders
     lam = [b[2] for b in binders if not b[0]]  # formulas, innermost last
     mu = [b[2] for b in binders if b[0]]
-    reach_lam, reach_mu = dangling(t)
+    _, reach_lam, reach_mu = shape(t)
     if reach_lam > len(lam) or reach_mu > len(mu):
         # no name to print the judgment with
         raise TypeCheckError(f"invalid {d.rule} node (an index past the "

@@ -8,10 +8,9 @@ from lambdamu import (
     canonical_terms, close, enumerate_typed_terms, erase, infer, normalize,
     parse_term, print_term, redexes, reduction_graph,
 )
-from lambdamu.reduction import (
-    InvalidPosition, SuccessorFacts, step_at, term_depth,
-)
+from lambdamu.reduction import InvalidPosition, SuccessorFacts, step_at
 from lambdamu.syntax import MAX_NESTING
+from lambdamu.terms import shape
 from lambdamu.typecheck import TypeCheckError
 
 P = PropVar("P")
@@ -178,7 +177,7 @@ def test_redex_at_the_nesting_bound(lambdas, redex):
     # finding and contracting the innermost redex of a term nested
     # exactly MAX_NESTING deep stays within the default recursion limit
     t = parse_term("".join(f"\\x{i}:P. " for i in range(lambdas)) + redex)
-    assert term_depth(t) == MAX_NESTING
+    assert shape(t)[0] == MAX_NESTING
     _, trace = normalize(t)
     assert len(trace.steps) == 1
     assert len(reduction_graph(t).nodes) == 2
@@ -382,10 +381,10 @@ def test_graph_reduct_too_deep_by_applications_alone():
     t = close(App(App(Abs("x", P, Abs("y", P, body)),
                       _applied(Var("v"), Var("v"), 60)),
                   _applied(Var("w"), Var("w"), 100)))
-    assert term_depth(t) == 116
+    assert shape(t)[0] == 116
     first = step_at(t, (0,)).after
-    assert term_depth(first) == 174
-    assert term_depth(step_at(first, ()).after) == 212
+    assert shape(first)[0] == 174
+    assert shape(step_at(first, ()).after)[0] == 212
     with pytest.raises(ReductTooDeep, match="after 2 steps"):
         reduction_graph(t)
     with pytest.raises(ReductTooDeep, match="after 1 steps"):

@@ -20,7 +20,7 @@ from lambdamu.reduction import reduction_graph, step_at
 from lambdamu.syntax import MAX_NESTING, canonical_hints
 from lambdamu.terms import (
     Bottom, ETerm, Formula, FreshSupply, Proj1, Proj2, Term, apply_sequence,
-    fresh_name, is_closed, open_names, rename_binders, shift,
+    fresh_name, is_closed, open_names, rename_binders, shape, shift,
 )
 
 P = PropVar("P")
@@ -506,6 +506,28 @@ def test_is_closed_refuses_dangling_indices():
     assert not is_closed(body)
     assert not is_closed(parse_term("mu a:P. [a] \\y:P. y").body)
     assert is_closed(parse_term("\\x:P. mu a:P. [a] x"))
+
+
+def test_shape():
+    # depth, and the lambda- and mu-binders above the term that its
+    # dangling indices reach; case branches lie under one more lambda
+    t = parse_term("\\x:P. mu a:P. [a] (w [u.x, v.v])")
+    assert shape(t) == (5, 0, 0)
+    assert shape(t.body) == (4, 1, 0)
+    assert shape(t.body.body) == (3, 1, 1)
+    assert shape(t.body.body.body.arg.left) == (1, 2, 0)
+    assert shape(Named(3, Var(5))) == (2, 6, 4)
+
+
+def test_shape_of_a_deep_application_spine():
+    # one walk, level by level: a spine far deeper than the recursion
+    # limit is measured, its indices reached down the function side
+    t = Var(2)
+    for _ in range(3000):
+        t = App(t, Var("y"))
+    assert shape(t) == (3001, 3, 0)
+    with pytest.raises(TypeError, match="not a term: 'junk'"):
+        shape(App(t, "junk"))
 
 
 def test_free_variables_eterm_case_binders():
