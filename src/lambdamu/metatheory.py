@@ -136,16 +136,18 @@ class Enumerator:
     Formulas are interned to integer ids internally; memo keys are
     tuples of ids, never formula trees.
 
-    Every subterm of an enumerated term has a type inside the universe,
-    the subformula closure of the formula pool plus any requested
-    targets.  Together with the bounded cut pool this keeps the search
-    space finite; the enumeration is complete relative to those bounds.
-    A state whose type lies outside the universe is empty: it is
-    answered before the memo and never memoized, and an elimination
-    whose function type lies outside is not tried.
+    Every subterm of an enumerated term has a type inside the universe:
+    the formula pool, the cut pool and the subformulas of the target,
+    all fixed when the enumerator is built.  Together with the bounded
+    cut pool this keeps the search space finite; the enumeration is
+    complete relative to those bounds.  A state whose type lies outside
+    the universe is empty: it is answered before the memo and never
+    memoized, and an elimination whose function type lies outside is
+    not tried.
     """
 
-    def __init__(self, max_formula_size: int, cuts: list[Formula]):
+    def __init__(self, max_formula_size: int,
+                 target: Optional[Formula] = None):
         self._ty_of_id: list[Formula] = []
         # hash-consing table keyed by (kind, left id, right id); formula
         # trees themselves are never hashed in the enumeration loop
@@ -160,11 +162,13 @@ class Enumerator:
         self._mask: list[int] = []
         self._full = 0b11
         self._bot = self._tid(BOT)
-        self.cut_pool = [self._tid(f) for f in cuts]
+        self.cut_pool = [self._tid(f) for f in cut_pool(target)]
         self.disj_pool = [i for i in self.cut_pool
                           if self._parts[i][0] == "disj"]
         self._allowed = {self._tid(f) for f in formula_pool(max_formula_size)}
         self._allowed.update(self.cut_pool)
+        if target is not None:
+            self._allowed.update(map(self._tid, subformulas(target)))
         self._memo: dict = {}
 
     def _mk(self, key: tuple) -> int:
@@ -206,21 +210,9 @@ class Enumerator:
                 return self._mk(("disj", self._tid(left), self._tid(right)))
         raise TypeError(f"not a formula: {ty!r}")
 
-    def _admit(self, ty: Formula) -> None:
-        """Extend the type universe with ty and its subformulas.
-
-        Growing the universe can change already-memoized answers, so
-        the memo is dropped when a genuinely new formula arrives.
-        """
-        fresh = [f for f in subformulas(ty)
-                 if self._tid(f) not in self._allowed]
-        if fresh:
-            self._allowed.update(self._tid(f) for f in fresh)
-            self._memo.clear()
-
     def terms_of(self, ty: Formula, size: int) -> tuple[Term, ...]:
-        """The closed terms of type ty with exactly size nodes."""
-        self._admit(ty)
+        """The closed terms of type ty with exactly size nodes; none when
+        ty lies outside the universe."""
         return self._terms(self._tid(ty), size, (), ())
 
     def _terms(self, tyid: int, size: int, gamma, delta) -> tuple[Term, ...]:
@@ -336,7 +328,7 @@ def enumerate_typed_terms(max_size: int,
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    enum = Enumerator(max_formula_size, cut_pool(target))
+    enum = Enumerator(max_formula_size, target)
     targets = [target] if target is not None else formula_pool(max_formula_size)
     return Corpus([CorpusEntry(t, ty) for ty in targets
                    for n in range(1, max_size + 1)
