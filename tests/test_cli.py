@@ -245,6 +245,18 @@ def test_reduce_fuel_exhausted(capsys):
     assert "fuel exhausted after 10 steps" in err
 
 
+def test_reduce_fuel_exhausted_prints_the_trace(capsys):
+    code, out, err = run(capsys, "reduce",
+                         "--term", "(\\x:~P. (x x) \\x:~P. (x x))",
+                         "--fuel", "2", "--trace")
+    assert code == INCONCLUSIVE
+    steps = [json.loads(line) for line in out.splitlines()]
+    assert [(s["index"], s["rule"], s["position"]) for s in steps] == \
+        [(0, "beta", []), (1, "beta", [])]
+    assert steps[0]["before"] == steps[0]["after"] == steps[1]["before"]
+    assert err == "fuel exhausted after 2 steps\n"
+
+
 _N_ARGS = 20
 # a's type when the mu-struct input below is to be typed, with y : _A, w : P
 _A = "P" + " -> P" * _N_ARGS
@@ -380,6 +392,36 @@ def test_probe_deep_subject_is_inconclusive(capsys, argv):
     assert err == f"reduct nested deeper than {MAX_NESTING} levels " \
                   f"after 0 steps\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["--law", "efq", "--term", "T", "--node-cap", "1"],
+     "node cap 1 exhausted"),
+    (["--law", "peirce", "--term", "C1", "--node-cap", "1"],
+     "node cap 1 exhausted at stage 0"),
+    (["--law", "peirce", "--term", "C2", "--max-m", "0"],
+     "no terminal leaf within max_m=0 stages"),
+])
+def test_probe_inconclusive(capsys, argv, detail):
+    code, out, _ = run(capsys, "probe", *argv)
+    assert code == INCONCLUSIVE
+    j = json.loads(out)
+    assert (j["verdict"], j["detail"]) == ("inconclusive", detail)
+
+
+@pytest.mark.parametrize("law, name, detail", [
+    ("efq", "T", "complete reduction graph contains no spine over t*"),
+    ("peirce", "C1", "no continuation or terminal leaf at stage 0"),
+    ("lem", "W", "no continuation or terminal leaf at stage 0"),
+])
+def test_probe_refuted(capsys, monkeypatch, law, name, detail):
+    # with no redex to contract, each subject's graph is complete and
+    # holds only the probe term, which is no spine
+    monkeypatch.setattr(reduction, "_contract", lambda t: None)
+    code, out, _ = run(capsys, "probe", "--law", law, "--term", name)
+    assert code == FAIL
+    j = json.loads(out)
+    assert (j["verdict"], j["detail"]) == ("refuted", detail)
 
 
 def test_probe_seed_determinism(capsys):
