@@ -95,11 +95,10 @@ class Judgment:
         return print_term(self.term, *self.named()[2])
 
     def __str__(self):
-        gamma, delta, names = self.named()
+        gamma, delta, _ = self.named()
         g = ", ".join(f"{x}:{print_formula(a)}" for x, a in gamma)
         d = ", ".join(f"{a}:{print_formula(b)}" for a, b in delta)
-        return (f"{g} |- {print_term(self.term, *names)} : "
-                f"{print_formula(self.formula)} ; {d}")
+        return f"{g} |- {self.printed_term()} : {print_formula(self.formula)} ; {d}"
 
 
 @node
@@ -449,12 +448,12 @@ def validate_derivation(d: Derivation) -> None:
 def derivation_to_json(d: Derivation) -> dict:
     """Derivation as a JSON-serializable tree in the concrete syntax."""
     j = d.conclusion
-    gamma, delta, names = j.named()
+    gamma, delta, _ = j.named()
     return {
         "rule": d.rule,
         "judgment": {
             "gamma": {x: print_formula(a) for x, a in gamma},
-            "term": print_term(j.term, *names),
+            "term": j.printed_term(),
             "formula": print_formula(j.formula),
             "delta": {a: print_formula(b) for a, b in delta},
         },
