@@ -339,6 +339,11 @@ def _ill_typed():
     # a node that is not a term
     out.append(({"f": Arrow(P, P)}, {}, App(Var("f"), "junk")))
     out.append(({"x": P}, {}, Pair(Var("x"), None)))
+    # an application whose function and argument are both wrong: the
+    # argument is refused before the function is inferred
+    out.append(({}, {}, App(Var("f"), "junk")))
+    out.append(({}, {}, App(Abs("x0", None, Var(0)), "junk")))
+    out.append(({"y": P}, {}, App(App(Var("g"), "junk"), Var("y"))))
     return out
 
 
@@ -372,7 +377,7 @@ def test_type_error_messages():
         lines.append(_error(check, gamma, delta, t, BOT))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
-        3918, "25452f9db26ea6bc12158e8e22567cbda5b2bdd7db06515e580d18050e5aaf16")
+        3924, "bd9165f8392dd0955bf13d73ddfb67967aa81ab9622309c472d23a8a8f73992d")
 
 
 # --------------------------------------------------------------------------
