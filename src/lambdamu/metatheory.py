@@ -350,21 +350,21 @@ def curated_corpus(entries: list[tuple[Term, Formula, Context, Context]]) -> Cor
 # Oracles
 # --------------------------------------------------------------------------
 
-def _type_error(entry: CorpusEntry, reduct: Term) -> Optional[str]:
-    """None when reduct checks at the entry's type, else the evidence:
-    its canonical form and the type error.
+def _type_error(gamma: Context, delta: Context, reduct: Term,
+                formula: Formula) -> Optional[str]:
+    """None when reduct checks at formula under gamma and delta, else the
+    evidence: its canonical form and the type error.
 
     The error names binders as canonical_form does, so that the evidence
     does not depend on which names the reduct reached first.
     """
-    gamma, delta = dict(entry.gamma), dict(entry.delta)
     try:
-        check(gamma, delta, reduct, entry.formula)
+        check(gamma, delta, reduct, formula)
         return None
     except TypeCheckError as exc:
         error = exc
     try:
-        check(gamma, delta, canonical_hints(reduct), entry.formula)
+        check(gamma, delta, canonical_hints(reduct), formula)
     except TypeCheckError as exc:
         error = exc
     return f"reduct {canonical_form(reduct)}: {error}"
@@ -390,7 +390,9 @@ def run_suite(corpus: Corpus,
     facts = SuccessorFacts(memo)
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
-    errors: dict[tuple, dict[str, Optional[str]]] = {}
+    # by (formula, gamma, delta): the contexts as check reads them, and
+    # the evidence of each reduct key checked under them
+    errors: dict[tuple, tuple[dict, dict, dict[str, Optional[str]]]] = {}
     for entry in corpus.entries:
         try:
             graph = reduction_graph(entry.term, node_cap, memo=memo)
@@ -403,8 +405,10 @@ def run_suite(corpus: Corpus,
         for report in reports:
             report.checked += 1
         # every reduct re-checks at the entry's type
-        known = errors.setdefault(
-            (entry.formula, entry.gamma, entry.delta), {})
+        group = (entry.formula, entry.gamma, entry.delta)
+        if group not in errors:
+            errors[group] = (dict(entry.gamma), dict(entry.delta), {})
+        gamma, delta, known = errors[group]
         rebuilt = None
         for key, reduct in graph.nodes.items():
             if key not in known:
@@ -412,7 +416,8 @@ def run_suite(corpus: Corpus,
                     if rebuilt is None:
                         rebuilt = reduction_graph(entry.term, node_cap)
                     reduct = rebuilt.nodes[key]
-                known[key] = _type_error(entry, reduct)
+                known[key] = _type_error(gamma, delta, reduct,
+                                         entry.formula)
             if known[key] is not None:
                 sr.failures.append((entry, known[key]))
         # some reduct is a descendant of every reduct

@@ -37,7 +37,7 @@ from typing import Optional
 from .terms import (
     Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
     Inj2, Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
-    free_variables, fresh_name, is_neg, rename_binders, shape,
+    free_variables, fresh_name, rename_binders, shape,
 )
 
 KEYWORDS = {"mu", "in1", "in2", "p1", "p2"}
@@ -305,22 +305,22 @@ def print_formula(a: Formula) -> str:
 
 
 def _pf(a: Formula, level: int) -> str:
-    match a:
-        case PropVar(name):
-            return name
-        case Bottom():
-            return "_|_"
-        case Arrow(l, r) if is_neg(a):
-            return f"~{_pf(l, _NEG)}"
-        case Arrow(l, r):
-            s = f"{_pf(l, _DISJ)} -> {_pf(r, _ARROW)}"
-            return f"({s})" if level > _ARROW else s
-        case Disj(l, r):
-            s = f"{_pf(l, _CONJ)} \\/ {_pf(r, _DISJ)}"
-            return f"({s})" if level > _DISJ else s
-        case Conj(l, r):
-            s = f"{_pf(l, _NEG)} /\\ {_pf(r, _CONJ)}"
-            return f"({s})" if level > _CONJ else s
+    kind = type(a)
+    if kind is PropVar:
+        return a.name
+    if kind is Bottom:
+        return "_|_"
+    if kind is Arrow:
+        if type(a.right) is Bottom:
+            return f"~{_pf(a.left, _NEG)}"
+        s = f"{_pf(a.left, _DISJ)} -> {_pf(a.right, _ARROW)}"
+        return f"({s})" if level > _ARROW else s
+    if kind is Disj:
+        s = f"{_pf(a.left, _CONJ)} \\/ {_pf(a.right, _DISJ)}"
+        return f"({s})" if level > _DISJ else s
+    if kind is Conj:
+        s = f"{_pf(a.left, _NEG)} /\\ {_pf(a.right, _CONJ)}"
+        return f"({s})" if level > _CONJ else s
     raise TypeError(f"not a formula: {a!r}")
 
 

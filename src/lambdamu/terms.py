@@ -96,10 +96,6 @@ class Disj(Formula):
 BOT = Bottom()
 
 
-def is_neg(a: Formula) -> bool:
-    return isinstance(a, Arrow) and a.right == BOT
-
-
 # --------------------------------------------------------------------------
 # Terms and E-terms
 # --------------------------------------------------------------------------
@@ -371,21 +367,40 @@ def shift(e: ETerm, dl: int, dm: int) -> ETerm:
 # --------------------------------------------------------------------------
 
 def free_variables(t: Term) -> tuple[frozenset[str], frozenset[str]]:
-    """Free lambda-variables and free mu-variables of t, in that order."""
-    names: tuple[set[str], set[str]] = (set(), set())
-
-    def var(v, lam, mu):
-        if type(v.name) is str:
-            names[0].add(v.name)
-        return v
-
-    def named(n, body, lam, mu):
-        if type(n.name) is str:
-            names[1].add(n.name)
-        return n
-
-    _walk(t, var, named)
-    return frozenset(names[0]), frozenset(names[1])
+    """Free lambda-variables and free mu-variables of t, in that order.
+    One walk with a stack of its own, in preorder, so that no term is too
+    deep for it."""
+    lam: set[str] = set()
+    mu: set[str] = set()
+    stack = [t]
+    push, pop = stack.append, stack.pop
+    while stack:
+        s = pop()
+        kind = type(s)
+        if kind is Var:
+            if type(s.name) is str:
+                lam.add(s.name)
+        elif kind is App:
+            e = s.arg
+            ke = type(e)
+            if ke is Case:
+                push(e.right)
+                push(e.left)
+            elif ke is not Proj1 and ke is not Proj2:
+                push(e)
+            push(s.fun)
+        elif kind is Named:
+            if type(s.name) is str:
+                mu.add(s.name)
+            push(s.body)
+        elif kind is Abs or kind is Mu or kind is Inj1 or kind is Inj2:
+            push(s.body)
+        elif kind is Pair:
+            push(s.snd)
+            push(s.fst)
+        else:
+            raise TypeError(f"not a term: {s!r}")
+    return frozenset(lam), frozenset(mu)
 
 
 def is_closed(t: Term) -> bool:

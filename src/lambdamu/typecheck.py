@@ -16,9 +16,11 @@ disjunct).  Case branches need no annotation; the branch binder types
 come from the scrutinee's disjunction and the result type comes from
 the first branch.
 
-One walk applies the rules.  ``check`` returns a term's formula and
-builds nothing else; ``infer`` returns its derivation tree, and is the
-only producer of derivations.
+One walk applies the rules, choosing each by the node's type (an
+application's by its argument's) rather than by pattern, since it is
+the checker's hot path.  ``check`` returns a term's formula and builds
+nothing else; ``infer`` returns its derivation tree, and is the only
+producer of derivations.
 """
 
 from __future__ import annotations
@@ -179,8 +181,8 @@ def _with(ctx, other, x: str, a: Formula):
 def infer(gamma: Context, delta: Context, t: Term) -> Derivation:
     """Infer the unique type of t and return the full derivation tree."""
     out = []
-    _infer(_Scope(dict(gamma), dict(delta),
-                  frozen=(_freeze(gamma), _freeze(delta))), (), (), (), t, out)
+    _infer(_Scope(gamma, delta, frozen=(_freeze(gamma), _freeze(delta))),
+           (), (), (), t, out)
     return out[0]
 
 
@@ -188,7 +190,7 @@ def check(gamma: Context, delta: Context, t: Term,
           a: Optional[Formula] = None) -> Formula:
     """The unique type of t, which must be structurally equal to a when a
     is given; the same walk and errors as infer, with no derivation."""
-    found = _infer(_Scope(dict(gamma), dict(delta)), (), (), (), t)
+    found = _infer(_Scope(gamma, delta), (), (), (), t)
     if a is not None and found != a:
         raise Mismatch("type mismatch", term=t, expected=a, found=found)
     return found
@@ -200,71 +202,43 @@ def _infer(scope: _Scope, lam, mu, binders: tuple[Binder, ...], t: Term,
     formulas lam and mu list by namespace, innermost last.  Given a list
     out, also append t's derivation to it, its premises collected
     alike."""
-    if type(t) is Var:  # ax, the one rule without premises
-        a = scope.lookup(t.name, lam, "variable", t, binders)
-        if out is not None:
-            gamma, delta = scope.frozen
-            out.append(Derivation("ax", Judgment(gamma, t, a, delta,
-                                                 binders)))
-        return a
     ps = None if out is None else []
-    match t:
-        case Abs(x, ann, body):
-            if ann is None:
-                raise scope.error(binders, MissingAnnotationError, "lambda "
-                                  "binder needs a type annotation", t,
-                                  "arrow-i")
-            rule = "arrow-i"
-            a = Arrow(ann, _infer(scope, lam + (ann,), mu,
-                                  binders + ((False, x, ann),), body, ps))
-
-        case Pair(fst, snd):
-            rule = "and-i"
-            a = Conj(_infer(scope, lam, mu, binders, fst, ps),
-                     _infer(scope, lam, mu, binders, snd, ps))
-
-        case Inj1(body, ann):
-            if ann is None:
-                raise scope.error(binders, MissingAnnotationError, "in1 "
-                                  "needs the other disjunct as annotation",
-                                  t, "or-i1")
-            a = Disj(_infer(scope, lam, mu, binders, body, ps), ann)
-            rule = "or-i1"
-
-        case Inj2(body, ann):
-            if ann is None:
-                raise scope.error(binders, MissingAnnotationError, "in2 "
-                                  "needs the other disjunct as annotation",
-                                  t, "or-i2")
-            a = Disj(ann, _infer(scope, lam, mu, binders, body, ps))
-            rule = "or-i2"
-
-        case Mu(x, ann, body):
-            if ann is None:
-                raise scope.error(binders, MissingAnnotationError, "mu "
-                                  "binder needs a type annotation", t,
-                                  "abs-e")
-            found = _infer(scope, lam, mu + (ann,),
-                           binders + ((True, x, ann),), body, ps)
-            if found != BOT:
-                raise scope.error(binders, Mismatch, "mu body must prove "
-                                  "_|_", t, "abs-e", BOT, found)
-            rule, a = "abs-e", ann
-
-        case Named(x, body):
-            target = scope.lookup(x, mu, "name", t, binders)
-            found = _infer(scope, lam, mu, binders, body, ps)
-            if found != target:
-                shown = x if type(x) is str else \
-                    scope.names(binders)[1][-1 - x]
-                raise scope.error(binders, Mismatch, f"named term disagrees "
-                                  f"with {shown!r}", t, "abs-i", target,
-                                  found)
-            rule, a = "abs-i", BOT
-
-        case App(fun, Term() as arg):
+    kind = type(t)
+    if kind is App:
+        fun, arg = t.fun, t.arg
+        ka = type(arg)
+        if ka is Case:
             fty = _infer(scope, lam, mu, binders, fun, ps)
-            if not isinstance(fty, Arrow):
+            if type(fty) is not Disj:
+                raise scope.error(binders, Mismatch, "case scrutinee is not "
+                                  "a disjunction", t, "or-e",
+                                  Disj(BOT, BOT), fty)
+            a = _infer(scope, lam + (fty.left,), mu,
+                       binders + ((False, arg.left_var, fty.left),),
+                       arg.left, ps)
+            if arg.ann is not None and arg.ann != a:
+                raise scope.error(binders, Mismatch, "case annotation "
+                                  "disagrees with first branch", t, "or-e",
+                                  arg.ann, a)
+            found = _infer(scope, lam + (fty.right,), mu,
+                           binders + ((False, arg.right_var, fty.right),),
+                           arg.right, ps)
+            if found != a:
+                raise scope.error(binders, Mismatch, "case branches "
+                                  "disagree", t, "or-e", a, found)
+            rule = "or-e"
+        elif ka is Proj1 or ka is Proj2:
+            fty = _infer(scope, lam, mu, binders, fun, ps)
+            first = ka is Proj1
+            rule = "and-e1" if first else "and-e2"
+            if type(fty) is not Conj:
+                raise scope.error(binders, Mismatch, f"p{1 if first else 2} "
+                                  f"needs a conjunction", t, rule,
+                                  Conj(BOT, BOT), fty)
+            a = fty.left if first else fty.right
+        elif isinstance(arg, Term):
+            fty = _infer(scope, lam, mu, binders, fun, ps)
+            if type(fty) is not Arrow:
                 raise scope.error(binders, Mismatch, "applied term is not a "
                                   "function", t, "arrow-e", Arrow(BOT, BOT),
                                   fty)
@@ -273,38 +247,61 @@ def _infer(scope: _Scope, lam, mu, binders: tuple[Binder, ...], t: Term,
                 raise scope.error(binders, Mismatch, "argument type "
                                   "mismatch", t, "arrow-e", fty.left, found)
             rule, a = "arrow-e", fty.right
-
-        case App(fun, Proj1() | Proj2() as proj):
-            fty = _infer(scope, lam, mu, binders, fun, ps)
-            first = isinstance(proj, Proj1)
-            rule = "and-e1" if first else "and-e2"
-            if not isinstance(fty, Conj):
-                raise scope.error(binders, Mismatch, f"p{1 if first else 2} "
-                                  f"needs a conjunction", t, rule,
-                                  Conj(BOT, BOT), fty)
-            a = fty.left if first else fty.right
-
-        case App(fun, Case(x1, u1, x2, u2, ann)):
-            fty = _infer(scope, lam, mu, binders, fun, ps)
-            if not isinstance(fty, Disj):
-                raise scope.error(binders, Mismatch, "case scrutinee is not "
-                                  "a disjunction", t, "or-e",
-                                  Disj(BOT, BOT), fty)
-            a = _infer(scope, lam + (fty.left,), mu,
-                       binders + ((False, x1, fty.left),), u1, ps)
-            if ann is not None and ann != a:
-                raise scope.error(binders, Mismatch, "case annotation "
-                                  "disagrees with first branch", t, "or-e",
-                                  ann, a)
-            found = _infer(scope, lam + (fty.right,), mu,
-                           binders + ((False, x2, fty.right),), u2, ps)
-            if found != a:
-                raise scope.error(binders, Mismatch, "case branches "
-                                  "disagree", t, "or-e", a, found)
-            rule = "or-e"
-
-        case _:
+        else:
             raise TypeCheckError(f"not a term: {t!r}")
+
+    elif kind is Var:  # ax, the one rule without premises
+        rule, a = "ax", scope.lookup(t.name, lam, "variable", t, binders)
+
+    elif kind is Abs:
+        ann = t.ann
+        if ann is None:
+            raise scope.error(binders, MissingAnnotationError, "lambda "
+                              "binder needs a type annotation", t, "arrow-i")
+        rule = "arrow-i"
+        a = Arrow(ann, _infer(scope, lam + (ann,), mu,
+                              binders + ((False, t.var, ann),), t.body, ps))
+
+    elif kind is Mu:
+        ann = t.ann
+        if ann is None:
+            raise scope.error(binders, MissingAnnotationError, "mu binder "
+                              "needs a type annotation", t, "abs-e")
+        found = _infer(scope, lam, mu + (ann,),
+                       binders + ((True, t.var, ann),), t.body, ps)
+        if found != BOT:
+            raise scope.error(binders, Mismatch, "mu body must prove _|_", t,
+                              "abs-e", BOT, found)
+        rule, a = "abs-e", ann
+
+    elif kind is Named:
+        x = t.name
+        target = scope.lookup(x, mu, "name", t, binders)
+        found = _infer(scope, lam, mu, binders, t.body, ps)
+        if found != target:
+            shown = x if type(x) is str else scope.names(binders)[1][-1 - x]
+            raise scope.error(binders, Mismatch, f"named term disagrees with "
+                              f"{shown!r}", t, "abs-i", target, found)
+        rule, a = "abs-i", BOT
+
+    elif kind is Pair:
+        rule = "and-i"
+        a = Conj(_infer(scope, lam, mu, binders, t.fst, ps),
+                 _infer(scope, lam, mu, binders, t.snd, ps))
+
+    elif kind is Inj1 or kind is Inj2:
+        ann = t.ann
+        first = kind is Inj1
+        rule = "or-i1" if first else "or-i2"
+        if ann is None:
+            raise scope.error(binders, MissingAnnotationError, f"in"
+                              f"{1 if first else 2} needs the other "
+                              f"disjunct as annotation", t, rule)
+        found = _infer(scope, lam, mu, binders, t.body, ps)
+        a = Disj(found, ann) if first else Disj(ann, found)
+
+    else:
+        raise TypeCheckError(f"not a term: {t!r}")
 
     if out is not None:
         gamma, delta = scope.frozen

@@ -23,7 +23,7 @@ from lambdamu import (
     parse_term, print_formula, print_term, run_suite, validate_derivation,
 )
 from lambdamu.cli import main
-from lambdamu.metatheory import PROPERTIES, CorpusEntry
+from lambdamu.metatheory import PROPERTIES, CorpusEntry, formula_pool
 from lambdamu.reduction import (
     DEFAULT_NODE_CAP, RULE_IDS, SuccessorFacts, reduction_graph,
 )
@@ -454,6 +454,19 @@ def test_graph_output():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
         1948, "4812e1011556caf4e23ef651fba817277507d27836735d824447a117f14a5443")
+
+
+# --------------------------------------------------------------------------
+# Formula printing
+# --------------------------------------------------------------------------
+
+def test_formula_printing():
+    # the text of every formula of up to 7 nodes, parentheses and
+    # negations and all, which a re-parse alone would not see
+    lines = [print_formula(f) for f in formula_pool(7)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        2318, "de0e4996bbc9878baea4e16d5a21edb94119c6ab7df638b379373709e6eaea99")
 
 
 # --------------------------------------------------------------------------

@@ -520,12 +520,15 @@ def test_shape():
 
 
 def test_shape_of_a_deep_application_spine():
-    # one walk, level by level: a spine far deeper than the recursion
-    # limit is measured, its indices reached down the function side
+    # iterative walks: a spine far deeper than the recursion limit is
+    # measured, its indices reached down the function side, and its
+    # free names found
     t = Var(2)
     for _ in range(3000):
         t = App(t, Var("y"))
     assert shape(t) == (3001, 3, 0)
+    assert free_variables(t) == (frozenset({"y"}), frozenset())
+    assert not is_closed(t)
     with pytest.raises(TypeError, match="not a term: 'junk'"):
         shape(App(t, "junk"))
 
