@@ -26,6 +26,6 @@ from .metatheory import (
     check_subject_reduction, curated_corpus, enumerate_typed_terms, run_suite,
 )
 from .behavior import (
-    BehaviorReport, ExactLeaf, HeadApplied, AppliedTo, canonical_terms,
-    probe_exfalso, probe_peirce, probe_tertium, search_spine_reduct,
+    BehaviorReport, Leaf, canonical_terms, probe_exfalso, probe_peirce,
+    probe_tertium, search_spine_reduct,
 )

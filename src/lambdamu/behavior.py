@@ -17,7 +17,9 @@ the shape the corresponding behavior law predicts:
   the P branch is fed a fresh E-sequence, one from the ~P branch a
   fresh term, until a spine over (v*_p t*_q...) appears.
 
-The probe terms are open and usually untypable as a whole, so every
+Every leaf shape is one pattern, Leaf: a fresh head applied to a known
+tail, (h t*...), or to a slot and then the tail, ((h s) t*...).  The
+probe terms are open and usually untypable as a whole, so every
 search is cap-bounded and a cap hit yields an inconclusive verdict.
 """
 
@@ -40,69 +42,31 @@ from .typecheck import TypeCheckError, check
 # Leaf patterns
 # --------------------------------------------------------------------------
 
-class LeafPattern:
-    """A syntactic matcher (up to alpha) over spine leaves, with slots.
+@dataclass(frozen=True)
+class Leaf:
+    """Matches (h tail...) for a head variable h in heads, giving the
+    slot h; or, applied, ((h s) tail...), giving the slot s.
 
     A leaf lies under the spine's mu-binders, so a slot may have dangling
     mu-indices; _match_spine names them."""
 
-    def match(self, t: Term) -> Optional[dict]:
-        raise NotImplementedError
+    heads: frozenset[str]
+    tail: tuple[ETerm, ...] = ()
+    applied: bool = False
 
-
-@dataclass(frozen=True)
-class ExactLeaf(LeafPattern):
-    term: Term
-
-    def match(self, t):
-        return {} if t == self.term else None
-
-
-def _peel_tail(t: Term, tail: tuple[ETerm, ...]) -> Optional[Term]:
-    """Strip (. w1 ... wn) applications matching tail, outside in."""
-    for e in reversed(tail):
-        match t:
-            case App(f, arg) if arg == e:
-                t = f
-            case _:
+    def match(self, t: Term) -> Optional[Term]:
+        for e in reversed(self.tail):
+            if type(t) is not App or t.arg != e:
                 return None
-    return t
-
-
-@dataclass(frozen=True)
-class HeadApplied(LeafPattern):
-    """Matches ((head slot) tail) for a fixed head variable and tail."""
-
-    head: str
-    tail: tuple[ETerm, ...]
-
-    def match(self, t):
-        core = _peel_tail(t, self.tail)
-        if core is None:
-            return None
-        match core:
-            case App(Var(h), Term() as s) if h == self.head:
-                return {"slot": s}
+            t = t.fun
+        slot = t
+        if self.applied:
+            if type(t) is not App or not isinstance(t.arg, Term):
+                return None
+            slot, t = t.arg, t.fun
+        if type(t) is Var and t.name in self.heads:
+            return slot
         return None
-
-
-@dataclass(frozen=True)
-class AppliedTo(LeafPattern):
-    """Matches (slot tail); optionally the slot must be one of some vars."""
-
-    tail: tuple[ETerm, ...]
-    allowed: Optional[frozenset[str]] = None
-
-    def match(self, t):
-        core = _peel_tail(t, self.tail)
-        if core is None:
-            return None
-        if self.allowed is not None:
-            match core:
-                case Var(v) if v in self.allowed:
-                    return {"slot": core}
-            return None
-        return {"slot": core}
 
 
 # --------------------------------------------------------------------------
@@ -118,22 +82,22 @@ class SpineSearch:
     explored: int = 0
 
 
-def _match_spine(t: Term, patterns: list[tuple[str, LeafPattern]]):
-    """First (label, bindings) whose pattern matches a spine leaf of t.
+def _match_spine(t: Term, patterns: list[tuple[str, Leaf]]):
+    """First (label, slot) whose pattern matches a spine leaf of t.
 
-    The mu-variables that the spine's binders bind are free in a bound
-    slot: each is named by its binder's hint, numbered apart from the
-    free names of t and from the names of the binders outside it."""
+    The mu-variables that the spine's binders bind are free in a slot:
+    each is named by its binder's hint, numbered apart from the free
+    names of t and from the names of the binders outside it."""
     hints: list[str] = []  # of the mu-binders crossed, innermost last
     current = t
     while True:
         for label, pattern in patterns:
-            bound = pattern.match(current)
-            if bound is not None:
+            slot = pattern.match(current)
+            if slot is not None:
                 if hints:
                     names = _binder_names(hints, free_variables(t))
-                    bound = {k: open_names(v, names) for k, v in bound.items()}
-                return label, bound
+                    slot = open_names(slot, names)
+                return label, slot
         kind = type(current)
         if kind is Mu:
             hints.append(current.var)
@@ -149,7 +113,7 @@ def _binder_names(hints: list[str], free) -> tuple[str, ...]:
     return tuple(names)
 
 
-def search_spine_reduct(t: Term, patterns: list[tuple[str, LeafPattern]],
+def search_spine_reduct(t: Term, patterns: list[tuple[str, Leaf]],
                         node_cap: int = DEFAULT_NODE_CAP) -> SpineSearch:
     """Breadth-first search of the reducts of t for a matching spine."""
     hit = None
@@ -163,9 +127,9 @@ def search_spine_reduct(t: Term, patterns: list[tuple[str, LeafPattern]],
     if graph.stopped is None:
         status = "not-found" if graph.complete else "cap-exceeded"
         return SpineSearch(status, explored=len(graph.nodes))
-    label, bound = hit
-    return SpineSearch("found", bound, graph.trace_to(graph.stopped), label,
-                       len(graph.nodes))
+    label, slot = hit
+    return SpineSearch("found", {"slot": slot}, graph.trace_to(graph.stopped),
+                       label, len(graph.nodes))
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +189,7 @@ def probe_exfalso(subject: Term, n_args: int = 1,
     t_star = supply.fresh("t")
     args = _fresh_args(supply, "u", n_args)
     probe = apply_sequence(App(subject, Var(t_star)), args)
-    result = search_spine_reduct(probe, [("leaf", ExactLeaf(Var(t_star)))],
+    result = search_spine_reduct(probe, [("leaf", Leaf(frozenset({t_star})))],
                                  node_cap)
     report = BehaviorReport("exfalso", subject, "inconclusive")
     if result.status == "found":
@@ -252,7 +216,7 @@ def probe_peirce(subject: Term, n_args: int = 1,
     tail = _fresh_args(supply, "t", n_args)
     return _run_stages(BehaviorReport("peirce", subject, "inconclusive"),
                        apply_sequence(App(subject, Var(u_star)), tail),
-                       [("continue", HeadApplied(u_star, tail), "neg")],
+                       [("neg", Leaf(frozenset({u_star}), tail, True))],
                        [tail], supply, n_args, node_cap, max_m)
 
 
@@ -273,30 +237,28 @@ def probe_tertium(subject: Term, seq_len: int = 1,
                                     x2, App(Var(c2), Var(x2)))))
     return _run_stages(BehaviorReport("tertium", subject, "inconclusive"),
                        probe,
-                       [("branch1", HeadApplied(c1, ()), kinds[0]),
-                        ("branch2", HeadApplied(c2, ()), kinds[1])],
+                       [(kinds[0], Leaf(frozenset({c1}), (), True)),
+                        (kinds[1], Leaf(frozenset({c2}), (), True))],
                        [], supply, seq_len, node_cap, max_m)
 
 
 def _run_stages(report: BehaviorReport, current: Term,
-                continuations: list[tuple[str, LeafPattern, str]],
+                continuations: list[tuple[str, Leaf]],
                 tails: list[tuple[ETerm, ...]], supply: FreshSupply,
                 seq_len: int, node_cap: int, max_m: int) -> BehaviorReport:
     """Search stage after stage for a continuation or a terminal leaf.
 
-    Each continuation pattern binds a theta and has a kind: a "neg"
-    theta (a ~P continuation) is fed a fresh v, a "pos" one (a P
+    Each continuation pattern binds a theta and is labelled by its kind:
+    a "neg" theta (a ~P continuation) is fed a fresh v, a "pos" one (a P
     continuation) a fresh tail of seq_len arguments.  A terminal leaf
     is (v tail...) for a v and a tail issued so far.
     """
-    kinds = {label: kind for label, _, kind in continuations}
     issued_vs: list[str] = []
     for stage in range(max_m + 1):
-        patterns = [(label, pattern) for label, pattern, _ in continuations]
-        if issued_vs:
-            patterns += [("terminal", AppliedTo(tail, frozenset(issued_vs)))
-                         for tail in tails]
-        result = search_spine_reduct(current, patterns, node_cap)
+        terminals = [("terminal", Leaf(frozenset(issued_vs), tail))
+                     for tail in tails if issued_vs]
+        result = search_spine_reduct(current, continuations + terminals,
+                                     node_cap)
         if result.status == "cap-exceeded":
             report.detail = f"node cap {node_cap} exhausted at stage {stage}"
             return report
@@ -310,12 +272,11 @@ def _run_stages(report: BehaviorReport, current: Term,
             report.m = stage
             report.detail = f"terminal ({print_term(result.bindings['slot'])} ...)"
             return report
-        kind = kinds[result.label]
         theta = result.bindings["slot"]
         report.thetas.append(theta)
         if stage == max_m:
             break
-        if kind == "pos":
+        if result.label == "pos":
             tail = _fresh_args(supply, "t", seq_len)
             tails.append(tail)
             current = apply_sequence(theta, tail)

@@ -410,16 +410,43 @@ def is_closed(t: Term) -> bool:
 
 
 def all_names(t: Term) -> set[str]:
-    """Every name in t: its free names and its binders' names (each
-    binder's body has a variable leaf)."""
+    """Every name in t: its free names and its binders' names.  One walk
+    with a stack of its own, like free_variables."""
     out: set[str] = set()
-
-    def var(v, lam, mu):
-        out.update(lam, mu)
-        return v
-
-    _walk(t, var, _same_named)
-    return out.union(*free_variables(t))
+    stack = [t]
+    push, pop = stack.append, stack.pop
+    while stack:
+        s = pop()
+        kind = type(s)
+        if kind is Var:
+            if type(s.name) is str:
+                out.add(s.name)
+        elif kind is App:
+            e = s.arg
+            ke = type(e)
+            if ke is Case:
+                out.add(e.left_var)
+                out.add(e.right_var)
+                push(e.right)
+                push(e.left)
+            elif ke is not Proj1 and ke is not Proj2:
+                push(e)
+            push(s.fun)
+        elif kind is Named:
+            if type(s.name) is str:
+                out.add(s.name)
+            push(s.body)
+        elif kind is Abs or kind is Mu:
+            out.add(s.var)
+            push(s.body)
+        elif kind is Inj1 or kind is Inj2:
+            push(s.body)
+        elif kind is Pair:
+            push(s.snd)
+            push(s.fst)
+        else:
+            raise TypeError(f"not a term: {s!r}")
+    return out
 
 
 def fresh_name(hint: str, *taken) -> str:

@@ -5,10 +5,9 @@ import dataclasses
 import pytest
 
 from lambdamu import (
-    Abs, App, AppliedTo, Arrow, BOT, ExactLeaf, HeadApplied, Mu, Named,
-    Pair, PropVar, Var, canonical_terms, close, parse_formula, parse_term,
-    print_term, probe_exfalso, probe_peirce, probe_tertium,
-    search_spine_reduct,
+    Abs, App, Arrow, BOT, Leaf, Mu, Named, Pair, PropVar, Var,
+    canonical_terms, close, parse_formula, parse_term, print_term,
+    probe_exfalso, probe_peirce, probe_tertium, search_spine_reduct,
 )
 from lambdamu.typecheck import TypeCheckError
 
@@ -19,34 +18,39 @@ P = PropVar("P")
 # Spines and leaf patterns
 # --------------------------------------------------------------------------
 
-def _spine_search(src, leaf):
-    return search_spine_reduct(parse_term(src), [("leaf", ExactLeaf(leaf))],
-                               100)
+def _spine_search(src, head, tail=()):
+    return search_spine_reduct(parse_term(src),
+                               [("leaf", Leaf(frozenset({head}), tail))], 100)
 
 
 def test_is_mu_spine_positive():
-    res = _spine_search("mu a:P. [a] mu b:Q. x", Var("x"))
+    res = _spine_search("mu a:P. [a] mu b:Q. x", "x")
     assert (res.status, res.label, res.explored) == ("found", "leaf", 1)
     assert res.trace.steps == []
 
 
 def test_is_mu_spine_trivial():
-    assert _spine_search("x", Var("x")).status == "found"
+    assert _spine_search("x", "x").status == "found"
 
 
 def test_is_mu_spine_negative():
-    assert _spine_search("mu a:P. [a] y", Var("x")).status == "not-found"
-    assert _spine_search("\\y:P. x", Var("x")).status == "not-found"
+    assert _spine_search("mu a:P. [a] y", "x").status == "not-found"
+    assert _spine_search("\\y:P. x", "x").status == "not-found"
 
 
 def test_is_mu_spine_alpha():
-    res = _spine_search("mu a:P. \\y:Q. y", parse_term("\\z:Q. z"))
+    # the tail is matched up to alpha: its abstraction's binder may be
+    # named otherwise, but not typed otherwise
+    tail = (parse_term("\\z:Q. z"),)
+    res = _spine_search("mu a:P. (x \\y:Q. y)", "x", tail)
     assert res.status == "found"
+    assert _spine_search("mu a:P. (x \\y:P. y)", "x", tail).status == \
+        "not-found"
 
 
 def test_spine_slot_names_the_wrappers_mu_variables():
     res = search_spine_reduct(parse_term("mu a:P. mu b:P. (c <[a] s, [b] s>)"),
-                              [("c", HeadApplied("c", ()))], 100)
+                              [("c", Leaf(frozenset({"c"}), (), True))], 100)
     assert print_term(res.bindings["slot"]) == "<[a] s, [b] s>"
 
 
@@ -60,38 +64,39 @@ def test_spine_slot_names_avoid_free_names():
     t = dataclasses.replace(t, var="a",
                             body=dataclasses.replace(t.body, var="a"))
     assert print_term(t) == "mu a0:P. mu a1:P. (c <[a0] s, <[a] s, [a1] s>>)"
-    res = search_spine_reduct(t, [("c", HeadApplied("c", ()))], 100)
+    res = search_spine_reduct(t, [("c", Leaf(frozenset({"c"}), (), True))],
+                              100)
     assert print_term(res.bindings["slot"]) == \
         "<[a0] s, <[a] s, [a1] s>>"
 
 
 @pytest.mark.parametrize("pattern, src, slot", [
-    (ExactLeaf(Var("t")), "t", "t"),
-    (HeadApplied("c", ()), "(c s)", "s"),
-    (HeadApplied("u", (Var("w"),)), "((u s) w)", "s"),
-    (AppliedTo((Var("w"),)), "(s w)", "s"),
+    (Leaf(frozenset({"t"})), "t", "t"),
+    (Leaf(frozenset({"c"}), (), True), "(c s)", "s"),
+    (Leaf(frozenset({"u"}), (Var("w"),), True), "((u s) w)", "s"),
+    (Leaf(frozenset({"s", "v"}), (Var("w"),)), "(s w)", "s"),
 ])
 def test_leaf_patterns_match(pattern, src, slot):
-    got = pattern.match(parse_term(src))
-    assert got is not None
-    if slot != "t":
-        assert print_term(got["slot"]) == slot
+    assert print_term(pattern.match(parse_term(src))) == slot
 
 
 def test_leaf_patterns_reject():
-    assert HeadApplied("c", ()).match(parse_term("(d s)")) is None
-    assert HeadApplied("u", (Var("w"),)).match(parse_term("(u s)")) is None
-    assert AppliedTo((Var("w"),),
-                     frozenset({"v"})).match(parse_term("(s w)")) is None
-    assert AppliedTo((Var("w"),),
-                     frozenset({"v"})).match(parse_term("(v w)")) == \
-        {"slot": Var("v")}
+    assert Leaf(frozenset({"c"}), (), True).match(parse_term("(d s)")) is None
+    assert Leaf(frozenset({"c"}), (), True).match(parse_term("c")) is None
+    assert Leaf(frozenset({"c"}), (), True).match(parse_term("(c p1)")) is None
+    assert Leaf(frozenset({"c"})).match(parse_term("(c s)")) is None
+    assert Leaf(frozenset({"u"}), (Var("w"),), True).match(
+        parse_term("(u s)")) is None
+    assert Leaf(frozenset({"v"}), (Var("w"),)).match(
+        parse_term("(s w)")) is None
+    assert Leaf(frozenset({"v"}), (Var("w"),)).match(
+        parse_term("(v s)")) is None
 
 
 def test_search_spine_reduct_finds_via_reduction():
     T, _ = canonical_terms()["T"]
     probe = App(App(T, Var("t")), Var("u"))
-    res = search_spine_reduct(probe, [("leaf", ExactLeaf(Var("t")))], 1000)
+    res = search_spine_reduct(probe, [("leaf", Leaf(frozenset({"t"})))], 1000)
     assert res.status == "found"
     assert res.label == "leaf"
     assert res.trace.initial == probe
@@ -100,7 +105,7 @@ def test_search_spine_reduct_finds_via_reduction():
 
 def test_search_spine_reduct_not_found():
     res = search_spine_reduct(parse_term("\\x:P. x"),
-                              [("leaf", ExactLeaf(Var("t")))], 100)
+                              [("leaf", Leaf(frozenset({"t"})))], 100)
     assert res.status == "not-found"
 
 
@@ -108,7 +113,7 @@ def test_search_cap_exceeded():
     half = close(Abs("x", Arrow(P, BOT),
                      Named("a", App(Var("x"), Var("x")))))
     loop = App(half, half)
-    res = search_spine_reduct(loop, [("leaf", ExactLeaf(Var("t")))], 5)
+    res = search_spine_reduct(loop, [("leaf", Leaf(frozenset({"t"})))], 5)
     assert res.status == "cap-exceeded"
 
 

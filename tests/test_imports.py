@@ -1,5 +1,6 @@
 """Every name a module of the package or of the tests imports is used,
-and every function and class the package defines is used."""
+and every function and class the package defines is used; the hot walks
+hold no match statement."""
 
 import ast
 import re
@@ -84,3 +85,46 @@ def test_detects_an_unused_definition():
     assert unreferenced(package, [doc + 'WRAP = ("a.timed",)\n']) == \
         ["dead", "Dead"]
     assert unreferenced(package, [doc]) == ["dead", "Dead", "timed"]
+
+
+# the walks that run once per node of every term the corpus or the
+# probes explore: each picks a node's case by its type, never by match
+HOT_WALKS = {
+    "typecheck": ("_infer",),
+    "reduction": ("_reducts", "_contract"),
+    "syntax": ("alpha_key", "_pf", "_Printer.term", "_Printer.eterm"),
+    "terms": ("shape", "free_variables", "all_names"),
+    "behavior": ("Leaf.match", "_match_spine"),
+}
+
+
+def walks_with_match(source: str, names) -> list[str]:
+    """Those of names (a method as Class.name) that source does not
+    define at its top level, or whose definition holds a match."""
+    defs = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            defs.update((f"{node.name}.{item.name}", item)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+    return [name for name in names if name not in defs
+            or any(isinstance(n, ast.Match) for n in ast.walk(defs[name]))]
+
+
+@pytest.mark.parametrize("module", sorted(HOT_WALKS))
+def test_no_match_in_the_hot_walks(module):
+    path = ROOT / "src" / "lambdamu" / f"{module}.py"
+    assert walks_with_match(path.read_text(encoding="utf-8"),
+                            HOT_WALKS[module]) == []
+
+
+def test_detects_a_match_in_a_walk():
+    source = ("def walk(t):\n    match t:\n        case _:\n            pass\n"
+              "\n\nclass C:\n    def walk(self, t):\n        if t:\n"
+              "            match t:\n                case 1:\n"
+              "                    pass\n\n    def cold(self, t):\n"
+              "        return t\n")
+    assert walks_with_match(source, ("walk", "C.walk", "C.cold", "gone")) \
+        == ["walk", "C.walk", "gone"]

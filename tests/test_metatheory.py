@@ -88,6 +88,11 @@ def test_enumerate_rejects_bad_size():
         enumerate_typed_terms(0)
 
 
+def test_enumerate_rejects_a_target_that_is_not_a_formula():
+    with pytest.raises(TypeError, match="^not a formula: 'junk'$"):
+        enumerate_typed_terms(3, target="junk")
+
+
 def test_enumerate_entries_are_closed_and_well_typed():
     # enumeration builds by typed construction and checks nothing; every
     # entry of these corpora is closed and has its formula under both

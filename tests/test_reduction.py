@@ -256,6 +256,8 @@ def test_graph_cycle_detected():
     succ = _successors(g)
     assert not SuccessorFacts(succ).acyclic(g.root)
     assert [k for k in succ if not succ[k]] == []
+    with pytest.raises(ValueError, match="^a reaches a cycle$"):
+        SuccessorFacts({"a": ["a"]}).longest_path("a")
 
 
 def _growing_loop():
@@ -269,6 +271,8 @@ def test_graph_node_cap():
     # a growing (non-cyclic) loop hits the cap and is flagged incomplete
     g = reduction_graph(_growing_loop(), node_cap=10)
     assert not g.complete
+    with pytest.raises(ValueError, match="^node_cap must be >= 1$"):
+        reduction_graph(_growing_loop(), node_cap=0)
 
 
 def test_graph_cap_ends_expansion():

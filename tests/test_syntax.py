@@ -19,8 +19,9 @@ from lambdamu import (
 from lambdamu.reduction import reduction_graph, step_at
 from lambdamu.syntax import MAX_NESTING, canonical_hints
 from lambdamu.terms import (
-    Bottom, ETerm, Formula, FreshSupply, Proj1, Proj2, Term, apply_sequence,
-    fresh_name, is_closed, open_names, rename_binders, shape, shift,
+    Bottom, ETerm, Formula, FreshSupply, Proj1, Proj2, Term, all_names,
+    apply_sequence, fresh_name, is_closed, open_names, rename_binders, shape,
+    shift,
 )
 
 P = PropVar("P")
@@ -66,6 +67,11 @@ def test_formula_round_trip(formula):
 def test_negation_prints_as_sugar():
     assert print_formula(Arrow(P, BOT)) == "~P"
     assert print_formula(Arrow(Arrow(P, BOT), P)) == "~P -> P"
+
+
+def test_a_node_that_is_not_a_formula_is_refused():
+    with pytest.raises(TypeError, match="^not a formula: 'junk'$"):
+        print_formula("junk")
 
 
 # --------------------------------------------------------------------------
@@ -499,6 +505,11 @@ def test_free_variables_two_namespaces():
     assert is_closed(parse_term("\\x:P. x"))
 
 
+def test_all_names_holds_the_free_names_and_every_binder():
+    t = parse_term("\\x:P. mu a:P. ([b] (y [u.u, v.x]) <z, in1{P} z>)")
+    assert all_names(t) == {"x", "a", "b", "y", "u", "v", "z"}
+
+
 def test_is_closed_refuses_dangling_indices():
     # the body's x is bound by the lambda outside it
     body = parse_term("\\x:P. mu a:P. [a] x").body
@@ -522,13 +533,14 @@ def test_shape():
 def test_shape_of_a_deep_application_spine():
     # iterative walks: a spine far deeper than the recursion limit is
     # measured, its indices reached down the function side, and its
-    # free names found
+    # free names and all its names found
     t = Var(2)
     for _ in range(3000):
         t = App(t, Var("y"))
     assert shape(t) == (3001, 3, 0)
     assert free_variables(t) == (frozenset({"y"}), frozenset())
     assert not is_closed(t)
+    assert all_names(t) == {"y"}
     with pytest.raises(TypeError, match="not a term: 'junk'"):
         shape(App(t, "junk"))
 
@@ -549,8 +561,8 @@ def test_fresh_supply_avoids_names():
 def test_a_node_that_is_not_a_term_is_refused(t):
     # every walk refuses it with a typed error; none passes it through
     for walk in (print_term, canonical_form, alpha_key, free_variables,
-                 is_closed, close, lambda t: shift(t, 1, 1), redexes,
-                 normalize, reduction_graph,
+                 is_closed, all_names, close, lambda t: shift(t, 1, 1),
+                 redexes, normalize, reduction_graph,
                  lambda t: substitute(t, "f", Var("y")),
                  lambda t: mu_substitute(t, "a", [Var("y")])):
         with pytest.raises(TypeError, match="not a term"):

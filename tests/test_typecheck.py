@@ -186,6 +186,8 @@ def test_erase_drops_annotations():
 def test_erase_preserves_structure():
     for name, (t, _) in canonical_terms().items():
         assert erase(erase(t)) == erase(t)
+    with pytest.raises(TypeCheckError, match="^not a term: 'junk'$"):
+        erase("junk")
 
 
 # --------------------------------------------------------------------------
@@ -215,6 +217,41 @@ def test_validate_rejects_wrong_rule_name():
     d = infer({}, {}, parse_term("\\x:P. x"))
     with pytest.raises(TypeCheckError):
         validate_derivation(Derivation("ax", d.conclusion, d.premises))
+    with pytest.raises(TypeCheckError) as info:
+        validate_derivation(Derivation("cut", d.conclusion, d.premises))
+    assert str(info.value) == \
+        "invalid cut node (unknown rule):  |- \\x:P. x : P -> P ; "
+
+
+@pytest.mark.parametrize("src, gamma, delta, message", [
+    ("(f y)", {"f": Arrow(P, P), "y": P}, {},
+     "invalid arrow-e node (arrow-e shape): f:P -> P, y:P |- (f y) : Q ; "),
+    ("<y, y>", {"y": P}, {},
+     "invalid and-i node (and-i shape): y:P |- <y, y> : Q ; "),
+    ("(z p1)", {"z": Conj(P, P)}, {},
+     "invalid and-e1 node (projection shape): z:P /\\ P |- (z p1) : Q ; "),
+    ("(z p2)", {"z": Conj(P, P)}, {},
+     "invalid and-e2 node (projection shape): z:P /\\ P |- (z p2) : Q ; "),
+    ("in1{P} y", {"y": P}, {},
+     "invalid or-i1 node (or-i1 shape): y:P |- in1{P} y : Q ; "),
+    ("in2{P} y", {"y": P}, {},
+     "invalid or-i2 node (or-i2 shape): y:P |- in2{P} y : Q ; "),
+    ("(z [u.u, v.v])", {"z": Disj(P, P)}, {},
+     "invalid or-e node (or-e shape): z:P \\/ P |- (z [u.u, v.v]) : Q ; "),
+    ("[a] y", {"y": P}, {"a": P},
+     "invalid abs-i node (abs-i shape): y:P |- [a] y : Q ; a:P"),
+    ("mu a:P. [a] y", {"y": P}, {},
+     "invalid abs-e node (abs-e shape): y:P |- mu a:P. [a] y : Q ; "),
+])
+def test_validate_rejects_a_forged_formula(src, gamma, delta, message):
+    # each rule's schema refuses its valid node with the conclusion's
+    # formula replaced
+    d = infer(gamma, delta, parse_term(src))
+    forged = Judgment(d.conclusion.gamma, d.conclusion.term, Q,
+                      d.conclusion.delta, d.conclusion.binders)
+    with pytest.raises(TypeCheckError) as info:
+        validate_derivation(Derivation(d.rule, forged, d.premises))
+    assert str(info.value) == message
 
 
 def test_derivation_to_json():
