@@ -76,7 +76,7 @@ class Leaf:
 @dataclass
 class SpineSearch:
     status: str  # "found" | "not-found" | "cap-exceeded"
-    bindings: Optional[dict] = None
+    slot: Optional[Term] = None
     trace: Optional[Trace] = None
     label: Optional[str] = None   # which pattern matched
     explored: int = 0
@@ -128,7 +128,7 @@ def search_spine_reduct(t: Term, patterns: list[tuple[str, Leaf]],
         status = "not-found" if graph.complete else "cap-exceeded"
         return SpineSearch(status, explored=len(graph.nodes))
     label, slot = hit
-    return SpineSearch("found", {"slot": slot}, graph.trace_to(graph.stopped),
+    return SpineSearch("found", slot, graph.trace_to(graph.stopped),
                        label, len(graph.nodes))
 
 
@@ -270,9 +270,9 @@ def _run_stages(report: BehaviorReport, current: Term,
         if result.label == "terminal":
             report.verdict = "confirmed"
             report.m = stage
-            report.detail = f"terminal ({print_term(result.bindings['slot'])} ...)"
+            report.detail = f"terminal ({print_term(result.slot)} ...)"
             return report
-        theta = result.bindings["slot"]
+        theta = result.slot
         report.thetas.append(theta)
         if stage == max_m:
             break

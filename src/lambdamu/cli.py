@@ -2,6 +2,7 @@
 
 Exit codes: 0 success or confirmed, 1 refutation or type error,
 2 inconclusive (fuel, node cap or reduct depth), 64 usage or malformed input.
+The commands raise the library's errors; main maps each to its exit code.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+_VERDICT_EXIT = {"confirmed": EXIT_OK, "refuted": EXIT_FAIL}
 
 
 class UsageError(Exception):
@@ -122,16 +124,14 @@ def _load_term(args) -> Term:
     else:
         raise UsageError("no input term (use --term or a file)")
     term = parse_term(text)
-    open_vars = {v for v in args.open_vars.split(",") if v} \
-        if getattr(args, "open_vars", "") else set()
-    # resolve canonical names appearing as free variables
+    open_vars = {v for v in args.open_vars.split(",") if v}
+    # substitute canonical names for free variables; library terms are closed
     library = behavior.canonical_terms()
     free_lam, free_mu = free_variables(term)
     for name in sorted(free_lam):
         if name in library and name not in open_vars:
             term = substitute(term, name, library[name][0])
-    free_lam, free_mu = free_variables(term)
-    stray = (free_lam | free_mu) - open_vars
+    stray = (free_lam - library.keys() | free_mu) - open_vars
     if stray:
         raise UsageError(
             f"term has free variables {sorted(stray)}; declare them with --open")
@@ -145,15 +145,11 @@ def _run(args) -> int:
 
     if args.command == "check":
         term = _load_term(args)
-        try:
-            if args.derivation:
-                d = infer({}, {}, term)
-                formula = d.conclusion.formula
-            else:
-                formula = check({}, {}, term)
-        except TypeCheckError as exc:
-            print(f"type error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+        if args.derivation:
+            d = infer({}, {}, term)
+            formula = d.conclusion.formula
+        else:
+            formula = check({}, {}, term)
         if args.type is not None:
             expected = parse_formula(args.type)
             if formula != expected:
@@ -167,32 +163,23 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "reduce":
-        term = _load_term(args)
         try:
-            nf, trace = normalize(term, args.fuel)
+            nf, trace = normalize(_load_term(args), args.fuel)
         except FuelExhausted as exc:
-            if args.trace:
-                for line in exc.trace.to_json_lines():
-                    print(json.dumps(line))
-            print(f"fuel exhausted after {len(exc.trace.steps)} steps",
-                  file=sys.stderr)
-            return EXIT_INCONCLUSIVE
-        except ReductTooDeep as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_INCONCLUSIVE
-        print(print_term(nf))
+            nf, trace = None, exc.trace
+        else:
+            print(print_term(nf))
         if args.trace:
             for line in trace.to_json_lines():
                 print(json.dumps(line))
+        if nf is None:
+            print(f"fuel exhausted after {len(trace.steps)} steps",
+                  file=sys.stderr)
+            return EXIT_INCONCLUSIVE
         return EXIT_OK
 
     if args.command == "graph":
-        term = _load_term(args)
-        try:
-            graph = reduction_graph(term, args.node_cap)
-        except ReductTooDeep as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_INCONCLUSIVE
+        graph = reduction_graph(_load_term(args), args.node_cap)
         if args.dot:
             print(graph.to_dot())
         else:
@@ -201,31 +188,20 @@ def _run(args) -> int:
 
     if args.command == "probe":
         term = _load_term(args)
-        try:
-            if args.law == "efq":
-                report = behavior.probe_exfalso(
-                    term, n_args=args.n_args, node_cap=args.node_cap,
-                    seed=args.seed)
-            elif args.law == "peirce":
-                report = behavior.probe_peirce(
-                    term, n_args=args.n_args, node_cap=args.node_cap,
-                    max_m=args.max_m, seed=args.seed)
-            else:
-                report = behavior.probe_tertium(
-                    term, seq_len=args.seq_len, node_cap=args.node_cap,
-                    max_m=args.max_m, seed=args.seed)
-        except TypeCheckError as exc:
-            print(f"type error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        except ReductTooDeep as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_INCONCLUSIVE
+        if args.law == "efq":
+            report = behavior.probe_exfalso(
+                term, n_args=args.n_args, node_cap=args.node_cap,
+                seed=args.seed)
+        elif args.law == "peirce":
+            report = behavior.probe_peirce(
+                term, n_args=args.n_args, node_cap=args.node_cap,
+                max_m=args.max_m, seed=args.seed)
+        else:
+            report = behavior.probe_tertium(
+                term, seq_len=args.seq_len, node_cap=args.node_cap,
+                max_m=args.max_m, seed=args.seed)
         print(json.dumps(report.to_json(), indent=2))
-        if report.verdict == "confirmed":
-            return EXIT_OK
-        if report.verdict == "refuted":
-            return EXIT_FAIL
-        return EXIT_INCONCLUSIVE
+        return _VERDICT_EXIT.get(report.verdict, EXIT_INCONCLUSIVE)
 
     if args.command == "suite":
         corpus = metatheory.enumerate_typed_terms(
@@ -267,6 +243,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except TypeCheckError as exc:
+        print(f"type error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ReductTooDeep as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

@@ -95,15 +95,15 @@ def _result_ann(ann: Optional[Formula], e: ETerm) -> Optional[Formula]:
     bracket supplies its own result annotation.  None when underivable,
     which only happens on unannotated or untypable inputs.
     """
-    match e:
-        case Term():
-            return ann.right if isinstance(ann, Arrow) else None
-        case Proj1():
-            return ann.left if isinstance(ann, Conj) else None
-        case Proj2():
-            return ann.right if isinstance(ann, Conj) else None
-        case Case(_, _, _, _, c):
-            return c
+    kind = type(e)
+    if kind is Proj1:
+        return ann.left if type(ann) is Conj else None
+    if kind is Proj2:
+        return ann.right if type(ann) is Conj else None
+    if kind is Case:
+        return e.ann
+    if isinstance(e, Term):
+        return ann.right if type(ann) is Arrow else None
     return None
 
 

@@ -166,12 +166,6 @@ def _with(ctx, other, x: str, a: Formula):
     is bound under: fresh_name of x beside the names ctx and the other
     frozen context bind, since no name is a lambda- and a mu-variable at
     once."""
-    for y, _ in other:
-        if y == x:
-            break
-    else:
-        if not ctx or ctx[-1][0] < x:  # binders named in order: x0, x1, ...
-            return ctx + ((x, a),), x
     bound = dict(ctx)
     x = fresh_name(x, bound, dict(other))
     bound[x] = a

@@ -51,7 +51,7 @@ def test_is_mu_spine_alpha():
 def test_spine_slot_names_the_wrappers_mu_variables():
     res = search_spine_reduct(parse_term("mu a:P. mu b:P. (c <[a] s, [b] s>)"),
                               [("c", Leaf(frozenset({"c"}), (), True))], 100)
-    assert print_term(res.bindings["slot"]) == "<[a] s, [b] s>"
+    assert print_term(res.slot) == "<[a] s, [b] s>"
 
 
 def test_spine_slot_names_avoid_free_names():
@@ -66,7 +66,7 @@ def test_spine_slot_names_avoid_free_names():
     assert print_term(t) == "mu a0:P. mu a1:P. (c <[a0] s, <[a] s, [a1] s>>)"
     res = search_spine_reduct(t, [("c", Leaf(frozenset({"c"}), (), True))],
                               100)
-    assert print_term(res.bindings["slot"]) == \
+    assert print_term(res.slot) == \
         "<[a0] s, <[a] s, [a1] s>>"
 
 

@@ -191,15 +191,17 @@ def test_check_expected_type_mismatch(capsys):
 
 
 def test_check_ill_typed(capsys):
-    code, _, err = run(capsys, "check", "--term", "(\\x:P. x x)",
-                       "--open", "")
-    assert code == USAGE or code == FAIL  # x is free -> usage; see below
+    code, out, err = run(capsys, "check", "--term", "\\x:P. (x x)")
+    assert (code, out) == (FAIL, "")
+    assert err == "type error: applied term is not a function: in (x x): " \
+                  "(rule arrow-e): expected ~_|_, found P\n"
 
 
 def test_check_type_error_exit(capsys):
     code, _, err = run(capsys, "check", "--term", "\\x:P. (x y)", "--open", "y")
     assert code == FAIL
-    assert "type error" in err
+    assert err == "type error: applied term is not a function: in (x y): " \
+                  "(rule arrow-e): expected ~_|_, found P\n"
 
 
 def test_check_derivation_json(capsys):
@@ -362,7 +364,8 @@ def test_probe_canonical(capsys, name, law, m):
 def test_probe_wrong_type_fails(capsys):
     code, _, err = run(capsys, "probe", "--term", "T", "--law", "peirce")
     assert code == FAIL
-    assert "type error" in err
+    assert err == "type error: subject must have type (~P -> P) -> P: " \
+                  "in \\z:_|_. mu a:P. z\n"
 
 
 def test_probe_too_deep_is_inconclusive(capsys):
@@ -376,6 +379,55 @@ def test_probe_too_deep_is_inconclusive(capsys):
     assert code == INCONCLUSIVE
     assert out == ""
     assert err == _TOO_DEEP
+
+
+# every command that loads a term, each with small bounds
+_LOADING = {
+    "parse": ["parse"],
+    "check": ["check"],
+    "reduce": ["reduce", "--fuel", "20", "--trace"],
+    "graph": ["graph", "--node-cap", "20"],
+    **{law: ["probe", "--law", law, "--node-cap", "20", "--max-m", "1"]
+       for law in ("efq", "peirce", "lem")},
+}
+_LOOP = "(\\x:~P. [a] (x x) \\x:~P. [a] (x x))"
+_DEEP = f"\\z:_|_. \\y:{_A}. \\w:P. {_mu_struct_input(_A)}"
+
+
+@settings(max_examples=100, deadline=None)
+@example("parse", "T", OK)
+@example("parse", "z", USAGE)
+@example("check", "T", OK)
+@example("check", "\\x:P. (x x)", FAIL)
+@example("check", "\\x:P", USAGE)
+@example("reduce", "((T x) y)", OK)
+@example("reduce", _LOOP, INCONCLUSIVE)  # fuel
+@example("reduce", _DEEP, INCONCLUSIVE)  # reduct depth
+@example("reduce", "(", USAGE)
+@example("graph", "(\\x:P. x y)", OK)
+@example("graph", _LOOP, INCONCLUSIVE)  # node cap
+@example("graph", _DEEP, INCONCLUSIVE)
+@example("graph", "z", USAGE)
+@example("efq", "T", OK)
+@example("efq", "C1", FAIL)  # type error
+@example("efq", _DEEP, INCONCLUSIVE)
+@example("efq", "(T", USAGE)
+@example("peirce", "C1", OK)
+@example("peirce", "T", FAIL)
+@example("peirce", "C2", INCONCLUSIVE)  # m = 2 > --max-m
+@example("peirce", "b", USAGE)
+@example("lem", "W", INCONCLUSIVE)  # m = 2 > --max-m
+@example("lem", "Tvar", FAIL)
+@example("lem", "\\x:P.", USAGE)
+@given(st.sampled_from(sorted(_LOADING)), _term_text, st.none())
+def test_term_commands_are_total(command, term, expected):
+    argv = _LOADING[command] + ["--term", term, "--open", "x,y,a"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (OK, FAIL, INCONCLUSIVE, USAGE)
+    assert expected is None or code == expected
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [

@@ -91,7 +91,7 @@ def test_detects_an_unused_definition():
 # probes explore: each picks a node's case by its type, never by match
 HOT_WALKS = {
     "typecheck": ("_infer",),
-    "reduction": ("_reducts", "_contract"),
+    "reduction": ("_result_ann", "_reducts", "_contract"),
     "syntax": ("alpha_key", "_pf", "_Printer.term", "_Printer.eterm"),
     "terms": ("shape", "free_variables", "all_names"),
     "behavior": ("Leaf.match", "_match_spine"),
