@@ -377,23 +377,30 @@ def run_suite(corpus: Corpus,
               node_cap: int = DEFAULT_NODE_CAP) -> list[PropertyReport]:
     """Subject reduction, confluence and strong normalization, in that order.
 
-    All entries share one reduction_graph memo, from each alpha-key to
-    the keys of its reducts, so each distinct reduct is expanded once,
-    and each distinct (reduct, formula, contexts) is type-checked once.
+    Entries with the same formula and contexts share one reduction_graph
+    memo, from each alpha-key to the keys of its reducts, so each
+    distinct reduct is expanded and type-checked once per formula and
+    contexts, and every node the memo serves was checked already.
     Confluence and strong normalization are lookups at an entry's root
-    in SuccessorFacts over the memo; longest paths are listed by the
-    root's key.  Evidence prints reducts by canonical_form.  A graph the
-    cap or a too-deep reduct cut short adds nothing to the memo, and its
-    entry is incomplete in every report.
+    in SuccessorFacts over that memo, and the normal forms are the
+    graph's nodes with no reduct; longest paths are listed by the root's
+    key.  Evidence prints reducts by canonical_form, so a confluence
+    failure explores its entry again for the witnesses' terms.  A graph
+    the cap or a too-deep reduct cut short adds nothing to the memo, and
+    its entry is incomplete in every report.
     """
-    memo: dict[str, tuple[str, ...]] = {}
-    facts = SuccessorFacts(memo)
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
-    # by (formula, gamma, delta): the contexts as check reads them, and
-    # the evidence of each reduct key checked under them
-    errors: dict[tuple, tuple[dict, dict, dict[str, Optional[str]]]] = {}
+    # by (formula, gamma, delta): the contexts as check reads them, the
+    # evidence of each key checked under them, the memo and its facts
+    groups: dict[tuple, tuple] = {}
     for entry in corpus.entries:
+        group = (entry.formula, entry.gamma, entry.delta)
+        if group not in groups:
+            memo: dict[str, tuple[str, ...]] = {}
+            groups[group] = (dict(entry.gamma), dict(entry.delta), {}, memo,
+                             SuccessorFacts(memo))
+        gamma, delta, known, memo, facts = groups[group]
         try:
             graph = reduction_graph(entry.term, node_cap, memo=memo)
         except ReductTooDeep:
@@ -405,28 +412,17 @@ def run_suite(corpus: Corpus,
         for report in reports:
             report.checked += 1
         # every reduct re-checks at the entry's type
-        group = (entry.formula, entry.gamma, entry.delta)
-        if group not in errors:
-            errors[group] = (dict(entry.gamma), dict(entry.delta), {})
-        gamma, delta, known = errors[group]
-        rebuilt = None
         for key, reduct in graph.nodes.items():
             if key not in known:
-                if reduct is None:  # served from the memo: explore afresh
-                    if rebuilt is None:
-                        rebuilt = reduction_graph(entry.term, node_cap)
-                    reduct = rebuilt.nodes[key]
-                known[key] = _type_error(gamma, delta, reduct,
-                                         entry.formula)
+                known[key] = _type_error(gamma, delta, reduct, entry.formula)
             if known[key] is not None:
                 sr.failures.append((entry, known[key]))
         # some reduct is a descendant of every reduct
         acyclic = facts.acyclic(graph.root)
         witnesses = facts.confluence_failure(graph.root, graph.nodes)
         if witnesses is not None:
-            if rebuilt is None:
-                rebuilt = reduction_graph(entry.term, node_cap)
-            shown = [canonical_form(rebuilt.nodes[k]) for k in witnesses]
+            nodes = reduction_graph(entry.term, node_cap).nodes
+            shown = [canonical_form(nodes[k]) for k in witnesses]
             cf.failures.append((entry, (
                 f"{len(shown)} distinct normal forms: {shown}" if acyclic
                 else f"unjoinable pair: {shown[0]} vs {shown[1]}")))

@@ -228,8 +228,8 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
 # --------------------------------------------------------------------------
 
 class SuccessorFacts:
-    """Acyclicity, longest reduction path and normal forms of the keys of
-    a successor mapping, memoized per key.
+    """Acyclicity and longest reduction path of the keys of a successor
+    mapping, memoized per key.
 
     A key's facts depend only on the keys it reaches, so one instance
     serves a mapping that only grows, such as a reduction_graph memo,
@@ -240,14 +240,13 @@ class SuccessorFacts:
     def __init__(self, succ: Mapping[str, Iterable[str]]):
         self.succ = succ
         self._longest: dict[str, int] = {}          # acyclic keys only
-        self._normal: dict[str, frozenset[str]] = {}
         self._cyclic: set[str] = set()              # keys that reach a cycle
 
     def _settle(self, start: str) -> None:
         """Memoize the facts of start and of the keys it reaches, children
         before parents; on meeting a cycle, mark every key on the path to
         it as cyclic and stop."""
-        succ, longest, normal = self.succ, self._longest, self._normal
+        succ, longest = self.succ, self._longest
         if start in longest or start in self._cyclic:
             return
         path = {start}
@@ -268,13 +267,6 @@ class SuccessorFacts:
                 path.discard(key)
                 longest[key] = max((longest[s] + 1 for s in succ[key]),
                                    default=0)
-                nfs = [normal[s] for s in succ[key]]
-                if not nfs:
-                    normal[key] = frozenset((key,))
-                elif all(n == nfs[0] for n in nfs):
-                    normal[key] = nfs[0]  # shared, not copied
-                else:
-                    normal[key] = frozenset().union(*nfs)
 
     def acyclic(self, key: str) -> bool:
         self._settle(key)
@@ -290,18 +282,18 @@ class SuccessorFacts:
                            order: Iterable[str]) -> Optional[list[str]]:
         """The witnesses that the keys reachable from key, listed in
         ``order`` (all of those keys), are not confluent, else None: when
-        key is acyclic, its normal forms in that order; otherwise an
-        unjoinable pair.
+        key is acyclic, its normal forms (the keys of order with no
+        successor) in that order; otherwise an unjoinable pair.
 
         On a finite graph pairwise joinability means some node descends
         from every node.  When acyclic, that is a unique normal form.
         Otherwise the node with the fewest descendants lies in a terminal
         cycle, and a node that cannot reach it shares no descendant with it.
         """
-        if self.acyclic(key):
-            nfs = self._normal[key]
-            return None if len(nfs) < 2 else [k for k in order if k in nfs]
         succ = self.succ
+        if self.acyclic(key):
+            sinks = [k for k in order if not succ[k]]
+            return sinks if len(sinks) > 1 else None
 
         def reach(start: str) -> set[str]:
             seen, todo = set(), [start]

@@ -56,8 +56,9 @@ class TypeCheckError(Exception):
             parts.append(f"in {print_term(term, *names)}")
         if rule is not None:
             parts.append(f"(rule {rule})")
-        if expected is not None and found is not None:
-            parts.append(f"expected {print_formula(expected)}, "
+        if found is not None:
+            parts.append(f"found {print_formula(found)}" if expected is None
+                         else f"expected {print_formula(expected)}, "
                          f"found {print_formula(found)}")
         super().__init__(": ".join(parts))
 
@@ -205,8 +206,7 @@ def _infer(scope: _Scope, lam, mu, binders: tuple[Binder, ...], t: Term,
             fty = _infer(scope, lam, mu, binders, fun, ps)
             if type(fty) is not Disj:
                 raise scope.error(binders, Mismatch, "case scrutinee is not "
-                                  "a disjunction", t, "or-e",
-                                  Disj(BOT, BOT), fty)
+                                  "a disjunction", t, "or-e", None, fty)
             a = _infer(scope, lam + (fty.left,), mu,
                        binders + ((False, arg.left_var, fty.left),),
                        arg.left, ps)
@@ -227,15 +227,13 @@ def _infer(scope: _Scope, lam, mu, binders: tuple[Binder, ...], t: Term,
             rule = "and-e1" if first else "and-e2"
             if type(fty) is not Conj:
                 raise scope.error(binders, Mismatch, f"p{1 if first else 2} "
-                                  f"needs a conjunction", t, rule,
-                                  Conj(BOT, BOT), fty)
+                                  f"needs a conjunction", t, rule, None, fty)
             a = fty.left if first else fty.right
         elif isinstance(arg, Term):
             fty = _infer(scope, lam, mu, binders, fun, ps)
             if type(fty) is not Arrow:
                 raise scope.error(binders, Mismatch, "applied term is not a "
-                                  "function", t, "arrow-e", Arrow(BOT, BOT),
-                                  fty)
+                                  "function", t, "arrow-e", None, fty)
             found = _infer(scope, lam, mu, binders, arg, ps)
             if found != fty.left:
                 raise scope.error(binders, Mismatch, "argument type "

@@ -194,14 +194,14 @@ def test_check_ill_typed(capsys):
     code, out, err = run(capsys, "check", "--term", "\\x:P. (x x)")
     assert (code, out) == (FAIL, "")
     assert err == "type error: applied term is not a function: in (x x): " \
-                  "(rule arrow-e): expected ~_|_, found P\n"
+                  "(rule arrow-e): found P\n"
 
 
 def test_check_type_error_exit(capsys):
     code, _, err = run(capsys, "check", "--term", "\\x:P. (x y)", "--open", "y")
     assert code == FAIL
     assert err == "type error: applied term is not a function: in (x y): " \
-                  "(rule arrow-e): expected ~_|_, found P\n"
+                  "(rule arrow-e): found P\n"
 
 
 def test_check_derivation_json(capsys):
@@ -365,7 +365,7 @@ def test_probe_wrong_type_fails(capsys):
     code, _, err = run(capsys, "probe", "--term", "T", "--law", "peirce")
     assert code == FAIL
     assert err == "type error: subject must have type (~P -> P) -> P: " \
-                  "in \\z:_|_. mu a:P. z\n"
+                  "in \\z:_|_. mu a:P. z: found _|_ -> P\n"
 
 
 def test_probe_too_deep_is_inconclusive(capsys):

@@ -19,8 +19,9 @@ import pytest
 from lambdamu import (
     BOT, Abs, App, Arrow, Corpus, Mu, Named, Pair, ParseError, PropertyReport,
     ReductTooDeep, TypeCheckError, Var, alpha_key, behavior, check,
-    derivation_to_json, enumerate_typed_terms, erase, infer, parse_formula,
-    parse_term, print_formula, print_term, run_suite, validate_derivation,
+    derivation_to_json, enumerate_typed_terms, erase, infer, metatheory,
+    parse_formula, parse_term, print_formula, print_term, reduction,
+    run_suite, validate_derivation,
 )
 from lambdamu.cli import main
 from lambdamu.metatheory import PROPERTIES, CorpusEntry, formula_pool
@@ -168,6 +169,26 @@ def test_strong_normalization_facts():
     assert (sn.checked, len(sn.failures), len(sn.incomplete)) == (2604, 0, 0)
     assert (len(paths), sum(paths)) == (2604, 4786)
     assert Counter(paths) == {0: 82, 1: 595, 2: 1590, 3: 337}
+
+
+def test_suite_expands_and_checks_each_key_once(monkeypatch):
+    # one expansion and one type check per distinct node of the corpus's
+    # graphs (test_corpus_graph_facts): a reduct keeps its root's one
+    # formula, so the memos of two formulas share no key
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(reduction, "_steps")
+    counted(metatheory, "_type_error")
+    run_suite(enumerate_typed_terms(SIZE))
+    assert calls == {"_steps": 3089, "_type_error": 3089}
 
 
 def test_formula_size_5_corpus_facts():
@@ -377,7 +398,7 @@ def test_type_error_messages():
         lines.append(_error(check, gamma, delta, t, BOT))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
-        3924, "bd9165f8392dd0955bf13d73ddfb67967aa81ab9622309c472d23a8a8f73992d")
+        3924, "2f38432526aff2db27fdbd854911f5bb397c909cc45b49fa39a49e693b760489")
 
 
 # --------------------------------------------------------------------------

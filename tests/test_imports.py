@@ -1,6 +1,6 @@
 """Every name a module of the package or of the tests imports is used,
-and every function and class the package defines is used; the hot walks
-hold no match statement."""
+and every function, class and method the package defines is used; the
+hot walks hold no match statement."""
 
 import ast
 import re
@@ -58,15 +58,25 @@ def references(source: str, strings: bool = False) -> set[str]:
 
 
 def unreferenced(package: list[str], bench: list[str]) -> list[str]:
-    """The top-level functions and classes of the package's sources that
+    """The top-level functions and classes of the package's sources, and
+    the methods of those classes but the dunders (as Class.method), that
     nothing in the package refers to (an import counts, so a re-export
     of the package's __init__ does; another module's is checked used
     above) and that no name or dotted string of the bench's names."""
     used = set().union(*map(references, package),
                        *(references(s, strings=True) for s in bench))
-    return [node.name for source in package for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name not in used]
+    out = []
+    for source in package:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name not in used:
+                out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out.extend(f"{node.name}.{item.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not item.name.startswith("__")
+                           and item.name not in used)
+    return out
 
 
 def test_every_definition_is_used():
@@ -79,12 +89,17 @@ def test_every_definition_is_used():
 
 def test_detects_an_unused_definition():
     package = ["def used():\n    pass\n\n\ndef dead():\n    pass\n\n\n"
-               "class Dead:\n    pass\n\n\nclass Kept:\n    pass\n",
-               "from .a import Kept\n\nused()\n", "def timed():\n    pass\n"]
+               "class Dead:\n    pass\n\n\nclass Kept:\n"
+               "    def __init__(self):\n        pass\n\n"
+               "    def called(self):\n        pass\n\n"
+               "    def unused(self):\n        pass\n",
+               "from .a import Kept\n\nused()\nKept().called()\n",
+               "def timed():\n    pass\n"]
     doc = '"""Wraps timed."""\n'
     assert unreferenced(package, [doc + 'WRAP = ("a.timed",)\n']) == \
-        ["dead", "Dead"]
-    assert unreferenced(package, [doc]) == ["dead", "Dead", "timed"]
+        ["dead", "Dead", "Kept.unused"]
+    assert unreferenced(package, [doc]) == \
+        ["dead", "Dead", "Kept.unused", "timed"]
 
 
 # the walks that run once per node of every term the corpus or the

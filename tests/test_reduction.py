@@ -444,6 +444,11 @@ def _successor_map(*edges: str) -> dict[str, list[str]]:
     (["r>a", "r>b", "a>n", "b>n"], None),
     # normal forms come in the order given
     (["r>b", "r>a"], ["b", "a"]),
+    # normal forms at different depths, and two reached through one node
+    (["r>a", "a>n", "r>m"], ["n", "m"]),
+    (["r>a", "r>b", "a>n", "a>m", "b>m"], ["n", "m"]),
+    # a root in normal form
+    ([], None),
 ])
 def test_confluence_on_hand_built_graphs(edges, witnesses):
     succ = _successor_map(*edges)
