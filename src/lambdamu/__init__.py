@@ -14,7 +14,7 @@ from .syntax import (
 )
 from .typecheck import (
     Derivation, Judgment, MissingAnnotationError, Mismatch, TypeCheckError,
-    UnboundVariableError, check, derivation_to_json, erase, infer,
+    UnboundVariableError, check, derivation_to_json, infer,
     validate_derivation,
 )
 from .reduction import (

@@ -133,25 +133,26 @@ class Enumerator:
     Variables are emitted as indices, so a state is its contexts' formula
     ids, and binder names are hints by depth (x0, x1, ... for lambda,
     a0, a1, ... for mu), so that no printed name shadows another.
-    Formulas are interned to integer ids internally; memo keys are
-    tuples of ids, never formula trees.
+    Memo keys are tuples of formula ids, never formula trees.
 
     Every subterm of an enumerated term has a type inside the universe:
-    the formula pool, the cut pool and the subformulas of the target,
-    all fixed when the enumerator is built.  Together with the bounded
-    cut pool this keeps the search space finite; the enumeration is
-    complete relative to those bounds.  A state whose type lies outside
-    the universe is empty: it is answered before the memo and never
-    memoized, and an elimination whose function type lies outside is
-    not tried.
+    the formula pool, the cut pool and the subformulas of the target.
+    The enumerator interns exactly the universe, once, when it is built,
+    so the ids are the universe: a formula outside it has no id.
+    Together with the bounded cut pool this keeps the search space
+    finite; the enumeration is complete relative to those bounds.  A
+    state whose type has no id is empty and never memoized, and an
+    elimination whose function type has none is not tried.
     """
 
     def __init__(self, max_formula_size: int,
                  target: Optional[Formula] = None):
         self._ty_of_id: list[Formula] = []
-        # hash-consing table keyed by (kind, left id, right id); formula
-        # trees themselves are never hashed in the enumeration loop
-        self._node: dict[tuple, int] = {}
+        # each universe formula, and its key (kind, part ids), to its id;
+        # the enumeration loop only looks keys up, so a formula outside
+        # the universe never gets an id and formula trees are never
+        # hashed there
+        self._id: dict = {}
         self._parts: list[tuple] = []
         # truth table over the two valuations of P as a 2-bit mask; a
         # state (gamma |- A ; delta) can only be inhabited when gamma
@@ -161,62 +162,53 @@ class Enumerator:
         # find fewer counter-models, so the pruning stays sound.
         self._mask: list[int] = []
         self._full = 0b11
-        self._bot = self._tid(BOT)
-        self.cut_pool = [self._tid(f) for f in cut_pool(target)]
+        self._bot = self._intern(BOT)
+        self.cut_pool = [self._intern(f) for f in cut_pool(target)]
         self.disj_pool = [i for i in self.cut_pool
                           if self._parts[i][0] == "disj"]
-        self._allowed = {self._tid(f) for f in formula_pool(max_formula_size)}
-        self._allowed.update(self.cut_pool)
+        for f in formula_pool(max_formula_size):
+            self._intern(f)
         if target is not None:
-            self._allowed.update(map(self._tid, subformulas(target)))
+            self._intern(target)
         self._memo: dict = {}
 
-    def _mk(self, key: tuple) -> int:
-        """The id of the formula of key, its kind and its parts' ids; the
-        formula is built on the key's first use."""
-        i = self._node.get(key)
-        if i is None:
-            i = len(self._ty_of_id)
-            ty_of, mask = self._ty_of_id, self._mask
-            match key:
-                case ("var", name):
-                    ty, m = PropVar(name), 0b10 if name == "P" else 0
-                case ("bot",):
-                    ty, m = BOT, 0
-                case ("arrow", l, r):
-                    ty = Arrow(ty_of[l], ty_of[r])
-                    m = (~mask[l] | mask[r]) & self._full
-                case ("conj", l, r):
-                    ty, m = Conj(ty_of[l], ty_of[r]), mask[l] & mask[r]
-                case ("disj", l, r):
-                    ty, m = Disj(ty_of[l], ty_of[r]), mask[l] | mask[r]
-            ty_of.append(ty)
-            self._parts.append(key)
-            mask.append(m)
-            self._node[key] = i
+    def _intern(self, ty: Formula) -> int:
+        """The id of ty; on first use, ty and its parts get ids."""
+        i = self._id.get(ty)
+        if i is not None:
+            return i
+        kind = type(ty)
+        if kind is PropVar:
+            key, m = ("var", ty.name), 0b10 if ty.name == "P" else 0
+        elif kind is Bottom:
+            key, m = ("bot",), 0
+        elif kind is Arrow or kind is Conj or kind is Disj:
+            left, right = self._intern(ty.left), self._intern(ty.right)
+            ml, mr = self._mask[left], self._mask[right]
+            if kind is Arrow:
+                key, m = ("arrow", left, right), (~ml | mr) & self._full
+            elif kind is Conj:
+                key, m = ("conj", left, right), ml & mr
+            else:
+                key, m = ("disj", left, right), ml | mr
+        else:
+            raise TypeError(f"not a formula: {ty!r}")
+        i = self._id[ty] = self._id[key] = len(self._ty_of_id)
+        self._ty_of_id.append(ty)
+        self._parts.append(key)
+        self._mask.append(m)
         return i
-
-    def _tid(self, ty: Formula) -> int:
-        match ty:
-            case PropVar(name):
-                return self._mk(("var", name))
-            case Bottom():
-                return self._mk(("bot",))
-            case Arrow(left, right):
-                return self._mk(("arrow", self._tid(left), self._tid(right)))
-            case Conj(left, right):
-                return self._mk(("conj", self._tid(left), self._tid(right)))
-            case Disj(left, right):
-                return self._mk(("disj", self._tid(left), self._tid(right)))
-        raise TypeError(f"not a formula: {ty!r}")
 
     def terms_of(self, ty: Formula, size: int) -> tuple[Term, ...]:
         """The closed terms of type ty with exactly size nodes; none when
         ty lies outside the universe."""
-        return self._terms(self._tid(ty), size, (), ())
+        if not isinstance(ty, Formula):
+            raise TypeError(f"not a formula: {ty!r}")
+        return self._terms(self._id.get(ty), size, (), ())
 
-    def _terms(self, tyid: int, size: int, gamma, delta) -> tuple[Term, ...]:
-        if tyid not in self._allowed:
+    def _terms(self, tyid: Optional[int], size: int, gamma,
+               delta) -> tuple[Term, ...]:
+        if tyid is None:
             return ()
         key = (tyid, size, gamma, delta)
         hit = self._memo.get(key)
@@ -274,8 +266,8 @@ class Enumerator:
                         out.append(Named(len(delta) - 1 - i, body))
             # eliminations; cut formulas range over the (bounded) cut pool
             for cut in self.cut_pool:
-                fun_tid = self._mk(("arrow", cut, tyid))
-                if fun_tid not in self._allowed:
+                fun_tid = self._id.get(("arrow", cut, tyid))
+                if fun_tid is None:
                     continue
                 for i in range(1, n - 1):
                     funs = self._terms(fun_tid, i, gamma, delta)
@@ -286,10 +278,10 @@ class Enumerator:
                             out.append(App(fun, arg))
             if n >= 3:
                 for cut in self.cut_pool:
-                    for fun in self._terms(self._mk(("conj", tyid, cut)),
+                    for fun in self._terms(self._id.get(("conj", tyid, cut)),
                                            n - 2, gamma, delta):
                         out.append(App(fun, PROJ1))
-                    for fun in self._terms(self._mk(("conj", cut, tyid)),
+                    for fun in self._terms(self._id.get(("conj", cut, tyid)),
                                            n - 2, gamma, delta):
                         out.append(App(fun, PROJ2))
             if n >= 5 and len(gamma) < MAX_LAMBDA_DEPTH:

@@ -29,7 +29,7 @@ from typing import Mapping, Optional
 
 from .syntax import print_formula, print_term
 from .terms import (
-    Abs, App, Arrow, BOT, Case, Conj, Disj, ETerm, Formula, Inj1, Inj2, Mu,
+    Abs, App, Arrow, BOT, Case, Conj, Disj, Formula, Inj1, Inj2, Mu,
     Named, Pair, Proj1, Proj2, Term, Var, fresh_name, node, shape,
 )
 
@@ -300,30 +300,6 @@ def _infer(scope: _Scope, lam, mu, binders: tuple[Binder, ...], t: Term,
         out.append(Derivation(rule, Judgment(gamma, t, a, delta, binders),
                               tuple(ps)))
     return a
-
-
-def erase(t: ETerm) -> ETerm:
-    """Strip all binder annotations from a term or an E-term; idempotent."""
-    match t:
-        case Var(_) | Proj1() | Proj2():
-            return t
-        case Abs(x, _, b):
-            return Abs(x, None, erase(b))
-        case App(f, e):
-            return App(erase(f), erase(e))
-        case Pair(f, s):
-            return Pair(erase(f), erase(s))
-        case Inj1(b, _):
-            return Inj1(erase(b), None)
-        case Inj2(b, _):
-            return Inj2(erase(b), None)
-        case Mu(a, _, b):
-            return Mu(a, None, erase(b))
-        case Named(a, b):
-            return Named(a, erase(b))
-        case Case(x1, u1, x2, u2, _):
-            return Case(x1, erase(u1), x2, erase(u2), None)
-    raise TypeCheckError(f"not a term: {t!r}")
 
 
 # --------------------------------------------------------------------------

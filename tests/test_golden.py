@@ -19,7 +19,7 @@ import pytest
 from lambdamu import (
     BOT, Abs, App, Arrow, Corpus, Mu, Named, Pair, ParseError, PropertyReport,
     ReductTooDeep, TypeCheckError, Var, alpha_key, behavior, check,
-    derivation_to_json, enumerate_typed_terms, erase, infer, metatheory,
+    derivation_to_json, enumerate_typed_terms, infer, metatheory,
     parse_formula, parse_term, print_formula, print_term, reduction,
     run_suite, validate_derivation,
 )
@@ -29,6 +29,8 @@ from lambdamu.reduction import (
     DEFAULT_NODE_CAP, RULE_IDS, SuccessorFacts, reduction_graph,
 )
 from lambdamu.terms import rename_binders
+
+from erasure import erase
 
 SIZE = 10
 GOLDEN_CLI = json.loads(

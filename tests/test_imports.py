@@ -1,6 +1,6 @@
 """Every name a module of the package or of the tests imports is used,
-and every function, class and method the package defines is used; the
-hot walks hold no match statement."""
+and every function, class and method the package defines is used; only
+the allowed cold functions hold a match statement."""
 
 import ast
 import re
@@ -102,37 +102,41 @@ def test_detects_an_unused_definition():
         ["dead", "Dead", "Kept.unused", "timed"]
 
 
-# the walks that run once per node of every term the corpus or the
-# probes explore: each picks a node's case by its type, never by match
-HOT_WALKS = {
-    "typecheck": ("_infer",),
-    "reduction": ("_result_ann", "_reducts", "_contract"),
-    "syntax": ("alpha_key", "_pf", "_Printer.term", "_Printer.eterm"),
-    "terms": ("shape", "free_variables", "all_names"),
-    "behavior": ("Leaf.match", "_match_spine"),
+# the only functions and methods of the package that may hold a match
+# statement: cold code, run once per derivation node, target or probe;
+# every walk that runs once per node of a term picks a node's case by
+# its type instead
+MATCH_ALLOWED = {
+    "typecheck.validate_derivation",
+    "metatheory.subformulas",
+    "behavior._peirce_propvar",
+    "behavior._tertium_branch_kinds",
 }
 
 
-def walks_with_match(source: str, names) -> list[str]:
-    """Those of names (a method as Class.name) that source does not
-    define at its top level, or whose definition holds a match."""
+def matches_outside(sources: dict[str, str], allowed) -> list[str]:
+    """The top-level functions and the methods of top-level classes of
+    sources, a module's source by its name, as module.name or
+    module.Class.name, that hold a match and are not in allowed; then
+    the names in allowed that sources do not define."""
     defs = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.ClassDef):
-            defs.update((f"{node.name}.{item.name}", item)
-                        for item in node.body
-                        if isinstance(item, ast.FunctionDef))
-        elif isinstance(node, ast.FunctionDef):
-            defs[node.name] = node
-    return [name for name in names if name not in defs
-            or any(isinstance(n, ast.Match) for n in ast.walk(defs[name]))]
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{module}.{node.name}.{item.name}", item)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef))
+            elif isinstance(node, ast.FunctionDef):
+                defs[f"{module}.{node.name}"] = node
+    return [name for name, node in defs.items() if name not in allowed
+            and any(isinstance(n, ast.Match) for n in ast.walk(node))] + \
+        sorted(name for name in allowed if name not in defs)
 
 
-@pytest.mark.parametrize("module", sorted(HOT_WALKS))
-def test_no_match_in_the_hot_walks(module):
-    path = ROOT / "src" / "lambdamu" / f"{module}.py"
-    assert walks_with_match(path.read_text(encoding="utf-8"),
-                            HOT_WALKS[module]) == []
+def test_match_only_where_allowed():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "lambdamu").glob("*.py"))}
+    assert matches_outside(sources, MATCH_ALLOWED) == []
 
 
 def test_detects_a_match_in_a_walk():
@@ -141,5 +145,5 @@ def test_detects_a_match_in_a_walk():
               "            match t:\n                case 1:\n"
               "                    pass\n\n    def cold(self, t):\n"
               "        return t\n")
-    assert walks_with_match(source, ("walk", "C.walk", "C.cold", "gone")) \
-        == ["walk", "C.walk", "gone"]
+    assert matches_outside({"m": source}, {"m.C.walk", "m.C.cold", "m.gone"}) \
+        == ["m.walk", "m.gone"]

@@ -11,8 +11,8 @@ from lambdamu import (
 )
 from lambdamu import reduction
 from lambdamu.metatheory import (
-    CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, MAX_LAMBDA_DEPTH, MAX_MU_DEPTH,
-    cut_pool, formula_pool, subformulas,
+    CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, Enumerator, MAX_LAMBDA_DEPTH,
+    MAX_MU_DEPTH, cut_pool, formula_pool, subformulas,
 )
 from lambdamu.typecheck import TypeCheckError
 
@@ -91,6 +91,26 @@ def test_enumerate_rejects_bad_size():
 def test_enumerate_rejects_a_target_that_is_not_a_formula():
     with pytest.raises(TypeError, match="^not a formula: 'junk'$"):
         enumerate_typed_terms(3, target="junk")
+
+
+def test_enumerator_interns_exactly_its_universe():
+    # the universe (formula pool, cut pool and the target's subformulas)
+    # is interned when the enumerator is built, and listing its targets
+    # at every size interns nothing more
+    q_law = parse_formula("(~Q -> Q) -> Q")
+    for max_formula_size, target, max_size, universe in (
+            (3, None, 10, 14), (5, None, 7, 158), (3, q_law, 10, 20)):
+        enum = Enumerator(max_formula_size, target)
+        assert len(enum._ty_of_id) == universe
+        targets = [target] if target else formula_pool(max_formula_size)
+        for ty in targets:
+            for n in range(1, max_size + 1):
+                enum.terms_of(ty, n)
+        assert len(enum._ty_of_id) == universe
+    enum = Enumerator(3)
+    assert enum.terms_of(parse_formula("(P -> P) -> P -> P"), 5) == ()
+    with pytest.raises(TypeError, match="^not a formula: 'junk'$"):
+        enum.terms_of("junk", 3)
 
 
 def test_enumerate_entries_are_closed_and_well_typed():
