@@ -1,6 +1,7 @@
 """Every name a module of the package or of the tests imports is used,
 and every function, class and method the package defines is used; only
-the allowed cold functions hold a match statement."""
+the allowed cold functions hold a match statement, and the hot walks
+are there and hold none."""
 
 import ast
 import re
@@ -113,12 +114,21 @@ MATCH_ALLOWED = {
     "behavior._tertium_branch_kinds",
 }
 
+# the walks that run once per node of every term the corpus or the
+# probes explore: each picks a node's case by its type, never by match
+HOT_WALKS = {
+    "typecheck": ("_infer",),
+    "reduction": ("_result_ann", "_reducts", "_contract"),
+    "syntax": ("alpha_key", "_pf", "_Printer.term", "_Printer.eterm"),
+    "terms": ("shape", "free_variables", "all_names"),
+    "behavior": ("Leaf.match", "_match_spine"),
+}
 
-def matches_outside(sources: dict[str, str], allowed) -> list[str]:
+
+def definitions(sources: dict[str, str]) -> dict[str, ast.FunctionDef]:
     """The top-level functions and the methods of top-level classes of
     sources, a module's source by its name, as module.name or
-    module.Class.name, that hold a match and are not in allowed; then
-    the names in allowed that sources do not define."""
+    module.Class.name."""
     defs = {}
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -128,15 +138,43 @@ def matches_outside(sources: dict[str, str], allowed) -> list[str]:
                             if isinstance(item, ast.FunctionDef))
             elif isinstance(node, ast.FunctionDef):
                 defs[f"{module}.{node.name}"] = node
-    return [name for name, node in defs.items() if name not in allowed
-            and any(isinstance(n, ast.Match) for n in ast.walk(node))] + \
+    return defs
+
+
+def holds_match(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Match) for n in ast.walk(node))
+
+
+def matches_outside(sources: dict[str, str], allowed) -> list[str]:
+    """The definitions of sources that hold a match and are not in
+    allowed; then the names in allowed that sources do not define."""
+    defs = definitions(sources)
+    return [name for name, node in defs.items()
+            if name not in allowed and holds_match(node)] + \
         sorted(name for name in allowed if name not in defs)
+
+
+def walks_with_match(sources: dict[str, str], names) -> list[str]:
+    """Those of names that sources do not define, or whose definition
+    holds a match."""
+    defs = definitions(sources)
+    return [name for name in names
+            if name not in defs or holds_match(defs[name])]
 
 
 def test_match_only_where_allowed():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted((ROOT / "src" / "lambdamu").glob("*.py"))}
     assert matches_outside(sources, MATCH_ALLOWED) == []
+
+
+@pytest.mark.parametrize("module", sorted(HOT_WALKS))
+def test_no_match_in_the_hot_walks(module):
+    path = ROOT / "src" / "lambdamu" / f"{module}.py"
+    names = [f"{module}.{name}" for name in HOT_WALKS[module]]
+    assert walks_with_match({module: path.read_text(encoding="utf-8")},
+                            names) == []
+    assert MATCH_ALLOWED.isdisjoint(names)
 
 
 def test_detects_a_match_in_a_walk():
@@ -147,3 +185,6 @@ def test_detects_a_match_in_a_walk():
               "        return t\n")
     assert matches_outside({"m": source}, {"m.C.walk", "m.C.cold", "m.gone"}) \
         == ["m.walk", "m.gone"]
+    assert walks_with_match({"m": source},
+                            ("m.walk", "m.C.walk", "m.C.cold", "m.gone")) \
+        == ["m.walk", "m.C.walk", "m.gone"]
