@@ -32,8 +32,8 @@ from .reduction import DEFAULT_NODE_CAP, Trace, reduction_graph
 from .syntax import parse_term, print_term
 from .terms import (
     App, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula, FreshSupply,
-    Mu, Named, PropVar, Term, Var, all_names, apply_sequence, close,
-    free_variables, fresh_name, is_closed, open_names,
+    Mu, Named, PropVar, Term, Var, apply_sequence, close, free_variables,
+    fresh_name, is_closed, open_names, term_names,
 )
 from .typecheck import TypeCheckError, check
 
@@ -159,7 +159,7 @@ class BehaviorReport:
 
 
 def _supply_for(subject: Term, seed: int) -> FreshSupply:
-    return FreshSupply(all_names(subject), start=seed)
+    return FreshSupply(set().union(*term_names(subject)), start=seed)
 
 
 def _fresh_args(supply: FreshSupply, prefix: str, n: int) -> tuple[ETerm, ...]:

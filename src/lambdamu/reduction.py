@@ -48,10 +48,10 @@ class FuelExhausted(Exception):
 
 
 class ReductTooDeep(Exception):
-    """Raised by normalize and reduction_graph when a reduct nests deeper
-    than MAX_NESTING, the depth up to which redexes, contraction and the
-    printers stay within Python's default recursion limit; steps is the
-    reduct's distance from the input."""
+    """Raised by redexes, step_at, normalize and reduction_graph when a
+    term or a reduct nests deeper than MAX_NESTING, the depth up to which
+    redexes, contraction and the printers stay within Python's default
+    recursion limit; steps is the reduct's distance from the input."""
 
     def __init__(self, steps: int):
         super().__init__(f"reduct nested deeper than {MAX_NESTING} levels "
@@ -190,12 +190,18 @@ def _reducts(t: Term, path: Position = ()
 
 def redexes(t: Term) -> list[tuple[Position, str]]:
     """All redex positions and their rules, in leftmost-outermost
-    (pre-)order.  A view over the walk, so every redex is contracted."""
+    (pre-)order.  A view over the walk, so every redex is contracted.
+    Raises ReductTooDeep when t nests deeper than MAX_NESTING."""
+    if shape(t)[0] > MAX_NESTING:
+        raise ReductTooDeep(0)
     return [(p, rule) for p, rule, _, _ in _reducts(t)]
 
 
 def step_at(t: Term, p: Position) -> ReductionStep:
-    """The contraction of the redex at position p of t."""
+    """The contraction of the redex at position p of t.  Raises
+    ReductTooDeep when t nests deeper than MAX_NESTING."""
+    if shape(t)[0] > MAX_NESTING:
+        raise ReductTooDeep(0)
     for q, rule, after, _ in _reducts(t):
         if q == p:
             return ReductionStep(t, p, rule, after)
@@ -205,9 +211,12 @@ def step_at(t: Term, p: Position) -> ReductionStep:
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
     """Reduce the leftmost-outermost redex until normal or out of fuel.
 
-    Raises FuelExhausted after fuel steps, and ReductTooDeep when a term
-    nests too deeply to reduce further.
+    Raises ValueError when fuel is negative, FuelExhausted after fuel
+    steps, and ReductTooDeep when a term nests too deeply to reduce
+    further.
     """
+    if fuel < 0:
+        raise ValueError("fuel must be >= 0")
     trace = Trace(t)
     current = t
     while True:

@@ -366,12 +366,13 @@ def shift(e: ETerm, dl: int, dm: int) -> ETerm:
 # Free variables and name collection
 # --------------------------------------------------------------------------
 
-def free_variables(t: Term) -> tuple[frozenset[str], frozenset[str]]:
-    """Free lambda-variables and free mu-variables of t, in that order.
-    One walk with a stack of its own, in preorder, so that no term is too
-    deep for it."""
+def term_names(t: Term) -> tuple[set[str], set[str], set[str]]:
+    """t's free lambda-names, its free mu-names and its binders' hints, in
+    that order.  One walk with a stack of its own, in preorder, so that no
+    term is too deep for it."""
     lam: set[str] = set()
     mu: set[str] = set()
+    hints: set[str] = set()
     stack = [t]
     push, pop = stack.append, stack.pop
     while stack:
@@ -384,6 +385,8 @@ def free_variables(t: Term) -> tuple[frozenset[str], frozenset[str]]:
             e = s.arg
             ke = type(e)
             if ke is Case:
+                hints.add(e.left_var)
+                hints.add(e.right_var)
                 push(e.right)
                 push(e.left)
             elif ke is not Proj1 and ke is not Proj2:
@@ -393,51 +396,8 @@ def free_variables(t: Term) -> tuple[frozenset[str], frozenset[str]]:
             if type(s.name) is str:
                 mu.add(s.name)
             push(s.body)
-        elif kind is Abs or kind is Mu or kind is Inj1 or kind is Inj2:
-            push(s.body)
-        elif kind is Pair:
-            push(s.snd)
-            push(s.fst)
-        else:
-            raise TypeError(f"not a term: {s!r}")
-    return frozenset(lam), frozenset(mu)
-
-
-def is_closed(t: Term) -> bool:
-    """No free names and no dangling indices."""
-    lam, mu = free_variables(t)
-    return not lam and not mu and shape(t)[1:] == (0, 0)
-
-
-def all_names(t: Term) -> set[str]:
-    """Every name in t: its free names and its binders' names.  One walk
-    with a stack of its own, like free_variables."""
-    out: set[str] = set()
-    stack = [t]
-    push, pop = stack.append, stack.pop
-    while stack:
-        s = pop()
-        kind = type(s)
-        if kind is Var:
-            if type(s.name) is str:
-                out.add(s.name)
-        elif kind is App:
-            e = s.arg
-            ke = type(e)
-            if ke is Case:
-                out.add(e.left_var)
-                out.add(e.right_var)
-                push(e.right)
-                push(e.left)
-            elif ke is not Proj1 and ke is not Proj2:
-                push(e)
-            push(s.fun)
-        elif kind is Named:
-            if type(s.name) is str:
-                out.add(s.name)
-            push(s.body)
         elif kind is Abs or kind is Mu:
-            out.add(s.var)
+            hints.add(s.var)
             push(s.body)
         elif kind is Inj1 or kind is Inj2:
             push(s.body)
@@ -446,7 +406,19 @@ def all_names(t: Term) -> set[str]:
             push(s.fst)
         else:
             raise TypeError(f"not a term: {s!r}")
-    return out
+    return lam, mu, hints
+
+
+def free_variables(t: Term) -> tuple[frozenset[str], frozenset[str]]:
+    """Free lambda-variables and free mu-variables of t, in that order."""
+    lam, mu, _ = term_names(t)
+    return frozenset(lam), frozenset(mu)
+
+
+def is_closed(t: Term) -> bool:
+    """No free names and no dangling indices."""
+    lam, mu, _ = term_names(t)
+    return not lam and not mu and shape(t)[1:] == (0, 0)
 
 
 def fresh_name(hint: str, *taken) -> str:

@@ -120,7 +120,7 @@ HOT_WALKS = {
     "typecheck": ("_infer",),
     "reduction": ("_result_ann", "_reducts", "_contract"),
     "syntax": ("alpha_key", "_pf", "_Printer.term", "_Printer.eterm"),
-    "terms": ("shape", "free_variables", "all_names"),
+    "terms": ("shape", "term_names"),
     "behavior": ("Leaf.match", "_match_spine"),
 }
 

@@ -202,6 +202,12 @@ def test_normalize_fuel_exhausted_on_loop():
     assert len(ei.value.trace.steps) == 50
 
 
+def test_normalize_refuses_a_negative_fuel():
+    # refused up front: a fuel below 0 is never used up
+    with pytest.raises(ValueError, match="fuel must be >= 0"):
+        normalize(parse_term("(\\x:P. x y)"), fuel=-1)
+
+
 def _looping_term():
     """(half half) with half = \\x:~P. (x x): beta-reduces to itself.
 
@@ -395,6 +401,18 @@ def test_graph_reduct_too_deep_by_applications_alone():
         reduction_graph(t)
     with pytest.raises(ReductTooDeep, match="after 1 steps"):
         reduction_graph(first)
+
+
+def test_redexes_and_step_at_refuse_a_too_deep_term():
+    # a 3,000-deep application spine and 3,000 nested lambdas: a typed
+    # error from each entry point, never a RecursionError
+    binders = Var("y")
+    for _ in range(3000):
+        binders = Abs("x", P, binders)
+    for t in (_applied(Var(2), Var("y"), 3000), binders):
+        for walk in (redexes, lambda t: step_at(t, ()), normalize):
+            with pytest.raises(ReductTooDeep, match="after 0 steps"):
+                walk(t)
 
 
 def test_graph_over_a_filled_memo_matches_a_fresh_one():

@@ -19,9 +19,9 @@ from lambdamu import (
 from lambdamu.reduction import reduction_graph, step_at
 from lambdamu.syntax import MAX_NESTING, canonical_hints
 from lambdamu.terms import (
-    Bottom, ETerm, Formula, FreshSupply, Proj1, Proj2, Term, all_names,
-    apply_sequence, fresh_name, is_closed, open_names, rename_binders, shape,
-    shift,
+    Bottom, ETerm, Formula, FreshSupply, Proj1, Proj2, Term, apply_sequence,
+    fresh_name, is_closed, open_names, rename_binders, shape, shift,
+    term_names,
 )
 
 P = PropVar("P")
@@ -505,9 +505,10 @@ def test_free_variables_two_namespaces():
     assert is_closed(parse_term("\\x:P. x"))
 
 
-def test_all_names_holds_the_free_names_and_every_binder():
+def test_term_names_holds_the_free_names_and_every_binder():
     t = parse_term("\\x:P. mu a:P. ([b] (y [u.u, v.x]) <z, in1{P} z>)")
-    assert all_names(t) == {"x", "a", "b", "y", "u", "v", "z"}
+    assert term_names(t) == ({"y", "z"}, {"b"}, {"x", "a", "u", "v"})
+    assert set().union(*term_names(t)) == {"x", "a", "b", "y", "u", "v", "z"}
 
 
 def test_is_closed_refuses_dangling_indices():
@@ -540,9 +541,20 @@ def test_shape_of_a_deep_application_spine():
     assert shape(t) == (3001, 3, 0)
     assert free_variables(t) == (frozenset({"y"}), frozenset())
     assert not is_closed(t)
-    assert all_names(t) == {"y"}
+    assert term_names(t) == ({"y"}, set(), set())
     with pytest.raises(TypeError, match="not a term: 'junk'"):
         shape(App(t, "junk"))
+
+
+def test_shape_of_deeply_nested_binders():
+    # the same walks on 3,000 nested lambdas around a free name
+    t = Var("y")
+    for _ in range(3000):
+        t = Abs("x", P, t)
+    assert shape(t) == (3001, 0, 0)
+    assert term_names(t) == ({"y"}, set(), {"x"})
+    assert free_variables(t) == (frozenset({"y"}), frozenset())
+    assert not is_closed(t)
 
 
 def test_free_variables_eterm_case_binders():
@@ -561,7 +573,7 @@ def test_fresh_supply_avoids_names():
 def test_a_node_that_is_not_a_term_is_refused(t):
     # every walk refuses it with a typed error; none passes it through
     for walk in (print_term, canonical_form, alpha_key, free_variables,
-                 is_closed, all_names, close, lambda t: shift(t, 1, 1),
+                 is_closed, term_names, close, lambda t: shift(t, 1, 1),
                  redexes, normalize, reduction_graph,
                  lambda t: substitute(t, "f", Var("y")),
                  lambda t: mu_substitute(t, "a", [Var("y")])):
