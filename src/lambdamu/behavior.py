@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .reduction import DEFAULT_NODE_CAP, Trace, reduction_graph
-from .syntax import parse_term, print_term
+from .reduction import DEFAULT_NODE_CAP, ReductTooDeep, Trace, reduction_graph
+from .syntax import MAX_NESTING, parse_term, print_term
 from .terms import (
     App, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula, FreshSupply,
-    Mu, Named, PropVar, Term, Var, apply_sequence, close, free_variables,
-    fresh_name, is_closed, open_names, term_names,
+    Mu, Named, PropVar, Term, Var, apply_sequence, free_variables,
+    fresh_name, open_names, shape, term_names,
 )
 from .typecheck import TypeCheckError, check
 
@@ -95,8 +95,10 @@ def _match_spine(t: Term, patterns: list[tuple[str, Leaf]]):
             slot = pattern.match(current)
             if slot is not None:
                 if hints:
-                    names = _binder_names(hints, free_variables(t))
-                    slot = open_names(slot, names)
+                    free, names = free_variables(t), []
+                    for hint in hints:
+                        names.append(fresh_name(hint, *free, names))
+                    slot = open_names(slot, tuple(names))
                 return label, slot
         kind = type(current)
         if kind is Mu:
@@ -104,13 +106,6 @@ def _match_spine(t: Term, patterns: list[tuple[str, Leaf]]):
         elif kind is not Named:
             return None
         current = current.body
-
-
-def _binder_names(hints: list[str], free) -> tuple[str, ...]:
-    names: list[str] = []
-    for hint in hints:
-        names.append(fresh_name(hint, *free, names))
-    return tuple(names)
 
 
 def search_spine_reduct(t: Term, patterns: list[tuple[str, Leaf]],
@@ -158,19 +153,30 @@ class BehaviorReport:
         }
 
 
-def _supply_for(subject: Term, seed: int) -> FreshSupply:
-    return FreshSupply(set().union(*term_names(subject)), start=seed)
-
-
 def _fresh_args(supply: FreshSupply, prefix: str, n: int) -> tuple[ETerm, ...]:
     return tuple(Var(supply.fresh(prefix)) for _ in range(n))
 
 
-def _subject_type(subject: Term) -> Formula:
-    """The type of a probe subject, which must be closed and typed."""
-    if not is_closed(subject):
+def _admit(subject: Term, expected: str, read, seed: int, **counts: int):
+    """The law's reading of a probe subject's type, by read, and a supply
+    of names fresh for the subject: a closed one's only names are its
+    binders' hints.  Refuses a negative count, then an open subject, one
+    deeper than MAX_NESTING, one that does not check, and one whose type
+    read gives None for, which must have type expected."""
+    for name, n in counts.items():
+        if n < 0:
+            raise ValueError(f"{name} must be >= 0")
+    lam, mu, hints = term_names(subject)
+    depth, reach_lam, reach_mu = shape(subject)
+    if lam or mu or reach_lam or reach_mu:
         raise TypeCheckError("probe subject must be closed", term=subject)
-    return check({}, {}, subject)
+    if depth > MAX_NESTING:
+        raise ReductTooDeep(0)
+    ty = check({}, {}, subject)
+    if (reading := read(ty)) is None:
+        raise TypeCheckError(f"subject must have type {expected}",
+                             term=subject, found=ty)
+    return reading, FreshSupply(hints, start=seed)
 
 
 def probe_exfalso(subject: Term, n_args: int = 1,
@@ -181,11 +187,8 @@ def probe_exfalso(subject: Term, n_args: int = 1,
     The subject must be closed and of type _|_ -> A; the extra
     arguments u* are fresh term variables.
     """
-    ty = _subject_type(subject)
-    if not (isinstance(ty, Arrow) and ty.left == BOT):
-        raise TypeCheckError("subject must have type _|_ -> A",
-                             term=subject, found=ty)
-    supply = _supply_for(subject, seed)
+    _, supply = _admit(subject, "_|_ -> A", _exfalso_arrow, seed,
+                       n_args=n_args)
     t_star = supply.fresh("t")
     args = _fresh_args(supply, "u", n_args)
     probe = apply_sequence(App(subject, Var(t_star)), args)
@@ -207,11 +210,8 @@ def probe_peirce(subject: Term, n_args: int = 1,
                  node_cap: int = DEFAULT_NODE_CAP, max_m: int = 8,
                  seed: int = 0) -> BehaviorReport:
     """Stage through the continuation chain of a Peirce-typed subject."""
-    ty = _subject_type(subject)
-    if _peirce_propvar(ty) is None:
-        raise TypeCheckError("subject must have type (~P -> P) -> P",
-                             term=subject, found=ty)
-    supply = _supply_for(subject, seed)
+    _, supply = _admit(subject, "(~P -> P) -> P", _peirce_propvar, seed,
+                       n_args=n_args, max_m=max_m)
     u_star = supply.fresh("u")
     tail = _fresh_args(supply, "t", n_args)
     return _run_stages(BehaviorReport("peirce", subject, "inconclusive"),
@@ -225,18 +225,14 @@ def probe_tertium(subject: Term, seq_len: int = 1,
                   seed: int = 0) -> BehaviorReport:
     """Stage through the case-branch continuations of an excluded-middle
     subject (type ~P \\/ P or P \\/ ~P)."""
-    ty = _subject_type(subject)
-    kinds = _tertium_branch_kinds(ty)
-    if kinds is None:
-        raise TypeCheckError("subject must have type ~P \\/ P or P \\/ ~P",
-                             term=subject, found=ty)
-    supply = _supply_for(subject, seed)
+    kinds, supply = _admit(subject, "~P \\/ P or P \\/ ~P",
+                           _tertium_branch_kinds, seed,
+                           seq_len=seq_len, max_m=max_m)
     c1, c2 = supply.fresh("c"), supply.fresh("c")
     x1, x2 = supply.fresh("x"), supply.fresh("x")
-    probe = close(App(subject, Case(x1, App(Var(c1), Var(x1)),
-                                    x2, App(Var(c2), Var(x2)))))
     return _run_stages(BehaviorReport("tertium", subject, "inconclusive"),
-                       probe,
+                       App(subject, Case(x1, App(Var(c1), Var(0)),
+                                         x2, App(Var(c2), Var(0)))),
                        [(kinds[0], Leaf(frozenset({c1}), (), True)),
                         (kinds[1], Leaf(frozenset({c2}), (), True))],
                        [], supply, seq_len, node_cap, max_m)
@@ -286,6 +282,10 @@ def _run_stages(report: BehaviorReport, current: Term,
             current = App(theta, Var(v))
     report.detail = f"no terminal leaf within max_m={max_m} stages"
     return report
+
+
+def _exfalso_arrow(ty: Formula) -> Optional[Arrow]:
+    return ty if isinstance(ty, Arrow) and ty.left == BOT else None
 
 
 def _peirce_propvar(ty: Formula) -> Optional[str]:

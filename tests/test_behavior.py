@@ -5,10 +5,11 @@ import dataclasses
 import pytest
 
 from lambdamu import (
-    Abs, App, Arrow, BOT, Leaf, Mu, Named, Pair, PropVar, Var,
+    Abs, App, Arrow, BOT, Leaf, Mu, Named, Pair, PropVar, ReductTooDeep, Var,
     canonical_terms, close, parse_formula, parse_term, print_term,
     probe_exfalso, probe_peirce, probe_tertium, search_spine_reduct,
 )
+from lambdamu.syntax import MAX_NESTING
 from lambdamu.typecheck import TypeCheckError
 
 P = PropVar("P")
@@ -211,6 +212,17 @@ def test_negative_seed_is_refused():
     # a negative seed would issue names such as t-2, which do not parse
     with pytest.raises(ValueError):
         probe_peirce(canonical_terms()["C1"][0], seed=-1)
+    # nor may a count be negative, on any probe
+    library = canonical_terms()
+    for probe, name, counts in [(probe_exfalso, "T", ("n_args",)),
+                                (probe_peirce, "C1", ("n_args", "max_m")),
+                                (probe_tertium, "W", ("seq_len", "max_m"))]:
+        subject = library[name][0]
+        with pytest.raises(ValueError):
+            probe(subject, seed=-1)
+        for count in counts:
+            with pytest.raises(ValueError, match=f"^{count} must be >= 0$"):
+                probe(subject, **{count: -1})
 
 
 def test_peirce_extra_args():
@@ -251,6 +263,46 @@ def test_tertium_seed_determinism():
     t, _ = canonical_terms()["W"]
     assert probe_tertium(t, seed=5).to_json() == \
         probe_tertium(t, seed=5).to_json()
+
+
+# --------------------------------------------------------------------------
+# Refusals shared by the three probes
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("probe, expected", [
+    (probe_exfalso, "_|_ -> A"),
+    (probe_peirce, "(~P -> P) -> P"),
+    (probe_tertium, "~P \\/ P or P \\/ ~P"),
+])
+def test_probe_refusal_texts(probe, expected):
+    with pytest.raises(TypeCheckError) as refused:
+        probe(parse_term("\\x:P. x"))
+    assert str(refused.value) == \
+        f"subject must have type {expected}: in \\x:P. x: found P -> P"
+    with pytest.raises(TypeCheckError) as refused:
+        probe(Var("x"))
+    assert str(refused.value) == "probe subject must be closed: in x"
+
+
+def _nested(body, levels):
+    for _ in range(levels):
+        body = Abs("x", P, body)
+    return body
+
+
+@pytest.mark.parametrize("probe", [probe_exfalso, probe_peirce,
+                                   probe_tertium])
+def test_probe_refuses_a_too_deep_subject(probe):
+    # closed subjects built in code, deeper than the parser admits
+    for levels in (MAX_NESTING, 3000):
+        with pytest.raises(ReductTooDeep, match="after 0 steps"):
+            probe(_nested(Var(0), levels))
+    # exactly at the bound the subject is checked, and its type refused
+    with pytest.raises(TypeCheckError, match="^subject must have type"):
+        probe(_nested(Var(0), MAX_NESTING - 1))
+    # closedness is tested first
+    with pytest.raises(TypeCheckError, match="^probe subject must be closed"):
+        probe(_nested(Var("y"), MAX_NESTING))
 
 
 # --------------------------------------------------------------------------
