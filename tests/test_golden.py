@@ -165,6 +165,62 @@ def test_probe_search_facts(monkeypatch):
     assert {s.status for s in searches} == {"found"}
 
 
+LAW_PROBES = {"_|_ -> P": behavior.probe_exfalso,
+              "(~P -> P) -> P": behavior.probe_peirce,
+              "~P \\/ P": behavior.probe_tertium,
+              "P \\/ ~P": behavior.probe_tertium}
+EFQ = "\\x0:_|_. mu a0:P. x0"
+PEIRCE = "\\x0:~P -> P. mu a0:P. [a0] (x0 \\x1:P. [a0] x1)"
+NEG_P = "mu a0:~P \\/ P. [a0] in1{P} \\x0:P. [a0] in2{~P} x0"
+P_NEG = "mu a0:P \\/ ~P. [a0] in2{P} \\x0:P. [a0] in1{~P} x0"
+ALL_CONFIRMED = [(981, 0, None), (11, 0, None), (31, 0, None), (31, 0, None)]
+ALL_REFUTED = [(0, 981, EFQ), (0, 11, PEIRCE), (0, 31, NEG_P), (0, 31, P_NEG)]
+# per law type, in LAW_PROBES order: the confirmed and refuted counts
+# with one rule dropped, and the first refuted subject, printed; the
+# enumerator lists by size, so that subject is a smallest one
+RULE_REMOVAL = {
+    None: ALL_CONFIRMED,
+    "beta": ALL_REFUTED,
+    "proj": [(771, 210, "\\x0:_|_. mu a0:P. (<x0, x0> p1)")]
+    + ALL_CONFIRMED[1:],
+    "case-inj": [(945, 36, "\\x0:_|_. (in1{P} mu a0:P. x0 "
+                           "[x1.x1, x1.x1]{P})"),
+                 (11, 0, None)] + ALL_REFUTED[2:],
+    "case-perm": ALL_CONFIRMED,
+    "mu-struct": ALL_REFUTED,
+}
+
+
+@pytest.fixture(scope="module")
+def law_subjects():
+    return {formula: enumerate_typed_terms(
+                SIZE, target=parse_formula(formula)).entries
+            for formula in LAW_PROBES}
+
+
+@pytest.mark.parametrize("removed", RULE_REMOVAL)
+def test_probe_verdicts_without_a_rule(monkeypatch, law_subjects, removed):
+    # which rules each behaviour result needs at size 10: every
+    # inhabitant of each law probed with one reduction rule dropped
+    contract = reduction._contract
+
+    def dropped(t):
+        out = contract(t)
+        return None if out is not None and out[0] == removed else out
+
+    monkeypatch.setattr(reduction, "_contract", dropped)
+    table = []
+    for formula, probe in LAW_PROBES.items():
+        verdicts, smallest = Counter(), None
+        for entry in law_subjects[formula]:
+            verdict = probe(entry.term, node_cap=2000).verdict
+            verdicts[verdict] += 1
+            if verdict == "refuted" and smallest is None:
+                smallest = print_term(entry.term)
+        table.append((verdicts["confirmed"], verdicts["refuted"], smallest))
+    assert table == RULE_REMOVAL[removed]
+
+
 def test_strong_normalization_facts():
     sn = run_suite(enumerate_typed_terms(SIZE))[2]
     paths = sn.longest_paths.values()
