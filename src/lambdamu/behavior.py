@@ -4,9 +4,10 @@ A mu-spine over a leaf t is any term built from t by repeatedly
 prefixing ``mu a.`` or ``(a .)``.  The probes feed a closed subject of
 one of the three classical types fresh, inert arguments and search its
 reduction graph (breadth-first, cap-bounded) for a spine whose leaf has
-the shape the corresponding behavior law predicts:
+the shape the corresponding behavior law predicts, in one staged search:
 
-* ex falso, type ``_|_ -> P``: ((T t*) u*...) reduces to a spine over t*;
+* ex falso, type ``_|_ -> P``: ((T t*) u*...) reduces to a spine over t*
+  at stage 0, with no continuation and t* the one head issued;
 * Peirce, type ``(~P -> P) -> P``: ((T u*) t*...) yields a chain of
   continuations theta_1, ..., theta_m, each extracted from a leaf
   ((u* theta) t*...), ending when some theta applied to a fresh v*
@@ -169,7 +170,9 @@ def _admit(subject: Term, expected: str, read, seed: int, **counts: int):
     lam, mu, hints = term_names(subject)
     depth, reach_lam, reach_mu = shape(subject)
     if lam or mu or reach_lam or reach_mu:
-        raise TypeCheckError("probe subject must be closed", term=subject)
+        # a subject too deep to print is not shown
+        raise TypeCheckError("probe subject must be closed",
+                             term=subject if depth <= MAX_NESTING else None)
     if depth > MAX_NESTING:
         raise ReductTooDeep(0)
     ty = check({}, {}, subject)
@@ -191,19 +194,9 @@ def probe_exfalso(subject: Term, n_args: int = 1,
                        n_args=n_args)
     t_star = supply.fresh("t")
     args = _fresh_args(supply, "u", n_args)
-    probe = apply_sequence(App(subject, Var(t_star)), args)
-    result = search_spine_reduct(probe, [("leaf", Leaf(frozenset({t_star})))],
-                                 node_cap)
-    report = BehaviorReport("exfalso", subject, "inconclusive")
-    if result.status == "found":
-        report.verdict = "confirmed"
-        report.traces.append(result.trace)
-    elif result.status == "not-found":
-        report.verdict = "refuted"
-        report.detail = "complete reduction graph contains no spine over t*"
-    else:
-        report.detail = f"node cap {node_cap} exhausted"
-    return report
+    return _run_stages(BehaviorReport("exfalso", subject, "inconclusive"),
+                       apply_sequence(App(subject, Var(t_star)), args),
+                       [], [t_star], [()], supply, 0, node_cap, 0)
 
 
 def probe_peirce(subject: Term, n_args: int = 1,
@@ -217,7 +210,7 @@ def probe_peirce(subject: Term, n_args: int = 1,
     return _run_stages(BehaviorReport("peirce", subject, "inconclusive"),
                        apply_sequence(App(subject, Var(u_star)), tail),
                        [("neg", Leaf(frozenset({u_star}), tail, True))],
-                       [tail], supply, n_args, node_cap, max_m)
+                       [], [tail], supply, n_args, node_cap, max_m)
 
 
 def probe_tertium(subject: Term, seq_len: int = 1,
@@ -235,11 +228,11 @@ def probe_tertium(subject: Term, seq_len: int = 1,
                                          x2, App(Var(c2), Var(0)))),
                        [(kinds[0], Leaf(frozenset({c1}), (), True)),
                         (kinds[1], Leaf(frozenset({c2}), (), True))],
-                       [], supply, seq_len, node_cap, max_m)
+                       [], [], supply, seq_len, node_cap, max_m)
 
 
 def _run_stages(report: BehaviorReport, current: Term,
-                continuations: list[tuple[str, Leaf]],
+                continuations: list[tuple[str, Leaf]], heads: list[str],
                 tails: list[tuple[ETerm, ...]], supply: FreshSupply,
                 seq_len: int, node_cap: int, max_m: int) -> BehaviorReport:
     """Search stage after stage for a continuation or a terminal leaf.
@@ -247,12 +240,12 @@ def _run_stages(report: BehaviorReport, current: Term,
     Each continuation pattern binds a theta and is labelled by its kind:
     a "neg" theta (a ~P continuation) is fed a fresh v, a "pos" one (a P
     continuation) a fresh tail of seq_len arguments.  A terminal leaf
-    is (v tail...) for a v and a tail issued so far.
+    is (v tail...) for a head v and a tail issued so far; heads and
+    tails start with those issued before stage 0.
     """
-    issued_vs: list[str] = []
     for stage in range(max_m + 1):
-        terminals = [("terminal", Leaf(frozenset(issued_vs), tail))
-                     for tail in tails if issued_vs]
+        terminals = [("terminal", Leaf(frozenset(heads), tail))
+                     for tail in tails if heads]
         result = search_spine_reduct(current, continuations + terminals,
                                      node_cap)
         if result.status == "cap-exceeded":
@@ -278,7 +271,7 @@ def _run_stages(report: BehaviorReport, current: Term,
             current = apply_sequence(theta, tail)
         else:
             v = supply.fresh("v")
-            issued_vs.append(v)
+            heads.append(v)
             current = App(theta, Var(v))
     report.detail = f"no terminal leaf within max_m={max_m} stages"
     return report

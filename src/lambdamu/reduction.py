@@ -48,7 +48,8 @@ class FuelExhausted(Exception):
 
 
 class ReductTooDeep(Exception):
-    """Raised by redexes, step_at, normalize and reduction_graph when a
+    """Raised by redexes, step_at, normalize, reduction_graph and the
+    three probes (probe_exfalso, probe_peirce, probe_tertium) when a
     term or a reduct nests deeper than MAX_NESTING, the depth up to which
     redexes, contraction and the printers stay within Python's default
     recursion limit; steps is the reduct's distance from the input."""

@@ -300,9 +300,12 @@ def test_probe_refuses_a_too_deep_subject(probe):
     # exactly at the bound the subject is checked, and its type refused
     with pytest.raises(TypeCheckError, match="^subject must have type"):
         probe(_nested(Var(0), MAX_NESTING - 1))
-    # closedness is tested first
-    with pytest.raises(TypeCheckError, match="^probe subject must be closed"):
-        probe(_nested(Var("y"), MAX_NESTING))
+    # closedness is tested first, and an open subject too deep to print
+    # is refused without it
+    for levels in (MAX_NESTING, 3000):
+        with pytest.raises(TypeCheckError,
+                           match="^probe subject must be closed"):
+            probe(_nested(Var("y"), levels))
 
 
 # --------------------------------------------------------------------------

@@ -448,7 +448,7 @@ def test_probe_deep_subject_is_inconclusive(capsys, argv):
 
 @pytest.mark.parametrize("argv, detail", [
     (["--law", "efq", "--term", "T", "--node-cap", "1"],
-     "node cap 1 exhausted"),
+     "node cap 1 exhausted at stage 0"),
     (["--law", "peirce", "--term", "C1", "--node-cap", "1"],
      "node cap 1 exhausted at stage 0"),
     (["--law", "peirce", "--term", "C2", "--max-m", "0"],
@@ -462,7 +462,7 @@ def test_probe_inconclusive(capsys, argv, detail):
 
 
 @pytest.mark.parametrize("law, name, detail", [
-    ("efq", "T", "complete reduction graph contains no spine over t*"),
+    ("efq", "T", "no continuation or terminal leaf at stage 0"),
     ("peirce", "C1", "no continuation or terminal leaf at stage 0"),
     ("lem", "W", "no continuation or terminal leaf at stage 0"),
 ])
