@@ -59,6 +59,12 @@ def test_mu_struct():
     # a binder of the argument lands under a binder of the body
     ("\\w:P. (\\x:P. \\z:P. <x, z> <w, \\q:P. w>)", (0,),
      "\\w:P. \\z:P. <<w, \\q:P. w>, z>"),
+    # x occurs twice under one lambda-binder and once under none
+    ("\\w:P. (\\x:P. <x, \\y:P. <x, x>> w)", (0,),
+     "\\w:P. <w, \\y:P. <w, w>>"),
+    # [a] occurs twice under one lambda-binder and once under none
+    ("\\w:P. (mu a:P -> P. <[a] f, \\z:P. <[a] g, [a] h>> w)", (0,),
+     "\\w:P. mu a:P. <[a] (f w), \\z:P. <[a] (g w), [a] (h w)>>"),
 ])
 def test_contraction_under_binders_shifts(src, p, expected):
     assert step_at(parse_term(src), p).after == parse_term(expected)
