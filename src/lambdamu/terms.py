@@ -340,9 +340,12 @@ def rename_binders(t: Term, rename) -> Term:
     return _walk(t, _same_var, _same_named, rename=rename)
 
 
-def _shifter(dl: int, dm: int):
-    """The var and named callbacks of _walk that move t dl lambda- and
-    dm mu-binders deeper."""
+def shift(e: ETerm, dl: int, dm: int) -> ETerm:
+    """e, a term or an E-term, moved under dl more lambda- and dm more
+    mu-binders: its dangling indices grow by as much."""
+    if not dl and not dm:
+        return e
+
     def var(v, lam, mu):
         x = v.name
         return Var(x + dl) if dl and type(x) is int and x >= len(lam) else v
@@ -353,13 +356,7 @@ def _shifter(dl: int, dm: int):
             return Named(a + dm, body)
         return _same_named(n, body, lam, mu)
 
-    return var, named
-
-
-def shift(e: ETerm, dl: int, dm: int) -> ETerm:
-    """e, a term or an E-term, moved under dl more lambda- and dm more
-    mu-binders: its dangling indices grow by as much."""
-    return _walk_e(e, *_shifter(dl, dm)) if dl or dm else e
+    return _walk_e(e, var, named)
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +466,6 @@ def substitute(t: Term, x: Name, v: Term) -> Term:
     if not isinstance(v, Term):
         raise TypeError(f"not a term: {v!r}")
     bound = type(x) is int
-    copies: dict[tuple[int, int], Term] = {}
 
     def var(u, lam, mu):
         y, depth = u.name, len(lam)
@@ -480,10 +476,7 @@ def substitute(t: Term, x: Name, v: Term) -> Term:
                 return u
         elif y != x:
             return u
-        w = copies.get((depth, len(mu)))
-        if w is None:
-            w = copies[depth, len(mu)] = shift(v, depth, len(mu))
-        return w
+        return shift(v, depth, len(mu))
 
     return _walk(t, var, _same_named)
 
@@ -504,16 +497,12 @@ def mu_substitute(t: Term, a: Name, es: Iterable[ETerm]) -> Term:
     if not es:
         return t
     bound = type(a) is int
-    copies: dict[tuple[int, int], tuple[ETerm, ...]] = {}
 
     def named(n, body, lam, mu):
         depth = len(mu)
         if n.name != (a + depth if bound else a):  # never equal across types
             return _same_named(n, body, lam, mu)
-        moved = copies.get((len(lam), depth))
-        if moved is None:
-            moved = copies[len(lam), depth] = \
-                tuple(shift(e, len(lam), depth) for e in es)
-        return Named(n.name, apply_sequence(body, moved))
+        return Named(n.name, apply_sequence(
+            body, (shift(e, len(lam), depth) for e in es)))
 
     return _walk(t, _same_var, named)
