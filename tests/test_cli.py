@@ -564,35 +564,39 @@ def _declared_script():
     return scripts["lambdamu"]
 
 
-def _run_as_script(entry_point, *argv):
-    """Run the entry point the way a console-script wrapper does: in a new
-    interpreter, as `sys.exit(main())` with arguments from `sys.argv`."""
+def _run_as_program(launch, *argv):
+    """Run the program in a new interpreter that imports this checkout's
+    package, launch being the interpreter's own arguments: ``-c`` and a
+    line of code, or ``-m`` and a module."""
     package_root = Path(lambdamu.__file__).resolve().parents[1]
     path = [str(package_root), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = (f"import sys; from {entry_point.module} import {entry_point.attr};"
-            f" sys.exit({entry_point.attr}())")
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    return subprocess.run([sys.executable, *launch, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.skipif(not PYPROJECT.is_file(), reason="no pyproject.toml")
 def test_entry_point_installed():
     # What an install of this checkout puts on PATH: the declared script,
-    # its target, and how that target behaves when run as a program.
+    # its target, and how that target behaves when run as a program, the
+    # way a console-script wrapper runs it (`sys.exit(main())` with
+    # arguments from `sys.argv`) and as `python -m lambdamu`.
     entry_point = importlib.metadata.EntryPoint(
         name="lambdamu", value=_declared_script(), group="console_scripts")
     assert entry_point.load() is main
 
-    done = _run_as_script(entry_point, "check", "--term", "T")
-    assert done.returncode == OK, done.stderr
-    assert done.stdout.strip() == "_|_ -> P"
-    assert "Traceback" not in done.stderr
+    as_script = ["-c", f"import sys; from {entry_point.module} import"
+                       f" {entry_point.attr}; sys.exit({entry_point.attr}())"]
+    for launch in (as_script, ["-m", "lambdamu"]):
+        done = _run_as_program(launch, "check", "--term", "T")
+        assert done.returncode == OK, (launch, done.stderr)
+        assert done.stdout.strip() == "_|_ -> P"
+        assert "Traceback" not in done.stderr
 
-    done = _run_as_script(entry_point)
-    assert done.returncode == USAGE
-    assert "usage" in done.stderr
-    assert "Traceback" not in done.stderr
+        done = _run_as_program(launch)
+        assert done.returncode == USAGE, (launch, done.stderr)
+        assert "usage" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def _not_installed():
