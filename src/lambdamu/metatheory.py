@@ -48,7 +48,14 @@ class CorpusEntry:
 
 @dataclass
 class Corpus:
+    """Entries for the oracles.  ``typed`` holds when every entry is
+    known to check at its formula and contexts, as the two builders,
+    enumerate_typed_terms and curated_corpus, make sure; run_suite then
+    type-checks only the reducts.  A corpus built directly may hold
+    ill-typed roots, and run_suite checks them too."""
+
     entries: list[CorpusEntry]
+    typed: bool = False
 
     def __len__(self):
         return len(self.entries)
@@ -315,8 +322,9 @@ def enumerate_typed_terms(max_size: int,
     otherwise all closed terms whose type lies in the formula pool.
     Cut formulas for eliminations range over the smaller cut pool, which
     covers the target's atoms.
-    Entries are well typed by construction and are not checked again
-    here; run_suite checks each root with its reducts.
+    Entries are well typed by construction and are checked neither
+    here nor by run_suite, which checks only their reducts: the corpus
+    is ``typed``.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -324,18 +332,18 @@ def enumerate_typed_terms(max_size: int,
     targets = [target] if target is not None else formula_pool(max_formula_size)
     return Corpus([CorpusEntry(t, ty) for ty in targets
                    for n in range(1, max_size + 1)
-                   for t in enum.terms_of(ty, n)])
+                   for t in enum.terms_of(ty, n)], typed=True)
 
 
 def curated_corpus(entries: list[tuple[Term, Formula, Context, Context]]) -> Corpus:
-    """Build a corpus from hand-picked (term, type, gamma, delta) tuples,
-    each checked by the type checker first."""
+    """Build a ``typed`` corpus from hand-picked (term, type, gamma,
+    delta) tuples, each checked by the type checker first."""
     out = []
     for t, ty, gamma, delta in entries:
         check(gamma, delta, t, ty)
         out.append(CorpusEntry(t, ty, tuple(sorted(gamma.items())),
                                tuple(sorted(delta.items()))))
-    return Corpus(out)
+    return Corpus(out, typed=True)
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +380,10 @@ def run_suite(corpus: Corpus,
     Entries with the same formula and contexts share one reduction_graph
     memo, from each alpha-key to the keys of its reducts, so each
     distinct reduct is expanded and type-checked once per formula and
-    contexts, and every node the memo serves was checked already.
+    contexts, and every node the memo serves, which has no term, was
+    checked already.  The roots of a ``typed`` corpus count as checked,
+    so only the keys that reduction made are type-checked; a corpus
+    built directly has its roots checked too.
     Confluence and strong normalization are lookups at an entry's root
     in SuccessorFacts over that memo, and the normal forms are the
     graph's nodes with no reduct; longest paths are listed by the root's
@@ -403,6 +414,8 @@ def run_suite(corpus: Corpus,
             continue
         for report in reports:
             report.checked += 1
+        if corpus.typed:
+            known.setdefault(graph.root, None)
         # every reduct re-checks at the entry's type
         for key, reduct in graph.nodes.items():
             if key not in known:

@@ -18,9 +18,9 @@ for the second case branch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .syntax import MAX_NESTING, alpha_key, canonical_form
+from .syntax import MAX_NESTING, alpha_key, canonical_form, splice_key
 from .terms import (
     Abs, App, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
     Pair, Proj1, Proj2, Term, Var, mu_substitute, node, shape, shift,
@@ -140,53 +140,77 @@ def _contract(t: App) -> Optional[tuple[str, Term]]:
     return None
 
 
-def _reducts(t: Term, path: Position = ()
-             ) -> Iterator[tuple[Position, str, Term, Term]]:
-    """(position, rule, reduct, contractum) for each redex of t, in
-    leftmost-outermost (pre-)order, with positions below path.
+def _reducts(t: Term, path: Position = (),
+             out: Optional[list[tuple[Position, str, Term]]] = None
+             ) -> list[tuple[Position, str, Term]]:
+    """(position, rule, contractum) for each redex of t, in
+    leftmost-outermost (pre-)order, with positions below path, appended
+    to out.
 
-    One walk finds and contracts every redex: each is contracted once,
-    when it is reached, and the nodes above it are rebuilt around the
-    contractum as the walk returns through them.  Lazy, so a caller
-    that stops early contracts no redex after the last it takes.
+    One walk finds and contracts every redex, each once, when it is
+    reached; it builds no reduct, which _rebuild makes from t, the
+    position and the contractum.  Eager, so a caller that takes only
+    the first redex has contracted them all.
     """
+    if out is None:
+        out = []
     kind = type(t)
     if kind is App:
         f, e = t.fun, t.arg
         root = _contract(t)
         if root is not None:
-            rule, c = root
-            yield path, rule, c, c
-        for p, rule, new, c in _reducts(f, path + (0,)):
-            yield p, rule, App(new, e), c
+            out.append((path, root[0], root[1]))
+        _reducts(f, path + (0,), out)
         ke = type(e)
         if ke is Case:
-            x1, u1, x2, u2 = e.left_var, e.left, e.right_var, e.right
-            ann = e.ann
-            for p, rule, new, c in _reducts(u1, path + (1,)):
-                yield p, rule, App(f, Case(x1, new, x2, u2, ann)), c
-            for p, rule, new, c in _reducts(u2, path + (2,)):
-                yield p, rule, App(f, Case(x1, u1, x2, new, ann)), c
+            _reducts(e.left, path + (1,), out)
+            _reducts(e.right, path + (2,), out)
         elif ke is not Proj1 and ke is not Proj2:
-            for p, rule, new, c in _reducts(e, path + (1,)):
-                yield p, rule, App(f, new), c
+            _reducts(e, path + (1,), out)
     elif kind is Pair:
-        f, s = t.fst, t.snd
-        for p, rule, new, c in _reducts(f, path + (0,)):
-            yield p, rule, Pair(new, s), c
-        for p, rule, new, c in _reducts(s, path + (1,)):
-            yield p, rule, Pair(f, new), c
-    elif kind is Abs or kind is Mu:
-        for p, rule, new, c in _reducts(t.body, path + (0,)):
-            yield p, rule, kind(t.var, t.ann, new), c
-    elif kind is Named:
-        for p, rule, new, c in _reducts(t.body, path + (0,)):
-            yield p, rule, Named(t.name, new), c
-    elif kind is Inj1 or kind is Inj2:
-        for p, rule, new, c in _reducts(t.body, path + (0,)):
-            yield p, rule, kind(new, t.ann), c
+        _reducts(t.fst, path + (0,), out)
+        _reducts(t.snd, path + (1,), out)
+    elif kind is Abs or kind is Mu or kind is Named or kind is Inj1 \
+            or kind is Inj2:
+        _reducts(t.body, path + (0,), out)
     elif kind is not Var:
         raise TypeError(f"not a term: {t!r}")
+    return out
+
+
+def _rebuild(t: Term, position: Position, contractum: Term,
+             depth: int = 0) -> Term:
+    """The reduct of t that contracts its redex at position[depth:] to
+    contractum: the nodes along that position are built anew around it,
+    and every other node of t is shared."""
+    if depth == len(position):
+        return contractum
+    i = position[depth]
+    depth += 1
+    kind = type(t)
+    if kind is App:
+        e = t.arg
+        if not i:
+            return App(_rebuild(t.fun, position, contractum, depth), e)
+        if type(e) is not Case:
+            return App(t.fun, _rebuild(e, position, contractum, depth))
+        if i == 1:
+            return App(t.fun, Case(
+                e.left_var, _rebuild(e.left, position, contractum, depth),
+                e.right_var, e.right, e.ann))
+        return App(t.fun, Case(
+            e.left_var, e.left, e.right_var,
+            _rebuild(e.right, position, contractum, depth), e.ann))
+    if kind is Pair:
+        if i:
+            return Pair(t.fst, _rebuild(t.snd, position, contractum, depth))
+        return Pair(_rebuild(t.fst, position, contractum, depth), t.snd)
+    body = _rebuild(t.body, position, contractum, depth)
+    if kind is Abs or kind is Mu:
+        return kind(t.var, t.ann, body)
+    if kind is Named:
+        return Named(t.name, body)
+    return kind(body, t.ann)  # Inj1, Inj2
 
 
 def redexes(t: Term) -> list[tuple[Position, str]]:
@@ -195,22 +219,25 @@ def redexes(t: Term) -> list[tuple[Position, str]]:
     Raises ReductTooDeep when t nests deeper than MAX_NESTING."""
     if shape(t)[0] > MAX_NESTING:
         raise ReductTooDeep(0)
-    return [(p, rule) for p, rule, _, _ in _reducts(t)]
+    return [(p, rule) for p, rule, _ in _reducts(t)]
 
 
 def step_at(t: Term, p: Position) -> ReductionStep:
-    """The contraction of the redex at position p of t.  Raises
-    ReductTooDeep when t nests deeper than MAX_NESTING."""
+    """The contraction of the redex at position p of t.  A view over
+    the walk, so every redex of t is contracted.  Raises ReductTooDeep
+    when t nests deeper than MAX_NESTING."""
     if shape(t)[0] > MAX_NESTING:
         raise ReductTooDeep(0)
-    for q, rule, after, _ in _reducts(t):
+    for q, rule, contractum in _reducts(t):
         if q == p:
-            return ReductionStep(t, p, rule, after)
+            return ReductionStep(t, p, rule, _rebuild(t, p, contractum))
     raise InvalidPosition(f"no redex at position {p}")
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
     """Reduce the leftmost-outermost redex until normal or out of fuel.
+    Each step reads the walk, which contracts every redex of the term,
+    and rebuilds only the first reduct.
 
     Raises ValueError when fuel is negative, FuelExhausted after fuel
     steps, and ReductTooDeep when a term nests too deeply to reduce
@@ -223,12 +250,13 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
     while True:
         if shape(current)[0] > MAX_NESTING:
             raise ReductTooDeep(len(trace.steps))
-        first = next(_reducts(current), None)
-        if first is None:
+        found = _reducts(current)
+        if not found:
             return current, trace
         if len(trace.steps) == fuel:
             raise FuelExhausted(trace)
-        p, rule, after, _ = first
+        p, rule, contractum = found[0]
+        after = _rebuild(current, p, contractum)
         trace.steps.append(ReductionStep(current, p, rule, after))
         current = after
 
@@ -319,6 +347,10 @@ class SuccessorFacts:
         return None if stray is None else [low, stray]
 
 
+_TERMLESS = ("a node served from reduction_graph's memo has no term to "
+             "print; explore without the memo")
+
+
 @dataclass
 class ReductionGraph:
     """Breadth-first closure of a term under one-step reduction.
@@ -332,8 +364,10 @@ class ReductionGraph:
     when the node cap dropped a reduct, after which no node was
     expanded, so its edges are incomplete too; ``stopped`` is the node
     at which ``reduction_graph``'s ``stop`` predicate held.  A node
-    served from ``reduction_graph``'s memo has no term, and its edges
-    have no position and no rule, so such a graph cannot be printed.
+    whose key ``reduction_graph``'s memo held has no term, and the edges
+    of a node served from the memo have no position and no rule, so
+    printed, to_json and to_dot refuse a graph with a term-less node,
+    and trace_to refuses such a node, with a ValueError.
     """
 
     root: str
@@ -344,8 +378,12 @@ class ReductionGraph:
     stopped: Optional[str] = None
 
     def trace_to(self, key: str) -> Trace:
-        """The reduction from the root to key along first incoming edges."""
+        """The reduction from the root to key along first incoming edges.
+        A node with a term was admitted by a node with a term, so every
+        step along the way has its terms."""
         nodes, steps = self.nodes, []
+        if nodes[key] is None:
+            raise ValueError(_TERMLESS)
         while key != self.root:
             src, position, rule, _ = self.edges[self.parents[key]]
             steps.append(ReductionStep(nodes[src], position, rule, nodes[key]))
@@ -355,6 +393,8 @@ class ReductionGraph:
 
     def printed(self) -> dict[str, str]:
         """The canonical form of each node, by key."""
+        if any(t is None for t in self.nodes.values()):
+            raise ValueError(_TERMLESS)
         return {k: canonical_form(t) for k, t in self.nodes.items()}
 
     def to_dot(self) -> str:
@@ -385,9 +425,11 @@ class ReductionGraph:
 
 def _steps(t: Term, depth: int
            ) -> Optional[list[tuple[Position, str, str, Term, int]]]:
-    """(position, rule, key, term, depth bound) per redex of t, in redex
-    order, given a bound on t's depth (see terms.shape) no greater than
-    MAX_NESTING; None when a reduct nests deeper than that.
+    """(position, rule, key, contractum, depth bound) per redex of t, in
+    redex order, given a bound on t's depth (see terms.shape) no greater
+    than MAX_NESTING; None when a reduct nests deeper than that.  Each
+    key is the reduct's alpha_key, spliced from t's (syntax.splice_key),
+    so that no reduct is built here.
 
     A reduct differs from t only along the contracted position p, so it
     nests at most max(depth, len(p) + the contractum's depth) deep.  A
@@ -397,13 +439,14 @@ def _steps(t: Term, depth: int
     and the contractum is walked only when this passes MAX_NESTING.
     """
     out = []
-    for p, rule, after, contractum in _reducts(t):
+    for p, rule, contractum in _reducts(t):
         bound = max(depth, len(p) + 3 * (depth - len(p)))
         if bound > MAX_NESTING:
             bound = max(depth, len(p) + shape(contractum)[0])
             if bound > MAX_NESTING:
                 return None
-        out.append((p, rule, alpha_key(after), after, bound))
+        out.append((p, rule, splice_key(t, p, contractum), contractum,
+                    bound))
     return out
 
 
@@ -422,12 +465,14 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
 
     ``memo`` maps keys to the keys of their reducts, one per redex in
     redex order, and holds only closed sets: every reduct key of a key
-    in it is in it too.  A node whose key it holds is served from it,
-    with no term and no steps on its edges, and so are all the nodes
-    below it.  The keys expanded here are added to it only when the
-    graph completes, which keeps it closed; a graph that the cap or a
-    too-deep reduct cut short leaves it as it was.  ``stop`` needs the
-    term of every node, so it is refused together with ``memo``.
+    in it is in it too.  A node whose key it holds has no term, and it
+    is served from it, with no steps on its edges, and so are all the
+    nodes below it.  Every other reduct is built once, when its key
+    first enters the graph.  The keys expanded here are added to the
+    memo only when the graph completes, which keeps it closed; a graph
+    that the cap or a too-deep reduct cut short leaves it as it was.
+    ``stop`` needs the term of every node, so it is refused together
+    with ``memo``.
 
     Raises ValueError when t has dangling indices, which canonical_form
     cannot print, and ReductTooDeep when t or a reduct nests deeper than
@@ -469,12 +514,17 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                 raise ReductTooDeep(distance)
             if memo is not None:
                 expanded[key] = tuple(dst for _, _, dst, _, _ in reducts)
-        for position, rule, dst, after, bound in reducts:
+        for position, rule, dst, contractum, bound in reducts:
             if dst not in nodes:
                 if len(nodes) >= node_cap:
                     complete = False
                     continue
-                nodes[dst] = after
+                if memo is not None and dst in memo:
+                    nodes[dst] = None
+                else:
+                    after = _rebuild(current, position, contractum)
+                    object.__setattr__(after, "_key", dst)
+                    nodes[dst] = after
                 parents[dst] = len(edges)
                 queue.append((dst, bound))
             edges.append((key, position, rule, dst))

@@ -400,6 +400,49 @@ def alpha_key(t) -> str:
     return key
 
 
+def splice_key(t: Term, position: tuple[int, ...], new: Term) -> str:
+    """alpha_key of t with its subterm at position replaced by new, read
+    off the keys of t and new without building that term.
+
+    A position is a path of child indices, as reduction numbers them.
+    Keys are locally nameless, so a subterm's key does not depend on
+    where it sits: the new key is t's with the old subterm's slice
+    replaced by new's key.  The slice starts after the tags and the
+    left siblings' keys along position.
+    """
+    key, start = alpha_key(t), 0
+    for i in position:
+        kind = type(t)
+        if kind is App:
+            start += 1
+            if i:
+                start += len(alpha_key(t.fun))
+                t = t.arg
+                if type(t) is Case:
+                    start += 1
+                    if i == 2:
+                        start += len(alpha_key(t.left))
+                        t = t.right
+                    else:
+                        t = t.left
+            else:
+                t = t.fun
+        elif kind is Pair:
+            start += 1
+            if i:
+                start += len(alpha_key(t.fst))
+                t = t.snd
+            else:
+                t = t.fst
+        elif kind is Named:
+            start += 1 + len(_ref(t.name))
+            t = t.body
+        else:  # Abs, Mu, Inj1, Inj2: a tag, an annotation, the body
+            start += 1 + len(_ann(t.ann))
+            t = t.body
+    return f"{key[:start]}{alpha_key(new)}{key[start + len(alpha_key(t)):]}"
+
+
 # A key reads back one way only, since each kind of node starts with a
 # tag no other kind in its place starts with: a term is a variable's
 # reference or starts with one of "@LMN<IJ"; an E-term is a term or

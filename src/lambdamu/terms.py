@@ -20,7 +20,8 @@ refer to binders above it; every operation here respects them.
 Every node class is a ``node``: a frozen, slotted dataclass whose
 ``__init__`` fills the slots through their descriptors.  Terms, E-terms
 and formulas have one more slot, ``_key``, left unset until
-``syntax.alpha_key`` reads the node: a string that two nodes share
+``syntax.alpha_key`` reads the node, or ``reduction.reduction_graph``
+builds a reduct whose key it spliced: a string that two nodes share
 exactly when they are ``==``.
 """
 

@@ -230,9 +230,11 @@ def test_strong_normalization_facts():
 
 
 def test_suite_expands_and_checks_each_key_once(monkeypatch):
-    # one expansion and one type check per distinct node of the corpus's
-    # graphs (test_corpus_graph_facts): a reduct keeps its root's one
-    # formula, so the memos of two formulas share no key
+    # one expansion per distinct node of the corpus's graphs
+    # (test_corpus_graph_facts): a reduct keeps its root's one formula,
+    # so the memos of two formulas share no key.  The roots are typed
+    # by construction, so only the 485 keys that reduction made and no
+    # root holds are type-checked, and those are the only reducts built
     calls = Counter()
 
     def counted(module, name):
@@ -245,8 +247,46 @@ def test_suite_expands_and_checks_each_key_once(monkeypatch):
 
     counted(reduction, "_steps")
     counted(metatheory, "_type_error")
+    rebuild = reduction._rebuild
+
+    def built(t, position, contractum, depth=0):
+        calls["_rebuild"] += not depth  # once per reduct, not per level
+        return rebuild(t, position, contractum, depth)
+
+    monkeypatch.setattr(reduction, "_rebuild", built)
     run_suite(enumerate_typed_terms(SIZE))
-    assert calls == {"_steps": 3089, "_type_error": 3089}
+    assert calls == {"_steps": 3089, "_rebuild": 485, "_type_error": 485}
+
+
+def test_spliced_reduct_keys(monkeypatch, law_subjects):
+    # every reduct of every node that the size-10 corpus graphs and the
+    # size-10 probe searches expand: the key spliced from its parent's
+    # is the key of the reduct built and printed afresh.  Probe nodes
+    # are open, with free names, and some of their redexes sit in a
+    # case bracket's second branch
+    expanded = {}
+    steps = reduction._steps
+
+    def recorded(t, depth):
+        out = steps(t, depth)
+        expanded.setdefault(alpha_key(t), (t, out))
+        return out
+
+    monkeypatch.setattr(reduction, "_steps", recorded)
+    for entry in enumerate_typed_terms(SIZE).entries:
+        reduction_graph(entry.term)
+    assert len(expanded) == 3089
+    corpus = set(expanded)
+    for formula, probe in LAW_PROBES.items():
+        for entry in law_subjects[formula]:
+            probe(entry.term)
+    probed = [expanded[k] for k in expanded if k not in corpus]
+    assert len(probed) == 3097
+    assert any(2 in p for _, out in probed for p, _, _, _, _ in out)
+    for t, out in expanded.values():
+        for p, _, key, contractum, _ in out:
+            reduct = reduction._rebuild(t, p, contractum)
+            assert key == alpha_key(parse_term(print_term(reduct)))
 
 
 def test_formula_size_5_corpus_facts():

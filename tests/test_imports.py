@@ -114,12 +114,14 @@ MATCH_ALLOWED = {
     "behavior._tertium_branch_kinds",
 }
 
-# the walks that run once per node of every term the corpus or the
-# probes explore: each picks a node's case by its type, never by match
+# the walks that run once per node of every term, or per reduct, that
+# the corpus or the probes explore: each picks a node's case by its
+# type, never by match
 HOT_WALKS = {
     "typecheck": ("_infer",),
-    "reduction": ("_result_ann", "_reducts", "_contract"),
-    "syntax": ("alpha_key", "_pf", "_Printer.term", "_Printer.eterm"),
+    "reduction": ("_result_ann", "_reducts", "_contract", "_rebuild"),
+    "syntax": ("alpha_key", "splice_key", "_pf", "_Printer.term",
+               "_Printer.eterm"),
     "terms": ("shape", "term_names"),
     "behavior": ("Leaf.match", "_match_spine"),
 }

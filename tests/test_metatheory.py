@@ -116,14 +116,16 @@ def test_enumerator_interns_exactly_its_universe():
 def test_enumerate_entries_are_closed_and_well_typed():
     # enumeration builds by typed construction and checks nothing; every
     # entry of these corpora is closed and has its formula under both
-    # check and infer
+    # check and infer.  The corpus is typed, so run_suite checks only
+    # its reducts: an enumerator bug that built an ill-typed root would
+    # show here only
     corpora = [(enumerate_typed_terms(10), 2604),
                (enumerate_typed_terms(7, max_formula_size=5), 2448)]
     corpora += [(enumerate_typed_terms(10, target=parse_formula(law)), count)
                 for law, count in (("_|_ -> P", 981), ("(~P -> P) -> P", 11),
                                    ("~P \\/ P", 31))]
     for corpus, count in corpora:
-        assert len(corpus) == count
+        assert (len(corpus), corpus.typed) == (count, True)
         for e in corpus.entries:
             assert e.gamma == () and e.delta == ()
             assert is_closed(e.term)
@@ -293,9 +295,11 @@ def test_cross_check_against_naive_enumeration():
 def test_curated_corpus_checks_entries():
     t = parse_term("\\x:P. x")
     corpus = curated_corpus([(t, Arrow(P, P), {}, {})])
-    assert len(corpus) == 1
+    assert (len(corpus), corpus.typed) == (1, True)
     with pytest.raises(TypeCheckError):
         curated_corpus([(t, P, {}, {})])
+    # a corpus built directly may hold ill-typed roots: run_suite checks them
+    assert not Corpus([CorpusEntry(t, P)]).typed
 
 
 def test_curated_corpus_open_terms():

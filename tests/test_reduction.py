@@ -439,6 +439,28 @@ def test_graph_over_a_filled_memo_matches_a_fresh_one():
         assert all(again.nodes[k] is None for k in list(again.nodes)[1:])
 
 
+def test_graph_with_memo_served_nodes_refuses_printing():
+    # (<u, v> p1) and u are in the memo, so the graph of
+    # (\x:P. x (<u, v> p1)) holds them with no term, while the reduct
+    # (\x:P. x u), new to the memo, is built: it traces, they do not,
+    # and the graph does not print
+    memo = {}
+    reduction_graph(parse_term("(<u, v> p1)"), memo=memo)
+    graph = reduction_graph(parse_term("(\\x:P. x (<u, v> p1))"), memo=memo)
+    _, served, built, normal = graph.nodes
+    assert [graph.nodes[k] is None for k in graph.nodes] == \
+        [False, True, False, True]
+    [step] = graph.trace_to(built).steps
+    assert (step.rule, canonical_form(step.after)) == \
+        ("proj", "(\\x0:P. x0 u)")
+    for show in (graph.printed, graph.to_json, graph.to_dot,
+                 lambda: graph.trace_to(served),
+                 lambda: graph.trace_to(normal)):
+        with pytest.raises(ValueError, match="^a node served from "
+                           "reduction_graph's memo has no term to print"):
+            show()
+
+
 def test_graph_refuses_stop_with_a_memo():
     with pytest.raises(ValueError, match="stop needs the term"):
         reduction_graph(parse_term("(\\x:P. x y)"), stop=lambda term: False,
