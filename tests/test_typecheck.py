@@ -300,6 +300,11 @@ def _last_path(j):
     ("mu a0:P -> P. [a0] \\x0:P. x0", {}, "a",
      {"gamma": {"a0": "P"}, "term": "a0", "formula": "P",
       "delta": {"a": "P -> P"}}),
+    # forty lambdas named as the given variable; the last leaf reads the
+    # outermost, the first to take a new name
+    ("".join(f"\\y{i}:P. " for i in range(40)) + "y0", {"x0": P}, "x0",
+     {"gamma": {f"x{i}": "P" for i in range(41)}, "term": "x1",
+      "formula": "P", "delta": {}}),
 ])
 def test_repeated_binder_names_give_valid_derivations(src, gamma, name,
                                                       judgment):
