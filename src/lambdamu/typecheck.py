@@ -6,10 +6,10 @@ judgments are locally nameless: gamma and delta are the contexts given
 to the checker, the same in every judgment of a derivation, and a
 judgment keeps the binders around its term by index, each with its
 name hint and formula.  Names are chosen only when a judgment or an
-error is printed: a binder enters gamma or delta under its hint, or,
-when either context binds the hint already, under the name
-``fresh_name`` gives it beside both contexts, the rule print_term
-names binders by.  Checking is
+error is printed, in one pass over the binders, outermost first: each
+enters gamma or delta under its hint, or, when either context binds
+the hint already, under the name ``fresh_name`` gives it beside both
+contexts so far, the rule print_term names binders by.  Checking is
 syntax-directed: every Abs, Mu, Inj1 and Inj2 node must carry its
 annotation (Abs: argument type, Mu: result type, Inj: the other
 disjunct).  Case branches need no annotation; the branch binder types
@@ -94,14 +94,12 @@ class Judgment:
         those names (lambda, mu; innermost last)."""
         return _named(self.gamma, self.delta, self.binders)
 
-    def printed_term(self) -> str:
-        return print_term(self.term, *self.named()[2])
-
     def __str__(self):
-        gamma, delta, _ = self.named()
+        gamma, delta, names = self.named()
         g = ", ".join(f"{x}:{print_formula(a)}" for x, a in gamma)
         d = ", ".join(f"{a}:{print_formula(b)}" for a, b in delta)
-        return f"{g} |- {self.printed_term()} : {print_formula(self.formula)} ; {d}"
+        return (f"{g} |- {print_term(self.term, *names)} : "
+                f"{print_formula(self.formula)} ; {d}")
 
 
 @node
@@ -113,16 +111,15 @@ class Derivation:
 
 def _named(gamma, delta, binders):
     """The frozen gamma and delta with binders added, outermost first,
-    each under the name _with gives it, and the binders' names."""
-    lam, mu = (), ()
+    and the binders' names.  Each binder takes fresh_name of its hint
+    beside both contexts so far, since no name is a lambda- and a
+    mu-variable at once."""
+    ctx, names = (dict(gamma), dict(delta)), ([], [])
     for is_mu, x, a in binders:
-        if is_mu:
-            delta, x = _with(delta, gamma, x, a)
-            mu += (x,)
-        else:
-            gamma, x = _with(gamma, delta, x, a)
-            lam += (x,)
-    return gamma, delta, (lam, mu)
+        x = fresh_name(x, *ctx)
+        ctx[is_mu][x] = a
+        names[is_mu].append(x)
+    return _freeze(ctx[0]), _freeze(ctx[1]), tuple(map(tuple, names))
 
 
 class _Scope:
@@ -148,7 +145,7 @@ class _Scope:
 
     def names(self, binders) -> Names:
         """The names of the binders around a subterm."""
-        return _named(_freeze(self.gamma), _freeze(self.delta), binders)[2]
+        return _named(self.gamma, self.delta, binders)[2]
 
     def error(self, binders, kind, message: str, t: Optional[Term],
               rule: Optional[str] = None, expected: Optional[Formula] = None,
@@ -160,17 +157,6 @@ class _Scope:
 
 def _freeze(ctx: Context) -> tuple[tuple[str, Formula], ...]:
     return tuple(sorted(ctx.items()))
-
-
-def _with(ctx, other, x: str, a: Formula):
-    """The frozen context ctx with a binder x bound to a, and the name it
-    is bound under: fresh_name of x beside the names ctx and the other
-    frozen context bind, since no name is a lambda- and a mu-variable at
-    once."""
-    bound = dict(ctx)
-    x = fresh_name(x, bound, dict(other))
-    bound[x] = a
-    return _freeze(bound), x
 
 
 def infer(gamma: Context, delta: Context, t: Term) -> Derivation:
@@ -413,12 +399,12 @@ def validate_derivation(d: Derivation) -> None:
 def derivation_to_json(d: Derivation) -> dict:
     """Derivation as a JSON-serializable tree in the concrete syntax."""
     j = d.conclusion
-    gamma, delta, _ = j.named()
+    gamma, delta, names = j.named()
     return {
         "rule": d.rule,
         "judgment": {
             "gamma": {x: print_formula(a) for x, a in gamma},
-            "term": j.printed_term(),
+            "term": print_term(j.term, *names),
             "formula": print_formula(j.formula),
             "delta": {a: print_formula(b) for a, b in delta},
         },

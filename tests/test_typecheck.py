@@ -339,11 +339,11 @@ def test_judgments_never_name_two_namespaces_alike(src):
     d = infer({}, {}, renamed)
     validate_derivation(d)
     for j in _judgments(d):
-        gamma, delta, _ = j.named()
+        gamma, delta, names = j.named()
         lam, mu = {x for x, _ in gamma}, {a for a, _ in delta}
         assert len(lam) + len(mu) == len(j.binders)
         assert not lam & mu
-        text = j.printed_term()
+        text = print_term(j.term, *names)
         assert print_term(parse_term(text)) == text
 
 
