@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
                                       "(T, C1, C2, W, Wprime, Tvar)")
         p.add_argument("file", nargs="?", help="file containing a term")
         p.add_argument("--open", dest="open_vars", default="",
-                       help="comma-separated free lambda-variables to allow")
+                       help="comma-separated free variables and mu-names "
+                            "to allow")
 
     p = sub.add_parser("parse", help="parse and print back, binder names "
                                      "kept as written")

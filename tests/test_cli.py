@@ -134,6 +134,12 @@ def test_free_variables_need_open(capsys):
     assert "--open" in err
     code, out, _ = run(capsys, "parse", "--term", "(f x)", "--open", "f,x")
     assert code == OK
+    # --open declares free mu-names too
+    code, _, _ = run(capsys, "reduce", "--term", "[a] y", "--open", "a,y")
+    assert code == OK
+    code, _, err = run(capsys, "reduce", "--term", "[a] y", "--open", "y")
+    assert code == USAGE
+    assert "term has free variables ['a']" in err
 
 
 def test_file_input(tmp_path, capsys):
