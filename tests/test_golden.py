@@ -173,19 +173,23 @@ EFQ = "\\x0:_|_. mu a0:P. x0"
 PEIRCE = "\\x0:~P -> P. mu a0:P. [a0] (x0 \\x1:P. [a0] x1)"
 NEG_P = "mu a0:~P \\/ P. [a0] in1{P} \\x0:P. [a0] in2{~P} x0"
 P_NEG = "mu a0:P \\/ ~P. [a0] in2{P} \\x0:P. [a0] in1{~P} x0"
-ALL_CONFIRMED = [(981, 0, None), (11, 0, None), (31, 0, None), (31, 0, None)]
-ALL_REFUTED = [(0, 981, EFQ), (0, 11, PEIRCE), (0, 31, NEG_P), (0, 31, P_NEG)]
+ALL_CONFIRMED = [(981, 0, None, {0: 981}), (11, 0, None, {1: 11}),
+                 (31, 0, None, {2: 25, 3: 6}), (31, 0, None, {2: 25, 3: 6})]
+ALL_REFUTED = [(0, 981, EFQ, {}), (0, 11, PEIRCE, {}), (0, 31, NEG_P, {}),
+               (0, 31, P_NEG, {})]
 # per law type, in LAW_PROBES order: the confirmed and refuted counts
-# with one rule dropped, and the first refuted subject, printed; the
-# enumerator lists by size, so that subject is a smallest one
+# with one rule dropped, the first refuted subject, printed, and the
+# histogram of m over the confirmed subjects; the enumerator lists by
+# size, so that subject is a smallest one.  No dropped rule moves the
+# histogram of the subjects that stay confirmed
 RULE_REMOVAL = {
     None: ALL_CONFIRMED,
     "beta": ALL_REFUTED,
-    "proj": [(771, 210, "\\x0:_|_. mu a0:P. (<x0, x0> p1)")]
+    "proj": [(771, 210, "\\x0:_|_. mu a0:P. (<x0, x0> p1)", {0: 771})]
     + ALL_CONFIRMED[1:],
     "case-inj": [(945, 36, "\\x0:_|_. (in1{P} mu a0:P. x0 "
-                           "[x1.x1, x1.x1]{P})"),
-                 (11, 0, None)] + ALL_REFUTED[2:],
+                           "[x1.x1, x1.x1]{P})", {0: 945}),
+                 ALL_CONFIRMED[1]] + ALL_REFUTED[2:],
     "case-perm": ALL_CONFIRMED,
     "mu-struct": ALL_REFUTED,
 }
@@ -211,13 +215,16 @@ def test_probe_verdicts_without_a_rule(monkeypatch, law_subjects, removed):
     monkeypatch.setattr(reduction, "_contract", dropped)
     table = []
     for formula, probe in LAW_PROBES.items():
-        verdicts, smallest = Counter(), None
+        verdicts, smallest, ms = Counter(), None, Counter()
         for entry in law_subjects[formula]:
-            verdict = probe(entry.term, node_cap=2000).verdict
-            verdicts[verdict] += 1
-            if verdict == "refuted" and smallest is None:
+            report = probe(entry.term, node_cap=2000)
+            verdicts[report.verdict] += 1
+            if report.verdict == "confirmed":
+                ms[report.m] += 1
+            elif report.verdict == "refuted" and smallest is None:
                 smallest = print_term(entry.term)
-        table.append((verdicts["confirmed"], verdicts["refuted"], smallest))
+        table.append((verdicts["confirmed"], verdicts["refuted"], smallest,
+                      ms))
     assert table == RULE_REMOVAL[removed]
 
 
