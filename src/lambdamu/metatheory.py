@@ -24,7 +24,7 @@ from typing import Optional
 from .reduction import (
     DEFAULT_NODE_CAP, ReductTooDeep, SuccessorFacts, reduction_graph,
 )
-from .syntax import canonical_form, canonical_hints, print_term
+from .syntax import alpha_key, canonical_form, canonical_hints, print_term
 from .terms import (
     Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
     Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var,
@@ -378,32 +378,38 @@ def run_suite(corpus: Corpus,
     """Subject reduction, confluence and strong normalization, in that order.
 
     Entries with the same formula and contexts share one reduction_graph
-    memo, from each alpha-key to the keys of its reducts, so each
-    distinct reduct is expanded and type-checked once per formula and
-    contexts, and every node the memo serves, which has no term, was
-    checked already.  The roots of a ``typed`` corpus count as checked,
-    so only the keys that reduction made are type-checked; a corpus
-    built directly has its roots checked too.
-    Confluence and strong normalization are lookups at an entry's root
-    in SuccessorFacts over that memo, and the normal forms are the
-    graph's nodes with no reduct; longest paths are listed by the root's
-    key.  Evidence prints reducts by canonical_form, so a confluence
-    failure explores its entry again for the witnesses' terms.  A graph
-    the cap or a too-deep reduct cut short adds nothing to the memo, and
-    its entry is incomplete in every report.
+    memo, from each alpha-key to the keys of its reducts, so an entry's
+    graph holds only the keys new to that memo, and each distinct
+    reduct is built, expanded and type-checked once per formula and
+    contexts.  The roots of a ``typed`` corpus count as checked, so only
+    the keys that reduction made are type-checked; a corpus built
+    directly has its roots checked too.  Confluence, strong
+    normalization and the longest path, listed by the root's key, are
+    lookups at an entry's root in SuccessorFacts over that memo.  Only
+    an entry that fails, or whose formula and contexts have an
+    ill-typed key, walks the keys it reaches, in the order its own
+    graph would list them, for its evidence.  Evidence prints reducts by
+    canonical_form, so a confluence failure explores its entry again for
+    the witnesses' terms.  An entry is incomplete in every report when
+    its keys, counted through the memo, exceed the cap, or when a reduct
+    nests too deeply; a graph the cap or a too-deep reduct cut short
+    adds nothing to the memo.
     """
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
-    # by (formula, gamma, delta): the contexts as check reads them, the
-    # evidence of each key checked under them, the memo and its facts
+    # by (formula's alpha_key, gamma, delta): the contexts as check reads
+    # them, the evidence of each ill-typed key, the memo and its facts
     groups: dict[tuple, tuple] = {}
     for entry in corpus.entries:
-        group = (entry.formula, entry.gamma, entry.delta)
-        if group not in groups:
+        group = (alpha_key(entry.formula), entry.gamma, entry.delta)
+        found = groups.get(group)
+        if found is None:
             memo: dict[str, tuple[str, ...]] = {}
-            groups[group] = (dict(entry.gamma), dict(entry.delta), {}, memo,
-                             SuccessorFacts(memo))
-        gamma, delta, known, memo, facts = groups[group]
+            found = groups[group] = (dict(entry.gamma), dict(entry.delta),
+                                     {}, memo, SuccessorFacts(memo))
+        gamma, delta, errors, memo, facts = found
+        root = alpha_key(entry.term)
+        held = root in memo
         try:
             graph = reduction_graph(entry.term, node_cap, memo=memo)
         except ReductTooDeep:
@@ -412,28 +418,41 @@ def run_suite(corpus: Corpus,
             for report in reports:
                 report.incomplete.append(entry)
             continue
+        # every reduct re-checks at the entry's type: the memo's keys
+        # did already, and the root of a typed corpus counts as checked
+        new = iter(graph.nodes.items())
+        if held or corpus.typed:
+            next(new)
+        for key, reduct in new:
+            error = _type_error(gamma, delta, reduct, entry.formula)
+            if error is not None:
+                errors[key] = error
+        # the keys the root reaches, once they could pass the cap
+        order = facts.reach(root) if len(memo) > node_cap else None
+        if order is not None and len(order) > node_cap:
+            for report in reports:
+                report.incomplete.append(entry)
+            continue
         for report in reports:
             report.checked += 1
-        if corpus.typed:
-            known.setdefault(graph.root, None)
-        # every reduct re-checks at the entry's type
-        for key, reduct in graph.nodes.items():
-            if key not in known:
-                known[key] = _type_error(gamma, delta, reduct, entry.formula)
-            if known[key] is not None:
-                sr.failures.append((entry, known[key]))
+        if errors:
+            order = order or facts.reach(root)
+            sr.failures.extend((entry, errors[k]) for k in order
+                               if k in errors)
         # some reduct is a descendant of every reduct
-        acyclic = facts.acyclic(graph.root)
-        witnesses = facts.confluence_failure(graph.root, graph.nodes)
-        if witnesses is not None:
-            nodes = reduction_graph(entry.term, node_cap).nodes
-            shown = [canonical_form(nodes[k]) for k in witnesses]
-            cf.failures.append((entry, (
-                f"{len(shown)} distinct normal forms: {shown}" if acyclic
-                else f"unjoinable pair: {shown[0]} vs {shown[1]}")))
+        acyclic = facts.acyclic(root)
+        if facts.normal_form(root) is None:
+            witnesses = facts.confluence_failure(
+                root, order or facts.reach(root))
+            if witnesses is not None:
+                nodes = reduction_graph(entry.term, node_cap).nodes
+                shown = [canonical_form(nodes[k]) for k in witnesses]
+                cf.failures.append((entry, (
+                    f"{len(shown)} distinct normal forms: {shown}" if acyclic
+                    else f"unjoinable pair: {shown[0]} vs {shown[1]}")))
         # the reduction graph is acyclic; record its longest path
         if acyclic:
-            sn.longest_paths[graph.root] = facts.longest_path(graph.root)
+            sn.longest_paths[root] = facts.longest_path(root)
         else:
             sn.failures.append((entry, "reduction graph has a cycle"))
     return reports

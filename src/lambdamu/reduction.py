@@ -18,7 +18,7 @@ for the second case branch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .syntax import MAX_NESTING, alpha_key, canonical_form, splice_key
 from .terms import (
@@ -266,8 +266,9 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
 # --------------------------------------------------------------------------
 
 class SuccessorFacts:
-    """Acyclicity and longest reduction path of the keys of a successor
-    mapping, memoized per key.
+    """Acyclicity, longest reduction path and unique normal form of the
+    keys of a successor mapping, memoized per key, and the keys each key
+    reaches.
 
     A key's facts depend only on the keys it reaches, so one instance
     serves a mapping that only grows, such as a reduction_graph memo,
@@ -275,16 +276,20 @@ class SuccessorFacts:
     closed sets, so any key in it can be queried.
     """
 
-    def __init__(self, succ: Mapping[str, Iterable[str]]):
+    def __init__(self, succ: Mapping[str, Sequence[str]]):
         self.succ = succ
         self._longest: dict[str, int] = {}          # acyclic keys only
+        # acyclic keys with a successor: the one normal form they reach,
+        # or None; a key with no successor is its own
+        self._normal: dict[str, Optional[str]] = {}
         self._cyclic: set[str] = set()              # keys that reach a cycle
 
     def _settle(self, start: str) -> None:
         """Memoize the facts of start and of the keys it reaches, children
         before parents; on meeting a cycle, mark every key on the path to
-        it as cyclic and stop."""
-        succ, longest = self.succ, self._longest
+        it as cyclic and stop.  A key's normal form is the one its
+        children share, if they share one."""
+        succ, longest, normal = self.succ, self._longest, self._normal
         if start in longest or start in self._cyclic:
             return
         path = {start}
@@ -303,8 +308,18 @@ class SuccessorFacts:
             else:
                 stack.pop()
                 path.discard(key)
-                longest[key] = max((longest[s] + 1 for s in succ[key]),
-                                   default=0)
+                below = succ[key]
+                if not below:
+                    longest[key] = 0
+                    continue
+                most, shared = 0, normal.get(below[0], below[0])
+                for s in below:
+                    if longest[s] > most:
+                        most = longest[s]
+                    if shared is not None and normal.get(s, s) != shared:
+                        shared = None
+                longest[key] = most + 1
+                normal[key] = shared
 
     def acyclic(self, key: str) -> bool:
         self._settle(key)
@@ -316,12 +331,32 @@ class SuccessorFacts:
             raise ValueError(f"{key} reaches a cycle")
         return self._longest[key]
 
+    def normal_form(self, key: str) -> Optional[str]:
+        """The one normal form that key reaches, when key is acyclic and
+        reaches one; None when it reaches two or more, or a cycle."""
+        if not self.acyclic(key):
+            return None
+        return self._normal.get(key, key)
+
+    def reach(self, key: str) -> list[str]:
+        """The keys that key reaches, key first, breadth-first with each
+        key's successors in the order the mapping lists them: the order
+        in which a reduction_graph without a memo admits them."""
+        succ, order, seen = self.succ, [key], {key}
+        for k in order:
+            for s in succ[k]:
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
+        return order
+
     def confluence_failure(self, key: str,
                            order: Iterable[str]) -> Optional[list[str]]:
         """The witnesses that the keys reachable from key, listed in
-        ``order`` (all of those keys), are not confluent, else None: when
-        key is acyclic, its normal forms (the keys of order with no
-        successor) in that order; otherwise an unjoinable pair.
+        ``order`` (all of those keys, as reach lists them), are not
+        confluent, else None: when key is acyclic, its normal forms (the
+        keys of order with no successor) in that order; otherwise an
+        unjoinable pair.
 
         On a finite graph pairwise joinability means some node descends
         from every node.  When acyclic, that is a unique normal form.
@@ -330,25 +365,13 @@ class SuccessorFacts:
         """
         succ = self.succ
         if self.acyclic(key):
-            sinks = [k for k in order if not succ[k]]
-            return sinks if len(sinks) > 1 else None
-
-        def reach(start: str) -> set[str]:
-            seen, todo = set(), [start]
-            while todo:
-                if (k := todo.pop()) not in seen:
-                    seen.add(k)
-                    todo.extend(succ[k])
-            return seen
-
-        below = {k: reach(k) for k in order}
+            if self.normal_form(key) is not None:
+                return None
+            return [k for k in order if not succ[k]]
+        below = {k: set(self.reach(k)) for k in order}
         low = min(below, key=lambda k: len(below[k]))
         stray = next((k for k in below if low not in below[k]), None)
         return None if stray is None else [low, stray]
-
-
-_TERMLESS = ("a node served from reduction_graph's memo has no term to "
-             "print; explore without the memo")
 
 
 @dataclass
@@ -363,27 +386,24 @@ class ReductionGraph:
     ``trace_to`` rebuilds a shortest reduction.  ``complete`` is False
     when the node cap dropped a reduct, after which no node was
     expanded, so its edges are incomplete too; ``stopped`` is the node
-    at which ``reduction_graph``'s ``stop`` predicate held.  A node
-    whose key ``reduction_graph``'s memo held has no term, and the edges
-    of a node served from the memo have no position and no rule, so
-    printed, to_json and to_dot refuse a graph with a term-less node,
-    and trace_to refuses such a node, with a ValueError.
+    at which ``reduction_graph``'s ``stop`` predicate held.  Over
+    ``reduction_graph``'s memo the nodes are the root and the keys new
+    to the memo, each with its term, and an edge may end at a key the
+    memo held, which is no node: printed and trace_to serve every node,
+    while to_json and to_dot, which print both ends of every edge, raise
+    a KeyError there.
     """
 
     root: str
-    nodes: dict[str, Optional[Term]]
-    edges: list[tuple[str, Optional[Position], Optional[str], str]]
+    nodes: dict[str, Term]
+    edges: list[tuple[str, Position, str, str]]
     complete: bool
     parents: dict[str, int] = field(default_factory=dict)
     stopped: Optional[str] = None
 
     def trace_to(self, key: str) -> Trace:
-        """The reduction from the root to key along first incoming edges.
-        A node with a term was admitted by a node with a term, so every
-        step along the way has its terms."""
+        """The reduction from the root to key along first incoming edges."""
         nodes, steps = self.nodes, []
-        if nodes[key] is None:
-            raise ValueError(_TERMLESS)
         while key != self.root:
             src, position, rule, _ = self.edges[self.parents[key]]
             steps.append(ReductionStep(nodes[src], position, rule, nodes[key]))
@@ -393,8 +413,6 @@ class ReductionGraph:
 
     def printed(self) -> dict[str, str]:
         """The canonical form of each node, by key."""
-        if any(t is None for t in self.nodes.values()):
-            raise ValueError(_TERMLESS)
         return {k: canonical_form(t) for k, t in self.nodes.items()}
 
     def to_dot(self) -> str:
@@ -465,14 +483,15 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
 
     ``memo`` maps keys to the keys of their reducts, one per redex in
     redex order, and holds only closed sets: every reduct key of a key
-    in it is in it too.  A node whose key it holds has no term, and it
-    is served from it, with no steps on its edges, and so are all the
-    nodes below it.  Every other reduct is built once, when its key
-    first enters the graph.  The keys expanded here are added to the
-    memo only when the graph completes, which keeps it closed; a graph
-    that the cap or a too-deep reduct cut short leaves it as it was.
-    ``stop`` needs the term of every node, so it is refused together
-    with ``memo``.
+    in it is in it too.  A reduct whose key it holds is an edge's
+    destination only, neither a node nor expanded, so the graph's nodes
+    are the root and the keys new to the memo, and the cap bounds those
+    alone; a root it holds is the one node, not expanded either.  Every
+    node's reduct is built once, when its key first enters the graph.
+    The keys expanded here are added to the memo only when the graph
+    completes, which keeps it closed; a graph that the cap or a
+    too-deep reduct cut short leaves it as it was.  ``stop`` must see
+    every reduct, so it is refused together with ``memo``.
 
     Raises ValueError when t has dangling indices, which canonical_form
     cannot print, and ReductTooDeep when t or a reduct nests deeper than
@@ -481,8 +500,8 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     if stop is not None and memo is not None:
-        raise ValueError("stop needs the term of every node, and a node "
-                         "served from memo has none")
+        raise ValueError("stop must see every reduct, and a reduct that "
+                         "memo holds is not explored")
     depth, lam, mu = shape(t)
     if depth > MAX_NESTING:
         raise ReductTooDeep(0)
@@ -490,9 +509,12 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
         raise ValueError("the term has dangling indices: it is a subterm "
                          "whose bound variables refer to binders above it")
     root = alpha_key(t)
-    nodes: dict[str, Optional[Term]] = {root: t}
-    edges: list[tuple[str, Optional[Position], Optional[str], str]] = []
+    nodes: dict[str, Term] = {root: t}
+    edges: list[tuple[str, Position, str, str]] = []
     parents: dict[str, int] = {}
+    held = {} if memo is None else memo
+    if root in held:
+        return ReductionGraph(root, nodes, edges, True, parents)
     expanded: dict[str, tuple[str, ...]] = {}
     complete = True
     queue = [(root, depth)]  # with a bound on each node's depth
@@ -502,29 +524,23 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
             return ReductionGraph(root, nodes, edges, complete, parents, key)
         if not complete:
             continue
-        if memo is not None and key in memo:
-            reducts = [(None, None, dst, None, None) for dst in memo[key]]
-        else:
-            reducts = _steps(current, depth)
-            if reducts is None:
-                distance = 1
-                while key != root:
-                    key = edges[parents[key]][0]
-                    distance += 1
-                raise ReductTooDeep(distance)
-            if memo is not None:
-                expanded[key] = tuple(dst for _, _, dst, _, _ in reducts)
+        reducts = _steps(current, depth)
+        if reducts is None:
+            distance = 1
+            while key != root:
+                key = edges[parents[key]][0]
+                distance += 1
+            raise ReductTooDeep(distance)
+        if memo is not None:
+            expanded[key] = tuple(dst for _, _, dst, _, _ in reducts)
         for position, rule, dst, contractum, bound in reducts:
-            if dst not in nodes:
+            if dst not in nodes and dst not in held:
                 if len(nodes) >= node_cap:
                     complete = False
                     continue
-                if memo is not None and dst in memo:
-                    nodes[dst] = None
-                else:
-                    after = _rebuild(current, position, contractum)
-                    object.__setattr__(after, "_key", dst)
-                    nodes[dst] = after
+                after = _rebuild(current, position, contractum)
+                object.__setattr__(after, "_key", dst)
+                nodes[dst] = after
                 parents[dst] = len(edges)
                 queue.append((dst, bound))
             edges.append((key, position, rule, dst))

@@ -380,7 +380,8 @@ def _mu_struct_too_deep():
 
 
 # the same reducts at different formulas and contexts, listed right and
-# wrong, so later entries meet reducts served from the memo, with no term
+# wrong, so later entries meet reducts that the memo holds and their
+# graphs do not walk
 SHARED = [
     _entry("(\\x:P -> P. x \\y:P. y)", "P -> P"),
     _entry("(\\x:P -> P. x \\y:P. y)", "P"),
@@ -408,6 +409,12 @@ CAPPED = [_entry(GROWING, "_|_", {}, {"a": "P"}),
           _entry(f"[a] {GROWING}", "_|_", {}, {"a": "P"}),
           _entry("(\\x:P -> P. x \\y:P. y)", "P -> P"),
           _mu_struct_too_deep()]
+# an entry whose four keys fit the cap of 5, then one with three keys
+# new to the memo that reaches seven through it: the first entry's root,
+# that root's reducts and its own
+UV = {"u": "P", "v": "P"}
+REACHED = [_entry("(\\x:P. x (<u, v> p1))", "P", UV),
+           _entry("(<(\\x:P. x (<u, v> p1)), v> p1)", "P", UV)]
 # the looping control, next to a normal entry
 LOOPING = [_entry("(\\x:~P. (x x) \\x:~P. (x x))", "P -> P"),
            _entry("\\x:~P. (x x)", "~P -> _|_")]
@@ -417,8 +424,9 @@ LOOPING = [_entry("(\\x:~P. (x x) \\x:~P. (x x))", "P -> P"),
     (enumerate_typed_terms(8), DEFAULT_NODE_CAP),
     (Corpus(SHARED), DEFAULT_NODE_CAP),
     (Corpus(CAPPED), 5),
+    (Corpus(REACHED), 5),
     (Corpus(LOOPING), 50),
-], ids=["size-8", "shared", "capped", "looping"])
+], ids=["size-8", "shared", "capped", "reached", "looping"])
 def test_run_suite_matches_one_graph_per_entry(corpus, node_cap):
     suite = run_suite(corpus, node_cap)
     reference = reference_suite(corpus, node_cap)

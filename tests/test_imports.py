@@ -119,7 +119,8 @@ MATCH_ALLOWED = {
 # type, never by match
 HOT_WALKS = {
     "typecheck": ("_infer",),
-    "reduction": ("_result_ann", "_reducts", "_contract", "_rebuild"),
+    "reduction": ("_result_ann", "_reducts", "_contract", "_rebuild",
+                  "SuccessorFacts._settle"),
     "syntax": ("alpha_key", "splice_key", "_pf", "_Printer.term",
                "_Printer.eterm"),
     "terms": ("shape", "term_names"),

@@ -384,8 +384,8 @@ def test_subject_reduction_flags_each_ill_typed_reduct():
 def test_confluence_evidence_prints_the_normal_forms(monkeypatch):
     # a beta that turns the argument u into w leaves two normal forms
     # of (\x:P. x (<u, v> p1)), u and w; the evidence prints them by
-    # canonical form, also for the second entry, whose graph the memo
-    # serves with no terms
+    # canonical form, also for the second entry, whose root the memo
+    # holds, so that its graph is the root alone
     contract = reduction._contract
 
     def skewed(t):
@@ -405,7 +405,8 @@ def test_confluence_evidence_prints_the_normal_forms(monkeypatch):
 def test_confluence_evidence_prints_an_unjoinable_pair(monkeypatch):
     # a beta that leaves (\x:P. x u) as it is loops there, while the
     # other order reaches u through (<u, v> p1), which cannot reach the
-    # loop; both are printed by canonical form, from the memo too
+    # loop; both are printed by canonical form, also when the memo holds
+    # the root
     contract = reduction._contract
 
     def looping(t):

@@ -4,9 +4,9 @@ import pytest
 
 from lambdamu import (
     Abs, App, Arrow, BOT, FuelExhausted, Mu, Named, Pair, PropVar,
-    ReductionGraph, ReductionStep, ReductTooDeep, Var, canonical_form,
-    canonical_terms, close, enumerate_typed_terms, infer, normalize,
-    parse_term, print_term, redexes, reduction_graph,
+    ReductionGraph, ReductionStep, ReductTooDeep, Var, alpha_key,
+    canonical_form, canonical_terms, close, enumerate_typed_terms, infer,
+    normalize, parse_term, print_term, redexes, reduction_graph,
 )
 from lambdamu.reduction import InvalidPosition, SuccessorFacts, step_at
 from lambdamu.syntax import MAX_NESTING
@@ -422,47 +422,56 @@ def test_redexes_and_step_at_refuse_a_too_deep_term():
 
 
 def test_graph_over_a_filled_memo_matches_a_fresh_one():
-    # every size-7 graph, and the looping control, explored again over
-    # the memo their first exploration filled, node for node
+    # every size-7 graph, and the looping control, explored over one
+    # memo: each holds the fresh graph's nodes new to the memo, its root
+    # first, in the same order, with the same terms and the edges leaving
+    # them; reach over the filled memo lists every node of the fresh
+    # graph in its order, and a graph explored again, whose root the
+    # memo holds, is that root alone
     terms = [e.term for e in enumerate_typed_terms(7).entries]
     terms.append(_looping_term())
+    fresh = [reduction_graph(t) for t in terms]
     memo = {}
-    for t in terms:
-        reduction_graph(t, memo=memo)
-    for t in terms:
-        fresh, again = reduction_graph(t), reduction_graph(t, memo=memo)
-        assert list(again.nodes) == list(fresh.nodes)
-        assert [(src, dst) for src, _, _, dst in again.edges] == \
-            [(src, dst) for src, _, _, dst in fresh.edges]
-        assert again.parents == fresh.parents
-        # served from the memo below the root, so nothing is expanded
-        assert all(again.nodes[k] is None for k in list(again.nodes)[1:])
+    for t, whole in zip(terms, fresh):
+        new = [k for k in whole.nodes if k not in memo]
+        graph = reduction_graph(t, memo=memo)
+        assert graph.complete
+        assert list(graph.nodes) == new and new[0] == whole.root
+        assert graph.printed() == {k: whole.printed()[k] for k in new}
+        assert graph.edges == [e for e in whole.edges if e[0] in graph.nodes]
+    facts = SuccessorFacts(memo)
+    for t, whole in zip(terms, fresh):
+        assert facts.reach(whole.root) == list(whole.nodes)
+        again = reduction_graph(t, memo=memo)
+        assert (list(again.nodes), again.edges) == ([whole.root], [])
 
 
-def test_graph_with_memo_served_nodes_refuses_printing():
+def test_graph_over_a_memo_prints_and_traces_its_nodes():
     # (<u, v> p1) and u are in the memo, so the graph of
-    # (\x:P. x (<u, v> p1)) holds them with no term, while the reduct
-    # (\x:P. x u), new to the memo, is built: it traces, they do not,
-    # and the graph does not print
+    # (\x:P. x (<u, v> p1)) holds the root and its one new reduct
+    # (\x:P. x u), each with its term: both print and trace, while
+    # to_json and to_dot stop at the first edge to a key of the memo
     memo = {}
     reduction_graph(parse_term("(<u, v> p1)"), memo=memo)
     graph = reduction_graph(parse_term("(\\x:P. x (<u, v> p1))"), memo=memo)
-    _, served, built, normal = graph.nodes
-    assert [graph.nodes[k] is None for k in graph.nodes] == \
-        [False, True, False, True]
+    root, built = graph.nodes
+    assert graph.printed() == {root: "(\\x0:P. x0 (<u, v> p1))",
+                               built: "(\\x0:P. x0 u)"}
+    assert graph.trace_to(root).steps == []
     [step] = graph.trace_to(built).steps
     assert (step.rule, canonical_form(step.after)) == \
         ("proj", "(\\x0:P. x0 u)")
-    for show in (graph.printed, graph.to_json, graph.to_dot,
-                 lambda: graph.trace_to(served),
-                 lambda: graph.trace_to(normal)):
-        with pytest.raises(ValueError, match="^a node served from "
-                           "reduction_graph's memo has no term to print"):
+    assert [(rule, dst) for _, _, rule, dst in graph.edges] == [
+        ("beta", alpha_key(parse_term("(<u, v> p1)"))), ("proj", built),
+        ("beta", alpha_key(parse_term("u")))]
+    for show in (graph.to_json, graph.to_dot):
+        with pytest.raises(KeyError) as raised:
             show()
+        assert raised.value.args == (graph.edges[0][3],)
 
 
 def test_graph_refuses_stop_with_a_memo():
-    with pytest.raises(ValueError, match="stop needs the term"):
+    with pytest.raises(ValueError, match="stop must see every reduct"):
         reduction_graph(parse_term("(\\x:P. x y)"), stop=lambda term: False,
                         memo={})
 
@@ -500,7 +509,15 @@ def _successor_map(*edges: str) -> dict[str, list[str]]:
 ])
 def test_confluence_on_hand_built_graphs(edges, witnesses):
     succ = _successor_map(*edges)
-    assert SuccessorFacts(succ).confluence_failure("r", succ) == witnesses
+    facts = SuccessorFacts(succ)
+    assert facts.confluence_failure("r", succ) == witnesses
+    # the memoized normal form of an acyclic root is none exactly when
+    # there are witnesses, and otherwise the one normal form it reaches
+    if facts.acyclic("r"):
+        sinks = [k for k in facts.reach("r") if not succ[k]]
+        assert facts.normal_form("r") == (None if witnesses else sinks[0])
+    else:
+        assert facts.normal_form("r") is None
 
 
 def test_graph_refuses_dangling_indices():
