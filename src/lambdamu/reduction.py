@@ -453,12 +453,17 @@ def _steps(t: Term, depth: int
     nests at most max(depth, len(p) + the contractum's depth) deep.  A
     contractum nests less than three times as deep as its redex
     (mu-struct, the worst rule, adds a node and a copy of the argument
-    under each name), so len(p) + 3 * (depth - len(p)) bounds that too,
-    and the contractum is walked only when this passes MAX_NESTING.
+    under each name), so len(p) + 3 * (depth - len(p)) bounds that too.
+    The first time this passes MAX_NESTING, t is walked once and its
+    exact depth bounds the rest, so that bounds do not compound down a
+    reduction; the contractum is walked only when even that passes.
     """
-    out = []
+    out, exact = [], False
     for p, rule, contractum in _reducts(t):
         bound = max(depth, len(p) + 3 * (depth - len(p)))
+        if bound > MAX_NESTING and not exact:
+            depth, exact = shape(t)[0], True
+            bound = max(depth, len(p) + 3 * (depth - len(p)))
         if bound > MAX_NESTING:
             bound = max(depth, len(p) + shape(contractum)[0])
             if bound > MAX_NESTING:

@@ -17,6 +17,15 @@ only as a hint for printing, which takes no part in ``==`` and
 without opening them, so a subterm may have dangling indices, which
 refer to binders above it; every operation here respects them.
 
+The operations that reduction contracts through, ``shift``,
+``substitute`` and ``mu_substitute``, each have a walk of their own
+(``_shifted``, ``_substituted``, ``_mu_substituted``): it counts the
+binders it crosses as two integers, picks a node's case by its type and
+keeps every unchanged subterm, so that a reduct shares its nodes and
+their keys.  The cold ones, ``close``, ``open_names`` and
+``rename_binders``, share ``_walk``, which calls back at each leaf and
+keeps the names of the binders it crosses.
+
 Every node class is a ``node``: a frozen, slotted dataclass whose
 ``__init__`` fills the slots through their descriptors.  Terms, E-terms
 and formulas have one more slot, ``_key``, left unset until
@@ -211,7 +220,8 @@ def _walk(t: Term, var, named, lam=(), mu=(), rename=None) -> Term:
     walked already; lam and mu are the names of the lambda- and
     mu-binders crossed, innermost last.  rename, if given, names each
     binder afresh, in preorder.  An unchanged subterm is kept, not
-    copied."""
+    copied.  It serves close, open_names and rename_binders, which are
+    cold; shift, substitute and mu_substitute have walks of their own."""
     kind = type(t)
     if kind is Var:
         return var(t, lam, mu)
@@ -344,20 +354,58 @@ def rename_binders(t: Term, rename) -> Term:
 def shift(e: ETerm, dl: int, dm: int) -> ETerm:
     """e, a term or an E-term, moved under dl more lambda- and dm more
     mu-binders: its dangling indices grow by as much."""
-    if not dl and not dm:
+    kind = type(e)
+    if not dl and not dm or kind is Proj1 or kind is Proj2:
         return e
+    if kind is not Case:
+        return _shifted(e, dl, dm, 0, 0)
+    u1 = _shifted(e.left, dl, dm, 1, 0)
+    u2 = _shifted(e.right, dl, dm, 1, 0)
+    if u1 is e.left and u2 is e.right:
+        return e
+    return Case(e.left_var, u1, e.right_var, u2, e.ann)
 
-    def var(v, lam, mu):
-        x = v.name
-        return Var(x + dl) if dl and type(x) is int and x >= len(lam) else v
 
-    def named(n, body, lam, mu):
-        a = n.name
-        if dm and type(a) is int and a >= len(mu):
-            return Named(a + dm, body)
-        return _same_named(n, body, lam, mu)
-
-    return _walk_e(e, var, named)
+def _shifted(t: Term, dl: int, dm: int, lam: int, mu: int) -> Term:
+    """shift's walk: t, below lam lambda- and mu mu-binders of the term
+    being shifted, with each index that reaches past them grown by dl or
+    dm.  An unchanged subterm is kept, not copied."""
+    kind = type(t)
+    if kind is Var:
+        x = t.name
+        return Var(x + dl) if dl and type(x) is int and x >= lam else t
+    if kind is App:
+        f = _shifted(t.fun, dl, dm, lam, mu)
+        e = t.arg
+        ke = type(e)
+        if ke is Case:
+            u1 = _shifted(e.left, dl, dm, lam + 1, mu)
+            u2 = _shifted(e.right, dl, dm, lam + 1, mu)
+            if u1 is not e.left or u2 is not e.right:
+                e = Case(e.left_var, u1, e.right_var, u2, e.ann)
+        elif ke is not Proj1 and ke is not Proj2:
+            e = _shifted(e, dl, dm, lam, mu)
+        return t if f is t.fun and e is t.arg else App(f, e)
+    if kind is Abs:
+        b = _shifted(t.body, dl, dm, lam + 1, mu)
+        return t if b is t.body else Abs(t.var, t.ann, b)
+    if kind is Mu:
+        b = _shifted(t.body, dl, dm, lam, mu + 1)
+        return t if b is t.body else Mu(t.var, t.ann, b)
+    if kind is Named:
+        a = t.name
+        b = _shifted(t.body, dl, dm, lam, mu)
+        if dm and type(a) is int and a >= mu:
+            return Named(a + dm, b)
+        return t if b is t.body else Named(a, b)
+    if kind is Pair:
+        f = _shifted(t.fst, dl, dm, lam, mu)
+        s = _shifted(t.snd, dl, dm, lam, mu)
+        return t if f is t.fst and s is t.snd else Pair(f, s)
+    if kind is Inj1 or kind is Inj2:
+        b = _shifted(t.body, dl, dm, lam, mu)
+        return t if b is t.body else kind(b, t.ann)
+    raise TypeError(f"not a term: {t!r}")
 
 
 # --------------------------------------------------------------------------
@@ -466,20 +514,52 @@ def substitute(t: Term, x: Name, v: Term) -> Term:
     """
     if not isinstance(v, Term):
         raise TypeError(f"not a term: {v!r}")
-    bound = type(x) is int
+    return _substituted(t, x, v, 0, 0)
 
-    def var(u, lam, mu):
-        y, depth = u.name, len(lam)
-        if bound and type(y) is int:
-            if y > depth + x:
+
+def _substituted(t: Term, x: Name, v: Term, lam: int, mu: int) -> Term:
+    """substitute's walk over t, below lam lambda- and mu mu-binders of
+    the term substituted into."""
+    kind = type(t)
+    if kind is Var:
+        y = t.name
+        if type(y) is int and type(x) is int:
+            if y > x + lam:
                 return Var(y - 1)
-            if y < depth + x:
-                return u
+            if y < x + lam:
+                return t
         elif y != x:
-            return u
-        return shift(v, depth, len(mu))
-
-    return _walk(t, var, _same_named)
+            return t
+        return _shifted(v, lam, mu, 0, 0) if lam or mu else v
+    if kind is App:
+        f = _substituted(t.fun, x, v, lam, mu)
+        e = t.arg
+        ke = type(e)
+        if ke is Case:
+            u1 = _substituted(e.left, x, v, lam + 1, mu)
+            u2 = _substituted(e.right, x, v, lam + 1, mu)
+            if u1 is not e.left or u2 is not e.right:
+                e = Case(e.left_var, u1, e.right_var, u2, e.ann)
+        elif ke is not Proj1 and ke is not Proj2:
+            e = _substituted(e, x, v, lam, mu)
+        return t if f is t.fun and e is t.arg else App(f, e)
+    if kind is Abs:
+        b = _substituted(t.body, x, v, lam + 1, mu)
+        return t if b is t.body else Abs(t.var, t.ann, b)
+    if kind is Mu:
+        b = _substituted(t.body, x, v, lam, mu + 1)
+        return t if b is t.body else Mu(t.var, t.ann, b)
+    if kind is Named:
+        b = _substituted(t.body, x, v, lam, mu)
+        return t if b is t.body else Named(t.name, b)
+    if kind is Pair:
+        f = _substituted(t.fst, x, v, lam, mu)
+        s = _substituted(t.snd, x, v, lam, mu)
+        return t if f is t.fst and s is t.snd else Pair(f, s)
+    if kind is Inj1 or kind is Inj2:
+        b = _substituted(t.body, x, v, lam, mu)
+        return t if b is t.body else kind(b, t.ann)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def mu_substitute(t: Term, a: Name, es: Iterable[ETerm]) -> Term:
@@ -497,13 +577,46 @@ def mu_substitute(t: Term, a: Name, es: Iterable[ETerm]) -> Term:
             raise TypeError(f"not a term: {e!r}")
     if not es:
         return t
-    bound = type(a) is int
+    return _mu_substituted(t, a, es, 0, 0)
 
-    def named(n, body, lam, mu):
-        depth = len(mu)
-        if n.name != (a + depth if bound else a):  # never equal across types
-            return _same_named(n, body, lam, mu)
-        return Named(n.name, apply_sequence(
-            body, (shift(e, len(lam), depth) for e in es)))
 
-    return _walk(t, _same_var, named)
+def _mu_substituted(t: Term, a: Name, es: tuple[ETerm, ...], lam: int,
+                    mu: int) -> Term:
+    """mu_substitute's walk over t, below lam lambda- and mu mu-binders
+    of the term substituted into."""
+    kind = type(t)
+    if kind is Var:
+        return t
+    if kind is App:
+        f = _mu_substituted(t.fun, a, es, lam, mu)
+        e = t.arg
+        ke = type(e)
+        if ke is Case:
+            u1 = _mu_substituted(e.left, a, es, lam + 1, mu)
+            u2 = _mu_substituted(e.right, a, es, lam + 1, mu)
+            if u1 is not e.left or u2 is not e.right:
+                e = Case(e.left_var, u1, e.right_var, u2, e.ann)
+        elif ke is not Proj1 and ke is not Proj2:
+            e = _mu_substituted(e, a, es, lam, mu)
+        return t if f is t.fun and e is t.arg else App(f, e)
+    if kind is Abs:
+        b = _mu_substituted(t.body, a, es, lam + 1, mu)
+        return t if b is t.body else Abs(t.var, t.ann, b)
+    if kind is Mu:
+        b = _mu_substituted(t.body, a, es, lam, mu + 1)
+        return t if b is t.body else Mu(t.var, t.ann, b)
+    if kind is Named:
+        n = t.name
+        b = _mu_substituted(t.body, a, es, lam, mu)
+        if n == (a + mu if type(a) is int else a):  # never equal across types
+            return Named(n, apply_sequence(
+                b, (shift(e, lam, mu) for e in es)))
+        return t if b is t.body else Named(n, b)
+    if kind is Pair:
+        f = _mu_substituted(t.fst, a, es, lam, mu)
+        s = _mu_substituted(t.snd, a, es, lam, mu)
+        return t if f is t.fst and s is t.snd else Pair(f, s)
+    if kind is Inj1 or kind is Inj2:
+        b = _mu_substituted(t.body, a, es, lam, mu)
+        return t if b is t.body else kind(b, t.ann)
+    raise TypeError(f"not a term: {t!r}")

@@ -265,6 +265,27 @@ def test_suite_expands_and_checks_each_key_once(monkeypatch):
     assert calls == {"_steps": 3089, "_rebuild": 485, "_type_error": 485}
 
 
+def test_probes_walk_a_node_once_its_depth_bound_fails(monkeypatch,
+                                                      law_subjects):
+    # every search walks its root, and a node whose reducts' 3x depth
+    # bound passes MAX_NESTING is walked once, so that they are bounded
+    # from its exact depth, not from a bound compounded down the
+    # reduction, and their contracta need no walk of their own
+    walks = 0
+    shape = reduction.shape
+
+    def counted(t):
+        nonlocal walks
+        walks += 1
+        return shape(t)
+
+    monkeypatch.setattr(reduction, "shape", counted)
+    for formula, probe in LAW_PROBES.items():
+        for entry in law_subjects[formula]:
+            probe(entry.term)
+    assert walks == 3168
+
+
 def test_spliced_reduct_keys(monkeypatch, law_subjects):
     # every reduct of every node that the size-10 corpus graphs and the
     # size-10 probe searches expand: the key spliced from its parent's

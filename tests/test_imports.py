@@ -123,7 +123,8 @@ HOT_WALKS = {
                   "SuccessorFacts._settle"),
     "syntax": ("alpha_key", "splice_key", "_pf", "_Printer.term",
                "_Printer.eterm"),
-    "terms": ("shape", "term_names"),
+    "terms": ("shape", "term_names", "_shifted", "_substituted",
+              "_mu_substituted"),
     "behavior": ("Leaf.match", "_match_spine"),
 }
 

@@ -604,9 +604,10 @@ formulas = st.recursive(
 )
 
 
-def terms(depth):
+def terms(depth, lvars=frozenset(), mvars=frozenset()):
     """All-constructor term strategy with well-scoped, non-shadowing names,
-    closed over its binders."""
+    closed over its binders; the lambda-names lvars and the mu-names
+    mvars may occur free too."""
     def build(lvars, mvars, d):
         leaves = []
         if lvars:
@@ -636,7 +637,7 @@ def terms(depth):
                 Named, st.sampled_from(sorted(mvars)), sub))
         return st.one_of(options)
 
-    return build(frozenset(), frozenset(), depth).map(close)
+    return build(lvars, mvars, depth).map(close)
 
 
 @given(terms(3))
