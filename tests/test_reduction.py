@@ -1,6 +1,7 @@
 """One-step reduction, normalization, traces, and reduction graphs."""
 
 import pytest
+from hypothesis import given
 
 from lambdamu import (
     Abs, App, Arrow, BOT, FuelExhausted, Mu, Named, Pair, PropVar,
@@ -14,6 +15,7 @@ from lambdamu.terms import shape
 from lambdamu.typecheck import TypeCheckError
 
 from erasure import erase
+from test_syntax import terms
 
 P = PropVar("P")
 Q = PropVar("Q")
@@ -393,8 +395,8 @@ def _applied(head, arg, n):
 def test_graph_reduct_too_deep_by_applications_alone():
     # ((\x. \y. (x y) w ... w) v ... v) w ... w): the first reduct puts
     # the v chain under the w chain, 174 deep; the second puts the last
-    # w chain under both, 212 deep, and holds nothing but App nodes, each
-    # one character of a key, so the depth bound is not a key's length
+    # w chain under both, 212 deep, and holds nothing but App nodes.
+    # Each contractum's key passes MAX_NESTING, so a walk decides
     body = _applied(App(Var("x"), Var("y")), Var("w"), 110)
     t = close(App(App(Abs("x", P, Abs("y", P, body)),
                       _applied(Var("v"), Var("v"), 60)),
@@ -407,6 +409,47 @@ def test_graph_reduct_too_deep_by_applications_alone():
         reduction_graph(t)
     with pytest.raises(ReductTooDeep, match="after 1 steps"):
         reduction_graph(first)
+    with pytest.raises(ReductTooDeep, match="after 2 steps"):
+        normalize(t)
+    with pytest.raises(ReductTooDeep, match="after 1 steps"):
+        normalize(first)
+
+
+def _nested_pairs(leaf, name, n):
+    """leaf as the first component of n nested pairs, each with the free
+    name as its second."""
+    for _ in range(n):
+        leaf = Pair(leaf, Var(name))
+    return leaf
+
+
+def _under_frames(n, fn, *args):
+    """fn(*args) called under n extra stack frames."""
+    return fn(*args) if n == 0 else _under_frames(n - 1, fn, *args)
+
+
+@pytest.mark.parametrize("walk", [reduction_graph, normalize])
+def test_a_contractum_twice_the_bound_is_refused(walk):
+    # (\x. <<x, v> ... v> <<w, w> ... w>): the redex nests exactly
+    # MAX_NESTING deep and its contractum, the argument under 197 pairs,
+    # about twice that, so its key is read before any walk of it: a
+    # typed error, never a RecursionError, also under a deeper stack
+    t = close(App(Abs("x", P, _nested_pairs(Var("x"), "v", 197)),
+                  _nested_pairs(Var("w"), "w", 197)))
+    assert shape(t)[0] == MAX_NESTING
+    assert shape(step_at(t, ()).after)[0] == 395
+    for frames in (0, 150):
+        with pytest.raises(ReductTooDeep, match="after 1 steps"):
+            _under_frames(frames, walk, t)
+
+
+@given(terms(3, frozenset({"y"}), frozenset({"b"})))
+def test_a_key_is_as_long_as_the_term_is_deep(t):
+    # a key has at least one character per node on any path, so its
+    # length bounds the depth; dangling indices included
+    open_term = close(Abs("y", None, Mu("b", None, t))).body.body
+    for s in (t, open_term):
+        assert shape(s)[0] <= len(alpha_key(s))
 
 
 def test_redexes_and_step_at_refuse_a_too_deep_term():
