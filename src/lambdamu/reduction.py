@@ -234,6 +234,17 @@ def step_at(t: Term, p: Position) -> ReductionStep:
     raise InvalidPosition(f"no redex at position {p}")
 
 
+def _too_deep(p: Position, contractum: Term) -> bool:
+    """Whether the reduct that contracts a redex at position p to
+    contractum nests deeper than MAX_NESTING, given that the term
+    reduced does not: only the path through p changes, and it nests
+    len(p) + the contractum's depth deep.  A key has at least one
+    character per node on any path, so the contractum is walked only
+    when its key's length passes the bound."""
+    return (len(p) + len(alpha_key(contractum)) > MAX_NESTING
+            and len(p) + shape(contractum)[0] > MAX_NESTING)
+
+
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
     """Reduce the leftmost-outermost redex until normal or out of fuel.
     Each step reads the walk, which contracts every redex of the term,
@@ -245,17 +256,19 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
     """
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
+    if shape(t)[0] > MAX_NESTING:
+        raise ReductTooDeep(0)
     trace = Trace(t)
     current = t
     while True:
-        if shape(current)[0] > MAX_NESTING:
-            raise ReductTooDeep(len(trace.steps))
         found = _reducts(current)
         if not found:
             return current, trace
         if len(trace.steps) == fuel:
             raise FuelExhausted(trace)
         p, rule, contractum = found[0]
+        if _too_deep(p, contractum):
+            raise ReductTooDeep(len(trace.steps) + 1)
         after = _rebuild(current, p, contractum)
         trace.steps.append(ReductionStep(current, p, rule, after))
         current = after
@@ -441,35 +454,17 @@ class ReductionGraph:
         }
 
 
-def _steps(t: Term, depth: int
-           ) -> Optional[list[tuple[Position, str, str, Term, int]]]:
-    """(position, rule, key, contractum, depth bound) per redex of t, in
-    redex order, given a bound on t's depth (see terms.shape) no greater
-    than MAX_NESTING; None when a reduct nests deeper than that.  Each
-    key is the reduct's alpha_key, spliced from t's (syntax.splice_key),
-    so that no reduct is built here.
-
-    A reduct differs from t only along the contracted position p, so it
-    nests at most max(depth, len(p) + the contractum's depth) deep.  A
-    contractum nests less than three times as deep as its redex
-    (mu-struct, the worst rule, adds a node and a copy of the argument
-    under each name), so len(p) + 3 * (depth - len(p)) bounds that too.
-    The first time this passes MAX_NESTING, t is walked once and its
-    exact depth bounds the rest, so that bounds do not compound down a
-    reduction; the contractum is walked only when even that passes.
-    """
-    out, exact = [], False
+def _steps(t: Term) -> Optional[list[tuple[Position, str, str, Term]]]:
+    """(position, rule, key, contractum) per redex of t, in redex order,
+    for a t that nests no deeper than MAX_NESTING; None when a reduct
+    nests deeper (see _too_deep).  Each key is the reduct's alpha_key,
+    spliced from t's (syntax.splice_key), so that no reduct is built
+    here."""
+    out = []
     for p, rule, contractum in _reducts(t):
-        bound = max(depth, len(p) + 3 * (depth - len(p)))
-        if bound > MAX_NESTING and not exact:
-            depth, exact = shape(t)[0], True
-            bound = max(depth, len(p) + 3 * (depth - len(p)))
-        if bound > MAX_NESTING:
-            bound = max(depth, len(p) + shape(contractum)[0])
-            if bound > MAX_NESTING:
-                return None
-        out.append((p, rule, splice_key(t, p, contractum), contractum,
-                    bound))
+        if _too_deep(p, contractum):
+            return None
+        out.append((p, rule, splice_key(t, p, contractum), contractum))
     return out
 
 
@@ -522,14 +517,14 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
         return ReductionGraph(root, nodes, edges, True, parents)
     expanded: dict[str, tuple[str, ...]] = {}
     complete = True
-    queue = [(root, depth)]  # with a bound on each node's depth
-    for key, depth in queue:
+    queue = [root]  # every key admitted nests at most MAX_NESTING deep
+    for key in queue:
         current = nodes[key]
         if stop is not None and stop(current):
             return ReductionGraph(root, nodes, edges, complete, parents, key)
         if not complete:
             continue
-        reducts = _steps(current, depth)
+        reducts = _steps(current)
         if reducts is None:
             distance = 1
             while key != root:
@@ -537,8 +532,8 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                 distance += 1
             raise ReductTooDeep(distance)
         if memo is not None:
-            expanded[key] = tuple(dst for _, _, dst, _, _ in reducts)
-        for position, rule, dst, contractum, bound in reducts:
+            expanded[key] = tuple(dst for _, _, dst, _ in reducts)
+        for position, rule, dst, contractum in reducts:
             if dst not in nodes and dst not in held:
                 if len(nodes) >= node_cap:
                     complete = False
@@ -547,7 +542,7 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                 object.__setattr__(after, "_key", dst)
                 nodes[dst] = after
                 parents[dst] = len(edges)
-                queue.append((dst, bound))
+                queue.append(dst)
             edges.append((key, position, rule, dst))
     if memo is not None and complete:
         memo.update(expanded)

@@ -331,7 +331,7 @@ def test_graph_cap_bounds_the_work(capsys, monkeypatch):
     expanded = []
     steps = reduction._steps
     monkeypatch.setattr(reduction, "_steps",
-                        lambda t, key: expanded.append(t) or steps(t, key))
+                        lambda t: expanded.append(t) or steps(t))
     code, out, _ = run(capsys, "graph", "--term", _mu_struct_input(n_args=1),
                        "--open", "y,w", "--node-cap", "20")
     assert code == INCONCLUSIVE

@@ -241,7 +241,9 @@ def test_suite_expands_and_checks_each_key_once(monkeypatch):
     # (test_corpus_graph_facts): a reduct keeps its root's one formula,
     # so the memos of two formulas share no key.  The roots are typed
     # by construction, so only the 485 keys that reduction made and no
-    # root holds are type-checked, and those are the only reducts built
+    # root holds are type-checked, and those are the only reducts built.
+    # Each root is walked once for its depth, and no contractum is,
+    # since no key passes MAX_NESTING
     calls = Counter()
 
     def counted(module, name):
@@ -253,6 +255,7 @@ def test_suite_expands_and_checks_each_key_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(reduction, "_steps")
+    counted(reduction, "shape")
     counted(metatheory, "_type_error")
     rebuild = reduction._rebuild
 
@@ -262,15 +265,13 @@ def test_suite_expands_and_checks_each_key_once(monkeypatch):
 
     monkeypatch.setattr(reduction, "_rebuild", built)
     run_suite(enumerate_typed_terms(SIZE))
-    assert calls == {"_steps": 3089, "_rebuild": 485, "_type_error": 485}
+    assert calls == {"_steps": 3089, "_rebuild": 485, "_type_error": 485,
+                     "shape": 2604}
 
 
-def test_probes_walk_a_node_once_its_depth_bound_fails(monkeypatch,
-                                                      law_subjects):
-    # every search walks its root, and a node whose reducts' 3x depth
-    # bound passes MAX_NESTING is walked once, so that they are bounded
-    # from its exact depth, not from a bound compounded down the
-    # reduction, and their contracta need no walk of their own
+def test_searches_walk_only_their_roots(monkeypatch, law_subjects):
+    # every search walks its root, and a contractum is walked only when
+    # its key passes MAX_NESTING, which no key of these searches does
     walks = 0
     shape = reduction.shape
 
@@ -283,7 +284,7 @@ def test_probes_walk_a_node_once_its_depth_bound_fails(monkeypatch,
     for formula, probe in LAW_PROBES.items():
         for entry in law_subjects[formula]:
             probe(entry.term)
-    assert walks == 3168
+    assert walks == 1201
 
 
 def test_spliced_reduct_keys(monkeypatch, law_subjects):
@@ -295,8 +296,8 @@ def test_spliced_reduct_keys(monkeypatch, law_subjects):
     expanded = {}
     steps = reduction._steps
 
-    def recorded(t, depth):
-        out = steps(t, depth)
+    def recorded(t):
+        out = steps(t)
         expanded.setdefault(alpha_key(t), (t, out))
         return out
 
@@ -310,9 +311,9 @@ def test_spliced_reduct_keys(monkeypatch, law_subjects):
             probe(entry.term)
     probed = [expanded[k] for k in expanded if k not in corpus]
     assert len(probed) == 3097
-    assert any(2 in p for _, out in probed for p, _, _, _, _ in out)
+    assert any(2 in p for _, out in probed for p, _, _, _ in out)
     for t, out in expanded.values():
-        for p, _, key, contractum, _ in out:
+        for p, _, key, contractum in out:
             reduct = reduction._rebuild(t, p, contractum)
             assert key == alpha_key(parse_term(print_term(reduct)))
 
