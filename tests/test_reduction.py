@@ -444,7 +444,7 @@ def test_a_contractum_twice_the_bound_is_refused(walk):
 
 
 @given(terms(3, frozenset({"y"}), frozenset({"b"})))
-def test_a_key_is_as_long_as_the_term_is_deep(t):
+def test_a_key_is_at_least_as_long_as_its_term_is_deep(t):
     # a key has at least one character per node on any path, so its
     # length bounds the depth; dangling indices included
     open_term = close(Abs("y", None, Mu("b", None, t))).body.body
