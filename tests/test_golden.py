@@ -332,6 +332,19 @@ def test_formula_size_5_corpus_facts():
         (name, 9248, 0, 0) for name in PROPERTIES]
 
 
+def test_capped_suite_output():
+    # lambdamu suite at size 9 under a node cap of 3, byte for byte: an
+    # entry whose keys, counted through the memo, pass the cap is
+    # incomplete in every report
+    text = _stdout("suite", "--max-size", "9", "--node-cap", "3", "--json")
+    assert [(r["property"], r["checked"], len(r["failures"]),
+             len(r["incomplete"]))
+            for r in map(json.loads, text.splitlines())] == [
+        (name, 641, 0, 328) for name in PROPERTIES]
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "236f276153b6b15f3aab1e21fb9465cfca0916739b0eb73c20d3e7a424cbefd9"
+
+
 # --------------------------------------------------------------------------
 # run_suite, with its one memo, against one fresh graph per entry
 # --------------------------------------------------------------------------

@@ -437,3 +437,30 @@ def test_entry_with_a_too_deep_reduct_is_incomplete():
         assert report.ok
         assert report.checked == 1
         assert report.incomplete == entries[:1]
+
+
+def test_suite_gates_a_root_by_its_depth():
+    # 200 nested lambdas around x nest 201 deep, with a key of 801
+    # characters: incomplete in every report, never a RecursionError.
+    # One lambda whose annotation holds sixty arrows nests 2 deep, with
+    # a key of 245 characters: checked and complete
+    deep, deep_ty = Var("x"), P
+    for _ in range(200):
+        deep, deep_ty = Abs("x", P, deep), Arrow(P, deep_ty)
+    deep = close(deep)
+    wide_ty = P
+    for _ in range(60):
+        wide_ty = Arrow(P, wide_ty)
+    wide = Abs("x", wide_ty, Var(0))
+    for t, ty, checked in ((deep, deep_ty, 0),
+                           (wide, Arrow(wide_ty, wide_ty), 1)):
+        for report in run_suite(curated_corpus([(t, ty, {}, {})])):
+            assert report.ok
+            assert (report.checked, len(report.incomplete)) == \
+                (checked, 1 - checked)
+
+
+def test_suite_refuses_a_root_with_dangling_indices():
+    # a corpus built directly is not typed, so its roots are walked
+    with pytest.raises(ValueError, match="the term has dangling indices"):
+        run_suite(Corpus([CorpusEntry(Var(0), P)]))
