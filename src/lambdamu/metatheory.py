@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .reduction import (
-    DEFAULT_NODE_CAP, ReductTooDeep, SuccessorFacts, reduction_graph,
+    DEFAULT_NODE_CAP, SuccessorFacts, _explore_into, _root_too_deep,
+    reduction_graph,
 )
 from .syntax import alpha_key, canonical_form, canonical_hints, print_term
 from .terms import (
@@ -377,24 +378,32 @@ def run_suite(corpus: Corpus,
               node_cap: int = DEFAULT_NODE_CAP) -> list[PropertyReport]:
     """Subject reduction, confluence and strong normalization, in that order.
 
-    Entries with the same formula and contexts share one reduction_graph
-    memo, from each alpha-key to the keys of its reducts, so an entry's
-    graph holds only the keys new to that memo, and each distinct
-    reduct is built, expanded and type-checked once per formula and
-    contexts.  The roots of a ``typed`` corpus count as checked, so only
-    the keys that reduction made are type-checked; a corpus built
-    directly has its roots checked too.  Confluence, strong
-    normalization and the longest path, listed by the root's key, are
-    lookups at an entry's root in SuccessorFacts over that memo.  Only
-    an entry that fails, or whose formula and contexts have an
-    ill-typed key, walks the keys it reaches, in the order its own
-    graph would list them, for its evidence.  Evidence prints reducts by
-    canonical_form, so a confluence failure explores its entry again for
-    the witnesses' terms.  An entry is incomplete in every report when
-    its keys, counted through the memo, exceed the cap, or when a reduct
-    nests too deeply; a graph the cap or a too-deep reduct cut short
-    adds nothing to the memo.
+    Entries with the same formula and contexts share one memo, from
+    each alpha-key to the keys of its reducts, which each entry closes
+    from its root (reduction._explore_into) without building a graph,
+    so each distinct reduct is built, expanded and type-checked once
+    per formula and contexts.  The roots of a ``typed`` corpus count as
+    checked, so only the keys that reduction made are type-checked, and
+    a root is walked for its depth only when its key is longer than
+    MAX_NESTING.  A corpus built directly has each root walked before
+    it is keyed, so a root too deep is incomplete and one with dangling
+    indices raises ValueError, and has its roots checked too.
+    Confluence, strong normalization and the longest path, listed by
+    the root's key, are lookups at an entry's root in SuccessorFacts
+    over that memo.  Only an entry that fails, or whose formula and
+    contexts have an ill-typed key, walks the keys it reaches, in the
+    order its reduction_graph would list them, for its evidence.
+    Evidence prints reducts by canonical_form, so a confluence failure
+    explores its entry again with reduction_graph for the witnesses'
+    terms.  An entry is incomplete in every report when its keys,
+    counted through the memo, exceed the cap, or when it or a reduct
+    nests too deeply; an exploration the cap or a too-deep reduct cut
+    short adds nothing to the memo.
+
+    Raises ValueError when node_cap is below 1.
     """
+    if node_cap < 1:
+        raise ValueError("node_cap must be >= 1")
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
     # by (formula's alpha_key, gamma, delta): the contexts as check reads
@@ -408,22 +417,23 @@ def run_suite(corpus: Corpus,
             found = groups[group] = (dict(entry.gamma), dict(entry.delta),
                                      {}, memo, SuccessorFacts(memo))
         gamma, delta, errors, memo, facts = found
-        root = alpha_key(entry.term)
-        held = root in memo
-        try:
-            graph = reduction_graph(entry.term, node_cap, memo=memo)
-        except ReductTooDeep:
-            graph = None
-        if graph is None or not graph.complete:
+        # a root that is not typed is walked before it is keyed, so a
+        # deep one is refused before alpha_key recurses through it
+        if corpus.typed or not _root_too_deep(entry.term):
+            root = alpha_key(entry.term)
+            new = _explore_into(memo, entry.term, root, node_cap)
+        else:
+            new = None
+        if new is None:
             for report in reports:
                 report.incomplete.append(entry)
             continue
         # every reduct re-checks at the entry's type: the memo's keys
         # did already, and the root of a typed corpus counts as checked
-        new = iter(graph.nodes.items())
-        if held or corpus.typed:
-            next(new)
-        for key, reduct in new:
+        unchecked = iter(new.items())
+        if corpus.typed:
+            next(unchecked, None)
+        for key, reduct in unchecked:
             error = _type_error(gamma, delta, reduct, entry.formula)
             if error is not None:
                 errors[key] = error

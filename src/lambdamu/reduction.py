@@ -284,9 +284,10 @@ class SuccessorFacts:
     reaches.
 
     A key's facts depend only on the keys it reaches, so one instance
-    serves a mapping that only grows, such as a reduction_graph memo,
-    as long as every key it reaches is in the mapping: a memo holds only
-    closed sets, so any key in it can be queried.
+    serves a mapping that only grows, such as run_suite's memo, which
+    _explore_into fills, as long as every key it reaches is in the
+    mapping: a memo holds only closed sets, so any key in it can be
+    queried.
     """
 
     def __init__(self, succ: Mapping[str, Sequence[str]]):
@@ -354,7 +355,7 @@ class SuccessorFacts:
     def reach(self, key: str) -> list[str]:
         """The keys that key reaches, key first, breadth-first with each
         key's successors in the order the mapping lists them: the order
-        in which a reduction_graph without a memo admits them."""
+        in which reduction_graph admits them."""
         succ, order, seen = self.succ, [key], {key}
         for k in order:
             for s in succ[k]:
@@ -399,12 +400,7 @@ class ReductionGraph:
     ``trace_to`` rebuilds a shortest reduction.  ``complete`` is False
     when the node cap dropped a reduct, after which no node was
     expanded, so its edges are incomplete too; ``stopped`` is the node
-    at which ``reduction_graph``'s ``stop`` predicate held.  Over
-    ``reduction_graph``'s memo the nodes are the root and the keys new
-    to the memo, each with its term, and an edge may end at a key the
-    memo held, which is no node: printed and trace_to serve every node,
-    while to_json and to_dot, which print both ends of every edge, raise
-    a KeyError there.
+    at which ``reduction_graph``'s ``stop`` predicate held.
     """
 
     root: str
@@ -468,30 +464,32 @@ def _steps(t: Term) -> Optional[list[tuple[Position, str, str, Term]]]:
     return out
 
 
+def _root_too_deep(t: Term) -> bool:
+    """Whether t nests deeper than MAX_NESTING, after one shape walk.
+
+    Raises ValueError when it does not but has dangling indices, which
+    canonical_form cannot print.
+    """
+    depth, lam, mu = shape(t)
+    if depth > MAX_NESTING:
+        return True
+    if lam or mu:
+        raise ValueError("the term has dangling indices: it is a subterm "
+                         "whose bound variables refer to binders above it")
+    return False
+
+
 def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
-                    stop: Optional[Callable[[Term], bool]] = None,
-                    memo: Optional[dict[str, tuple[str, ...]]] = None
+                    stop: Optional[Callable[[Term], bool]] = None
                     ) -> ReductionGraph:
     """Explore the reducts of t breadth-first, deduplicating alpha-equal nodes.
 
-    The package's one search over reducts.  The cap bounds the node
-    count, and with it the work: a reduct past it is dropped with its
-    edge, and the nodes still queued after that are dequeued but not
-    expanded.  ``stop`` is tested on each node as it is dequeued; the
-    first it holds for ends the search unexpanded and is recorded as
-    ``stopped``.
-
-    ``memo`` maps keys to the keys of their reducts, one per redex in
-    redex order, and holds only closed sets: every reduct key of a key
-    in it is in it too.  A reduct whose key it holds is an edge's
-    destination only, neither a node nor expanded, so the graph's nodes
-    are the root and the keys new to the memo, and the cap bounds those
-    alone; a root it holds is the one node, not expanded either.  Every
-    node's reduct is built once, when its key first enters the graph.
-    The keys expanded here are added to the memo only when the graph
-    completes, which keeps it closed; a graph that the cap or a
-    too-deep reduct cut short leaves it as it was.  ``stop`` must see
-    every reduct, so it is refused together with ``memo``.
+    The cap bounds the node count, and with it the work: a reduct past
+    it is dropped with its edge, and the nodes still queued after that
+    are dequeued but not expanded.  ``stop`` is tested on each node as
+    it is dequeued; the first it holds for ends the search unexpanded
+    and is recorded as ``stopped``.  Every node's reduct is built once,
+    when its key first enters the graph.
 
     Raises ValueError when t has dangling indices, which canonical_form
     cannot print, and ReductTooDeep when t or a reduct nests deeper than
@@ -499,23 +497,12 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     """
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
-    if stop is not None and memo is not None:
-        raise ValueError("stop must see every reduct, and a reduct that "
-                         "memo holds is not explored")
-    depth, lam, mu = shape(t)
-    if depth > MAX_NESTING:
+    if _root_too_deep(t):
         raise ReductTooDeep(0)
-    if lam or mu:
-        raise ValueError("the term has dangling indices: it is a subterm "
-                         "whose bound variables refer to binders above it")
     root = alpha_key(t)
     nodes: dict[str, Term] = {root: t}
     edges: list[tuple[str, Position, str, str]] = []
     parents: dict[str, int] = {}
-    held = {} if memo is None else memo
-    if root in held:
-        return ReductionGraph(root, nodes, edges, True, parents)
-    expanded: dict[str, tuple[str, ...]] = {}
     complete = True
     queue = [root]  # every key admitted nests at most MAX_NESTING deep
     for key in queue:
@@ -531,10 +518,8 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                 key = edges[parents[key]][0]
                 distance += 1
             raise ReductTooDeep(distance)
-        if memo is not None:
-            expanded[key] = tuple(dst for _, _, dst, _ in reducts)
         for position, rule, dst, contractum in reducts:
-            if dst not in nodes and dst not in held:
+            if dst not in nodes:
                 if len(nodes) >= node_cap:
                     complete = False
                     continue
@@ -544,6 +529,43 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                 parents[dst] = len(edges)
                 queue.append(dst)
             edges.append((key, position, rule, dst))
-    if memo is not None and complete:
-        memo.update(expanded)
     return ReductionGraph(root, nodes, edges, complete, parents)
+
+
+def _explore_into(memo: dict[str, tuple[str, ...]], t: Term, key: str,
+                  node_cap: int) -> Optional[dict[str, Term]]:
+    """Close memo under reduction from t, whose alpha_key is key, and
+    return the keys new to it, each with its term, in the order
+    reduction_graph admits them: t first, and none when memo holds t.
+
+    memo maps keys to the keys of their reducts, one per redex in redex
+    order, and holds only closed sets: every reduct key of a key in it
+    is in it too.  A reduct whose key it holds is not explored again,
+    and no edge is kept.  None when more than node_cap keys would be
+    new, or when t or a reduct nests deeper than MAX_NESTING; memo is
+    then left as it was.  t is gated as a contractum at the root
+    (_too_deep), walked only when its key is longer than MAX_NESTING,
+    so t must have no dangling indices.
+    """
+    if key in memo:
+        return {}
+    if _too_deep((), t):
+        return None
+    new = {key: t}
+    queue = [(key, t)]
+    expanded = []
+    for key, current in queue:
+        reducts = _steps(current)
+        if reducts is None:
+            return None
+        for position, _, dst, contractum in reducts:
+            if dst not in new and dst not in memo:
+                if len(new) >= node_cap:
+                    return None
+                after = _rebuild(current, position, contractum)
+                object.__setattr__(after, "_key", dst)
+                new[dst] = after
+                queue.append((dst, after))
+        expanded.append((key, tuple([dst for _, _, dst, _ in reducts])))
+    memo.update(expanded)
+    return new

@@ -460,6 +460,16 @@ def test_suite_gates_a_root_by_its_depth():
                 (checked, 1 - checked)
 
 
+def test_suite_walks_a_root_that_is_not_typed_before_keying_it():
+    # 3,000 nested lambdas in a corpus built directly: incomplete in
+    # every report, never a RecursionError from keying the root
+    deep = Var("y")
+    for _ in range(3000):
+        deep = Abs("x", P, deep)
+    for report in run_suite(Corpus([CorpusEntry(deep, P)])):
+        assert (report.checked, len(report.incomplete)) == (0, 1)
+
+
 def test_suite_refuses_a_root_with_dangling_indices():
     # a corpus built directly is not typed, so its roots are walked
     with pytest.raises(ValueError, match="the term has dangling indices"):

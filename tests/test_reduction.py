@@ -9,7 +9,9 @@ from lambdamu import (
     canonical_form, canonical_terms, close, enumerate_typed_terms, infer,
     normalize, parse_term, print_term, redexes, reduction_graph,
 )
-from lambdamu.reduction import InvalidPosition, SuccessorFacts, step_at
+from lambdamu.reduction import (
+    DEFAULT_NODE_CAP, InvalidPosition, SuccessorFacts, _explore_into, step_at,
+)
 from lambdamu.syntax import MAX_NESTING
 from lambdamu.terms import shape
 from lambdamu.typecheck import TypeCheckError
@@ -359,14 +361,21 @@ def _mu_struct_too_deep():
     return parse_term(f"((mu a:P. [a] {term} w) w)")
 
 
+def _explored(memo, t, node_cap=DEFAULT_NODE_CAP):
+    """_explore_into(memo, t, ...), t's key computed here."""
+    return _explore_into(memo, t, alpha_key(t), node_cap)
+
+
 def test_complete_graph_fills_a_closed_memo():
-    # every node key is in the memo with its reducts' keys, and every
+    # every key of a complete exploration is in the memo with its
+    # reducts' keys, as the fresh graph's edges list them, and every
     # reduct key of a memo key is a memo key
     memo, succ = {}, {}
     for t in (parse_term("(<u, v> p1)"),
               parse_term("(\\x:P. <x, x> (<u, v> p1))"), _looping_term()):
-        g = reduction_graph(t, memo=memo)
+        g = reduction_graph(t)
         assert g.complete
+        assert _explored(memo, t) is not None
         succ.update(_successors(g))
         assert memo == {k: tuple(v) for k, v in succ.items()}
         assert _closed(memo)
@@ -374,14 +383,17 @@ def test_complete_graph_fills_a_closed_memo():
 
 
 def test_cut_short_graph_leaves_the_memo_unchanged():
+    # the cap and a too-deep reduct each cut the exploration short: it
+    # answers None and the memo stays as it was
     memo = {}
-    reduction_graph(parse_term("(\\x:P. <x, x> (<u, v> p1))"), memo=memo)
+    assert _explored(memo, parse_term("(\\x:P. <x, x> (<u, v> p1))"))
     before = dict(memo)
-    g = reduction_graph(_growing_loop(), node_cap=5, memo=memo)
-    assert not g.complete
+    assert not reduction_graph(_growing_loop(), node_cap=5).complete
+    assert _explored(memo, _growing_loop(), node_cap=5) is None
     assert memo == before
     with pytest.raises(ReductTooDeep, match="after 2 steps"):
-        reduction_graph(_mu_struct_too_deep(), memo=memo)
+        reduction_graph(_mu_struct_too_deep())
+    assert _explored(memo, _mu_struct_too_deep()) is None
     assert memo == before
 
 
@@ -465,58 +477,29 @@ def test_redexes_and_step_at_refuse_a_too_deep_term():
 
 
 def test_graph_over_a_filled_memo_matches_a_fresh_one():
-    # every size-7 graph, and the looping control, explored over one
-    # memo: each holds the fresh graph's nodes new to the memo, its root
-    # first, in the same order, with the same terms and the edges leaving
-    # them; reach over the filled memo lists every node of the fresh
-    # graph in its order, and a graph explored again, whose root the
-    # memo holds, is that root alone
+    # every size-7 graph, and the looping control, explored into one
+    # memo: each exploration's new keys are the fresh graph's nodes new
+    # to the memo, its root first, in the same order, with the same
+    # terms, and the memo lists their reducts' keys as the fresh graph's
+    # edges do; reach over the filled memo lists every node of the fresh
+    # graph in its order, and a root the memo holds yields nothing new
     terms = [e.term for e in enumerate_typed_terms(7).entries]
     terms.append(_looping_term())
     fresh = [reduction_graph(t) for t in terms]
     memo = {}
     for t, whole in zip(terms, fresh):
-        new = [k for k in whole.nodes if k not in memo]
-        graph = reduction_graph(t, memo=memo)
-        assert graph.complete
-        assert list(graph.nodes) == new and new[0] == whole.root
-        assert graph.printed() == {k: whole.printed()[k] for k in new}
-        assert graph.edges == [e for e in whole.edges if e[0] in graph.nodes]
+        expected = [k for k in whole.nodes if k not in memo]
+        new = _explored(memo, t)
+        assert list(new) == expected and expected[0] == whole.root
+        assert {k: canonical_form(u) for k, u in new.items()} == \
+            {k: whole.printed()[k] for k in expected}
+        succ = _successors(whole)
+        assert {k: memo[k] for k in new} == \
+            {k: tuple(succ[k]) for k in expected}
     facts = SuccessorFacts(memo)
     for t, whole in zip(terms, fresh):
         assert facts.reach(whole.root) == list(whole.nodes)
-        again = reduction_graph(t, memo=memo)
-        assert (list(again.nodes), again.edges) == ([whole.root], [])
-
-
-def test_graph_over_a_memo_prints_and_traces_its_nodes():
-    # (<u, v> p1) and u are in the memo, so the graph of
-    # (\x:P. x (<u, v> p1)) holds the root and its one new reduct
-    # (\x:P. x u), each with its term: both print and trace, while
-    # to_json and to_dot stop at the first edge to a key of the memo
-    memo = {}
-    reduction_graph(parse_term("(<u, v> p1)"), memo=memo)
-    graph = reduction_graph(parse_term("(\\x:P. x (<u, v> p1))"), memo=memo)
-    root, built = graph.nodes
-    assert graph.printed() == {root: "(\\x0:P. x0 (<u, v> p1))",
-                               built: "(\\x0:P. x0 u)"}
-    assert graph.trace_to(root).steps == []
-    [step] = graph.trace_to(built).steps
-    assert (step.rule, canonical_form(step.after)) == \
-        ("proj", "(\\x0:P. x0 u)")
-    assert [(rule, dst) for _, _, rule, dst in graph.edges] == [
-        ("beta", alpha_key(parse_term("(<u, v> p1)"))), ("proj", built),
-        ("beta", alpha_key(parse_term("u")))]
-    for show in (graph.to_json, graph.to_dot):
-        with pytest.raises(KeyError) as raised:
-            show()
-        assert raised.value.args == (graph.edges[0][3],)
-
-
-def test_graph_refuses_stop_with_a_memo():
-    with pytest.raises(ValueError, match="stop must see every reduct"):
-        reduction_graph(parse_term("(\\x:P. x y)"), stop=lambda term: False,
-                        memo={})
+        assert _explored(memo, t) == {}
 
 
 # --------------------------------------------------------------------------
