@@ -202,6 +202,30 @@ def law_subjects():
             for formula in LAW_PROBES}
 
 
+def test_probe_reports(law_subjects):
+    # every probe report over each law's inhabitants, traces included,
+    # byte for byte: 981 ex falso, 11 Peirce, 31 of each disjunct order
+    lines = [json.dumps(probe(entry.term).to_json())
+             for formula, probe in LAW_PROBES.items()
+             for entry in law_subjects[formula]]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        1054, "a3c95d37b389a8de323ba7c67dda13590bc37819bddedfda3a266c6811882236")
+
+
+def test_corpus_graph_traces():
+    # the trace to every node of every graph, each step's redex and
+    # both its terms printed: a shortest reduction along first edges
+    lines = []
+    for entry in enumerate_typed_terms(SIZE).entries:
+        graph = reduction_graph(entry.term)
+        lines.extend(json.dumps(graph.trace_to(key).to_json_lines())
+                     for key in graph.nodes)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        8830, "3eecd029bca1b87700834cee549aad2fb453ec0fc6d99d59782f67f39b6124e6")
+
+
 @pytest.mark.parametrize("removed", RULE_REMOVAL)
 def test_probe_verdicts_without_a_rule(monkeypatch, law_subjects, removed):
     # which rules each behaviour result needs at size 10: every
