@@ -23,7 +23,6 @@ from typing import Optional
 
 from .reduction import (
     DEFAULT_NODE_CAP, SuccessorFacts, _explore_into, _root_too_deep,
-    reduction_graph,
 )
 from .syntax import alpha_key, canonical_form, canonical_hints, print_term
 from .terms import (
@@ -392,13 +391,13 @@ def run_suite(corpus: Corpus,
     the root's key, are lookups at an entry's root in SuccessorFacts
     over that memo.  Only an entry that fails, or whose formula and
     contexts have an ill-typed key, walks the keys it reaches, in the
-    order its reduction_graph would list them, for its evidence.
-    Evidence prints reducts by canonical_form, so a confluence failure
-    explores its entry again with reduction_graph for the witnesses'
-    terms.  An entry is incomplete in every report when its keys,
-    counted through the memo, exceed the cap, or when it or a reduct
-    nests too deeply; an exploration the cap or a too-deep reduct cut
-    short adds nothing to the memo.
+    order SuccessorFacts.reach lists them, for its evidence.  Evidence
+    prints reducts by canonical_form, so a confluence failure explores
+    its entry again, into an empty memo, for the witnesses' terms; no
+    entry builds a graph.  An entry is incomplete in every report when
+    its keys, counted through the memo, exceed the cap, or when it or a
+    reduct nests too deeply; an exploration the cap or a too-deep
+    reduct cut short adds nothing to the memo.
 
     Raises ValueError when node_cap is below 1.
     """
@@ -438,24 +437,22 @@ def run_suite(corpus: Corpus,
             if error is not None:
                 errors[key] = error
         # the keys the root reaches, once they could pass the cap
-        order = facts.reach(root) if len(memo) > node_cap else None
-        if order is not None and len(order) > node_cap:
+        if len(memo) > node_cap and len(facts.reach(root)) > node_cap:
             for report in reports:
                 report.incomplete.append(entry)
             continue
         for report in reports:
             report.checked += 1
         if errors:
-            order = order or facts.reach(root)
-            sr.failures.extend((entry, errors[k]) for k in order
+            sr.failures.extend((entry, errors[k]) for k in facts.reach(root)
                                if k in errors)
         # some reduct is a descendant of every reduct
         acyclic = facts.acyclic(root)
         if facts.normal_form(root) is None:
-            witnesses = facts.confluence_failure(
-                root, order or facts.reach(root))
+            witnesses = facts.confluence_failure(root)
             if witnesses is not None:
-                nodes = reduction_graph(entry.term, node_cap).nodes
+                # the entry closed under the cap, so this cannot be None
+                nodes = _explore_into({}, entry.term, root, node_cap)
                 shown = [canonical_form(nodes[k]) for k in witnesses]
                 cf.failures.append((entry, (
                     f"{len(shown)} distinct normal forms: {shown}" if acyclic

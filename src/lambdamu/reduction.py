@@ -18,7 +18,7 @@ for the second case branch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .syntax import MAX_NESTING, alpha_key, canonical_form, splice_key
 from .terms import (
@@ -355,7 +355,7 @@ class SuccessorFacts:
     def reach(self, key: str) -> list[str]:
         """The keys that key reaches, key first, breadth-first with each
         key's successors in the order the mapping lists them: the order
-        in which reduction_graph admits them."""
+        in which reduction_graph and _explore_into admit them."""
         succ, order, seen = self.succ, [key], {key}
         for k in order:
             for s in succ[k]:
@@ -364,13 +364,11 @@ class SuccessorFacts:
                     order.append(s)
         return order
 
-    def confluence_failure(self, key: str,
-                           order: Iterable[str]) -> Optional[list[str]]:
-        """The witnesses that the keys reachable from key, listed in
-        ``order`` (all of those keys, as reach lists them), are not
-        confluent, else None: when key is acyclic, its normal forms (the
-        keys of order with no successor) in that order; otherwise an
-        unjoinable pair.
+    def confluence_failure(self, key: str) -> Optional[list[str]]:
+        """The witnesses that the keys key reaches are not confluent,
+        else None: when key is acyclic, its normal forms (the keys it
+        reaches with no successor) in the order reach lists them;
+        otherwise an unjoinable pair.
 
         On a finite graph pairwise joinability means some node descends
         from every node.  When acyclic, that is a unique normal form.
@@ -381,8 +379,8 @@ class SuccessorFacts:
         if self.acyclic(key):
             if self.normal_form(key) is not None:
                 return None
-            return [k for k in order if not succ[k]]
-        below = {k: set(self.reach(k)) for k in order}
+            return [k for k in self.reach(key) if not succ[k]]
+        below = {k: set(self.reach(k)) for k in self.reach(key)}
         low = min(below, key=lambda k: len(below[k]))
         stray = next((k for k in below if low not in below[k]), None)
         return None if stray is None else [low, stray]
@@ -395,26 +393,29 @@ class ReductionGraph:
     Nodes are keyed by their alpha_key, one per alpha-equivalence class;
     to_json and to_dot print them by canonical_form.  ``edges`` has one
     entry (source, position, rule, destination) per redex of each
-    expanded node; ``parents`` maps every node but the root to the index
-    of its first incoming edge, the one that admitted it, so
-    ``trace_to`` rebuilds a shortest reduction.  ``complete`` is False
-    when the node cap dropped a reduct, after which no node was
-    expanded, so its edges are incomplete too; ``stopped`` is the node
-    at which ``reduction_graph``'s ``stop`` predicate held.
+    expanded node; the first edge into each node but the root is the
+    one that admitted it, so ``trace_to`` rebuilds a shortest reduction
+    along first edges.  ``complete`` is False when the node cap dropped
+    a reduct, after which no node was expanded, so its edges are
+    incomplete too; ``stopped`` is the node at which
+    ``reduction_graph``'s ``stop`` predicate held.
     """
 
     root: str
     nodes: dict[str, Term]
     edges: list[tuple[str, Position, str, str]]
     complete: bool
-    parents: dict[str, int] = field(default_factory=dict)
     stopped: Optional[str] = None
 
     def trace_to(self, key: str) -> Trace:
         """The reduction from the root to key along first incoming edges."""
+        # the first edge into a node is the one that admitted it
+        first: dict[str, tuple[str, Position, str, str]] = {}
+        for edge in self.edges:
+            first.setdefault(edge[3], edge)
         nodes, steps = self.nodes, []
         while key != self.root:
-            src, position, rule, _ = self.edges[self.parents[key]]
+            src, position, rule, _ = first[key]
             steps.append(ReductionStep(nodes[src], position, rule, nodes[key]))
             key = src
         steps.reverse()
@@ -489,7 +490,8 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     are dequeued but not expanded.  ``stop`` is tested on each node as
     it is dequeued; the first it holds for ends the search unexpanded
     and is recorded as ``stopped``.  Every node's reduct is built once,
-    when its key first enters the graph.
+    when its key first enters the graph, and the edge that admits it is
+    the first edge into it.
 
     Raises ValueError when t has dangling indices, which canonical_form
     cannot print, and ReductTooDeep when t or a reduct nests deeper than
@@ -502,22 +504,18 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     root = alpha_key(t)
     nodes: dict[str, Term] = {root: t}
     edges: list[tuple[str, Position, str, str]] = []
-    parents: dict[str, int] = {}
     complete = True
     queue = [root]  # every key admitted nests at most MAX_NESTING deep
     for key in queue:
         current = nodes[key]
         if stop is not None and stop(current):
-            return ReductionGraph(root, nodes, edges, complete, parents, key)
+            return ReductionGraph(root, nodes, edges, complete, key)
         if not complete:
             continue
         reducts = _steps(current)
         if reducts is None:
-            distance = 1
-            while key != root:
-                key = edges[parents[key]][0]
-                distance += 1
-            raise ReductTooDeep(distance)
+            graph = ReductionGraph(root, nodes, edges, complete)
+            raise ReductTooDeep(len(graph.trace_to(key).steps) + 1)
         for position, rule, dst, contractum in reducts:
             if dst not in nodes:
                 if len(nodes) >= node_cap:
@@ -526,10 +524,9 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
                 after = _rebuild(current, position, contractum)
                 object.__setattr__(after, "_key", dst)
                 nodes[dst] = after
-                parents[dst] = len(edges)
                 queue.append(dst)
             edges.append((key, position, rule, dst))
-    return ReductionGraph(root, nodes, edges, complete, parents)
+    return ReductionGraph(root, nodes, edges, complete)
 
 
 def _explore_into(memo: dict[str, tuple[str, ...]], t: Term, key: str,

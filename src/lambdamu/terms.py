@@ -29,9 +29,9 @@ keeps the names of the binders it crosses.
 Every node class is a ``node``: a frozen, slotted dataclass whose
 ``__init__`` fills the slots through their descriptors.  Terms, E-terms
 and formulas have one more slot, ``_key``, left unset until
-``syntax.alpha_key`` reads the node, or ``reduction.reduction_graph``
-builds a reduct whose key it spliced: a string that two nodes share
-exactly when they are ``==``.
+``syntax.alpha_key`` reads the node, or an explorer of ``reduction``
+(``reduction_graph`` or ``_explore_into``) builds a reduct whose key it
+spliced: a string that two nodes share exactly when they are ``==``.
 """
 
 from __future__ import annotations

@@ -406,7 +406,7 @@ def reference_suite(corpus, node_cap):
             succ[text[src]].append(text[dst])
         facts = SuccessorFacts(succ)
         root = text[graph.root]
-        witnesses = facts.confluence_failure(root, succ)
+        witnesses = facts.confluence_failure(root)
         if witnesses is not None and facts.acyclic(root):
             cf.failures.append((entry, f"{len(witnesses)} distinct normal "
                                        f"forms: {witnesses}"))

@@ -381,11 +381,15 @@ def test_subject_reduction_flags_each_ill_typed_reduct():
     assert sr.checked == cf.checked == sn.checked == 1
 
 
+def _graph_built(*args):
+    raise AssertionError("a ReductionGraph was built")
+
+
 def test_confluence_evidence_prints_the_normal_forms(monkeypatch):
     # a beta that turns the argument u into w leaves two normal forms
     # of (\x:P. x (<u, v> p1)), u and w; the evidence prints them by
     # canonical form, also for the second entry, whose root the memo
-    # holds, so that its graph is the root alone
+    # holds, so that its graph is the root alone.  No graph is built
     contract = reduction._contract
 
     def skewed(t):
@@ -395,6 +399,7 @@ def test_confluence_evidence_prints_the_normal_forms(monkeypatch):
         return out
 
     monkeypatch.setattr(reduction, "_contract", skewed)
+    monkeypatch.setattr(reduction, "ReductionGraph", _graph_built)
     entry = CorpusEntry(parse_term("(\\x:P. x (<u, v> p1))"), P,
                         (("u", P), ("v", P), ("w", P)))
     sr, cf, sn = run_suite(Corpus([entry, entry]))
@@ -406,7 +411,7 @@ def test_confluence_evidence_prints_an_unjoinable_pair(monkeypatch):
     # a beta that leaves (\x:P. x u) as it is loops there, while the
     # other order reaches u through (<u, v> p1), which cannot reach the
     # loop; both are printed by canonical form, also when the memo holds
-    # the root
+    # the root.  No graph is built
     contract = reduction._contract
 
     def looping(t):
@@ -416,6 +421,7 @@ def test_confluence_evidence_prints_an_unjoinable_pair(monkeypatch):
         return out
 
     monkeypatch.setattr(reduction, "_contract", looping)
+    monkeypatch.setattr(reduction, "ReductionGraph", _graph_built)
     entry = CorpusEntry(parse_term("(\\x:P. x (<u, v> p1))"), P,
                         (("u", P), ("v", P)))
     sr, cf, sn = run_suite(Corpus([entry, entry]))
