@@ -24,7 +24,9 @@ from typing import Optional
 from .reduction import (
     DEFAULT_NODE_CAP, SuccessorFacts, _explore_into, _root_too_deep,
 )
-from .syntax import alpha_key, canonical_form, canonical_hints, print_term
+from .syntax import (
+    MAX_NESTING, alpha_key, canonical_form, canonical_hints, print_term,
+)
 from .terms import (
     Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
     Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var,
@@ -38,7 +40,7 @@ MAX_MU_DEPTH = 2
 P = PropVar("P")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusEntry:
     term: Term
     formula: Formula
@@ -373,6 +375,20 @@ def _type_error(gamma: Context, delta: Context, reduct: Term,
 PROPERTIES = ("subject-reduction", "confluence", "strong-normalization")
 
 
+def _formulas_too_deep(entry: CorpusEntry) -> bool:
+    """Whether the formula of entry or a formula of its contexts nests
+    deeper than MAX_NESTING.  One walk, level by level, so that no
+    formula is too deep for it; a subformula shared within a level is
+    visited once."""
+    level = [entry.formula, *(a for _, a in entry.gamma + entry.delta)]
+    for _ in range(MAX_NESTING):
+        level = {id(s): s for a in level if isinstance(a, (Arrow, Conj, Disj))
+                 for s in (a.left, a.right)}.values()
+        if not level:
+            return False
+    return True
+
+
 def run_suite(corpus: Corpus,
               node_cap: int = DEFAULT_NODE_CAP) -> list[PropertyReport]:
     """Subject reduction, confluence and strong normalization, in that order.
@@ -395,9 +411,10 @@ def run_suite(corpus: Corpus,
     prints reducts by canonical_form, so a confluence failure explores
     its entry again, into an empty memo, for the witnesses' terms; no
     entry builds a graph.  An entry is incomplete in every report when
-    its keys, counted through the memo, exceed the cap, or when it or a
-    reduct nests too deeply; an exploration the cap or a too-deep
-    reduct cut short adds nothing to the memo.
+    its keys, counted through the memo, exceed the cap, or when it, a
+    reduct, its formula or a formula of its contexts nests too deeply;
+    an exploration the cap or a too-deep reduct cut short adds nothing
+    to the memo.
 
     Raises ValueError when node_cap is below 1.
     """
@@ -406,21 +423,34 @@ def run_suite(corpus: Corpus,
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
     # by (formula's alpha_key, gamma, delta): the contexts as check reads
-    # them, the evidence of each ill-typed key, the memo and its facts
+    # them, the evidence of each ill-typed key, the memo, its key table
+    # (reduction._explore_into) and its facts
     groups: dict[tuple, tuple] = {}
     for entry in corpus.entries:
-        group = (alpha_key(entry.formula), entry.gamma, entry.delta)
+        # alpha_key and hash recurse through formulas, so an entry with
+        # one nested too deeply is refused before either reads it; a
+        # formula whose cached key is no longer than MAX_NESTING nests
+        # no deeper, so an enumerated corpus, whose entries share their
+        # formula and have no contexts, walks each formula once
+        formula_key = getattr(entry.formula, "_key", None)
+        if (formula_key is None or len(formula_key) > MAX_NESTING
+                or entry.gamma or entry.delta) and _formulas_too_deep(entry):
+            for report in reports:
+                report.incomplete.append(entry)
+            continue
+        group = (formula_key or alpha_key(entry.formula), entry.gamma,
+                 entry.delta)
         found = groups.get(group)
         if found is None:
             memo: dict[str, tuple[str, ...]] = {}
             found = groups[group] = (dict(entry.gamma), dict(entry.delta),
-                                     {}, memo, SuccessorFacts(memo))
-        gamma, delta, errors, memo, facts = found
+                                     {}, memo, {}, SuccessorFacts(memo))
+        gamma, delta, errors, memo, keys, facts = found
         # a root that is not typed is walked before it is keyed, so a
         # deep one is refused before alpha_key recurses through it
         if corpus.typed or not _root_too_deep(entry.term):
             root = alpha_key(entry.term)
-            new = _explore_into(memo, entry.term, root, node_cap)
+            new = _explore_into(memo, keys, entry.term, root, node_cap)
         else:
             new = None
         if new is None:
@@ -429,7 +459,7 @@ def run_suite(corpus: Corpus,
             continue
         # every reduct re-checks at the entry's type: the memo's keys
         # did already, and the root of a typed corpus counts as checked
-        unchecked = iter(new.items())
+        unchecked = iter(new)
         if corpus.typed:
             next(unchecked, None)
         for key, reduct in unchecked:
@@ -452,7 +482,8 @@ def run_suite(corpus: Corpus,
             witnesses = facts.confluence_failure(root)
             if witnesses is not None:
                 # the entry closed under the cap, so this cannot be None
-                nodes = _explore_into({}, entry.term, root, node_cap)
+                nodes = dict(_explore_into({}, {}, entry.term, root,
+                                           node_cap))
                 shown = [canonical_form(nodes[k]) for k in witnesses]
                 cf.failures.append((entry, (
                     f"{len(shown)} distinct normal forms: {shown}" if acyclic

@@ -529,40 +529,47 @@ def reduction_graph(t: Term, node_cap: int = DEFAULT_NODE_CAP,
     return ReductionGraph(root, nodes, edges, complete)
 
 
-def _explore_into(memo: dict[str, tuple[str, ...]], t: Term, key: str,
-                  node_cap: int) -> Optional[dict[str, Term]]:
+def _explore_into(memo: dict[str, tuple[str, ...]], keys: dict[str, str],
+                  t: Term, key: str, node_cap: int
+                  ) -> Optional[list[tuple[str, Term]]]:
     """Close memo under reduction from t, whose alpha_key is key, and
-    return the keys new to it, each with its term, in the order
+    return the keys new to it, each paired with its term, in the order
     reduction_graph admits them: t first, and none when memo holds t.
 
     memo maps keys to the keys of their reducts, one per redex in redex
     order, and holds only closed sets: every reduct key of a key in it
-    is in it too.  A reduct whose key it holds is not explored again,
-    and no edge is kept.  None when more than node_cap keys would be
-    new, or when t or a reduct nests deeper than MAX_NESTING; memo is
-    then left as it was.  t is gated as a contractum at the root
-    (_too_deep), walked only when its key is longer than MAX_NESTING,
-    so t must have no dangling indices.
+    is in it too.  keys maps each key of memo to itself and grows with
+    it, so that every reduct key in memo is the string memo holds as
+    that key, not a spliced copy.  A reduct whose key memo holds is not
+    explored again, and no edge is kept.  None when more than node_cap
+    keys would be new, or when t or a reduct nests deeper than
+    MAX_NESTING; memo and keys are then left as they were.  t is gated
+    as a contractum at the root (_too_deep), walked only when its key is
+    longer than MAX_NESTING, so t must have no dangling indices.
     """
-    if key in memo:
-        return {}
+    if key in keys:
+        return []
     if _too_deep((), t):
         return None
-    new = {key: t}
-    queue = [(key, t)]
+    keys[key] = key  # as each key new to memo is, while this runs
+    new = [(key, t)]
     expanded = []
-    for key, current in queue:
+    for key, current in new:
         reducts = _steps(current)
         if reducts is None:
-            return None
+            break
         for position, _, dst, contractum in reducts:
-            if dst not in new and dst not in memo:
-                if len(new) >= node_cap:
-                    return None
+            if dst not in keys:
                 after = _rebuild(current, position, contractum)
                 object.__setattr__(after, "_key", dst)
-                new[dst] = after
-                queue.append((dst, after))
-        expanded.append((key, tuple([dst for _, _, dst, _ in reducts])))
-    memo.update(expanded)
-    return new
+                keys[dst] = dst
+                new.append((dst, after))
+        if len(new) > node_cap:
+            break
+        expanded.append((key, tuple([keys[dst] for _, _, dst, _ in reducts])))
+    else:
+        memo.update(expanded)
+        return new
+    for key, _ in new:  # cut short: keys forgets what memo will not hold
+        del keys[key]
+    return None

@@ -9,7 +9,7 @@ from lambdamu import (
     check, close, curated_corpus, enumerate_typed_terms, infer, is_closed,
     parse_formula, parse_term, run_suite,
 )
-from lambdamu import reduction
+from lambdamu import metatheory, reduction
 from lambdamu.metatheory import (
     CorpusEntry, DEFAULT_MAX_FORMULA_SIZE, Enumerator, MAX_LAMBDA_DEPTH,
     MAX_MU_DEPTH, cut_pool, formula_pool, subformulas,
@@ -474,6 +474,61 @@ def test_suite_walks_a_root_that_is_not_typed_before_keying_it():
         deep = Abs("x", P, deep)
     for report in run_suite(Corpus([CorpusEntry(deep, P)])):
         assert (report.checked, len(report.incomplete)) == (0, 1)
+
+
+def _arrows(n):
+    """P -> ... -> P with n arrows, n + 1 nodes deep."""
+    a = P
+    for _ in range(n):
+        a = Arrow(P, a)
+    return a
+
+
+@pytest.mark.parametrize("typed", [True, False])
+def test_suite_gates_an_entry_by_its_formulas_depth(typed):
+    # an entry whose formula, or a formula of its contexts, nests past
+    # MAX_NESTING is incomplete in every report, never a RecursionError
+    # from keying or hashing it, in a typed corpus and in one built
+    # directly; at MAX_NESTING it is checked, as is the entry beside it
+    y, ok = Var("y"), CorpusEntry(parse_term("\\x:P. x"), Arrow(P, P))
+    for arrows, checked in ((199, 2), (200, 1), (3000, 1)):
+        a = _arrows(arrows)
+        for entry in (CorpusEntry(y, a, (("y", a),)),
+                      CorpusEntry(y, P, (("y", P), ("z", a))),
+                      CorpusEntry(y, P, (("y", P),), (("b", a),))):
+            for report in run_suite(Corpus([entry, ok], typed)):
+                assert report.ok
+                assert report.checked == checked
+                assert [e is entry for e in report.incomplete] == \
+                    [True] * (2 - checked)
+
+
+def test_suite_memos_hold_one_string_per_key(monkeypatch):
+    # every successor in a memo of the size-10 suite is the very string
+    # the memo holds as that key, not an equal copy; entries keep no
+    # __dict__; and the depth gate walks each target formula once, not
+    # each entry
+    memos, walked = [], []
+
+    class Recorded(reduction.SuccessorFacts):
+        def __init__(self, succ):
+            super().__init__(succ)
+            memos.append(succ)
+
+    gate = metatheory._formulas_too_deep
+    monkeypatch.setattr(metatheory, "SuccessorFacts", Recorded)
+    monkeypatch.setattr(metatheory, "_formulas_too_deep",
+                        lambda entry: walked.append(entry) or gate(entry))
+    corpus = enumerate_typed_terms(10)
+    assert all(r.ok for r in run_suite(corpus))
+    successors = [s for memo in memos for succ in memo.values() for s in succ]
+    assert len(successors) > len(corpus)
+    for memo in memos:
+        own = {k: k for k in memo}
+        assert all(own[s] is s for succ in memo.values() for s in succ)
+    assert not hasattr(corpus.entries[0], "__dict__")
+    assert len({id(e.formula) for e in walked}) == len(walked) \
+        <= len(formula_pool())
 
 
 def test_suite_refuses_a_root_with_dangling_indices():

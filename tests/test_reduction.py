@@ -361,9 +361,13 @@ def _mu_struct_too_deep():
     return parse_term(f"((mu a:P. [a] {term} w) w)")
 
 
-def _explored(memo, t, node_cap=DEFAULT_NODE_CAP):
-    """_explore_into(memo, t, ...), t's key computed here."""
-    return _explore_into(memo, t, alpha_key(t), node_cap)
+def _explored(memo, t, node_cap=DEFAULT_NODE_CAP, keys=None):
+    """_explore_into(memo, keys, t, ...) as a dict, t's key computed
+    here, and keys built from memo when not given."""
+    if keys is None:
+        keys = {k: k for k in memo}
+    new = _explore_into(memo, keys, t, alpha_key(t), node_cap)
+    return None if new is None else dict(new)
 
 
 def test_complete_graph_fills_a_closed_memo():
@@ -384,17 +388,21 @@ def test_complete_graph_fills_a_closed_memo():
 
 def test_cut_short_graph_leaves_the_memo_unchanged():
     # the cap and a too-deep reduct each cut the exploration short: it
-    # answers None and the memo stays as it was
-    memo = {}
-    assert _explored(memo, parse_term("(\\x:P. <x, x> (<u, v> p1))"))
+    # answers None and the memo and its key table stay as they were
+    memo, keys = {}, {}
+    assert _explored(memo, parse_term("(\\x:P. <x, x> (<u, v> p1))"),
+                     keys=keys)
     before = dict(memo)
+    assert keys == {k: k for k in memo}
     assert not reduction_graph(_growing_loop(), node_cap=5).complete
-    assert _explored(memo, _growing_loop(), node_cap=5) is None
+    assert _explored(memo, _growing_loop(), node_cap=5, keys=keys) is None
     assert memo == before
+    assert keys == {k: k for k in memo}
     with pytest.raises(ReductTooDeep, match="after 2 steps"):
         reduction_graph(_mu_struct_too_deep())
-    assert _explored(memo, _mu_struct_too_deep()) is None
+    assert _explored(memo, _mu_struct_too_deep(), keys=keys) is None
     assert memo == before
+    assert keys == {k: k for k in memo}
 
 
 def _applied(head, arg, n):
