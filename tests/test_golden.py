@@ -356,6 +356,27 @@ def test_formula_size_5_corpus_facts():
         (name, 9248, 0, 0) for name in PROPERTIES]
 
 
+@pytest.mark.parametrize("target, count, digest", [
+    ("(~Q -> Q) -> Q", 38,
+     "8aa080214c331ad03cb14b1e985f7357b0d4f19a7181795a3e55d6d4a41b0369"),
+    ("Q \\/ ~Q", 33,
+     "b89470fb742263f42e73b22b7e10242e4e427432c2aab3e7265917c99e56bd93"),
+    ("P /\\ Q -> Q /\\ P", 8,
+     "44273722699a1e2fe6cf755225484a31ee1d40e7c02b8d16113aa5034cc00f5b"),
+    ("(P -> Q) -> ~Q -> ~P", 14,
+     "14cf3257525ee5ada1663d253e8e44f88e5c13208efc5f367fa1e3dc35377d93"),
+])
+def test_second_atom_target_corpus(target, count, digest):
+    # each atom of a target brings its own cut shapes, so these size-11
+    # inhabitants, printed in order, pin the eliminations over a second
+    # atom as well as over P
+    corpus = enumerate_typed_terms(11, target=parse_formula(target))
+    lines = [f"{print_term(e.term)} : {print_formula(e.formula)}"
+             for e in corpus.entries]
+    assert (len(lines), hashlib.sha256(
+        "\n".join(lines).encode()).hexdigest()) == (count, digest)
+
+
 def test_capped_suite_output():
     # lambdamu suite at size 9 under a node cap of 3, byte for byte: an
     # entry whose keys, counted through the memo, pass the cap is
