@@ -28,8 +28,8 @@ from .syntax import (
     MAX_NESTING, alpha_key, canonical_form, canonical_hints, print_term,
 )
 from .terms import (
-    Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, Formula, Inj1, Inj2,
-    Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var,
+    Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
+    Inj2, Mu, Named, PROJ1, PROJ2, Pair, PropVar, Term, Var, node,
 )
 from .typecheck import Context, TypeCheckError, check
 
@@ -40,7 +40,7 @@ MAX_MU_DEPTH = 2
 P = PropVar("P")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CorpusEntry:
     term: Term
     formula: Formula
@@ -69,7 +69,8 @@ class PropertyReport:
     checked: int = 0
     failures: list[tuple[CorpusEntry, str]] = field(default_factory=list)
     incomplete: list[CorpusEntry] = field(default_factory=list)
-    longest_paths: dict[str, int] = field(default_factory=dict)
+    # how many entries have each longest reduction path, by its length
+    longest_paths: dict[int, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -149,18 +150,17 @@ class Enumerator:
     The enumerator interns exactly the universe, once, when it is built,
     so the ids are the universe: a formula outside it has no id.
     Together with the bounded cut pool this keeps the search space
-    finite; the enumeration is complete relative to those bounds.  A
-    state whose type has no id is empty and never memoized, and an
-    elimination whose function type has none is not tried.
+    finite; the enumeration is complete relative to those bounds.  Each
+    type's eliminations inside the universe are listed once, too, so
+    the loop asks only for states whose type has an id.
     """
 
     def __init__(self, max_formula_size: int,
                  target: Optional[Formula] = None):
         self._ty_of_id: list[Formula] = []
         # each universe formula, and its key (kind, part ids), to its id;
-        # the enumeration loop only looks keys up, so a formula outside
-        # the universe never gets an id and formula trees are never
-        # hashed there
+        # only __init__ interns, so a formula outside the universe never
+        # gets an id, and the enumeration loop hashes no formula tree
         self._id: dict = {}
         self._parts: list[tuple] = []
         # truth table over the two valuations of P as a 2-bit mask; a
@@ -179,6 +179,20 @@ class Enumerator:
             self._intern(f)
         if target is not None:
             self._intern(target)
+        # each type's eliminations inside the universe, in cut pool
+        # order: (cut, function type) per application, and (conjunction,
+        # projection) per projection to it
+        self._apps: list[tuple[tuple[int, int], ...]] = []
+        self._projs: list[tuple[tuple[int, ETerm], ...]] = []
+        for tyid in range(len(self._ty_of_id)):
+            self._apps.append(tuple(
+                (cut, self._id[("arrow", cut, tyid)]) for cut in self.cut_pool
+                if ("arrow", cut, tyid) in self._id))
+            self._projs.append(tuple(
+                (self._id[pair], proj) for cut in self.cut_pool
+                for pair, proj in ((("conj", tyid, cut), PROJ1),
+                                   (("conj", cut, tyid), PROJ2))
+                if pair in self._id))
         self._memo: dict = {}
 
     def _intern(self, ty: Formula) -> int:
@@ -213,12 +227,11 @@ class Enumerator:
         ty lies outside the universe."""
         if not isinstance(ty, Formula):
             raise TypeError(f"not a formula: {ty!r}")
-        return self._terms(self._id.get(ty), size, (), ())
+        tyid = self._id.get(ty)
+        return () if tyid is None else self._terms(tyid, size, (), ())
 
-    def _terms(self, tyid: Optional[int], size: int, gamma,
+    def _terms(self, tyid: int, size: int, gamma,
                delta) -> tuple[Term, ...]:
-        if tyid is None:
-            return ()
         key = (tyid, size, gamma, delta)
         hit = self._memo.get(key)
         if hit is not None:
@@ -274,10 +287,7 @@ class Enumerator:
                     for body in self._terms(btid, n - 1, gamma, delta):
                         out.append(Named(len(delta) - 1 - i, body))
             # eliminations; cut formulas range over the (bounded) cut pool
-            for cut in self.cut_pool:
-                fun_tid = self._id.get(("arrow", cut, tyid))
-                if fun_tid is None:
-                    continue
+            for cut, fun_tid in self._apps[tyid]:
                 for i in range(1, n - 1):
                     funs = self._terms(fun_tid, i, gamma, delta)
                     if not funs:
@@ -286,13 +296,9 @@ class Enumerator:
                         for fun in funs:
                             out.append(App(fun, arg))
             if n >= 3:
-                for cut in self.cut_pool:
-                    for fun in self._terms(self._id.get(("conj", tyid, cut)),
-                                           n - 2, gamma, delta):
-                        out.append(App(fun, PROJ1))
-                    for fun in self._terms(self._id.get(("conj", cut, tyid)),
-                                           n - 2, gamma, delta):
-                        out.append(App(fun, PROJ2))
+                for conj, proj in self._projs[tyid]:
+                    for fun in self._terms(conj, n - 2, gamma, delta):
+                        out.append(App(fun, proj))
             if n >= 5 and len(gamma) < MAX_LAMBDA_DEPTH:
                 x = f"x{len(gamma)}"
                 for did in self.disj_pool:
@@ -403,14 +409,14 @@ def run_suite(corpus: Corpus,
     MAX_NESTING.  A corpus built directly has each root walked before
     it is keyed, so a root too deep is incomplete and one with dangling
     indices raises ValueError, and has its roots checked too.
-    Confluence, strong normalization and the longest path, listed by
-    the root's key, are lookups at an entry's root in SuccessorFacts
-    over that memo.  Only an entry that fails, or whose formula and
-    contexts have an ill-typed key, walks the keys it reaches, in the
-    order SuccessorFacts.reach lists them, for its evidence.  Evidence
-    prints reducts by canonical_form, so a confluence failure explores
-    its entry again, into an empty memo, for the witnesses' terms; no
-    entry builds a graph.  An entry is incomplete in every report when
+    Confluence, strong normalization and the longest path, counted in
+    the strong normalization report's histogram, are one lookup at an
+    entry's root in SuccessorFacts over that memo.  Only an entry that
+    fails, or whose formula and contexts have an ill-typed key, walks
+    the keys it reaches, in the order SuccessorFacts.reach lists them,
+    for its evidence.  Evidence prints reducts by canonical_form, so a
+    confluence failure explores its entry again, into an empty memo,
+    for the witnesses' terms; no entry builds a graph.  An entry is incomplete in every report when
     its keys, counted through the memo, exceed the cap, or when it, a
     reduct, its formula or a formula of its contexts nests too deeply;
     an exploration the cap or a too-deep reduct cut short adds nothing
@@ -477,8 +483,8 @@ def run_suite(corpus: Corpus,
             sr.failures.extend((entry, errors[k]) for k in facts.reach(root)
                                if k in errors)
         # some reduct is a descendant of every reduct
-        acyclic = facts.acyclic(root)
-        if facts.normal_form(root) is None:
+        longest, normal = facts.lookup(root)
+        if normal is None:
             witnesses = facts.confluence_failure(root)
             if witnesses is not None:
                 # the entry closed under the cap, so this cannot be None
@@ -486,13 +492,14 @@ def run_suite(corpus: Corpus,
                                            node_cap))
                 shown = [canonical_form(nodes[k]) for k in witnesses]
                 cf.failures.append((entry, (
-                    f"{len(shown)} distinct normal forms: {shown}" if acyclic
+                    f"{len(shown)} distinct normal forms: {shown}"
+                    if longest is not None
                     else f"unjoinable pair: {shown[0]} vs {shown[1]}")))
-        # the reduction graph is acyclic; record its longest path
-        if acyclic:
-            sn.longest_paths[root] = facts.longest_path(root)
-        else:
+        # the reduction graph is acyclic; count its longest path
+        if longest is None:
             sn.failures.append((entry, "reduction graph has a cycle"))
+        else:
+            sn.longest_paths[longest] = sn.longest_paths.get(longest, 0) + 1
     return reports
 
 

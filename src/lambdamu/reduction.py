@@ -280,8 +280,8 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, Trace]:
 
 class SuccessorFacts:
     """Acyclicity, longest reduction path and unique normal form of the
-    keys of a successor mapping, memoized per key, and the keys each key
-    reaches.
+    keys of a successor mapping, memoized per key and read together
+    (lookup), and the keys each key reaches.
 
     A key's facts depend only on the keys it reaches, so one instance
     serves a mapping that only grows, such as run_suite's memo, which
@@ -335,22 +335,16 @@ class SuccessorFacts:
                 longest[key] = most + 1
                 normal[key] = shared
 
-    def acyclic(self, key: str) -> bool:
+    def lookup(self, key: str) -> tuple[Optional[int], Optional[str]]:
+        """The length of the longest reduction sequence from key, and
+        the one normal form that key reaches: both None when key
+        reaches a cycle, and the normal form None when key reaches two
+        or more."""
         self._settle(key)
-        return key in self._longest
-
-    def longest_path(self, key: str) -> int:
-        """Length of the longest reduction sequence from key."""
-        if not self.acyclic(key):
-            raise ValueError(f"{key} reaches a cycle")
-        return self._longest[key]
-
-    def normal_form(self, key: str) -> Optional[str]:
-        """The one normal form that key reaches, when key is acyclic and
-        reaches one; None when it reaches two or more, or a cycle."""
-        if not self.acyclic(key):
-            return None
-        return self._normal.get(key, key)
+        longest = self._longest.get(key)
+        if longest is None:
+            return None, None
+        return longest, self._normal.get(key, key)
 
     def reach(self, key: str) -> list[str]:
         """The keys that key reaches, key first, breadth-first with each
@@ -376,8 +370,9 @@ class SuccessorFacts:
         cycle, and a node that cannot reach it shares no descendant with it.
         """
         succ = self.succ
-        if self.acyclic(key):
-            if self.normal_form(key) is not None:
+        longest, normal = self.lookup(key)
+        if longest is not None:
+            if normal is not None:
                 return None
             return [k for k in self.reach(key) if not succ[k]]
         below = {k: set(self.reach(k)) for k in self.reach(key)}
@@ -558,15 +553,18 @@ def _explore_into(memo: dict[str, tuple[str, ...]], keys: dict[str, str],
         reducts = _steps(current)
         if reducts is None:
             break
+        successors = []
         for position, _, dst, contractum in reducts:
-            if dst not in keys:
+            known = keys.get(dst)
+            if known is None:
                 after = _rebuild(current, position, contractum)
                 object.__setattr__(after, "_key", dst)
-                keys[dst] = dst
+                keys[dst] = known = dst
                 new.append((dst, after))
+            successors.append(known)
         if len(new) > node_cap:
             break
-        expanded.append((key, tuple([keys[dst] for _, _, dst, _ in reducts])))
+        expanded.append((key, tuple(successors)))
     else:
         memo.update(expanded)
         return new

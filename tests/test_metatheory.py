@@ -113,6 +113,28 @@ def test_enumerator_interns_exactly_its_universe():
         enum.terms_of("junk", 3)
 
 
+def test_enumerator_asks_only_for_universe_types(monkeypatch):
+    # each type's eliminations are listed when the enumerator is built,
+    # so no state the enumeration asks for has a type outside the
+    # universe, and the size-11 corpus takes 20,117 calls where asking
+    # for each missing conjunction took 44,207
+    calls, outside = [], []
+    terms = Enumerator._terms
+
+    def counted(self, tyid, *rest):
+        calls.append(tyid)
+        if not (isinstance(tyid, int) and 0 <= tyid < len(self._ty_of_id)):
+            outside.append(tyid)
+        return terms(self, tyid, *rest)
+
+    monkeypatch.setattr(Enumerator, "_terms", counted)
+    assert len(enumerate_typed_terms(11)) == 8317
+    assert (len(calls), outside) == (20117, [])
+    calls.clear()
+    enumerate_typed_terms(9, target=parse_formula("P /\\ Q -> Q /\\ P"))
+    assert calls and outside == []
+
+
 def test_enumerate_entries_are_closed_and_well_typed():
     # enumeration builds by typed construction and checks nothing; every
     # entry of these corpora is closed and has its formula under both
@@ -334,7 +356,7 @@ def test_strong_normalization_small(small_corpus):
     report = check_strong_normalization(small_corpus)
     assert report.ok
     assert report.checked == len(small_corpus)
-    assert max(report.longest_paths.values()) >= 1
+    assert max(report.longest_paths) >= 1
 
 
 def test_property_report_json(small_corpus):
@@ -529,6 +551,19 @@ def test_suite_memos_hold_one_string_per_key(monkeypatch):
     assert not hasattr(corpus.entries[0], "__dict__")
     assert len({id(e.formula) for e in walked}) == len(walked) \
         <= len(formula_pool())
+
+
+def test_suite_settles_each_root_once(monkeypatch):
+    # confluence, strong normalization and the longest path are one
+    # lookup at each root: at most one _settle per entry
+    settled = []
+    settle = reduction.SuccessorFacts._settle
+    monkeypatch.setattr(reduction.SuccessorFacts, "_settle",
+                        lambda self, key: settled.append(key)
+                        or settle(self, key))
+    corpus = enumerate_typed_terms(10)
+    assert all(r.ok for r in run_suite(corpus))
+    assert 0 < len(settled) <= len(corpus)
 
 
 def test_suite_refuses_a_root_with_dangling_indices():

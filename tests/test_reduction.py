@@ -252,8 +252,8 @@ def test_graph_of_normal_term():
     succ = _successors(g)
     facts = SuccessorFacts(succ)
     assert [k for k in succ if not succ[k]] == [g.root]
-    assert facts.acyclic(g.root)
-    assert facts.longest_path(g.root) == 0
+    # acyclic, with no step to take, and its own normal form
+    assert facts.lookup(g.root) == (0, g.root)
 
 
 def test_graph_diamond_confluence():
@@ -262,20 +262,22 @@ def test_graph_diamond_confluence():
     assert g.complete
     succ = _successors(g)
     facts = SuccessorFacts(succ)
-    assert facts.acyclic(g.root)
-    nfs = [canonical_form(g.nodes[k]) for k in succ if not succ[k]]
-    assert nfs == [canonical_form(parse_term("<u, u>"))]
+    nfs = [k for k in succ if not succ[k]]
+    assert [canonical_form(g.nodes[k]) for k in nfs] == \
+        [canonical_form(parse_term("<u, u>"))]
+    # acyclic with one normal form: beta, then each copy's proj
+    assert facts.lookup(g.root) == (3, nfs[0])
     assert facts.confluence_failure(g.root) is None
-    assert facts.longest_path(g.root) >= 2
 
 
 def test_graph_cycle_detected():
     g = reduction_graph(_looping_term(), node_cap=10)
     succ = _successors(g)
-    assert not SuccessorFacts(succ).acyclic(g.root)
+    # a key that reaches a cycle has neither a longest path nor a
+    # normal form
+    assert SuccessorFacts(succ).lookup(g.root) == (None, None)
     assert [k for k in succ if not succ[k]] == []
-    with pytest.raises(ValueError, match="^a reaches a cycle$"):
-        SuccessorFacts({"a": ["a"]}).longest_path("a")
+    assert SuccessorFacts({"a": ["a"]}).lookup("a") == (None, None)
 
 
 def _growing_loop():
@@ -546,12 +548,14 @@ def test_confluence_on_hand_built_graphs(edges, witnesses):
     facts = SuccessorFacts(succ)
     assert facts.confluence_failure("r") == witnesses
     # the memoized normal form of an acyclic root is none exactly when
-    # there are witnesses, and otherwise the one normal form it reaches
-    if facts.acyclic("r"):
+    # there are witnesses, two normal forms or more, and otherwise the
+    # one normal form it reaches; a root that reaches a cycle has none
+    longest, normal = facts.lookup("r")
+    if longest is not None:
         sinks = [k for k in facts.reach("r") if not succ[k]]
-        assert facts.normal_form("r") == (None if witnesses else sinks[0])
+        assert normal == (None if witnesses else sinks[0])
     else:
-        assert facts.normal_form("r") is None
+        assert normal is None
 
 
 def test_graph_refuses_dangling_indices():
