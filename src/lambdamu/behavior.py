@@ -34,7 +34,7 @@ from .syntax import MAX_NESTING, parse_term, print_term
 from .terms import (
     App, Arrow, BOT, Bottom, Case, Disj, ETerm, Formula, FreshSupply,
     Mu, Named, PropVar, Term, Var, apply_sequence, free_variables,
-    fresh_name, open_names, shape, term_names,
+    fresh_name, open_names, shape,
 )
 from .typecheck import TypeCheckError, check
 
@@ -167,8 +167,7 @@ def _admit(subject: Term, expected: str, read, seed: int, **counts: int):
     for name, n in counts.items():
         if n < 0:
             raise ValueError(f"{name} must be >= 0")
-    lam, mu, hints = term_names(subject)
-    depth, reach_lam, reach_mu = shape(subject)
+    depth, reach_lam, reach_mu, lam, mu, hints = shape(subject)
     if lam or mu or reach_lam or reach_mu:
         # a subject too deep to print is not shown
         raise TypeCheckError("probe subject must be closed",

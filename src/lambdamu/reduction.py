@@ -136,7 +136,7 @@ def _contract(t: App) -> Optional[tuple[str, Term]]:
                 App(c.right, under), _result_ann(c.ann, e)))
     elif kf is Mu:
         return "mu-struct", Mu(f.var, _result_ann(f.ann, e), mu_substitute(
-            f.body, 0, (shift(e, 0, 1),)))
+            f.body, 0, shift(e, 0, 1)))
     return None
 
 
@@ -466,7 +466,7 @@ def _root_too_deep(t: Term) -> bool:
     Raises ValueError when it does not but has dangling indices, which
     canonical_form cannot print.
     """
-    depth, lam, mu = shape(t)
+    depth, lam, mu = shape(t)[:3]
     if depth > MAX_NESTING:
         return True
     if lam or mu:

@@ -488,7 +488,7 @@ class _Printer:
         try:
             text = self.term(t)
         except IndexError:  # a dangling index beyond the names given
-            _, lam, mu = shape(t)
+            _, lam, mu = shape(t)[:3]
             raise ValueError(
                 f"the term's dangling indices reach {lam} lambda- and {mu} "
                 f"mu-binders: pass all their names as lam_names and "

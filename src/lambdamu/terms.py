@@ -24,7 +24,10 @@ binders it crosses as two integers, picks a node's case by its type and
 keeps every unchanged subterm, so that a reduct shares its nodes and
 their keys.  The cold ones, ``close``, ``open_names`` and
 ``rename_binders``, share ``_walk``, which calls back at each leaf and
-keeps the names of the binders it crosses.
+keeps the names of the binders it crosses.  One more walk, ``shape``,
+reports what a term is rather than rebuilding it: its depth, how far its
+dangling indices reach, its free names and its binders' hints, which
+``free_variables``, ``is_closed`` and every depth gate read.
 
 Every node class is a ``node``: a frozen, slotted dataclass whose
 ``__init__`` fills the slots through their descriptors.  Terms, E-terms
@@ -301,13 +304,19 @@ def open_names(t: Term, mu_names: tuple[str, ...]) -> Term:
     return _walk(t, _same_var, named)
 
 
-def shape(t: Term) -> tuple[int, int, int]:
-    """t's depth, the number of term nodes on its longest path to a leaf,
-    and how many lambda- and how many mu-binders above t its dangling
-    indices reach.  One walk, level by level, so that no term is too deep
+def shape(t: Term) -> tuple[int, int, int, set[str], set[str], set[str]]:
+    """t's facts, from one walk: its depth, the number of term nodes on
+    its longest path to a leaf; how many lambda- and how many mu-binders
+    above t its dangling indices reach; and its free lambda-names, its
+    free mu-names and its binders' hints, in that order.  Terms are
+    locally nameless, so free names and dangling indices sit on the same
+    leaves.  The walk goes level by level, so that no term is too deep
     for it; children are found by type rather than by pattern, since the
     explorer measures every root."""
     depth = reach_lam = reach_mu = 0
+    lam_names: set[str] = set()
+    mu_names: set[str] = set()
+    hints: set[str] = set()
     level = [(t, 0, 0)]  # each node with the lambda- and mu-binders above
     while level:
         depth += 1
@@ -316,23 +325,31 @@ def shape(t: Term) -> tuple[int, int, int]:
             kind = type(s)
             if kind is Var:
                 x = s.name
-                if type(x) is int and x - lam >= reach_lam:
+                if type(x) is str:
+                    lam_names.add(x)
+                elif x - lam >= reach_lam:
                     reach_lam = x + 1 - lam
             elif kind is App:
                 below.append((s.fun, lam, mu))
                 e = s.arg
                 ke = type(e)
                 if ke is Case:
+                    hints.add(e.left_var)
+                    hints.add(e.right_var)
                     below += ((e.left, lam + 1, mu), (e.right, lam + 1, mu))
                 elif ke is not Proj1 and ke is not Proj2:
                     below.append((e, lam, mu))
             elif kind is Abs:
+                hints.add(s.var)
                 below.append((s.body, lam + 1, mu))
             elif kind is Mu:
+                hints.add(s.var)
                 below.append((s.body, lam, mu + 1))
             elif kind is Named:
                 a = s.name
-                if type(a) is int and a - mu >= reach_mu:
+                if type(a) is str:
+                    mu_names.add(a)
+                elif a - mu >= reach_mu:
                     reach_mu = a + 1 - mu
                 below.append((s.body, lam, mu))
             elif kind is Pair:
@@ -342,7 +359,7 @@ def shape(t: Term) -> tuple[int, int, int]:
             else:
                 raise TypeError(f"not a term: {s!r}")
         level = below
-    return depth, reach_lam, reach_mu
+    return depth, reach_lam, reach_mu, lam_names, mu_names, hints
 
 
 def rename_binders(t: Term, rename) -> Term:
@@ -409,62 +426,19 @@ def _shifted(t: Term, dl: int, dm: int, lam: int, mu: int) -> Term:
 
 
 # --------------------------------------------------------------------------
-# Free variables and name collection
+# Free variables and fresh names
 # --------------------------------------------------------------------------
-
-def term_names(t: Term) -> tuple[set[str], set[str], set[str]]:
-    """t's free lambda-names, its free mu-names and its binders' hints, in
-    that order.  One walk with a stack of its own, in preorder, so that no
-    term is too deep for it."""
-    lam: set[str] = set()
-    mu: set[str] = set()
-    hints: set[str] = set()
-    stack = [t]
-    push, pop = stack.append, stack.pop
-    while stack:
-        s = pop()
-        kind = type(s)
-        if kind is Var:
-            if type(s.name) is str:
-                lam.add(s.name)
-        elif kind is App:
-            e = s.arg
-            ke = type(e)
-            if ke is Case:
-                hints.add(e.left_var)
-                hints.add(e.right_var)
-                push(e.right)
-                push(e.left)
-            elif ke is not Proj1 and ke is not Proj2:
-                push(e)
-            push(s.fun)
-        elif kind is Named:
-            if type(s.name) is str:
-                mu.add(s.name)
-            push(s.body)
-        elif kind is Abs or kind is Mu:
-            hints.add(s.var)
-            push(s.body)
-        elif kind is Inj1 or kind is Inj2:
-            push(s.body)
-        elif kind is Pair:
-            push(s.snd)
-            push(s.fst)
-        else:
-            raise TypeError(f"not a term: {s!r}")
-    return lam, mu, hints
-
 
 def free_variables(t: Term) -> tuple[frozenset[str], frozenset[str]]:
     """Free lambda-variables and free mu-variables of t, in that order."""
-    lam, mu, _ = term_names(t)
+    _, _, _, lam, mu, _ = shape(t)
     return frozenset(lam), frozenset(mu)
 
 
 def is_closed(t: Term) -> bool:
     """No free names and no dangling indices."""
-    lam, mu, _ = term_names(t)
-    return not lam and not mu and shape(t)[1:] == (0, 0)
+    _, reach_lam, reach_mu, lam, mu, _ = shape(t)
+    return not (reach_lam or reach_mu or lam or mu)
 
 
 def fresh_name(hint: str, *taken) -> str:
@@ -562,61 +536,54 @@ def _substituted(t: Term, x: Name, v: Term, lam: int, mu: int) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
-def mu_substitute(t: Term, a: Name, es: Iterable[ETerm]) -> Term:
-    """Structural substitution t[a := *es], for a a free name or a
+def mu_substitute(t: Term, a: Name, e: ETerm) -> Term:
+    """Structural substitution t[a := e], for a a free name or a
     dangling index.
 
-    Replaces, inductively, each subterm (a v) by (a (v es)); the
+    Replaces, inductively, each subterm (a v) by (a (v e)); the
     replacement also applies inside the v of a replaced occurrence.
-    The es are E-terms of t's context, and the empty sequence is the
-    identity.
+    e is an E-term of t's context.
     """
-    es = tuple(es)
-    for e in es:
-        if not isinstance(e, ETerm):
-            raise TypeError(f"not a term: {e!r}")
-    if not es:
-        return t
-    return _mu_substituted(t, a, es, 0, 0)
+    if not isinstance(e, ETerm):
+        raise TypeError(f"not a term: {e!r}")
+    return _mu_substituted(t, a, e, 0, 0)
 
 
-def _mu_substituted(t: Term, a: Name, es: tuple[ETerm, ...], lam: int,
-                    mu: int) -> Term:
+def _mu_substituted(t: Term, a: Name, w: ETerm, lam: int, mu: int) -> Term:
     """mu_substitute's walk over t, below lam lambda- and mu mu-binders
-    of the term substituted into."""
+    of the term substituted into, with w the E-term appended."""
     kind = type(t)
     if kind is Var:
         return t
     if kind is App:
-        f = _mu_substituted(t.fun, a, es, lam, mu)
+        f = _mu_substituted(t.fun, a, w, lam, mu)
         e = t.arg
         ke = type(e)
         if ke is Case:
-            u1 = _mu_substituted(e.left, a, es, lam + 1, mu)
-            u2 = _mu_substituted(e.right, a, es, lam + 1, mu)
+            u1 = _mu_substituted(e.left, a, w, lam + 1, mu)
+            u2 = _mu_substituted(e.right, a, w, lam + 1, mu)
             if u1 is not e.left or u2 is not e.right:
                 e = Case(e.left_var, u1, e.right_var, u2, e.ann)
         elif ke is not Proj1 and ke is not Proj2:
-            e = _mu_substituted(e, a, es, lam, mu)
+            e = _mu_substituted(e, a, w, lam, mu)
         return t if f is t.fun and e is t.arg else App(f, e)
     if kind is Abs:
-        b = _mu_substituted(t.body, a, es, lam + 1, mu)
+        b = _mu_substituted(t.body, a, w, lam + 1, mu)
         return t if b is t.body else Abs(t.var, t.ann, b)
     if kind is Mu:
-        b = _mu_substituted(t.body, a, es, lam, mu + 1)
+        b = _mu_substituted(t.body, a, w, lam, mu + 1)
         return t if b is t.body else Mu(t.var, t.ann, b)
     if kind is Named:
         n = t.name
-        b = _mu_substituted(t.body, a, es, lam, mu)
+        b = _mu_substituted(t.body, a, w, lam, mu)
         if n == (a + mu if type(a) is int else a):  # never equal across types
-            return Named(n, apply_sequence(
-                b, (shift(e, lam, mu) for e in es)))
+            return Named(n, App(b, shift(w, lam, mu)))
         return t if b is t.body else Named(n, b)
     if kind is Pair:
-        f = _mu_substituted(t.fst, a, es, lam, mu)
-        s = _mu_substituted(t.snd, a, es, lam, mu)
+        f = _mu_substituted(t.fst, a, w, lam, mu)
+        s = _mu_substituted(t.snd, a, w, lam, mu)
         return t if f is t.fst and s is t.snd else Pair(f, s)
     if kind is Inj1 or kind is Inj2:
-        b = _mu_substituted(t.body, a, es, lam, mu)
+        b = _mu_substituted(t.body, a, w, lam, mu)
         return t if b is t.body else kind(b, t.ann)
     raise TypeError(f"not a term: {t!r}")

@@ -302,7 +302,7 @@ def validate_derivation(d: Derivation) -> None:
     t, a, ps, binders = j.term, j.formula, d.premises, j.binders
     lam = [b[2] for b in binders if not b[0]]  # formulas, innermost last
     mu = [b[2] for b in binders if b[0]]
-    _, reach_lam, reach_mu = shape(t)
+    _, reach_lam, reach_mu = shape(t)[:3]
     if reach_lam > len(lam) or reach_mu > len(mu):
         # no name to print the judgment with
         raise TypeCheckError(f"invalid {d.rule} node (an index past the "

@@ -387,6 +387,44 @@ def test_probe_too_deep_is_inconclusive(capsys):
     assert err == _TOO_DEEP
 
 
+def _deferred_too_deep_subject(k):
+    """A closed subject of type _|_ -> P whose redex (\\x:P. mu c:P. z)
+    leads to the terminal leaf, beside an argument that leads, through
+    k - 1 identity redexes, to the mu-struct input closed over y and w:
+    its 20 w then make a reduct nested past MAX_NESTING."""
+    mu = _mu_struct_input(_A, n_args=0)
+    for i in range(k, 1, -1):
+        mu = f"(\\F{i}:{_A}. F{i} {mu})"
+    spine = "F1"
+    for _ in range(_N_ARGS):
+        spine = f"({spine} w)"
+    body = f"(\\F1:{_A}. {spine} {mu})"
+    y = "".join(f"\\v{i}:P. " for i in range(_N_ARGS)) + "v0"  # y : _A
+    return f"\\z:_|_. (\\x:P. mu c:P. z " \
+           f"((\\y:{_A}. \\w:P. {body} {y}) mu e:P. z))"
+
+
+@pytest.mark.parametrize("k, steps", [(1, 2), (2, 3), (3, None), (4, None),
+                                      (5, None)])
+def test_probe_search_stops_before_a_later_too_deep_reduct(capsys, k,
+                                                           steps):
+    # the search is breadth-first and stops at the first node that holds
+    # a leaf: it meets the too-deep reduct only when the reduct comes
+    # first, and from k = 3 on the leaf does, though the whole graph
+    # holds a reduct too deep to build
+    code, out, err = run(capsys, "probe", "--law", "efq",
+                         "--term", _deferred_too_deep_subject(k))
+    if steps is not None:
+        assert code == INCONCLUSIVE
+        assert (out, err) == ("", f"reduct nested deeper than {MAX_NESTING}"
+                                  f" levels after {steps} steps\n")
+    else:
+        assert code == OK
+        report = json.loads(out)
+        assert (report["verdict"], report["m"], report["detail"]) == \
+            ("confirmed", 0, "terminal (t0 ...)")
+
+
 # every command that loads a term, each with small bounds
 _LOADING = {
     "parse": ["parse"],

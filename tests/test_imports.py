@@ -123,8 +123,7 @@ HOT_WALKS = {
                   "SuccessorFacts._settle"),
     "syntax": ("alpha_key", "splice_key", "_pf", "_Printer.term",
                "_Printer.eterm"),
-    "terms": ("shape", "term_names", "_shifted", "_substituted",
-              "_mu_substituted"),
+    "terms": ("shape", "_shifted", "_substituted", "_mu_substituted"),
     "behavior": ("Leaf.match", "_match_spine"),
 }
 

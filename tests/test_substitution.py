@@ -1,17 +1,18 @@
 """shift, substitute and mu_substitute against the textbook de Bruijn
-definitions of tests/debruijn.py, on generated open terms and on every
-contraction of the size-10 corpus graphs."""
+definitions of tests/debruijn.py, on generated open terms, on every
+contraction of the size-10 corpus graphs and on every node of the
+size-12 graphs that holds a case-perm redex."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lambdamu import (
     Abs, App, Case, Inj1, Inj2, Mu, Named, PROJ1, PROJ2, Pair, Proj1, Proj2,
-    Term, Var, close, enumerate_typed_terms, mu_substitute, reduction,
-    substitute,
+    Term, Var, close, enumerate_typed_terms, mu_substitute, parse_term,
+    reduction, substitute,
 )
 from lambdamu.reduction import reduction_graph
-from lambdamu.terms import shift
+from lambdamu.terms import shape, shift
 
 import debruijn
 from test_syntax import terms
@@ -43,9 +44,9 @@ def test_substitute_is_the_textbook_substitution(t, x, v):
 
 @given(open_terms, st.sampled_from([0, 1, "c"]),
        st.lists(st.sampled_from([Abs, Mu, Case]), max_size=3), open_terms,
-       st.lists(open_eterms, min_size=1, max_size=2))
+       open_eterms)
 def test_mu_substitute_is_parigots_structural_substitution(t, a, kinds, u,
-                                                           es):
+                                                           e):
     # t as generated, and an occurrence (a u) under the binders kinds,
     # outermost first, a Case being both branches of one: generated terms
     # seldom hold one below a binder
@@ -54,7 +55,7 @@ def test_mu_substitute_is_parigots_structural_substitution(t, a, kinds, u,
         placed = App(Var("free"), Case("k", placed, "w", placed)) \
             if kind is Case else kind("k", None, placed)
     for s in (t, placed):
-        assert mu_substitute(s, a, es) == debruijn.mu_substitute(s, a, es)
+        assert mu_substitute(s, a, e) == debruijn.mu_substitute(s, a, [e])
 
 
 def _subterm(t, position):
@@ -133,3 +134,52 @@ def test_an_unshifted_mu_struct_argument_disagrees(monkeypatch,
     wrong, _ = _disagreements(corpus_nodes)
     assert len(wrong) == 8
     assert {type(t.fun) for t in wrong} == {Mu}
+
+
+@pytest.fixture(scope="module")
+def case_perm_nodes():
+    """The distinct nodes of the size-12 corpus graphs that hold a
+    case-perm redex: the size-10 corpus meets none."""
+    nodes = {}
+    for entry in enumerate_typed_terms(12).entries:
+        nodes.update(reduction_graph(entry.term).nodes)
+    return [t for t in nodes.values()
+            if any(rule == "case-perm" for _, rule, _ in reduction._reducts(t))]
+
+
+def test_every_case_perm_contraction_is_the_textbook_one(case_perm_nodes):
+    assert len(case_perm_nodes) == 131
+    assert _disagreements(case_perm_nodes) == ([], 262)
+
+
+def test_an_unshifted_case_perm_argument_disagrees(monkeypatch,
+                                                   case_perm_nodes):
+    # case-perm moves its argument into both branches, under their
+    # binders: left unshifted, a dangling index in it is captured
+    def unshifted(e, dl, dm):
+        return e if (dl, dm) == (1, 0) else shift(e, dl, dm)
+
+    monkeypatch.setattr(reduction, "shift", unshifted)
+    wrong = [t for t in case_perm_nodes if _disagreements([t])[0]]
+    assert len(wrong) == 87
+
+
+@given(open_terms, open_eterms)
+def test_a_walk_with_nothing_to_change_returns_its_input(t, e):
+    # no dangling index for shift, an absent name for substitute and
+    # mu_substitute: each returns t itself, so a reduct keeps the nodes,
+    # and the cached keys, of the term it came from
+    assert (shift(t, 1, 1) is t) == (shape(t)[1:3] == (0, 0))
+    assert substitute(t, "absent", Var("v")) is t
+    assert mu_substitute(t, "absent", e) is t
+
+
+def test_a_walk_keeps_an_unchanged_child():
+    kept = parse_term("\\x:P. mu a:P. [a] (x [u.u, v.<v, in1{P} x>])")
+    for changed, got in [
+            (Var(1), shift(Pair(Var(0), kept), 1, 0)),
+            (Var("z"), substitute(Pair(Var("y"), kept), "y", Var("z"))),
+            (Named("b", App(Var("y"), PROJ1)),
+             mu_substitute(Pair(Named("b", Var("y")), kept), "b", PROJ1))]:
+        assert got == Pair(changed, kept)
+        assert got.snd is kept
