@@ -1,6 +1,7 @@
 """Parser, printer, and binding-structure tests."""
 
 import dataclasses
+import hashlib
 import inspect
 import pickle
 import types
@@ -477,8 +478,14 @@ def test_canonical_hints_print_as_canonical_form():
     repeated = [rename_binders(t, lambda kind, hint: "x0") for t in nodes]
     assert {free_variables(t) for t in opened} >= {
         (frozenset({"x0"}), frozenset()), (frozenset(), frozenset({"a0"}))}
-    for t in nodes + opened + repeated:
+    terms = nodes + opened + repeated
+    for t in terms:
         assert print_term(canonical_hints(t)) == canonical_form(t)
+    # the canonical texts of those terms, in that order
+    text = "\n".join(map(canonical_form, terms))
+    assert (len(terms), hashlib.sha256(text.encode()).hexdigest()) == (
+        8376,
+        "fe35fa2f08c92cf2310ac322852e0943b6528053ea81b2537cd66f74d5fdac54")
 
 
 def test_fresh_name_numbers_the_stem_apart():
