@@ -371,11 +371,12 @@ def _type_error(gamma: Context, delta: Context, reduct: Term,
         return None
     except TypeCheckError as exc:
         error = exc
+    hinted = canonical_hints(reduct)
     try:
-        check(gamma, delta, canonical_hints(reduct), formula)
+        check(gamma, delta, hinted, formula)
     except TypeCheckError as exc:
         error = exc
-    return f"reduct {canonical_form(reduct)}: {error}"
+    return f"reduct {print_term(hinted)}: {error}"
 
 
 PROPERTIES = ("subject-reduction", "confluence", "strong-normalization")

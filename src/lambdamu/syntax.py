@@ -25,19 +25,22 @@ formula and, inside it, every ``~``, bracketed subformula and right
 operand of a connective.
 
 The parser gives bound variables their indices and keeps binder names
-as hints (see ``terms``); the printer chooses the names again.
+as hints (see ``terms``).  The printer has one rule: a binder takes its
+hint unless that name is bound around it or would capture a free name.
+``canonical_form`` prints the hints that ``canonical_hints`` gives, the
+one place canonical names are issued.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import count, islice
 from typing import Optional
 
 from .terms import (
     Abs, App, Arrow, BOT, Bottom, Case, Conj, Disj, ETerm, Formula, Inj1,
     Inj2, Mu, Named, PROJ1, PROJ2, Pair, PropVar, Proj1, Proj2, Term, Var,
-    free_variables, fresh_name, rename_binders, shape,
+    fresh_name, rename_binders, shape,
 )
 
 KEYWORDS = {"mu", "in1", "in2", "p1", "p2"}
@@ -337,24 +340,26 @@ def print_term(t: Term, lam_names: tuple[str, ...] = (),
     mu_names name the binders that t's dangling indices refer to,
     innermost last; a ValueError says how many names are missing.
     """
-    return _Printer(False, lam_names, mu_names).text(t)
+    return _Printer(lam_names, mu_names).text(t)
 
 
 def canonical_form(t: Term) -> str:
-    """t printed with its binders named x0, x1, ... (lambda) and a0, a1,
-    ... (mu) in preorder, skipping every name free in t: one string per
-    alpha-equivalence class.  A case bracket's first binder is named
-    before its first branch, its second binder after that branch."""
-    return _Printer(True, (), ()).text(t)
+    """t printed with its canonical hints: one string per
+    alpha-equivalence class."""
+    return print_term(canonical_hints(t))
 
 
 def canonical_hints(t: Term) -> Term:
-    """t with the names canonical_form gives its binders as their hints,
-    so that print_term prints it as canonical_form does."""
-    printer = _Printer(True, (), ())
-    printer.taken = set().union(*free_variables(t))
-    return rename_binders(t, lambda kind, hint: printer.name(
-        hint, "a" if kind is Mu else "x"))
+    """t with its binders hinted x0, x1, ... (lambda and case) and a0,
+    a1, ... (mu) in preorder, skipping every name free in t.  A case
+    bracket's first binder is named before its first branch, its second
+    binder after that branch.  The names are distinct and none is free,
+    so print_term keeps every one of them."""
+    _, _, _, lam, mu, _ = shape(t)
+    taken = lam | mu
+    x, a = ((name for name in map(f"{stem}{{}}".format, count())
+             if name not in taken) for stem in "xa")
+    return rename_binders(t, lambda kind, hint: next(a if kind is Mu else x))
 
 
 def alpha_key(t) -> str:
@@ -470,21 +475,17 @@ class _Printer:
     current node, innermost last, and the free names met so far.  It
     allocates little, since a front end may print every term it reads."""
 
-    __slots__ = ("canonical", "lam", "mu", "taken", "free", "x", "a",
-                 "clash")
+    __slots__ = ("lam", "mu", "taken", "free", "clash")
 
-    def __init__(self, canonical: bool, lam_names, mu_names):
-        self.canonical = canonical
+    def __init__(self, lam_names, mu_names):
         self.lam, self.mu = list(lam_names), list(mu_names)
         self.taken = ()     # names no binder may take
         self.free = None    # the free names met, once there is one
-        self.x = self.a = 0  # canonical names issued
         self.clash = False  # a free name met a binder name that hides it
 
     def text(self, t: Term) -> str:
         """t printed; again, with binders avoiding every free name of t,
-        if a free name clashed with a binder name on the first try (in
-        canonical mode, with any name the scheme issued)."""
+        if a free name clashed with a binder name on the first try."""
         try:
             text = self.term(t)
         except IndexError:  # a dangling index beyond the names given
@@ -493,27 +494,14 @@ class _Printer:
                 f"the term's dangling indices reach {lam} lambda- and {mu} "
                 f"mu-binders: pass all their names as lam_names and "
                 f"mu_names, innermost last") from None
-        if self.canonical and self.free:
-            self.clash = any(f"{stem}{i}" in self.free
-                             for stem, n in (("x", self.x), ("a", self.a))
-                             for i in range(n))
         if self.clash:
-            self.taken, self.x, self.a = frozenset(self.free), 0, 0
+            self.taken = frozenset(self.free)
             text = self.term(t)
         return text
 
-    def name(self, hint: str, stem: str) -> str:
+    def name(self, hint: str) -> str:
         """The name of a binder: its hint if that is free to use."""
-        taken = self.taken
-        if self.canonical:
-            while True:
-                if stem == "x":
-                    chosen, self.x = f"x{self.x}", self.x + 1
-                else:
-                    chosen, self.a = f"a{self.a}", self.a + 1
-                if chosen not in taken:
-                    return chosen
-        lam, mu = self.lam, self.mu
+        lam, mu, taken = self.lam, self.mu, self.taken
         if hint not in lam and hint not in mu and hint not in taken:
             return hint
         return fresh_name(hint, lam, mu, taken)
@@ -533,10 +521,27 @@ class _Printer:
             x = t.name
             return self.lam[-1 - x] if type(x) is int else self.use(x)
         if kind is App:
-            return f"({self.term(t.fun)} {self.eterm(t.arg)})"
+            f = self.term(t.fun)
+            e = t.arg
+            ke = type(e)
+            if ke is Case:
+                lam = self.lam
+                lam.append(self.name(e.left_var))
+                u1 = self.term(e.left)
+                x1 = lam.pop()
+                lam.append(self.name(e.right_var))
+                u2 = self.term(e.right)
+                x2 = lam.pop()
+                a = f"{{{print_formula(e.ann)}}}" if e.ann is not None else ""
+                arg = f"[{x1}.{u1}, {x2}.{u2}]{a}"
+            elif ke is Proj1 or ke is Proj2:
+                arg = "p1" if ke is Proj1 else "p2"
+            else:
+                arg = self.term(e)
+            return f"({f} {arg})"
         if kind is Abs or kind is Mu:
             names = self.lam if kind is Abs else self.mu
-            x = self.name(t.var, "x" if kind is Abs else "a")
+            x = self.name(t.var)
             a = f":{print_formula(t.ann)}" if t.ann is not None else ""
             names.append(x)
             body = self.term(t.body)
@@ -552,19 +557,3 @@ class _Printer:
             a = f"{{{print_formula(t.ann)}}}" if t.ann is not None else ""
             return f"in{1 if kind is Inj1 else 2}{a} {self.term(t.body)}"
         raise TypeError(f"not a term: {t!r}")
-
-    def eterm(self, e: ETerm) -> str:
-        kind = type(e)
-        if kind is Proj1 or kind is Proj2:
-            return "p1" if kind is Proj1 else "p2"
-        if kind is not Case:
-            return self.term(e)
-        lam = self.lam
-        lam.append(self.name(e.left_var, "x"))
-        u1 = self.term(e.left)
-        x1 = lam.pop()
-        lam.append(self.name(e.right_var, "x"))
-        u2 = self.term(e.right)
-        x2 = lam.pop()
-        a = f"{{{print_formula(e.ann)}}}" if e.ann is not None else ""
-        return f"[{x1}.{u1}, {x2}.{u2}]{a}"

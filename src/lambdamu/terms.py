@@ -24,7 +24,9 @@ binders it crosses as two integers, picks a node's case by its type and
 keeps every unchanged subterm, so that a reduct shares its nodes and
 their keys.  The cold ones, ``close``, ``open_names`` and
 ``rename_binders``, share ``_walk``, which calls back at each leaf and
-keeps the names of the binders it crosses.  One more walk, ``shape``,
+keeps the names of the binders it crosses.  Each of these walks reads an
+application's argument in place: a projection is kept as it is, and a
+case bracket's branches are walked below one more lambda-binder.  One more walk, ``shape``,
 reports what a term is rather than rebuilding it: its depth, how far its
 dangling indices reach, its free names and its binders' hints, which
 ``free_variables``, ``is_closed`` and every depth gate read.
@@ -221,19 +223,35 @@ def _walk(t: Term, var, named, lam=(), mu=(), rename=None) -> Term:
     """t with var(v, lam, mu) for each lambda-variable leaf v and
     named(n, body, lam, mu) for each named term n, whose body has been
     walked already; lam and mu are the names of the lambda- and
-    mu-binders crossed, innermost last.  rename, if given, names each
-    binder afresh, in preorder.  An unchanged subterm is kept, not
-    copied.  It serves close, open_names and rename_binders, which are
-    cold; shift, substitute and mu_substitute have walks of their own."""
+    mu-binders crossed, innermost last.  A callback of None keeps its
+    node, a named term being rebuilt only if its body changed.  rename,
+    if given, names each binder afresh, in preorder.  An unchanged
+    subterm is kept, not copied.  It serves close, open_names and
+    rename_binders, which are cold; shift, substitute and mu_substitute
+    have walks of their own."""
     kind = type(t)
     if kind is Var:
-        return var(t, lam, mu)
+        return t if var is None else var(t, lam, mu)
     if kind is App:
         f = _walk(t.fun, var, named, lam, mu, rename)
-        e = _walk_e(t.arg, var, named, lam, mu, rename)
+        e = t.arg
+        ke = type(e)
+        if ke is Case:
+            x1 = e.left_var if rename is None else rename(Case, e.left_var)
+            u1 = _walk(e.left, var, named, lam + (x1,), mu, rename)
+            x2 = e.right_var if rename is None else rename(Case, e.right_var)
+            u2 = _walk(e.right, var, named, lam + (x2,), mu, rename)
+            if u1 is not e.left or u2 is not e.right or x1 is not e.left_var \
+                    or x2 is not e.right_var:
+                e = Case(x1, u1, x2, u2, e.ann)
+        elif ke is not Proj1 and ke is not Proj2:
+            e = _walk(e, var, named, lam, mu, rename)
         return t if f is t.fun and e is t.arg else App(f, e)
     if kind is Named:
-        return named(t, _walk(t.body, var, named, lam, mu, rename), lam, mu)
+        b = _walk(t.body, var, named, lam, mu, rename)
+        if named is not None:
+            return named(t, b, lam, mu)
+        return t if b is t.body else Named(t.name, b)
     if kind is Abs or kind is Mu:
         x = t.var if rename is None else rename(kind, t.var)
         if kind is Abs:
@@ -249,30 +267,6 @@ def _walk(t: Term, var, named, lam=(), mu=(), rename=None) -> Term:
         b = _walk(t.body, var, named, lam, mu, rename)
         return t if b is t.body else kind(b, t.ann)
     raise TypeError(f"not a term: {t!r}")
-
-
-def _walk_e(e: ETerm, var, named, lam=(), mu=(), rename=None) -> ETerm:
-    kind = type(e)
-    if kind is Proj1 or kind is Proj2:
-        return e
-    if kind is not Case:
-        return _walk(e, var, named, lam, mu, rename)
-    x1 = e.left_var if rename is None else rename(Case, e.left_var)
-    u1 = _walk(e.left, var, named, lam + (x1,), mu, rename)
-    x2 = e.right_var if rename is None else rename(Case, e.right_var)
-    u2 = _walk(e.right, var, named, lam + (x2,), mu, rename)
-    if u1 is e.left and u2 is e.right and x1 is e.left_var \
-            and x2 is e.right_var:
-        return e
-    return Case(x1, u1, x2, u2, e.ann)
-
-
-def _same_var(v, lam, mu):
-    return v
-
-
-def _same_named(n, body, lam, mu):
-    return n if body is n.body else Named(n.name, body)
 
 
 def close(t: Term) -> Term:
@@ -298,10 +292,12 @@ def open_names(t: Term, mu_names: tuple[str, ...]) -> Term:
     def named(n, body, lam, mu):
         a = n.name
         if type(a) is int and a >= len(mu):
-            return Named(mu_names[len(mu) - 1 - a], body)
-        return _same_named(n, body, lam, mu)
+            a = mu_names[len(mu) - 1 - a]
+        elif body is n.body:
+            return n
+        return Named(a, body)
 
-    return _walk(t, _same_var, named)
+    return _walk(t, None, named)
 
 
 def shape(t: Term) -> tuple[int, int, int, set[str], set[str], set[str]]:
@@ -365,7 +361,7 @@ def shape(t: Term) -> tuple[int, int, int, set[str], set[str], set[str]]:
 def rename_binders(t: Term, rename) -> Term:
     """t with each binder named rename(kind, name), in preorder, kind
     being Abs, Mu or Case."""
-    return _walk(t, _same_var, _same_named, rename=rename)
+    return _walk(t, None, None, rename=rename)
 
 
 def shift(e: ETerm, dl: int, dm: int) -> ETerm:

@@ -479,9 +479,9 @@ def test_canonical_hints_print_as_canonical_form():
     assert {free_variables(t) for t in opened} >= {
         (frozenset({"x0"}), frozenset()), (frozenset(), frozenset({"a0"}))}
     terms = nodes + opened + repeated
-    for t in terms:
-        assert print_term(canonical_hints(t)) == canonical_form(t)
-    # the canonical texts of those terms, in that order
+    assert all(canonical_hints(t) == t for t in terms)
+    # canonical_form(t) prints canonical_hints(t): its texts of those
+    # terms, in that order
     text = "\n".join(map(canonical_form, terms))
     assert (len(terms), hashlib.sha256(text.encode()).hexdigest()) == (
         8376,
