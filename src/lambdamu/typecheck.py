@@ -135,7 +135,7 @@ class _Scope:
         """The formula of a variable of t: a name in the given context, an
         index in by_index, the formulas of its namespace's binders."""
         by_name = self.gamma if role == "variable" else self.delta
-        if type(x) is int and x < len(by_index):
+        if type(x) is int and 0 <= x < len(by_index):
             return by_index[-1 - x]
         if type(x) is str and x in by_name:
             return by_name[x]
@@ -312,7 +312,9 @@ def validate_derivation(d: Derivation) -> None:
         return ps[i].conclusion
 
     def lookup(x, ctx, by_index):
-        return dict(ctx).get(x) if type(x) is str else by_index[-1 - x]
+        if type(x) is str:
+            return dict(ctx).get(x)
+        return by_index[-1 - x] if x >= 0 else None
 
     def fail(why):
         raise TypeCheckError(f"invalid {d.rule} node ({why}): {j}")

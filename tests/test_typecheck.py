@@ -359,6 +359,32 @@ def test_validate_rejects_an_index_past_the_names(judgment):
         validate_derivation(Derivation(rule, judgment, ()))
 
 
+# a negative index refers to no binder, though read from the end of the
+# binders it would find the outermost one
+@pytest.mark.parametrize("gamma, term", [
+    ({}, Abs("x", P, Abs("y", Q, Var(-1)))),
+    ({"z": P}, Mu("a", P, Named(-1, Var("z")))),
+])
+def test_a_negative_index_is_unbound(gamma, term):
+    with pytest.raises(UnboundVariableError):
+        check(gamma, {}, term)
+    with pytest.raises(UnboundVariableError):
+        infer(gamma, {}, term)
+
+
+@pytest.mark.parametrize("rule, judgment, premises", [
+    ("ax", Judgment((), Var(-1), P, (),
+                    ((False, "x", P), (False, "y", Q))), ()),
+    ("abs-i", Judgment((("z", P),), Named(-1, Var("z")), BOT, (),
+                       ((True, "a", P),)),
+     (Derivation("ax", Judgment((("z", P),), Var("z"), P, (),
+                                ((True, "a", P),))),)),
+])
+def test_validate_rejects_a_negative_index(rule, judgment, premises):
+    with pytest.raises(TypeCheckError, match="shape"):
+        validate_derivation(Derivation(rule, judgment, premises))
+
+
 @pytest.mark.parametrize("src, forge", [
     # a premise that drops, renames or retypes the binder its rule adds
     ("\\x:P. x", lambda j: {"binders": ()}),
