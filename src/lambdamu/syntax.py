@@ -25,10 +25,8 @@ formula and, inside it, every ``~``, bracketed subformula and right
 operand of a connective.
 
 The parser gives bound variables their indices and keeps binder names
-as hints (see ``terms``).  The printer has one rule: a binder takes its
-hint unless that name is bound around it or would capture a free name.
-``canonical_form`` prints the hints that ``canonical_hints`` gives, the
-one place canonical names are issued.
+as hints (see ``terms``); the printer keeps a hint unless it would
+shadow or capture, and canonical names come only from canonical_hints.
 """
 
 from __future__ import annotations
@@ -357,8 +355,8 @@ def canonical_hints(t: Term) -> Term:
     so print_term keeps every one of them."""
     _, _, _, lam, mu, _ = shape(t)
     taken = lam | mu
-    x, a = ((name for name in map(f"{stem}{{}}".format, count())
-             if name not in taken) for stem in "xa")
+    x = (name for name in map("x{}".format, count()) if name not in taken)
+    a = (name for name in map("a{}".format, count()) if name not in taken)
     return rename_binders(t, lambda kind, hint: next(a if kind is Mu else x))
 
 

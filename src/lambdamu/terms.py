@@ -23,13 +23,12 @@ The operations that reduction contracts through, ``shift``,
 binders it crosses as two integers, picks a node's case by its type and
 keeps every unchanged subterm, so that a reduct shares its nodes and
 their keys.  The cold ones, ``close``, ``open_names`` and
-``rename_binders``, share ``_walk``, which calls back at each leaf and
-keeps the names of the binders it crosses.  Each of these walks reads an
-application's argument in place: a projection is kept as it is, and a
-case bracket's branches are walked below one more lambda-binder.  One more walk, ``shape``,
-reports what a term is rather than rebuilding it: its depth, how far its
-dangling indices reach, its free names and its binders' hints, which
-``free_variables``, ``is_closed`` and every depth gate read.
+``rename_binders``, share ``_walk``, which calls back at each leaf it
+is given a callback for and keeps the names of the binders it crosses.
+One more walk, ``shape``, reports what a term is rather than rebuilding
+it: its depth, how far its dangling indices reach, its free names and
+its binders' hints, which ``free_variables``, ``is_closed`` and every
+depth gate read.  Every walk reads an application's argument in place.
 
 Every node class is a ``node``: a frozen, slotted dataclass whose
 ``__init__`` fills the slots through their descriptors.  Terms, E-terms
@@ -224,11 +223,10 @@ def _walk(t: Term, var, named, lam=(), mu=(), rename=None) -> Term:
     named(n, body, lam, mu) for each named term n, whose body has been
     walked already; lam and mu are the names of the lambda- and
     mu-binders crossed, innermost last.  A callback of None keeps its
-    node, a named term being rebuilt only if its body changed.  rename,
-    if given, names each binder afresh, in preorder.  An unchanged
-    subterm is kept, not copied.  It serves close, open_names and
-    rename_binders, which are cold; shift, substitute and mu_substitute
-    have walks of their own."""
+    nodes.  rename, if given, names each binder afresh, in preorder.  An
+    unchanged subterm is kept, not copied.  It serves close, open_names
+    and rename_binders, which are cold; shift, substitute and
+    mu_substitute have walks of their own."""
     kind = type(t)
     if kind is Var:
         return t if var is None else var(t, lam, mu)
@@ -241,8 +239,8 @@ def _walk(t: Term, var, named, lam=(), mu=(), rename=None) -> Term:
             u1 = _walk(e.left, var, named, lam + (x1,), mu, rename)
             x2 = e.right_var if rename is None else rename(Case, e.right_var)
             u2 = _walk(e.right, var, named, lam + (x2,), mu, rename)
-            if u1 is not e.left or u2 is not e.right or x1 is not e.left_var \
-                    or x2 is not e.right_var:
+            if not (u1 is e.left and u2 is e.right and x1 is e.left_var
+                    and x2 is e.right_var):
                 e = Case(x1, u1, x2, u2, e.ann)
         elif ke is not Proj1 and ke is not Proj2:
             e = _walk(e, var, named, lam, mu, rename)
@@ -292,10 +290,8 @@ def open_names(t: Term, mu_names: tuple[str, ...]) -> Term:
     def named(n, body, lam, mu):
         a = n.name
         if type(a) is int and a >= len(mu):
-            a = mu_names[len(mu) - 1 - a]
-        elif body is n.body:
-            return n
-        return Named(a, body)
+            return Named(mu_names[len(mu) - 1 - a], body)
+        return n if body is n.body else Named(a, body)
 
     return _walk(t, None, named)
 
