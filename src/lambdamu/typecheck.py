@@ -314,7 +314,9 @@ def validate_derivation(d: Derivation) -> None:
     def lookup(x, ctx, by_index):
         if type(x) is str:
             return dict(ctx).get(x)
-        return by_index[-1 - x] if x >= 0 else None
+        if x < 0:  # refused before fail, which could not print it
+            raise TypeCheckError(f"invalid {d.rule} node (a negative index)")
+        return by_index[-1 - x]
 
     def fail(why):
         raise TypeCheckError(f"invalid {d.rule} node ({why}): {j}")
