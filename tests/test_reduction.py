@@ -1,14 +1,15 @@
 """One-step reduction, normalization, traces, and reduction graphs."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from lambdamu import (
-    Abs, App, Arrow, BOT, FuelExhausted, Mu, Named, Pair, PropVar,
+    Abs, App, Arrow, BOT, Case, FuelExhausted, Inj2, Mu, Named, Pair, PropVar,
     ReductionGraph, ReductionStep, ReductTooDeep, Var, alpha_key,
     canonical_form, canonical_terms, close, enumerate_typed_terms, infer,
     normalize, parse_term, print_term, redexes, reduction_graph,
 )
+from lambdamu import reduction
 from lambdamu.reduction import (
     DEFAULT_NODE_CAP, InvalidPosition, SuccessorFacts, _explore_into, step_at,
 )
@@ -472,6 +473,69 @@ def test_a_key_is_at_least_as_long_as_its_term_is_deep(t):
     open_term = close(Abs("y", None, Mu("b", None, t))).body.body
     for s in (t, open_term):
         assert shape(s)[0] <= len(alpha_key(s))
+
+
+# one node around a term: binders with annotations, a case bracket's
+# either branch, a pair's either component, a named term, an injection,
+# an application's either side, and a redex whose contractum nests one
+# level deeper than it does: (\x. (v (v x)) s) > (v (v s))
+_FRAMES = [
+    lambda s: Abs("x", P, s),
+    lambda s: Mu("a", P, Named(0, s)),
+    lambda s: Inj2(s, Q),
+    lambda s: Pair(s, Var("v")),
+    lambda s: Pair(Var("v"), s),
+    lambda s: App(Var("v"), s),
+    lambda s: App(s, Var("v")),
+    lambda s: App(Var("v"), Case("x", s, "y", Var(0), P)),
+    lambda s: App(Var("v"), Case("x", Var(0), "y", s, P)),
+    lambda s: App(Abs("x", P, App(Var("v"), App(Var("v"), Var(0)))), s),
+]
+
+
+def _framed(t, frames, slack):
+    """t under the frames, repeated in turn, for as long as it nests
+    within slack of MAX_NESTING."""
+    for i in range(MAX_NESTING):
+        framed = _FRAMES[frames[i % len(frames)]](t)
+        if shape(framed)[0] + slack > MAX_NESTING:
+            break
+        t = framed
+    return t
+
+
+def _assert_steps_splice(t):
+    """_steps of t, which nests at most MAX_NESTING deep, against its
+    reducts built afresh: each key is the reduct's alpha_key, and None
+    exactly when some reduct nests deeper than MAX_NESTING."""
+    found = reduction._reducts(t)
+    reducts = [reduction._rebuild(t, p, c) for p, _, c in found]
+    steps = reduction._steps(t)
+    if steps is None:
+        assert any(shape(r)[0] > MAX_NESTING for r in reducts)
+        return
+    assert all(shape(r)[0] <= MAX_NESTING for r in reducts)
+    assert [(p, rule) for p, rule, _, _ in steps] == \
+        [(p, rule) for p, rule, _ in found]
+    for (_, _, key, _), r in zip(steps, reducts):
+        assert key == alpha_key(r)
+
+
+@settings(deadline=None)  # a term near the bound has a hundred redexes
+@given(terms(4, frozenset({"y"}), frozenset({"b"})),
+       st.lists(st.integers(0, len(_FRAMES) - 1), min_size=1, max_size=3),
+       st.sampled_from([0, 0, 1, 2, MAX_NESTING]))
+def test_steps_splice_every_reduct_key(t, frames, slack):
+    # every redex of a generated term, under frames that reach close to
+    # the bound or none: case brackets, pairs, named terms, injections
+    # and annotated binders around and inside it
+    _assert_steps_splice(_framed(t, frames, slack))
+
+
+def test_steps_splice_every_size_10_graph_node():
+    for entry in enumerate_typed_terms(10).entries:
+        for t in reduction_graph(entry.term).nodes.values():
+            _assert_steps_splice(t)
 
 
 def test_redexes_and_step_at_refuse_a_too_deep_term():
