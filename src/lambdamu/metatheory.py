@@ -433,6 +433,7 @@ def run_suite(corpus: Corpus,
     # them, the evidence of each ill-typed key, the memo, its key table
     # (reduction._explore_into) and its facts
     groups: dict[tuple, tuple] = {}
+    checked = 0  # entries every report checked
     for entry in corpus.entries:
         # alpha_key and hash recurse through formulas, so an entry with
         # one nested too deeply is refused before either reads it; a
@@ -478,8 +479,7 @@ def run_suite(corpus: Corpus,
             for report in reports:
                 report.incomplete.append(entry)
             continue
-        for report in reports:
-            report.checked += 1
+        checked += 1
         if errors:
             sr.failures.extend((entry, errors[k]) for k in facts.reach(root)
                                if k in errors)
@@ -501,6 +501,8 @@ def run_suite(corpus: Corpus,
             sn.failures.append((entry, "reduction graph has a cycle"))
         else:
             sn.longest_paths[longest] = sn.longest_paths.get(longest, 0) + 1
+    for report in reports:
+        report.checked = checked
     return reports
 
 

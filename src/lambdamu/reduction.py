@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-from .syntax import MAX_NESTING, alpha_key, canonical_form, splice_key
+from .syntax import MAX_NESTING, alpha_key, canonical_form
 from .terms import (
     Abs, App, Arrow, Case, Conj, ETerm, Formula, Inj1, Inj2, Mu, Named,
     Pair, Proj1, Proj2, Term, Var, mu_substitute, node, shape, shift,
@@ -140,17 +140,21 @@ def _contract(t: App) -> Optional[tuple[str, Term]]:
     return None
 
 
-def _reducts(t: Term, path: Position = (),
-             out: Optional[list[tuple[Position, str, Term]]] = None
-             ) -> list[tuple[Position, str, Term]]:
+def _reducts(t: Term, key: Optional[str] = None, path: Position = (),
+             end: int = 0, out: Optional[list] = None) -> list:
     """(position, rule, contractum) for each redex of t, in
     leftmost-outermost (pre-)order, with positions below path, appended
-    to out.
+    to out; with key, (position, rule, reduct's key, contractum), each
+    from _spliced.
 
     One walk finds and contracts every redex, each once, when it is
     reached; it builds no reduct, which _rebuild makes from t, the
     position and the contractum.  Eager, so a caller that takes only
-    the first redex has contracted them all.
+    the first redex has contracted them all.  key is the alpha_key of
+    the term walked from its root, and end how many of its characters
+    follow t's slice: a child's slice ends where its right siblings'
+    keys start (see alpha_key).  The walk recurses as deep as the term
+    nests, so its frame is kept small.
     """
     if out is None:
         out = []
@@ -159,23 +163,44 @@ def _reducts(t: Term, path: Position = (),
         f, e = t.fun, t.arg
         root = _contract(t)
         if root is not None:
-            out.append((path, root[0], root[1]))
-        _reducts(f, path + (0,), out)
+            out.append((path, root[0], root[1]) if key is None
+                       else _spliced(key, end, path, t, root))
+        # the slices' ends are read only with a key
+        after = key and end + len(alpha_key(e))
+        _reducts(f, key, path + (0,), after, out)
         ke = type(e)
-        if ke is Case:
-            _reducts(e.left, path + (1,), out)
-            _reducts(e.right, path + (2,), out)
+        if ke is Case:  # a tag, the branches, the annotation
+            after = key and after - 1 - len(alpha_key(e.left))
+            _reducts(e.left, key, path + (1,), after, out)
+            after = key and after - len(alpha_key(e.right))
+            _reducts(e.right, key, path + (2,), after, out)
         elif ke is not Proj1 and ke is not Proj2:
-            _reducts(e, path + (1,), out)
+            _reducts(e, key, path + (1,), end, out)
     elif kind is Pair:
-        _reducts(t.fst, path + (0,), out)
-        _reducts(t.snd, path + (1,), out)
+        after = key and end + len(alpha_key(t.snd))
+        _reducts(t.fst, key, path + (0,), after, out)
+        _reducts(t.snd, key, path + (1,), end, out)
     elif kind is Abs or kind is Mu or kind is Named or kind is Inj1 \
             or kind is Inj2:
-        _reducts(t.body, path + (0,), out)
+        _reducts(t.body, key, path + (0,), end, out)
     elif kind is not Var:
         raise TypeError(f"not a term: {t!r}")
     return out
+
+
+def _spliced(key: str, end: int, path: Position, t: App,
+             root: tuple[str, Term]) -> tuple[Position, str, str, Term]:
+    """(position, rule, reduct's key, contractum) for the redex t at
+    path, contracted as root says, end characters of key after its
+    slice.  Keys are locally nameless, so the reduct's key is key with
+    t's slice replaced by the contractum's.  Raises ReductTooDeep(1)
+    when the reduct nests deeper than MAX_NESTING (_too_deep)."""
+    rule, contractum = root
+    if _too_deep(path, contractum):
+        raise ReductTooDeep(1)
+    stop = len(key) - end
+    return (path, rule, f"{key[:stop - len(alpha_key(t))]}"
+            f"{alpha_key(contractum)}{key[stop:]}", contractum)
 
 
 def _rebuild(t: Term, position: Position, contractum: Term,
@@ -287,24 +312,44 @@ class SuccessorFacts:
     serves a mapping that only grows, such as run_suite's memo, which
     _explore_into fills, as long as every key it reaches is in the
     mapping: a memo holds only closed sets, so any key in it can be
-    queried.
+    queried.  A key whose successors are all settled is settled from
+    theirs at once (_settled); only one with an unsettled successor is
+    walked depth-first.
     """
 
     def __init__(self, succ: Mapping[str, Sequence[str]]):
         self.succ = succ
         self._longest: dict[str, int] = {}          # acyclic keys only
-        # acyclic keys with a successor: the one normal form they reach,
-        # or None; a key with no successor is its own
+        # acyclic keys: the one normal form they reach, or None
         self._normal: dict[str, Optional[str]] = {}
         self._cyclic: set[str] = set()              # keys that reach a cycle
 
+    def _settled(self, key: str) -> bool:
+        """Memoize key's facts from its successors', if every successor
+        is settled, and say whether it did: its longest path is one
+        more than theirs, and its normal form the one they share, if
+        they share one; a key with no successor is its own."""
+        below, longest, normal = self.succ[key], self._longest, self._normal
+        most, shared = -1, normal.get(below[0]) if below else key
+        for s in below:
+            n = longest.get(s)
+            if n is None:
+                return False
+            if n > most:
+                most = n
+            if shared is not None and normal[s] != shared:
+                shared = None
+        longest[key] = most + 1
+        normal[key] = shared
+        return True
+
     def _settle(self, start: str) -> None:
-        """Memoize the facts of start and of the keys it reaches, children
-        before parents; on meeting a cycle, mark every key on the path to
-        it as cyclic and stop.  A key's normal form is the one its
-        children share, if they share one."""
-        succ, longest, normal = self.succ, self._longest, self._normal
-        if start in longest or start in self._cyclic:
+        """Memoize the facts of start and of the keys it reaches: from
+        its successors' at once when they are settled, else depth-first,
+        children before parents; on meeting a cycle, mark every key on
+        the path to it as cyclic and stop."""
+        succ, longest, cyclic = self.succ, self._longest, self._cyclic
+        if start in longest or start in cyclic or self._settled(start):
             return
         path = {start}
         stack = [(start, iter(succ[start]))]
@@ -313,8 +358,8 @@ class SuccessorFacts:
             for s in children:
                 if s in longest:
                     continue
-                if s in path or s in self._cyclic:
-                    self._cyclic.update(k for k, _ in stack)
+                if s in path or s in cyclic:
+                    cyclic.update(k for k, _ in stack)
                     return
                 path.add(s)
                 stack.append((s, iter(succ[s])))
@@ -322,18 +367,7 @@ class SuccessorFacts:
             else:
                 stack.pop()
                 path.discard(key)
-                below = succ[key]
-                if not below:
-                    longest[key] = 0
-                    continue
-                most, shared = 0, normal.get(below[0], below[0])
-                for s in below:
-                    if longest[s] > most:
-                        most = longest[s]
-                    if shared is not None and normal.get(s, s) != shared:
-                        shared = None
-                longest[key] = most + 1
-                normal[key] = shared
+                self._settled(key)
 
     def lookup(self, key: str) -> tuple[Optional[int], Optional[str]]:
         """The length of the longest reduction sequence from key, and
@@ -344,7 +378,7 @@ class SuccessorFacts:
         longest = self._longest.get(key)
         if longest is None:
             return None, None
-        return longest, self._normal.get(key, key)
+        return longest, self._normal[key]
 
     def reach(self, key: str) -> list[str]:
         """The keys that key reaches, key first, breadth-first with each
@@ -448,16 +482,13 @@ class ReductionGraph:
 
 def _steps(t: Term) -> Optional[list[tuple[Position, str, str, Term]]]:
     """(position, rule, key, contractum) per redex of t, in redex order,
-    for a t that nests no deeper than MAX_NESTING; None when a reduct
-    nests deeper (see _too_deep).  Each key is the reduct's alpha_key,
-    spliced from t's (syntax.splice_key), so that no reduct is built
-    here."""
-    out = []
-    for p, rule, contractum in _reducts(t):
-        if _too_deep(p, contractum):
-            return None
-        out.append((p, rule, splice_key(t, p, contractum), contractum))
-    return out
+    for a t that nests no deeper than MAX_NESTING: the walk read with
+    t's key, so that no reduct is built here; None when a reduct nests
+    deeper (see _too_deep)."""
+    try:
+        return _reducts(t, alpha_key(t))
+    except ReductTooDeep:
+        return None
 
 
 def _root_too_deep(t: Term) -> bool:

@@ -336,7 +336,8 @@ def print_term(t: Term, lam_names: tuple[str, ...] = (),
     around it or would capture a free variable below it; then with the
     hint's stem and the first number that is neither.  lam_names and
     mu_names name the binders that t's dangling indices refer to,
-    innermost last; a ValueError says how many names are missing.
+    innermost last; a ValueError says how many names are missing, or
+    that an index is negative.
     """
     return _Printer(lam_names, mu_names).text(t)
 
@@ -401,49 +402,6 @@ def alpha_key(t) -> str:
         raise TypeError(f"not a term: {t!r}")
     object.__setattr__(t, "_key", key)
     return key
-
-
-def splice_key(t: Term, position: tuple[int, ...], new: Term) -> str:
-    """alpha_key of t with its subterm at position replaced by new, read
-    off the keys of t and new without building that term.
-
-    A position is a path of child indices, as reduction numbers them.
-    Keys are locally nameless, so a subterm's key does not depend on
-    where it sits: the new key is t's with the old subterm's slice
-    replaced by new's key.  The slice starts after the tags and the
-    left siblings' keys along position.
-    """
-    key, start = alpha_key(t), 0
-    for i in position:
-        kind = type(t)
-        if kind is App:
-            start += 1
-            if i:
-                start += len(alpha_key(t.fun))
-                t = t.arg
-                if type(t) is Case:
-                    start += 1
-                    if i == 2:
-                        start += len(alpha_key(t.left))
-                        t = t.right
-                    else:
-                        t = t.left
-            else:
-                t = t.fun
-        elif kind is Pair:
-            start += 1
-            if i:
-                start += len(alpha_key(t.fst))
-                t = t.snd
-            else:
-                t = t.fst
-        elif kind is Named:
-            start += 1 + len(_ref(t.name))
-            t = t.body
-        else:  # Abs, Mu, Inj1, Inj2: a tag, an annotation, the body
-            start += 1 + len(_ann(t.ann))
-            t = t.body
-    return f"{key[:start]}{alpha_key(new)}{key[start + len(alpha_key(t)):]}"
 
 
 # A key reads back one way only, since each kind of node starts with a
@@ -517,6 +475,8 @@ class _Printer:
         kind = type(t)
         if kind is Var:
             x = t.name
+            if type(x) is int and x < 0:
+                raise ValueError("a negative index refers to no binder")
             return self.lam[-1 - x] if type(x) is int else self.use(x)
         if kind is App:
             f = self.term(t.fun)
@@ -547,6 +507,8 @@ class _Printer:
             return f"\\{x}{a}. {body}" if kind is Abs else f"mu {x}{a}. {body}"
         if kind is Named:
             a = t.name
+            if type(a) is int and a < 0:
+                raise ValueError("a negative index refers to no binder")
             a = self.mu[-1 - a] if type(a) is int else self.use(a)
             return f"[{a}] {self.term(t.body)}"
         if kind is Pair:

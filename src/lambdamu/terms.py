@@ -299,7 +299,8 @@ def open_names(t: Term, mu_names: tuple[str, ...]) -> Term:
 def shape(t: Term) -> tuple[int, int, int, set[str], set[str], set[str]]:
     """t's facts, from one walk: its depth, the number of term nodes on
     its longest path to a leaf; how many lambda- and how many mu-binders
-    above t its dangling indices reach; and its free lambda-names, its
+    above t its dangling indices reach, at least one when an index is
+    negative, since no binder holds it; and its free lambda-names, its
     free mu-names and its binders' hints, in that order.  Terms are
     locally nameless, so free names and dangling indices sit on the same
     leaves.  The walk goes level by level, so that no term is too deep
@@ -319,8 +320,8 @@ def shape(t: Term) -> tuple[int, int, int, set[str], set[str], set[str]]:
                 x = s.name
                 if type(x) is str:
                     lam_names.add(x)
-                elif x - lam >= reach_lam:
-                    reach_lam = x + 1 - lam
+                elif x - lam >= reach_lam or x < 0:  # no binder holds x < 0
+                    reach_lam = max(reach_lam, x + 1 - lam, 1)
             elif kind is App:
                 below.append((s.fun, lam, mu))
                 e = s.arg
@@ -341,8 +342,8 @@ def shape(t: Term) -> tuple[int, int, int, set[str], set[str], set[str]]:
                 a = s.name
                 if type(a) is str:
                     mu_names.add(a)
-                elif a - mu >= reach_mu:
-                    reach_mu = a + 1 - mu
+                elif a - mu >= reach_mu or a < 0:
+                    reach_mu = max(reach_mu, a + 1 - mu, 1)
                 below.append((s.body, lam, mu))
             elif kind is Pair:
                 below += ((s.fst, lam, mu), (s.snd, lam, mu))

@@ -53,7 +53,10 @@ class TypeCheckError(Exception):
         self.found = found
         parts = [message]
         if term is not None:
-            parts.append(f"in {print_term(term, *names)}")
+            try:
+                parts.append(f"in {print_term(term, *names)}")
+            except ValueError:  # an index no given name reaches: left out
+                pass
         if rule is not None:
             parts.append(f"(rule {rule})")
         if found is not None:
@@ -305,8 +308,8 @@ def validate_derivation(d: Derivation) -> None:
     _, reach_lam, reach_mu = shape(t)[:3]
     if reach_lam > len(lam) or reach_mu > len(mu):
         # no name to print the judgment with
-        raise TypeCheckError(f"invalid {d.rule} node (an index past the "
-                             f"names of its judgment)")
+        raise TypeCheckError(f"invalid {d.rule} node (a negative index, "
+                             f"or an index past the names of its judgment)")
 
     def pj(i):
         return ps[i].conclusion

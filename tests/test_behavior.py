@@ -284,6 +284,16 @@ def test_probe_refusal_texts(probe, expected):
     assert str(refused.value) == "probe subject must be closed: in x"
 
 
+@pytest.mark.parametrize("probe", [probe_exfalso, probe_peirce,
+                                   probe_tertium])
+def test_probe_refuses_a_negative_index(probe):
+    # no binder holds it, so the subject is open, and it is not printed
+    for subject in (Abs("x", P, Var(-1)), Mu("a", P, Named(-1, Var(0)))):
+        with pytest.raises(TypeCheckError) as refused:
+            probe(subject)
+        assert str(refused.value) == "probe subject must be closed"
+
+
 def _nested(body, levels):
     for _ in range(levels):
         body = Abs("x", P, body)

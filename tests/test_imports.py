@@ -120,8 +120,8 @@ MATCH_ALLOWED = {
 HOT_WALKS = {
     "typecheck": ("_infer",),
     "reduction": ("_result_ann", "_reducts", "_contract", "_rebuild",
-                  "SuccessorFacts._settle"),
-    "syntax": ("alpha_key", "splice_key", "_pf", "_Printer.term"),
+                  "SuccessorFacts._settle", "SuccessorFacts._settled"),
+    "syntax": ("alpha_key", "_pf", "_Printer.term"),
     "terms": ("shape", "_shifted", "_substituted", "_mu_substituted"),
     "behavior": ("Leaf.match", "_match_spine"),
 }

@@ -1,5 +1,7 @@
 """One-step reduction, normalization, traces, and reduction graphs."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -620,6 +622,65 @@ def test_confluence_on_hand_built_graphs(edges, witnesses):
         assert normal == (None if witnesses else sinks[0])
     else:
         assert normal is None
+
+
+def _reachable(succ, key):
+    """The keys key reaches, breadth-first, successors in their order."""
+    order, queue = [], deque([key])
+    while queue:
+        k = queue.popleft()
+        if k not in order:
+            order.append(k)
+            queue.extend(succ[k])
+    return order
+
+
+def _longest(succ, key):
+    """The longest path from key, by trying every path; key reaches no
+    cycle."""
+    return max((1 + _longest(succ, s) for s in succ[key]), default=0)
+
+
+@st.composite
+def _successor_maps(draw):
+    """Keys 0..n-1 with up to three successors each, repeats allowed:
+    self-loops, cycles, shared normal forms and keys with none."""
+    n = draw(st.integers(1, 7))
+    keys = [f"k{i}" for i in range(n)]
+    return {k: [keys[i] for i in draw(st.lists(st.integers(0, n - 1),
+                                               max_size=3))]
+            for k in keys}
+
+
+@given(_successor_maps(), st.randoms(use_true_random=False))
+def test_successor_facts_match_brute_force(succ, rng):
+    # keys are queried in a random order, so that some are settled from
+    # settled successors at once and others by the depth-first walk
+    facts = SuccessorFacts(succ)
+    order = list(succ)
+    rng.shuffle(order)
+    for key in order:
+        reached = _reachable(succ, key)
+        cyclic = any(k in _reachable(succ, s) for k in reached
+                     for s in succ[k])
+        sinks = [k for k in reached if not succ[k]]
+        if cyclic:
+            assert facts.lookup(key) == (None, None)
+        else:
+            assert facts.lookup(key) == (
+                _longest(succ, key), sinks[0] if len(sinks) == 1 else None)
+        assert facts.reach(key) == reached
+        joinable = all(set(_reachable(succ, a)) & set(_reachable(succ, b))
+                       for a in reached for b in reached)
+        witnesses = facts.confluence_failure(key)
+        if joinable:
+            assert witnesses is None
+        elif not cyclic:
+            assert witnesses == sinks
+        else:
+            a, b = witnesses
+            assert {a, b} <= set(reached)
+            assert not set(_reachable(succ, a)) & set(_reachable(succ, b))
 
 
 def test_graph_refuses_dangling_indices():

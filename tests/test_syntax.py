@@ -530,6 +530,20 @@ def test_shape():
     assert shape(Named(3, Var(5))) == (2, 6, 4, set(), set(), set())
 
 
+def test_a_negative_index_dangles():
+    # it refers to no binder, however many are around it: the term is
+    # not closed, and printing it is refused rather than naming a binder
+    for t in (Abs("x", P, Var(-1)), Mu("a", P, Named(-1, Var("z")))):
+        assert not is_closed(t)
+        with pytest.raises(ValueError, match="a negative index"):
+            print_term(t)
+    assert shape(Abs("x", P, Var(-1)))[:3] == (2, 1, 0)
+    assert shape(Mu("a", P, Named(-1, Var("z"))))[:3] == (3, 0, 1)
+    assert shape(Abs("x", P, Pair(Var(-2), Var(3))))[:3] == (3, 3, 0)
+    with pytest.raises(ValueError, match="dangling indices"):
+        reduction_graph(Abs("x", P, Var(-1)))
+
+
 def test_shape_of_a_deep_application_spine():
     # iterative walks: a spine far deeper than the recursion limit is
     # measured, its indices reached down the function side, and its

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 
 from lambdamu import (
-    Abs, Arrow, BOT, Conj, Derivation, Disj, Judgment, Mu,
+    Abs, App, Arrow, BOT, Conj, Derivation, Disj, Judgment, Mu,
     MissingAnnotationError, Mismatch, Named, PropVar, TypeCheckError,
     UnboundVariableError, Var, canonical_terms, check, close,
-    derivation_to_json, enumerate_typed_terms, infer, parse_formula,
+    derivation_to_json, enumerate_typed_terms, infer, Inj1, parse_formula,
     parse_term, print_term, probe_exfalso, probe_peirce, probe_tertium,
     run_suite, validate_derivation,
 )
@@ -370,6 +370,25 @@ def test_a_negative_index_is_unbound(gamma, term):
         check(gamma, {}, term)
     with pytest.raises(UnboundVariableError):
         infer(gamma, {}, term)
+
+
+# an error whose term has an index no given name reaches, or a negative
+# one, leaves the term out rather than fail to print it
+@pytest.mark.parametrize("refused, text", [
+    (lambda: check({"x": P}, {}, App(Var("x"), Var(1))),
+     "applied term is not a function: (rule arrow-e): found P"),
+    (lambda: check({}, {}, Inj1(Var(0), None)),
+     "in1 needs the other disjunct as annotation: (rule or-i1)"),
+    (lambda: check({"x": P}, {}, App(Var("x"), Var(-1))),
+     "applied term is not a function: (rule arrow-e): found P"),
+    (lambda: probe_exfalso(Abs("z", BOT, Var(3))),
+     "probe subject must be closed"),
+], ids=["index-past-the-names", "unannotated-injection", "negative-index",
+        "open-probe-subject"])
+def test_an_error_leaves_out_a_term_it_cannot_print(refused, text):
+    with pytest.raises(TypeCheckError) as error:
+        refused()
+    assert str(error.value) == text
 
 
 @pytest.mark.parametrize("binders", [(), ((False, "x", P), (True, "a", P))])
