@@ -144,8 +144,7 @@ def _reducts(t: Term, key: Optional[str] = None, path: Position = (),
              end: int = 0, out: Optional[list] = None) -> list:
     """(position, rule, contractum) for each redex of t, in
     leftmost-outermost (pre-)order, with positions below path, appended
-    to out; with key, (position, rule, reduct's key, contractum), each
-    from _spliced.
+    to out; with key, (position, rule, reduct's key, contractum).
 
     One walk finds and contracts every redex, each once, when it is
     reached; it builds no reduct, which _rebuild makes from t, the
@@ -154,7 +153,7 @@ def _reducts(t: Term, key: Optional[str] = None, path: Position = (),
     the term walked from its root, and end how many of its characters
     follow t's slice: a child's slice ends where its right siblings'
     keys start (see alpha_key).  The walk recurses as deep as the term
-    nests, so its frame is kept small.
+    nests, so _spliced keeps the keyed work out of its frame.
     """
     if out is None:
         out = []
@@ -320,7 +319,8 @@ class SuccessorFacts:
     def __init__(self, succ: Mapping[str, Sequence[str]]):
         self.succ = succ
         self._longest: dict[str, int] = {}          # acyclic keys only
-        # acyclic keys: the one normal form they reach, or None
+        # acyclic keys with a successor: the one normal form they reach,
+        # or None; a key with no successor is its own
         self._normal: dict[str, Optional[str]] = {}
         self._cyclic: set[str] = set()              # keys that reach a cycle
 
@@ -330,17 +330,18 @@ class SuccessorFacts:
         more than theirs, and its normal form the one they share, if
         they share one; a key with no successor is its own."""
         below, longest, normal = self.succ[key], self._longest, self._normal
-        most, shared = -1, normal.get(below[0]) if below else key
+        most, shared = -1, normal.get(below[0], below[0]) if below else key
         for s in below:
             n = longest.get(s)
             if n is None:
                 return False
             if n > most:
                 most = n
-            if shared is not None and normal[s] != shared:
+            if shared is not None and normal.get(s, s) != shared:
                 shared = None
         longest[key] = most + 1
-        normal[key] = shared
+        if below:
+            normal[key] = shared
         return True
 
     def _settle(self, start: str) -> None:
@@ -378,7 +379,7 @@ class SuccessorFacts:
         longest = self._longest.get(key)
         if longest is None:
             return None, None
-        return longest, self._normal[key]
+        return longest, self._normal.get(key, key)
 
     def reach(self, key: str) -> list[str]:
         """The keys that key reaches, key first, breadth-first with each

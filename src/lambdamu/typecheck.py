@@ -55,7 +55,7 @@ class TypeCheckError(Exception):
         if term is not None:
             try:
                 parts.append(f"in {print_term(term, *names)}")
-            except ValueError:  # an index no given name reaches: left out
+            except ValueError:  # an index no given name holds: left out
                 pass
         if rule is not None:
             parts.append(f"(rule {rule})")
