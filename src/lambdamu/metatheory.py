@@ -400,24 +400,26 @@ def run_suite(corpus: Corpus,
               node_cap: int = DEFAULT_NODE_CAP) -> list[PropertyReport]:
     """Subject reduction, confluence and strong normalization, in that order.
 
-    Entries with the same formula and contexts share one memo, from
-    each alpha-key to the keys of its reducts, which each entry closes
-    from its root (reduction._explore_into) without building a graph,
-    so each distinct reduct is built, expanded and type-checked once
-    per formula and contexts.  The roots of a ``typed`` corpus count as
-    checked, so only the keys that reduction made are type-checked, and
-    a root is walked for its depth only when its key is longer than
-    MAX_NESTING.  A corpus built directly has each root walked before
-    it is keyed, so a root too deep is incomplete and one with dangling
-    indices raises ValueError, and has its roots checked too.
-    Confluence, strong normalization and the longest path, counted in
-    the strong normalization report's histogram, are one lookup at an
-    entry's root in SuccessorFacts over that memo.  Only an entry that
-    fails, or whose formula and contexts have an ill-typed key, walks
-    the keys it reaches, in the order SuccessorFacts.reach lists them,
-    for its evidence.  Evidence prints reducts by canonical_form, so a
-    confluence failure explores its entry again, into an empty memo,
-    for the witnesses' terms; no entry builds a graph.  An entry is incomplete in every report when
+    A run of consecutive entries with the same formula and contexts
+    shares one memo, from each alpha-key to the keys of its reducts,
+    which each entry closes from its root (reduction._explore_into)
+    without building a graph, so each distinct reduct is built, expanded
+    and type-checked once per run; the next run starts afresh.  An
+    enumerated corpus lists each formula's entries together, so its runs
+    are its formulas.  The roots of a ``typed`` corpus count as checked,
+    so only the keys that reduction made are type-checked, and a root is
+    walked for its depth only when its key is longer than MAX_NESTING.
+    A corpus built directly has each root walked before it is keyed, so
+    a root too deep is incomplete and one with dangling indices raises
+    ValueError, and has its roots checked too.  Confluence, strong
+    normalization and the longest path, counted in the strong
+    normalization report's histogram, are one lookup at an entry's root
+    in SuccessorFacts over that memo.  Only an entry that fails, or
+    whose run has an ill-typed key, walks the keys it reaches, in the
+    order SuccessorFacts.reach lists them, for its evidence.  Evidence
+    prints reducts by canonical_form, so a confluence failure explores
+    its entry again, into an empty memo, for the witnesses' terms; no
+    entry builds a graph.  An entry is incomplete in every report when
     its keys, counted through the memo, exceed the cap, or when it, a
     reduct, its formula or a formula of its contexts nests too deeply;
     an exploration the cap or a too-deep reduct cut short adds nothing
@@ -429,11 +431,9 @@ def run_suite(corpus: Corpus,
         raise ValueError("node_cap must be >= 1")
     reports = [PropertyReport(name) for name in PROPERTIES]
     sr, cf, sn = reports
-    # by (formula's alpha_key, gamma, delta): the contexts as check reads
-    # them, the evidence of each ill-typed key, the memo, its key table
-    # (reduction._explore_into) and its facts
-    groups: dict[tuple, tuple] = {}
+    incomplete: list[CorpusEntry] = []  # entries no report checked
     checked = 0  # entries every report checked
+    run = None  # the current run's formula key and contexts
     for entry in corpus.entries:
         # alpha_key and hash recurse through formulas, so an entry with
         # one nested too deeply is refused before either reads it; a
@@ -443,17 +443,17 @@ def run_suite(corpus: Corpus,
         formula_key = getattr(entry.formula, "_key", None)
         if (formula_key is None or len(formula_key) > MAX_NESTING
                 or entry.gamma or entry.delta) and _formulas_too_deep(entry):
-            for report in reports:
-                report.incomplete.append(entry)
+            incomplete.append(entry)
             continue
         group = (formula_key or alpha_key(entry.formula), entry.gamma,
                  entry.delta)
-        found = groups.get(group)
-        if found is None:
-            memo: dict[str, tuple[str, ...]] = {}
-            found = groups[group] = (dict(entry.gamma), dict(entry.delta),
-                                     {}, memo, {}, SuccessorFacts(memo))
-        gamma, delta, errors, memo, keys, facts = found
+        if group != run:
+            # a new run: the contexts as check reads them, the evidence
+            # of each ill-typed key, the memo, its key table
+            # (reduction._explore_into) and its facts
+            run, gamma, delta = group, dict(entry.gamma), dict(entry.delta)
+            errors, memo, keys = {}, {}, {}
+            facts = SuccessorFacts(memo)
         # a root that is not typed is walked before it is keyed, so a
         # deep one is refused before alpha_key recurses through it
         if corpus.typed or not _root_too_deep(entry.term):
@@ -462,8 +462,7 @@ def run_suite(corpus: Corpus,
         else:
             new = None
         if new is None:
-            for report in reports:
-                report.incomplete.append(entry)
+            incomplete.append(entry)
             continue
         # every reduct re-checks at the entry's type: the memo's keys
         # did already, and the root of a typed corpus counts as checked
@@ -476,8 +475,7 @@ def run_suite(corpus: Corpus,
                 errors[key] = error
         # the keys the root reaches, once they could pass the cap
         if len(memo) > node_cap and len(facts.reach(root)) > node_cap:
-            for report in reports:
-                report.incomplete.append(entry)
+            incomplete.append(entry)
             continue
         checked += 1
         if errors:
@@ -503,6 +501,7 @@ def run_suite(corpus: Corpus,
             sn.longest_paths[longest] = sn.longest_paths.get(longest, 0) + 1
     for report in reports:
         report.checked = checked
+        report.incomplete = incomplete.copy()
     return reports
 
 

@@ -10,8 +10,10 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -213,6 +215,24 @@ def test_probe_reports(law_subjects):
         1054, "a3c95d37b389a8de323ba7c67dda13590bc37819bddedfda3a266c6811882236")
 
 
+def test_probe_verdicts_are_invariant_under_reduction(law_subjects):
+    # every node of each law inhabitant's reduction graph, the subject
+    # included, gets the subject's verdict and m, as a realisability
+    # reading, closed under reduction, predicts.  Thetas and traces may
+    # differ between a subject and its reducts, so they are not compared
+    nodes = Counter()
+    for formula, probe in LAW_PROBES.items():
+        for entry in law_subjects[formula]:
+            report = probe(entry.term)
+            for term in reduction_graph(entry.term).nodes.values():
+                nodes[formula] += 1
+                reduct = probe(term)
+                assert (reduct.verdict, reduct.m) == \
+                    (report.verdict, report.m), print_term(term)
+    assert nodes == {"_|_ -> P": 3511, "(~P -> P) -> P": 12,
+                     "~P \\/ P": 46, "P \\/ ~P": 46}
+
+
 def test_corpus_graph_traces():
     # the trace to every node of every graph, each step's redex and
     # both its terms printed: a shortest reduction along first edges
@@ -392,7 +412,7 @@ def test_capped_suite_output():
 
 
 # --------------------------------------------------------------------------
-# run_suite, with its one memo, against one fresh graph per entry
+# run_suite, with a memo per run, against one fresh graph per entry
 # --------------------------------------------------------------------------
 
 def reference_suite(corpus, node_cap):
@@ -503,13 +523,27 @@ LOOPING = [_entry("(\\x:~P. (x x) \\x:~P. (x x))", "P -> P"),
            _entry("\\x:~P. (x x)", "~P -> _|_")]
 
 
+# the four lists above dealt out in turn, so that each formula and
+# contexts recur after others, and the size-8 corpus shuffled: run_suite
+# starts afresh at each change, and each verdict reads only the keys its
+# root reaches, so the reports stay those of one graph per entry
+INTERLEAVED = [e for row in zip_longest(SHARED, CAPPED, REACHED, LOOPING)
+               for e in row if e is not None]
+SHUFFLED = enumerate_typed_terms(8).entries
+random.Random(42).shuffle(SHUFFLED)
+
+
 @pytest.mark.parametrize("corpus, node_cap", [
     (enumerate_typed_terms(8), DEFAULT_NODE_CAP),
     (Corpus(SHARED), DEFAULT_NODE_CAP),
     (Corpus(CAPPED), 5),
     (Corpus(REACHED), 5),
     (Corpus(LOOPING), 50),
-], ids=["size-8", "shared", "capped", "reached", "looping"])
+    (Corpus(INTERLEAVED), 5),
+    (Corpus(INTERLEAVED), 50),
+    (Corpus(SHUFFLED, typed=True), DEFAULT_NODE_CAP),
+], ids=["size-8", "shared", "capped", "reached", "looping",
+        "interleaved-5", "interleaved-50", "size-8-shuffled"])
 def test_run_suite_matches_one_graph_per_entry(corpus, node_cap):
     suite = run_suite(corpus, node_cap)
     reference = reference_suite(corpus, node_cap)

@@ -365,6 +365,30 @@ def test_property_report_json(small_corpus):
     assert j["property"] == "subject-reduction"
     assert j["failures"] == []
     assert j["checked"] == report.checked
+    # the looping control fails subject reduction and strong
+    # normalization, and the growing loop passes the cap of 5: each
+    # report prints its failures' evidence and the incomplete entry
+    growing = parse_term("(\\x:~P. [a] (x x) \\x:~P. [a] (x x))")
+    corpus = Corpus([CorpusEntry(_looping_entry(), Arrow(P, P)),
+                     CorpusEntry(growing, BOT, (), (("a", P),))])
+    loop = {"term": "(\\x:~P. (x x) \\x:~P. (x x))"}
+    failures = {
+        "subject-reduction": [{**loop, "evidence": (
+            "reduct (\\x0:~P. (x0 x0) \\x1:~P. (x1 x1)): argument type "
+            "mismatch: in (x0 x0): (rule arrow-e): expected P, found ~P")}],
+        "confluence": [],
+        "strong-normalization": [
+            {**loop, "evidence": "reduction graph has a cycle"}],
+    }
+    assert [r.to_json() for r in run_suite(corpus, node_cap=5)] == [
+        {"property": name, "checked": 1, "failures": failures[name],
+         "incomplete": ["(\\x:~P. [a] (x x) \\x:~P. [a] (x x))"]}
+        for name in metatheory.PROPERTIES]
+
+
+def test_suite_refuses_a_node_cap_below_one(small_corpus):
+    with pytest.raises(ValueError, match="^node_cap must be >= 1$"):
+        run_suite(small_corpus, node_cap=0)
 
 
 # --------------------------------------------------------------------------
@@ -470,19 +494,26 @@ def test_entry_with_a_too_deep_reduct_is_incomplete():
 def test_suite_gates_a_root_by_its_depth():
     # 200 nested lambdas around x nest 201 deep, with a key of 801
     # characters: incomplete in every report, never a RecursionError.
-    # One lambda whose annotation holds sixty arrows nests 2 deep, with
-    # a key of 245 characters: checked and complete
+    # So is a chain of 125 mu-binders over y, each naming the one
+    # around it, 251 deep at the shallow formula P, which the
+    # exploration's own depth gate refuses.  One lambda whose
+    # annotation holds sixty arrows nests 2 deep, with a key of 245
+    # characters: checked and complete
     deep, deep_ty = Var("x"), P
     for _ in range(200):
         deep, deep_ty = Abs("x", P, deep), Arrow(P, deep_ty)
     deep = close(deep)
+    chain = Var("y")
+    for i in range(125):
+        chain = Mu(f"a{i}", P, Named(0, chain))
     wide_ty = P
     for _ in range(60):
         wide_ty = Arrow(P, wide_ty)
     wide = Abs("x", wide_ty, Var(0))
-    for t, ty, checked in ((deep, deep_ty, 0),
-                           (wide, Arrow(wide_ty, wide_ty), 1)):
-        for report in run_suite(curated_corpus([(t, ty, {}, {})])):
+    for t, ty, gamma, checked in ((deep, deep_ty, {}, 0),
+                                  (chain, P, {"y": P}, 0),
+                                  (wide, Arrow(wide_ty, wide_ty), {}, 1)):
+        for report in run_suite(curated_corpus([(t, ty, gamma, {})])):
             assert report.ok
             assert (report.checked, len(report.incomplete)) == \
                 (checked, 1 - checked)
