@@ -24,6 +24,7 @@ from .reduction import (
 from .metatheory import (
     Corpus, PropertyReport, check_confluence, check_strong_normalization,
     check_subject_reduction, curated_corpus, enumerate_typed_terms, run_suite,
+    typed_entries,
 )
 from .behavior import (
     BehaviorReport, Leaf, canonical_terms, probe_exfalso, probe_peirce,

@@ -205,8 +205,10 @@ def _run(args) -> int:
         return _VERDICT_EXIT.get(report.verdict, EXIT_INCONCLUSIVE)
 
     if args.command == "suite":
-        corpus = metatheory.enumerate_typed_terms(
-            args.max_size, max_formula_size=args.max_formula_size)
+        # streamed: run_suite reads the entries once, so each target's
+        # roots and their keys are freed when its run ends
+        corpus = metatheory.Corpus(metatheory.typed_entries(
+            args.max_size, max_formula_size=args.max_formula_size), typed=True)
         failed = False
         for report in metatheory.run_suite(corpus, args.node_cap):
             if args.json:

@@ -19,7 +19,7 @@ its two bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .reduction import (
     DEFAULT_NODE_CAP, SuccessorFacts, _explore_into, _root_too_deep,
@@ -52,11 +52,13 @@ class CorpusEntry:
 class Corpus:
     """Entries for the oracles.  ``typed`` holds when every entry is
     known to check at its formula and contexts, as the two builders,
-    enumerate_typed_terms and curated_corpus, make sure; run_suite then
-    type-checks only the reducts.  A corpus built directly may hold
-    ill-typed roots, and run_suite checks them too."""
+    enumerate_typed_terms (or its stream, typed_entries) and
+    curated_corpus, make sure; run_suite then type-checks only the
+    reducts.  A corpus built directly may hold ill-typed roots, and
+    run_suite checks them too.  ``entries`` may be any iterable, which
+    run_suite reads once, in order; len() needs a sequence."""
 
-    entries: list[CorpusEntry]
+    entries: Iterable[CorpusEntry]
     typed: bool = False
 
     def __len__(self):
@@ -320,6 +322,36 @@ class Enumerator:
         return result
 
 
+def typed_entries(max_size: int,
+                  target: Optional[Formula] = None,
+                  max_formula_size: int = DEFAULT_MAX_FORMULA_SIZE
+                  ) -> Iterator[CorpusEntry]:
+    """enumerate_typed_terms' entries, in its order, one target at a time.
+
+    One Enumerator interns the universe once.  After each target its
+    memo, the only holder of its terms, is emptied, and the target's
+    entries are dropped before the next target is listed, so run_suite
+    over ``Corpus(typed_entries(...), typed=True)`` holds one target's
+    roots at a time.  The memo caches a deterministic recursion, so the
+    terms and their order are those of one memo.  Arguments are checked
+    at the call, not when iteration starts.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    enum = Enumerator(max_formula_size, target)
+    targets = [target] if target is not None else formula_pool(max_formula_size)
+
+    def entries_by_target():
+        for ty in targets:
+            entries = [CorpusEntry(t, ty) for n in range(1, max_size + 1)
+                       for t in enum.terms_of(ty, n)]
+            enum._memo.clear()
+            yield from entries
+            del entries
+
+    return entries_by_target()
+
+
 def enumerate_typed_terms(max_size: int,
                           target: Optional[Formula] = None,
                           max_formula_size: int = DEFAULT_MAX_FORMULA_SIZE
@@ -327,20 +359,16 @@ def enumerate_typed_terms(max_size: int,
     """All closed well-typed terms up to max_size nodes, deterministically.
 
     With a target formula, only closed inhabitants of that formula;
-    otherwise all closed terms whose type lies in the formula pool.
+    otherwise all closed terms whose type lies in the formula pool, each
+    formula's entries together, smallest first.
     Cut formulas for eliminations range over the smaller cut pool, which
     covers the target's atoms.
     Entries are well typed by construction and are checked neither
     here nor by run_suite, which checks only their reducts: the corpus
-    is ``typed``.
+    is ``typed``.  The entries are typed_entries' stream, listed.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    enum = Enumerator(max_formula_size, target)
-    targets = [target] if target is not None else formula_pool(max_formula_size)
-    return Corpus([CorpusEntry(t, ty) for ty in targets
-                   for n in range(1, max_size + 1)
-                   for t in enum.terms_of(ty, n)], typed=True)
+    return Corpus(list(typed_entries(max_size, target, max_formula_size)),
+                  typed=True)
 
 
 def curated_corpus(entries: list[tuple[Term, Formula, Context, Context]]) -> Corpus:
@@ -400,7 +428,10 @@ def run_suite(corpus: Corpus,
               node_cap: int = DEFAULT_NODE_CAP) -> list[PropertyReport]:
     """Subject reduction, confluence and strong normalization, in that order.
 
-    A run of consecutive entries with the same formula and contexts
+    The corpus's entries are read once, in order, and only the entries
+    that fail or are incomplete are kept, so over typed_entries' stream
+    the suite holds one target's roots at a time.  A run
+    of consecutive entries with the same formula and contexts
     shares one memo, from each alpha-key to the keys of its reducts,
     which each entry closes from its root (reduction._explore_into)
     without building a graph, so each distinct reduct is built, expanded

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lambdamu
-from lambdamu import parse_term, print_term
+from lambdamu import (
+    enumerate_typed_terms, parse_term, print_term, run_suite,
+)
 from lambdamu import reduction
 from lambdamu.cli import main
 from lambdamu.syntax import MAX_NESTING
@@ -547,6 +549,16 @@ def test_suite_json(capsys):
     assert [r["property"] for r in reports] == \
         ["subject-reduction", "confluence", "strong-normalization"]
     assert all(r["failures"] == [] for r in reports)
+
+
+def test_suite_json_is_the_listed_corpus_suite(capsys):
+    # the command streams its corpus target by target, and prints the
+    # bytes that run_suite prints over the listed corpus
+    for n in range(1, 13):
+        code, out, _ = run(capsys, "suite", "--max-size", str(n), "--json")
+        reports = run_suite(enumerate_typed_terms(n))
+        assert (code, out) == (OK, "".join(
+            json.dumps(r.to_json()) + "\n" for r in reports))
 
 
 def test_corpus_target(capsys):

@@ -1,5 +1,7 @@
 """Enumeration of typed terms and the three metatheory oracles."""
 
+import tracemalloc
+
 import pytest
 
 from lambdamu import (
@@ -7,7 +9,7 @@ from lambdamu import (
     Named, PROJ1, PROJ2, Pair, PropVar, Term, Var, canonical_form,
     check_confluence, check_strong_normalization, check_subject_reduction,
     check, close, curated_corpus, enumerate_typed_terms, infer, is_closed,
-    parse_formula, parse_term, run_suite,
+    parse_formula, parse_term, print_term, run_suite, typed_entries,
 )
 from lambdamu import metatheory, reduction
 from lambdamu.metatheory import (
@@ -88,6 +90,51 @@ def test_enumerate_rejects_bad_size():
         enumerate_typed_terms(0)
 
 
+def test_typed_entries_stream_the_listed_corpus():
+    # the stream is the listed corpus, entry by entry and in order; its
+    # memo is emptied after each target, so a target lists its terms
+    # afresh, binder hints included
+    q_law = parse_formula("(~Q -> Q) -> Q")
+    for args in ((10, None, 3), (7, None, 5), (10, q_law, 3)):
+        listed = enumerate_typed_terms(*args).entries
+        streamed = typed_entries(*args)
+        assert iter(streamed) is streamed
+        assert [(print_term(e.term), e.formula, e.gamma, e.delta)
+                for e in streamed] == \
+            [(print_term(e.term), e.formula, e.gamma, e.delta)
+             for e in listed]
+        assert len(listed) > 0
+
+
+def test_typed_entries_check_at_the_call():
+    with pytest.raises(ValueError, match="^max_size must be >= 1$"):
+        typed_entries(0)
+    with pytest.raises(TypeError, match="^not a formula: 'junk'$"):
+        typed_entries(3, target="junk")
+
+
+def test_streamed_suite_holds_one_target_at_a_time():
+    # run_suite over the stream holds one target's roots, their keys and
+    # its run's state at a time; over the listed corpus it holds every
+    # root with its key to the end.  Traced peaks at size 10, enumeration
+    # included: 0.79 MiB streamed against 2.06 MiB listed on Python
+    # 3.11, a ratio of 0.38-0.39 on 3.10 to 3.13
+    def peak(corpus):
+        tracemalloc.start()
+        try:
+            reports = run_suite(corpus())
+            return tracemalloc.get_traced_memory()[1], \
+                [r.to_json() for r in reports]
+        finally:
+            tracemalloc.stop()
+
+    listed, listed_reports = peak(lambda: enumerate_typed_terms(10))
+    streamed, streamed_reports = peak(
+        lambda: Corpus(typed_entries(10), typed=True))
+    assert streamed_reports == listed_reports
+    assert streamed < 0.5 * listed
+
+
 def test_enumerate_rejects_a_target_that_is_not_a_formula():
     with pytest.raises(TypeError, match="^not a formula: 'junk'$"):
         enumerate_typed_terms(3, target="junk")
@@ -116,8 +163,9 @@ def test_enumerator_interns_exactly_its_universe():
 def test_enumerator_asks_only_for_universe_types(monkeypatch):
     # each type's eliminations are listed when the enumerator is built,
     # so no state the enumeration asks for has a type outside the
-    # universe, and the size-11 corpus takes 20,117 calls where asking
-    # for each missing conjunction took 44,207
+    # universe; the size-11 corpus takes 23,188 calls, where one memo
+    # kept for every target took 20,117 and asking for each missing
+    # conjunction took 44,207
     calls, outside = [], []
     terms = Enumerator._terms
 
@@ -129,7 +177,7 @@ def test_enumerator_asks_only_for_universe_types(monkeypatch):
 
     monkeypatch.setattr(Enumerator, "_terms", counted)
     assert len(enumerate_typed_terms(11)) == 8317
-    assert (len(calls), outside) == (20117, [])
+    assert (len(calls), outside) == (23188, [])
     calls.clear()
     enumerate_typed_terms(9, target=parse_formula("P /\\ Q -> Q /\\ P"))
     assert calls and outside == []
